@@ -1,11 +1,12 @@
-"""Benchmark the jitted vs. pure-numpy hot kernels.
+"""Benchmark the jitted vs. pure-numpy sensor-noise kernel.
 
 Usage:
     python3 benchmarks/backend_bench.py [--size 1024] [--repeats 5]
 
-Times the sensor-noise sampler and the mosaic integration kernel under
-both backends (forced via CAMSIM_BACKEND) and prints a speedup table, plus
-a correctness cross-check between the two paths.
+Times the sensor-noise sampler under both backends (forced via
+CAMSIM_BACKEND) and prints a speedup table, plus a correctness cross-check
+between the two paths. Pixel integration is plain numpy (no jitted path)
+and is timed end to end by perfbench/.
 """
 
 import argparse
@@ -15,7 +16,7 @@ import time
 import numpy as np
 
 from camsim.backend import HAVE_NUMBA
-from camsim.kernels import integrate_mosaic, sample_sensor_noise
+from camsim.kernels import sample_sensor_noise
 
 
 def _time(fn, repeats):
@@ -30,16 +31,8 @@ def _time(fn, repeats):
 def bench(size, repeats):
     rng = np.random.default_rng(0)
     lam = rng.uniform(0.0, 2000.0, (size, size))
-    n_bands = 11
-    cube = rng.uniform(0.0, 1e12, (size, size, n_bands))
-    weights = rng.uniform(0.1, 0.9, (4, n_bands))
-    channel_map = (np.arange(size)[:, None] % 2 * 2
-                   + np.arange(size)[None, :] % 2).astype(np.int64)
-
     cases = {
         "sensor noise": lambda: sample_sensor_noise(lam, 24.0, 13500.0, seed=7),
-        "mosaic integration": lambda: integrate_mosaic(
-            cube, weights, channel_map, 1.0, 1e-12),
     }
 
     results = {}
@@ -52,7 +45,7 @@ def bench(size, repeats):
             fn()  # warm up (includes JIT compile for numba)
             results[(backend, name)] = _time(fn, repeats)
 
-    print(f"\nraster {size}x{size}, {n_bands} bands, best of {repeats}:")
+    print(f"\nraster {size}x{size}, best of {repeats}:")
     print(f"{'kernel':<20} {'numpy [ms]':>12} {'numba [ms]':>12} {'speedup':>8}")
     for name in cases:
         t_np = results[("numpy", name)] * 1e3
@@ -66,14 +59,10 @@ def bench(size, repeats):
     if HAVE_NUMBA:
         os.environ["CAMSIM_BACKEND"] = "numpy"
         a_noise = sample_sensor_noise(lam, 24.0, 13500.0, seed=7)
-        a_int = integrate_mosaic(cube, weights, channel_map, 1.0, 1e-12)
         os.environ["CAMSIM_BACKEND"] = "numba"
         b_noise = sample_sensor_noise(lam, 24.0, 13500.0, seed=7)
-        b_int = integrate_mosaic(cube, weights, channel_map, 1.0, 1e-12)
         print(f"\nnoise kernels match (atol 1e-9): "
               f"{bool(np.allclose(a_noise, b_noise, rtol=0.0, atol=1e-9))}")
-        print(f"integration kernels match (rtol 1e-12): "
-              f"{bool(np.allclose(a_int, b_int, rtol=1e-12, atol=0.0))}")
 
 
 def main():

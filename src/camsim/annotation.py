@@ -57,10 +57,13 @@ def _majority_bin(inst: np.ndarray, factor: int, rows: int, cols: int) -> np.nda
     """Majority vote per factor×factor block; ties go to the smaller id."""
     blocks = inst[: rows * factor, : cols * factor]
     blocks = blocks.reshape(rows, factor, cols, factor).transpose(0, 2, 1, 3)
-    blocks = blocks.reshape(rows, cols, factor * factor)
-    ids = np.unique(blocks)
-    counts = np.stack([(blocks == i).sum(axis=2) for i in ids], axis=2)
-    return ids[np.argmax(counts, axis=2)]
+    blocks = blocks.reshape(rows * cols, factor * factor)
+    present = np.bincount(blocks.ravel()) > 0
+    ids = np.flatnonzero(present).astype(inst.dtype)  # ascending, so argmax picks the smaller id
+    code = np.cumsum(present) - 1  # instance id -> index into ids
+    pairs = code[blocks] + ids.size * np.arange(rows * cols)[:, None]
+    counts = np.bincount(pairs.ravel(), minlength=rows * cols * ids.size)
+    return ids[np.argmax(counts.reshape(rows * cols, ids.size), axis=1)].reshape(rows, cols)
 
 
 def project_truth(sc: Scene, sensor_rows: int, sensor_cols: int) -> list:

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import os
 import sys
 import traceback
@@ -24,16 +23,15 @@ import numpy as np
 from . import evalmetrics as ev
 from .annotation import LabelPolicy, apply_policy, export_dataset, project_truth
 from .detector import ProxyDetectorConfig, import_detections, proxy_detect
-from .exposure import (ExposurePlan, bracketed_capture, center_weighted_duration,
-                       hdr_combine)
+from .exposure import ExposurePlan, acquire
 from .isp import render, write_ppm
-from .optics import LensSpec, radiance_to_irradiance
+from .optics import LensSpec, OpticalImage, mean_illuminance_lux, optical_image
+from .optics import radiance_to_irradiance  # noqa: F401  (perfbench/selftest.py wraps this binding)
 from .plotting import curve_svg
 from .rng import stream_key
-from .scene import (Scene, edge_case_scene, load_scene, save_scene, spec_from_dict,
-                    synthesize)
-from .sensor import SensorSpec, capture, derive_geometry
-from .spectral import luminance_weights
+from .scene import (Scene, SceneSpec, edge_case_scene, load_scene, save_scene,
+                    spec_from_dict, synthesize)
+from .sensor import SensorSpec, derive_geometry
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -109,84 +107,100 @@ def _n_workers() -> int:
     return min(8, os.cpu_count() or 1)
 
 
-def _load_scenes(cfg: RunConfig) -> tuple:
-    """([(scene_id, Scene)] ordered by id, [(scene_id, error)])."""
+def _load_scenes(cfg: RunConfig) -> list:
+    """[(scene_id, source)] ordered by id. A source is the SceneSpec to
+    synthesize or the scene directory to load; each scene's pool task opens
+    its own, so at most one scene per worker is held in memory."""
     src = cfg.scenes
-    out, errors = [], []
     if src["source"] == "dir":
         root = Path(src["path"])
         dirs = sorted(p for p in root.iterdir() if (p / "radiance.sic").is_file())
-        for p in dirs:
-            try:
-                out.append((p.name, load_scene(p)))
-            except Exception as e:  # skip the broken scene, keep the rest
-                errors.append((p.name, e))
-        return out, errors
+        return [(p.name, p) for p in dirs]
     spec = spec_from_dict(src.get("spec", {}))
     count = int(src.get("count", 1))
-    for i in range(count):
-        s = replace(spec, seed=cfg.seed + i)
-        out.append((f"scene_{i:04d}", synthesize(s)))
-    return out, errors
+    return [(f"scene_{i:04d}", replace(spec, seed=cfg.seed + i)) for i in range(count)]
 
 
 def _scale_to_lux(sc: Scene, lens: LensSpec, target_lux: float) -> Scene:
     """Scalar radiance scale so mean sensor-plane illuminance hits the target."""
-    current = radiance_to_irradiance(sc, lens).mean_illuminance_lux
+    current = mean_illuminance_lux(sc, lens)
     if current <= 0:
         return sc
     return sc.scaled(target_lux / current)
 
 
+def _capture_and_detect(v: RunConfig, sc: Scene, image: OpticalImage, seed: int,
+                        image_id) -> tuple:
+    """One variant of a scene: acquire -> ISP -> annotate -> proxy-detect.
+    Returns (acquisition, rendered image, boxes, proxy config, detections)."""
+    acq = acquire(image, v.sensor, v.exposure, seed)
+    rendered = render(acq.source, v.isp)
+    boxes = apply_policy(project_truth(sc, *acq.shape), v.policy)
+    pconf = ProxyDetectorConfig.from_dict({**v.detector.get("proxy", {}), "seed": seed})
+    # imported detections are read after the pool completes
+    dets = [] if "import" in v.detector else proxy_detect(rendered, boxes, pconf,
+                                                          image_id=image_id)
+    return acq, rendered, boxes, pconf, dets
+
+
 def _process_scene(args):
-    """One scene through capture -> ISP -> annotate -> detect."""
-    cfg, scene_id, index, sc = args
-    lens, sensor = cfg.lens, cfg.sensor
+    """One scene, opened once and projected once, through every variant.
+    Returns (scene_id, [result dict or the variant's exception])."""
+    cfg, variants, scene_id, index, source = args
+    sc = synthesize(source) if isinstance(source, SceneSpec) else load_scene(source)
     if cfg.target_lux is not None:
-        sc = _scale_to_lux(sc, lens, cfg.target_lux)
-    plan = cfg.exposure
+        sc = _scale_to_lux(sc, cfg.lens, cfg.target_lux)
+    image = optical_image(sc, cfg.lens, cfg.sensor)
     seed = int(stream_key(cfg.seed, 3, index) & np.uint64(0x7FFFFFFF))
-    if plan.mode == "bracketed":
-        frames = bracketed_capture(sc, lens, sensor, plan.durations_s, seed)
-        source = hdr_combine(frames)
-        duration = plan.durations_s[0]
-        rows, cols = frames[0].dn.shape
-    else:
-        duration = plan.t_s if plan.mode == "fixed" else \
-            center_weighted_duration(sc, lens, sensor, plan)
-        frame = capture(sc, lens, sensor, duration, seed)
-        source = frame
-        rows, cols = frame.dn.shape
-    image = render(source, cfg.isp)
-    boxes = apply_policy(project_truth(sc, rows, cols), cfg.policy)
-    gts = [ev.as_gt(scene_id, b) for b in boxes]
-    if "import" in cfg.detector:
-        dets = []  # filled from the import after the pool completes
-    else:
-        pconf = ProxyDetectorConfig.from_dict(
-            {**cfg.detector.get("proxy", {}), "seed": seed})
-        dets = proxy_detect(image, boxes, pconf, image_id=scene_id)
-    return scene_id, {"gts": gts, "dets": dets, "duration_s": duration,
-                      "rows": rows, "cols": cols, "image": image if cfg.save_images else None,
-                      "boxes": boxes}
+    out = []
+    for v in variants:
+        try:
+            acq, rendered, boxes, _, dets = _capture_and_detect(v, sc, image, seed, scene_id)
+        except Exception as e:  # this variant failed; the others still run
+            out.append(e)
+            continue
+        rows, cols = acq.shape
+        out.append({"gts": [ev.as_gt(scene_id, b) for b in boxes], "dets": dets,
+                    "duration_s": acq.duration_s, "rows": rows, "cols": cols,
+                    "image": rendered if v.save_images else None, "boxes": boxes})
+    return scene_id, out
 
 
-def run_pipeline(cfg: RunConfig) -> dict:
-    """Full cmd_run: returns the summary dict and writes all artifacts."""
-    out = cfg.output_dir
-    out.mkdir(parents=True, exist_ok=True)
-    scenes, errors = _load_scenes(cfg)
-    jobs = [(cfg, sid, i, sc) for i, (sid, sc) in enumerate(scenes)]
-    results = {}
+def run_pipeline(cfg: RunConfig, variants: list | None = None) -> list:
+    """Full cmd_run over the configured scenes. Each variant (default: cfg
+    alone) is a config sharing cfg's scenes, lens, seed, target_lux and
+    sensor CFA/QE; every scene is opened and projected once and captured by
+    each variant. Writes each variant's artifacts to its output_dir and
+    returns its summary dict, in variant order."""
+    variants = [cfg] if variants is None else variants
+    jobs = [(cfg, variants, sid, i, source)
+            for i, (sid, source) in enumerate(_load_scenes(cfg))]
+    results = [{} for _ in variants]
+    errors = [[] for _ in variants]
     if jobs:
         with ThreadPoolExecutor(max_workers=_n_workers()) as pool:
             for job, res in zip(jobs, pool.map(_safe_process, jobs)):
-                if isinstance(res, Exception):
-                    errors.append((job[1], res))
-                else:
-                    results[res[0]] = res[1]
-    ordered = sorted(results)
+                outs = [res] * len(variants) if isinstance(res, Exception) else res[1]
+                for k, r in enumerate(outs):
+                    if isinstance(r, Exception):
+                        errors[k].append((job[2], r))
+                    else:
+                        results[k][job[2]] = r
+    return [_write_run(v, results[k], errors[k]) for k, v in enumerate(variants)]
 
+
+def _write_scores(dets: list, gts: list, out: Path, max_distance_m: float) -> tuple:
+    """metrics.csv and summary.json; returns (AP curve, summary dict)."""
+    curve = ev.ap_vs_distance(dets, gts, max_distance_m=max_distance_m)
+    ev.write_metrics_csv(curve, out / "metrics.csv")
+    return curve, ev.write_summary_json(curve, dets, gts, out / "summary.json")
+
+
+def _write_run(cfg: RunConfig, results: dict, errors: list) -> dict:
+    """Write one run's artifacts from its per-scene results; returns the summary."""
+    out = cfg.output_dir
+    out.mkdir(parents=True, exist_ok=True)
+    ordered = sorted(results)
     gts, dets, images_meta, truths = [], [], [], {}
     for sid in ordered:
         r = results[sid]
@@ -201,9 +215,7 @@ def run_pipeline(cfg: RunConfig) -> dict:
         sizes = {m["id"]: (m["width"], m["height"]) for m in images_meta}
         dets = import_detections(cfg.detector["import"], sizes)
 
-    curve = ev.ap_vs_distance(dets, gts, max_distance_m=cfg.policy.max_distance_m)
-    ev.write_metrics_csv(curve, out / "metrics.csv")
-    summary = ev.write_summary_json(curve, dets, gts, out / "summary.json")
+    curve, summary = _write_scores(dets, gts, out, cfg.policy.max_distance_m)
     (out / "detections.json").write_text(json.dumps(ev.detections_to_json(dets), indent=1))
     export_dataset(images_meta, truths, out / "dataset.json", seed=cfg.seed)
     durations = {sid: results[sid]["duration_s"] for sid in ordered}
@@ -249,7 +261,7 @@ def cmd_synth(args) -> int:
 
 def cmd_run(args) -> int:
     cfg = RunConfig.from_file(args.config, args.seed)
-    summary = run_pipeline(cfg)
+    summary = run_pipeline(cfg)[0]
     print(json.dumps(summary, indent=1))
     return EXIT_OK if summary["n_errors"] == 0 else EXIT_RUNTIME
 
@@ -257,12 +269,11 @@ def cmd_run(args) -> int:
 def cmd_sweep_pixel(args) -> int:
     cfg = RunConfig.from_file(args.config, args.seed)
     sizes = args.sizes or [1.5, 3.0, 6.0]
+    variants = [replace(cfg, sensor=cfg.sensor.with_pixel_size(size),
+                        output_dir=cfg.output_dir / f"pixel_{size:g}um") for size in sizes]
     rows_out = []
-    for size in sizes:
-        sub = replace(cfg, sensor=cfg.sensor.with_pixel_size(size),
-                      output_dir=cfg.output_dir / f"pixel_{size:g}um")
-        rows, cols = derive_geometry(size, sub.sensor)
-        summary = run_pipeline(sub)
+    for size, v, summary in zip(sizes, variants, run_pipeline(cfg, variants)):
+        rows, cols = derive_geometry(size, v.sensor)
         rows_out.append([size, rows, cols, summary["ap_overall"],
                          summary["od50_m"] if not summary["od50_beyond_range"] else "beyond-range"])
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
@@ -287,15 +298,15 @@ def cmd_sweep_exposure(args) -> int:
     rows_out = []
     cw_durations: dict = {}
     for lux in lux_levels:
-        for name, plan in plans.items():
-            sub = replace(cfg, exposure=plan, target_lux=lux,
-                          output_dir=cfg.output_dir / f"lux{lux:g}_{name}")
-            summary = run_pipeline(sub)
+        base = replace(cfg, target_lux=lux)
+        variants = [replace(base, exposure=plan, output_dir=cfg.output_dir / f"lux{lux:g}_{name}")
+                    for name, plan in plans.items()]
+        for name, v, summary in zip(plans, variants, run_pipeline(base, variants)):
             rows_out.append([lux, name, summary["ap_overall"],
                              summary["od50_m"] if not summary["od50_beyond_range"]
                              else "beyond-range"])
             if name == "center_weighted":
-                durs = json.loads((sub.output_dir / "exposures.json").read_text())
+                durs = json.loads((v.output_dir / "exposures.json").read_text())
                 cw_durations[lux] = sorted(durs.values())
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
     with open(cfg.output_dir / "sweep_exposure.csv", "w", newline="") as f:
@@ -329,31 +340,19 @@ def edge_case_report(cfg: RunConfig) -> dict:
     from .detector import detectability
 
     sc = edge_case_scene()
-    lens, sensor = cfg.lens, cfg.sensor
-    seed = cfg.seed
+    image = optical_image(sc, cfg.lens, cfg.sensor)
     report = {"algorithms": {}}
     plans = {
         "center_weighted": ExposurePlan("center_weighted"),
         "bracketed": ExposurePlan("bracketed"),
     }
     for name, plan in plans.items():
-        if plan.mode == "bracketed":
-            frames = bracketed_capture(sc, lens, sensor, plan.durations_s, seed)
-            source = hdr_combine(frames)
-            rows, cols = frames[0].dn.shape
-            duration = list(plan.durations_s)
-        else:
-            t = center_weighted_duration(sc, lens, sensor, plan)
-            source = capture(sc, lens, sensor, t, seed)
-            rows, cols = source.dn.shape
-            duration = t
-        image = render(source, cfg.isp)
-        boxes = apply_policy(project_truth(sc, rows, cols), cfg.policy)
-        pconf = ProxyDetectorConfig.from_dict({**cfg.detector.get("proxy", {}), "seed": seed})
-        dets = proxy_detect(image, boxes, pconf, image_id=name)
+        v = replace(cfg, exposure=plan, detector={"proxy": cfg.detector.get("proxy", {})})
+        acq, rendered, boxes, pconf, dets = _capture_and_detect(v, sc, image, cfg.seed, name)
+        duration = list(plan.durations_s) if plan.mode == "bracketed" else acq.duration_s
         targets = {}
         for b in boxes:
-            d = detectability(image.values, b, pconf.min_pixels, pconf.snr_scale)
+            d = detectability(rendered.values, b, pconf.min_pixels, pconf.snr_scale)
             hit = any(ev.iou(det, b) >= 0.5 for det in dets)
             targets[str(b.instance_id)] = {
                 "class": b.class_name, "distance_m": b.distance_m,
@@ -376,9 +375,7 @@ def cmd_eval(args) -> int:
     dets = import_detections(args.detections, sizes)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    curve = ev.ap_vs_distance(dets, gts)
-    ev.write_metrics_csv(curve, out / "metrics.csv")
-    summary = ev.write_summary_json(curve, dets, gts, out / "summary.json")
+    _, summary = _write_scores(dets, gts, out, None)
     print(json.dumps(summary, indent=1))
     return EXIT_OK
 

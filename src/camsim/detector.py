@@ -60,7 +60,8 @@ def detectability(image_values: np.ndarray, box, min_pixels: int,
                   snr_scale: float) -> float:
     """d' = snr_scale · sqrt(pixels on target) · local contrast, where local
     contrast is |mean inside − mean surround| over the surround std (a noise
-    estimate). Zero when the box covers fewer than min_pixels pixels."""
+    estimate). Zero when the box covers fewer than min_pixels pixels.
+    image_values is an (H, W, 3) image or its (H, W) luma."""
     luma = _luma(image_values)
     h, w = luma.shape
     x0, y0, x1, y1 = (int(v) for v in box.bbox)
@@ -94,7 +95,7 @@ def proxy_detect(image, truths: list, config: ProxyDetectorConfig,
     h, w = luma.shape
     dets = []
     for box in truths:
-        dprime = detectability(values, box, config.min_pixels, config.snr_scale)
+        dprime = detectability(luma, box, config.min_pixels, config.snr_scale)
         if dprime <= 0.0:
             continue
         prob = _phi(dprime - 1.0)

@@ -7,10 +7,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .optics import LensSpec, apply_psf, radiance_to_irradiance
+from .optics import LensSpec, OpticalImage, optical_image
+from .optics import radiance_to_irradiance  # noqa: F401  (perfbench/selftest.py wraps this binding)
 from .rng import stream_key
 from .scene import Scene
-from .sensor import RawFrame, SensorSpec, capture, dn_to_electrons, integrate
+from .sensor import RawFrame, SensorSpec, dn_to_electrons, expected_rate, expose
 
 DEFAULT_BRACKET_S = (12e-3, 0.12e-3, 12e-6)
 DEFAULT_CAP_S = 16e-3  # 60 fps frame budget
@@ -70,15 +71,34 @@ def metering_window(rows: int, cols: int, window_fraction: float) -> tuple:
     return y0, x0, y0 + wh, x0 + ww
 
 
-def center_weighted_duration(sc: Scene, lens: LensSpec, sensor: SensorSpec,
-                             plan: ExposurePlan) -> float:
-    """Duration putting the metering window's brightest expected pixel at
-    target_fraction of well, capped at plan.cap_s. An idealized (noise-free)
-    meter on the central window."""
-    if plan.mode != "center_weighted":
-        raise ValueError("plan mode must be center_weighted")
-    irr = apply_psf(radiance_to_irradiance(sc, lens), lens)
-    rate = integrate(irr, sensor, 1.0)  # expected electrons per second
+@dataclass(frozen=True)
+class Acquisition:
+    source: object  # what the ISP renders: the RawFrame, or the HDRFrame of brackets
+    duration_s: float  # fixed or metered duration; the longest bracket when bracketed
+    rate_e_per_s: np.ndarray  # noise-free electrons/s per pixel that every frame exposes
+
+    @property
+    def shape(self) -> tuple:
+        return self.rate_e_per_s.shape
+
+
+def acquire(image: OpticalImage, sensor: SensorSpec, plan: ExposurePlan, seed: int,
+            noise: bool = True) -> Acquisition:
+    """Sample the optical image on the sensor's pixels once, then meter and
+    expose (or expose every bracket) from that one expected-rate raster."""
+    rate = expected_rate(image, sensor)
+    if plan.mode == "bracketed":
+        frames = _brackets(rate, sensor, plan.durations_s, seed, noise)
+        return Acquisition(hdr_combine(frames), plan.durations_s[0], rate)
+    t = plan.t_s if plan.mode == "fixed" else metered_duration(rate, sensor, plan)
+    frame = expose(rate, sensor, t, seed, noise)
+    return Acquisition(frame, t, rate)
+
+
+def metered_duration(rate: np.ndarray, sensor: SensorSpec, plan: ExposurePlan) -> float:
+    """Duration putting the metering window's brightest expected pixel (or
+    its p99) at target_fraction of well, capped at plan.cap_s. An idealized
+    (noise-free) meter on the central window of the expected-rate raster."""
     y0, x0, y1, x1 = metering_window(*rate.shape, plan.window_fraction)
     window = rate[y0:y1, x0:x1]
     stat = float(np.percentile(window, 99.0)) if plan.statistic == "p99" \
@@ -88,14 +108,26 @@ def center_weighted_duration(sc: Scene, lens: LensSpec, sensor: SensorSpec,
     return min(plan.cap_s, plan.target_fraction * sensor.effective_well_e() / stat)
 
 
+def center_weighted_duration(sc: Scene, lens: LensSpec, sensor: SensorSpec,
+                             plan: ExposurePlan) -> float:
+    """The metered duration of a center-weighted plan for one scene."""
+    if plan.mode != "center_weighted":
+        raise ValueError("plan mode must be center_weighted")
+    return metered_duration(expected_rate(optical_image(sc, lens, sensor), sensor),
+                            sensor, plan)
+
+
+def _brackets(rate, sensor, durations_s, seed, noise) -> list:
+    return [expose(rate, sensor, t, int(stream_key(seed, 7, i)), noise)
+            for i, t in enumerate(durations_s)]
+
+
 def bracketed_capture(sc: Scene, lens: LensSpec, sensor: SensorSpec,
                       durations_s, seed: int, noise: bool = True) -> list:
     """One capture per duration with independent noise streams keyed by
     (seed, bracket index)."""
-    return [
-        capture(sc, lens, sensor, t, int(stream_key(seed, 7, i)), noise=noise)
-        for i, t in enumerate(durations_s)
-    ]
+    return _brackets(expected_rate(optical_image(sc, lens, sensor), sensor), sensor,
+                     durations_s, seed, noise)
 
 
 def hdr_combine(frames: list) -> HDRFrame:

@@ -1,5 +1,5 @@
-"""Hot per-pixel kernels, each with a numba-jitted loop and a vectorized
-numpy fallback (selected per call via backend.use_numba()).
+"""The sensor-noise kernel, with a numba-jitted loop and a vectorized numpy
+fallback (selected per call via backend.use_numba()).
 
 Both paths implement the same per-pixel algorithm on the same
 counter-based streams. Noise sampling uses shot-noise Poisson draws
@@ -116,52 +116,4 @@ def _noise_numba(lam, read_sigma, well_e, seed_u):
             elif e > well_e:
                 e = well_e
             out[r, c] = e
-    return out
-
-
-# ----------------------------------------------------------- integration ----
-
-def integrate_mosaic(cube, weights, channel_map, factor, scale):
-    """Expected electrons per sensor pixel.
-
-    cube: (H, W, Nλ) spectral photon irradiance; weights: (n_channels, Nλ)
-    per-channel QE·Δλ; channel_map: (rows, cols) channel index per sensor
-    pixel; factor: integer scene-cells-per-pixel; scale: t·A_pix·fill_factor.
-    Cube cells inside each pixel footprint are averaged.
-    """
-    cube = np.ascontiguousarray(cube, dtype=np.float64)
-    weights = np.ascontiguousarray(weights, dtype=np.float64)
-    channel_map = np.ascontiguousarray(channel_map, dtype=np.int64)
-    if use_numba():
-        return _integrate_numba(cube, weights, channel_map, int(factor), float(scale))
-    return _integrate_numpy(cube, weights, channel_map, int(factor), float(scale))
-
-
-def _integrate_numpy(cube, weights, channel_map, f, scale):
-    rows, cols = channel_map.shape
-    resp = cube[: rows * f, : cols * f, :] @ weights.T  # (rows·f, cols·f, C)
-    binned = resp.reshape(rows, f, cols, f, weights.shape[0]).mean(axis=(1, 3))
-    return scale * np.take_along_axis(
-        binned, channel_map[:, :, None], axis=2)[:, :, 0]
-
-
-@njit(cache=True)
-def _integrate_numba(cube, weights, channel_map, f, scale):
-    rows, cols = channel_map.shape
-    nl = cube.shape[2]
-    out = np.empty((rows, cols), dtype=np.float64)
-    inv = 1.0 / (f * f)
-    for r in range(rows):
-        for c in range(cols):
-            ch = channel_map[r, c]
-            acc = 0.0
-            for dy in range(f):
-                yy = r * f + dy
-                for dx in range(f):
-                    xx = c * f + dx
-                    s = 0.0
-                    for l in range(nl):
-                        s += cube[yy, xx, l] * weights[ch, l]
-                    acc += s
-            out[r, c] = scale * acc * inv
     return out

@@ -25,6 +25,7 @@ from .spectral import (
     WavelengthGrid,
     d65_spectrum,
     luminance_weights,
+    project_bands,
     resample,
 )
 
@@ -206,8 +207,7 @@ def synthesize(spec: SceneSpec) -> Scene:
 
 def luminance_map(scene: Scene) -> np.ndarray:
     """Per-pixel luminance (cd/m²) of the radiance cube."""
-    wts = luminance_weights(scene.grid)
-    return scene.radiance.astype(np.float64) @ wts
+    return project_bands(scene.radiance, luminance_weights(scene.grid)[None, :])[:, :, 0]
 
 
 def scene_statistics(scene: Scene) -> SceneMeta:

@@ -1,5 +1,5 @@
-"""CMOS sensor model: geometry from dye size, photon integration over the
-CFA, shot/read noise, and the ADC."""
+"""CMOS sensor model: geometry from dye size, pixel sampling of the optical
+image over the CFA, shot/read noise, and the ADC."""
 
 from __future__ import annotations
 
@@ -10,9 +10,10 @@ from pathlib import Path
 import numpy as np
 
 from . import kernels
-from .optics import IrradianceCube, LensSpec, apply_psf, radiance_to_irradiance
+from .optics import IrradianceCube, LensSpec, OpticalImage, channel_weights, optical_image
+from .optics import radiance_to_irradiance  # noqa: F401  (perfbench/selftest.py wraps this binding)
 from .scene import Scene
-from .spectral import DIMENSIONLESS, DEFAULT_GRID, Spectrum, WavelengthGrid, resample
+from .spectral import DIMENSIONLESS, DEFAULT_GRID, Spectrum, WavelengthGrid, project_bands
 
 REFERENCE_PIXEL_UM = 3.0  # well capacity is quoted at this pitch
 
@@ -174,33 +175,43 @@ def channel_index_map(sensor: SensorSpec, rows: int, cols: int) -> np.ndarray:
     return np.tile(pat, reps)[:rows, :cols]
 
 
-def integrate(cube: IrradianceCube, sensor: SensorSpec, exposure_s: float) -> np.ndarray:
-    """Expected photoelectrons per sensor pixel (noise-free, unclamped).
+def expected_rate(image: OpticalImage, sensor: SensorSpec) -> np.ndarray:
+    """Expected photoelectrons per second per sensor pixel (noise-free,
+    unclamped): the optical image averaged over each pixel's footprint in
+    the pixel's CFA channel, times pixel area and fill factor.
 
-    The sensor grid is the dye-derived geometry, cropped to the extent of
-    the supplied irradiance cube when the cube covers less than the dye.
+    The sensor grid is the dye-derived geometry, cropped from the top-left
+    to the extent of the optical image when the image covers less than the dye.
     """
     p = sensor.pixel.size_um
-    ratio = p / cube.pitch_um
-    factor = int(round(ratio))
-    if abs(ratio - factor) > 1e-9 or factor < 1:
+    ratio = p / image.pitch_um
+    f = int(round(ratio))
+    if abs(ratio - f) > 1e-9 or f < 1:
         raise ValueError(
-            f"cube pitch {cube.pitch_um} µm does not evenly divide pixel pitch {p} µm")
+            f"grid pitch {image.pitch_um} µm does not evenly divide pixel pitch {p} µm")
     rows, cols = derive_geometry(p, sensor)
-    h, w = cube.values.shape[:2]
-    rows = min(rows, (h // factor) - (h // factor) % 2)
-    cols = min(cols, (w // factor) - (w // factor) % 2)
+    h, w = image.rates.shape[:2]
+    rows = min(rows, (h // f) - (h // f) % 2)
+    cols = min(cols, (w // f) - (w // f) % 2)
     if rows < 2 or cols < 2:
-        raise ValueError("irradiance cube too small for this pixel pitch")
-    channels = sensor.cfa.channels
-    weights = np.stack([
-        resample(sensor.qe[ch], cube.grid).values * cube.grid.step_nm
-        for ch in channels
-    ])
-    cmap = channel_index_map(sensor, rows, cols)
-    area_m2 = (p * 1e-6) ** 2
-    scale = exposure_s * area_m2 * sensor.pixel.fill_factor
-    return kernels.integrate_mosaic(cube.values, weights, cmap, factor, scale)
+        raise ValueError("optical image too small for this pixel pitch")
+    blocks = image.rates[: rows * f, : cols * f].reshape(rows, f, cols, f, -1)
+    pattern = sensor.cfa.pattern
+    ph, pw = len(pattern), len(pattern[0])
+    binned = np.empty((rows, cols))
+    for dy in range(ph):
+        for dx in range(pw):
+            c = image.channels.index(pattern[dy][dx])
+            binned[dy::ph, dx::pw] = blocks[dy::ph, :, dx::pw, :, c].mean(axis=(1, 3))
+    return binned * ((p * 1e-6) ** 2 * sensor.pixel.fill_factor)
+
+
+def integrate(cube: IrradianceCube, sensor: SensorSpec, exposure_s: float) -> np.ndarray:
+    """Expected photoelectrons per sensor pixel from a spectral irradiance
+    cube: its projection onto the channel QE curves, binned as `expected_rate`."""
+    image = OpticalImage(project_bands(cube.values, channel_weights(sensor, cube.grid)),
+                         sensor.cfa.channels, cube.pitch_um)
+    return expected_rate(image, sensor) * exposure_s
 
 
 def apply_noise(expected_e: np.ndarray, sensor: SensorSpec, exposure_s: float,
@@ -236,16 +247,23 @@ def dynamic_range_db(sensor: SensorSpec) -> float:
     return 20.0 * np.log10(sensor.effective_well_e() / sensor.pixel.read_noise_e)
 
 
-def capture(sc: Scene, lens: LensSpec, sensor: SensorSpec, exposure_s: float,
-            seed: int, noise: bool = True) -> RawFrame:
-    """Full stage composition: optics -> PSF -> integration -> noise -> ADC."""
-    irr = apply_psf(radiance_to_irradiance(sc, lens), lens)
-    e = integrate(irr, sensor, exposure_s)
+def expose(rate: np.ndarray, sensor: SensorSpec, exposure_s: float, seed: int,
+           noise: bool = True) -> RawFrame:
+    """One frame from an expected-rate raster: electrons for the duration,
+    then noise (or the well clamp) and the ADC."""
+    e = rate * exposure_s
     if noise:
         e = apply_noise(e, sensor, exposure_s, seed)
     else:
         e = np.clip(e, 0.0, sensor.effective_well_e())
     return adc(e, sensor, exposure_s, seed)
+
+
+def capture(sc: Scene, lens: LensSpec, sensor: SensorSpec, exposure_s: float,
+            seed: int, noise: bool = True) -> RawFrame:
+    """Full stage composition: optical image -> pixels -> noise -> ADC."""
+    return expose(expected_rate(optical_image(sc, lens, sensor), sensor), sensor,
+                  exposure_s, seed, noise)
 
 
 def _rle_encode(mask: np.ndarray) -> list:

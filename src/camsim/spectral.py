@@ -118,6 +118,21 @@ def luminance_weights(grid: WavelengthGrid) -> np.ndarray:
     return cie_data.LUMENS_PER_WATT_555 * v * (cie_data.HC / lam_m) * grid.step_nm
 
 
+_STRIP_ROWS = 64  # rows per strip in project_bands
+
+
+def project_bands(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Weighted band sums of a spectral raster: (H, W, Nλ) values and
+    (K, Nλ) weights give (H, W, K) float64 sums Σλ values·weights. Works a
+    strip of rows at a time, so no float64 copy of the whole raster is made."""
+    wt = np.ascontiguousarray(np.asarray(weights, dtype=np.float64).T)
+    h, w = values.shape[:2]
+    out = np.empty((h, w, wt.shape[1]))
+    for r0 in range(0, h, _STRIP_ROWS):
+        np.matmul(values[r0:r0 + _STRIP_ROWS], wt, out=out[r0:r0 + _STRIP_ROWS])
+    return out
+
+
 def luminance_cd_m2(radiance: Spectrum) -> float:
     if radiance.unit != RADIANCE:
         raise ValueError(f"expected radiance spectrum, got unit {radiance.unit!r}")

@@ -107,3 +107,37 @@ def test_majority_vote_downsampling_tie_break():
     boxes = {b.instance_id: b for b in project_truth(sc, 64, 64)}
     x0, y0, x1, y1 = boxes[1].bbox
     assert x0 == 0 and y0 == 0
+
+
+def _brute_force_majority(inst, factor, rows, cols):
+    out = np.zeros((rows, cols), dtype=inst.dtype)
+    for r in range(rows):
+        for c in range(cols):
+            block = inst[r * factor:(r + 1) * factor, c * factor:(c + 1) * factor].ravel()
+            ids, counts = np.unique(block, return_counts=True)
+            out[r, c] = ids[counts == counts.max()].min()
+    return out
+
+
+def test_majority_bin_matches_brute_force_vote_with_ties():
+    from camsim.annotation import _majority_bin
+
+    rng = np.random.default_rng(11)
+    for trial in range(40):
+        factor = int(rng.choice([1, 2, 3, 4]))
+        rows, cols = int(rng.integers(1, 9)), int(rng.integers(1, 9))
+        h = rows * factor + int(rng.integers(0, 3))  # extra rows/cols are cropped
+        w = cols * factor + int(rng.integers(0, 3))
+        ids = rng.choice([0, 1, 2, 7, 300, 65535], size=int(rng.integers(1, 5)), replace=False)
+        inst = rng.choice(ids, size=(h, w)).astype(np.uint16)
+        if factor % 2 == 0:  # force exact two-way ties in every other block
+            for r in range(0, rows, 2):
+                for c in range(cols):
+                    a, b = sorted(rng.choice(ids, 2)) if ids.size > 1 else (ids[0], ids[0])
+                    block = np.full(factor * factor, b)
+                    block[: factor * factor // 2] = a
+                    inst[r * factor:(r + 1) * factor, c * factor:(c + 1) * factor] = \
+                        rng.permutation(block).reshape(factor, factor)
+        got = _majority_bin(inst, factor, rows, cols)
+        assert got.dtype == inst.dtype
+        assert np.array_equal(got, _brute_force_majority(inst, factor, rows, cols)), trial

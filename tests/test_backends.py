@@ -1,8 +1,7 @@
 """Backend equivalence: the numba and pure-numpy noise kernels walk the same
 counter-based streams with the same sampling algorithms, so they agree
 pixel-for-pixel up to last-ulp differences in the libm calls (numpy's SIMD
-log/cos vs scalar libm), while the deterministic integration kernel only
-needs agreement up to float accumulation order."""
+log/cos vs scalar libm)."""
 
 import os
 import warnings
@@ -71,19 +70,6 @@ def test_noise_backends_match(force_backend):
     # differ in the last ulp, which after scaling is well below 1e-9 e-.
     assert np.allclose(a, b, rtol=0.0, atol=1e-9)
     assert np.mean(a != b) < 1e-3
-
-
-@pytest.mark.skipif(not backend.HAVE_NUMBA, reason="numba not installed")
-def test_integration_backends_bit_identical(force_backend):
-    rng = np.random.default_rng(4)
-    cube = rng.uniform(0, 1e15, size=(16, 16, 7))
-    weights = rng.uniform(0, 1, size=(3, 7))
-    cmap = rng.integers(0, 3, size=(8, 8))
-    force_backend("numpy")
-    a = kernels.integrate_mosaic(cube, weights, cmap, 2, 1e-9)
-    force_backend("numba")
-    b = kernels.integrate_mosaic(cube, weights, cmap, 2, 1e-9)
-    assert np.allclose(a, b, rtol=1e-12, atol=0.0)
 
 
 def test_backend_flag_selects_numpy(force_backend):

@@ -145,3 +145,65 @@ def test_run_continues_after_scene_error(tmp_path):
     assert (out / "errors.log").read_text().startswith("scene_0000")
     summary = json.loads((out / "summary.json").read_text())
     assert summary["n_ground_truth"] == 1  # the good scene was still scored
+
+
+PSF_SPEC = {**SCENE_SPEC, "width": 192, "height": 160, "grid_pitch_um": 0.75,
+            "targets": [{"class": "car", "distance_m": d, "size_m": [0.06, 0.05],
+                         "reflectance": 0.2} for d in (5, 8, 12)]}
+RUN_FILES = ("summary.json", "metrics.csv", "detections.json", "exposures.json",
+             "dataset.json")
+
+
+@pytest.mark.parametrize("mode", ["center_weighted", "bracketed"])
+def test_sweep_pixel_matches_separate_runs(tmp_path, mode):
+    """Each size directory of one sweep (scenes projected once, the PSF
+    applied at the 0.75 µm grid) is byte-identical to a separate run."""
+    base = {"scenes": {"source": "synth", "spec": PSF_SPEC, "count": 3},
+            "sensor": {"dye_width_mm": 0.12, "dye_height_mm": 0.096},
+            "exposure": {"mode": mode},
+            "policy": {"min_box_w": 1, "min_box_h": 1}, "seed": 5}
+    sweep = tmp_path / "sweep.json"
+    sweep.write_text(json.dumps({**base, "output_dir": str(tmp_path / "sweep")}))
+    assert main(["sweep-pixel", str(sweep), "--sizes", "1.5", "3"]) == EXIT_OK
+    for size in (1.5, 3.0):
+        single = tmp_path / f"run_{size:g}.json"
+        out = tmp_path / f"run_{size:g}"
+        single.write_text(json.dumps({**base, "output_dir": str(out),
+                                      "sensor": {**base["sensor"],
+                                                 "pixel": {"size_um": size}}}))
+        assert main(["run", str(single)]) == EXIT_OK
+        for name in RUN_FILES:
+            assert (tmp_path / "sweep" / f"pixel_{size:g}um" / name).read_bytes() == \
+                (out / name).read_bytes(), (size, name)
+
+
+def _count_calls(monkeypatch, module, name, counts):
+    fn = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        counts[name] = counts.get(name, 0) + 1
+        return fn(*args, **kwargs)
+    monkeypatch.setattr(module, name, counted)
+
+
+@pytest.mark.parametrize("argv, mode, per_scene", [
+    (["sweep-pixel", "--sizes", "3", "6"], "fixed", 1),
+    (["run"], "center_weighted", 1),
+    (["run"], "bracketed", 1),
+    (["sweep-exposure", "--lux", "10", "500"], "fixed", 2),  # once per lux level
+])
+def test_scene_synthesized_and_projected_once(tmp_path, monkeypatch, argv, mode, per_scene):
+    from camsim import cli, optics
+
+    counts = {}
+    _count_calls(monkeypatch, cli, "synthesize", counts)
+    _count_calls(monkeypatch, cli, "optical_image", counts)
+    _count_calls(monkeypatch, optics, "psf_blur", counts)
+    _count_calls(monkeypatch, optics, "project", counts)
+    path = run_config(tmp_path, exposure={"mode": mode})
+    assert main([argv[0], str(path), *argv[1:]]) == EXIT_OK
+    n = 2 * per_scene  # run_config has two scenes
+    # sweep-exposure also projects onto luminance to scale each scene to its lux level
+    projections = 2 * n if argv[0] == "sweep-exposure" else n
+    assert counts == {"synthesize": n, "optical_image": n, "psf_blur": n,
+                      "project": projections}
