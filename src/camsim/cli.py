@@ -145,12 +145,19 @@ def _capture_and_detect(v: RunConfig, sc: Scene, image: OpticalImage, seed: int,
 
 def _process_scene(args):
     """One scene, opened once and projected once, through every variant.
-    Returns (scene_id, [result dict or the variant's exception])."""
+    Returns (scene_id, [result dict or exception, one per variant]). A spec
+    that synthesis rejects raises and fails the run; a scene directory that
+    does not load, or a scene that does not project, is an error of every
+    variant, and the other scenes still run."""
     cfg, variants, scene_id, index, source = args
-    sc = synthesize(source) if isinstance(source, SceneSpec) else load_scene(source)
-    if cfg.target_lux is not None:
-        sc = _scale_to_lux(sc, cfg.lens, cfg.target_lux)
-    image = optical_image(sc, cfg.lens, cfg.sensor)
+    sc = synthesize(source) if isinstance(source, SceneSpec) else None
+    try:
+        sc = load_scene(source) if sc is None else sc
+        if cfg.target_lux is not None:
+            sc = _scale_to_lux(sc, cfg.lens, cfg.target_lux)
+        image = optical_image(sc, cfg.lens, cfg.sensor)
+    except Exception as e:  # skip the broken scene, keep the rest
+        return scene_id, [e] * len(variants)
     seed = int(stream_key(cfg.seed, 3, index) & np.uint64(0x7FFFFFFF))
     out = []
     for v in variants:
@@ -179,13 +186,12 @@ def run_pipeline(cfg: RunConfig, variants: list | None = None) -> list:
     errors = [[] for _ in variants]
     if jobs:
         with ThreadPoolExecutor(max_workers=_n_workers()) as pool:
-            for job, res in zip(jobs, pool.map(_safe_process, jobs)):
-                outs = [res] * len(variants) if isinstance(res, Exception) else res[1]
+            for sid, outs in pool.map(_process_scene, jobs):
                 for k, r in enumerate(outs):
                     if isinstance(r, Exception):
-                        errors[k].append((job[2], r))
+                        errors[k].append((sid, r))
                     else:
-                        results[k][job[2]] = r
+                        results[k][sid] = r
     return [_write_run(v, results[k], errors[k]) for k, v in enumerate(variants)]
 
 
@@ -229,13 +235,6 @@ def _write_run(cfg: RunConfig, results: dict, errors: list) -> dict:
     summary["n_images"] = len(ordered)
     summary["n_errors"] = len(errors)
     return summary
-
-
-def _safe_process(job):
-    try:
-        return _process_scene(job)
-    except Exception as e:  # keep processing the remaining scenes
-        return e
 
 
 # ------------------------------------------------------------- commands ----

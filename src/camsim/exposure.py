@@ -82,17 +82,16 @@ class Acquisition:
         return self.rate_e_per_s.shape
 
 
-def acquire(image: OpticalImage, sensor: SensorSpec, plan: ExposurePlan, seed: int,
-            noise: bool = True) -> Acquisition:
+def acquire(image: OpticalImage, sensor: SensorSpec, plan: ExposurePlan,
+            seed: int) -> Acquisition:
     """Sample the optical image on the sensor's pixels once, then meter and
     expose (or expose every bracket) from that one expected-rate raster."""
     rate = expected_rate(image, sensor)
     if plan.mode == "bracketed":
-        frames = _brackets(rate, sensor, plan.durations_s, seed, noise)
+        frames = _brackets(rate, sensor, plan.durations_s, seed, True)
         return Acquisition(hdr_combine(frames), plan.durations_s[0], rate)
     t = plan.t_s if plan.mode == "fixed" else metered_duration(rate, sensor, plan)
-    frame = expose(rate, sensor, t, seed, noise)
-    return Acquisition(frame, t, rate)
+    return Acquisition(expose(rate, sensor, t, seed), t, rate)
 
 
 def metered_duration(rate: np.ndarray, sensor: SensorSpec, plan: ExposurePlan) -> float:

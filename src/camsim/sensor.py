@@ -195,14 +195,17 @@ def expected_rate(image: OpticalImage, sensor: SensorSpec) -> np.ndarray:
     cols = min(cols, (w // f) - (w // f) % 2)
     if rows < 2 or cols < 2:
         raise ValueError("optical image too small for this pixel pitch")
+    if tuple(image.channels) != tuple(sensor.cfa.channels):
+        raise ValueError(f"optical image channels {image.channels} do not match "
+                         f"the sensor CFA channels {sensor.cfa.channels}")
     blocks = image.rates[: rows * f, : cols * f].reshape(rows, f, cols, f, -1)
-    pattern = sensor.cfa.pattern
-    ph, pw = len(pattern), len(pattern[0])
+    # Each cell of one CFA period bins only its own channel plane: one plane
+    # of work, not C, summed in the same order as a single-channel image.
+    period = channel_index_map(sensor, len(sensor.cfa.pattern), len(sensor.cfa.pattern[0]))
+    ph, pw = period.shape
     binned = np.empty((rows, cols))
-    for dy in range(ph):
-        for dx in range(pw):
-            c = image.channels.index(pattern[dy][dx])
-            binned[dy::ph, dx::pw] = blocks[dy::ph, :, dx::pw, :, c].mean(axis=(1, 3))
+    for (dy, dx), c in np.ndenumerate(period):
+        binned[dy::ph, dx::pw] = blocks[dy::ph, :, dx::pw, :, c].mean(axis=(1, 3))
     return binned * ((p * 1e-6) ** 2 * sensor.pixel.fill_factor)
 
 

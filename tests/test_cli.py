@@ -147,6 +147,19 @@ def test_run_continues_after_scene_error(tmp_path):
     assert summary["n_ground_truth"] == 1  # the good scene was still scored
 
 
+@pytest.mark.parametrize("argv, written", [
+    (["run"], "summary.json"),
+    (["sweep-pixel", "--sizes", "3", "6"], "sweep_pixel.csv"),
+    (["sweep-exposure", "--lux", "10"], "sweep_exposure.csv"),
+])
+def test_spec_that_synthesis_rejects_fails_the_command(tmp_path, argv, written):
+    # reflectance 1.5 parses, but synthesis rejects it for every scene
+    spec = {**SCENE_SPEC, "targets": [{**SCENE_SPEC["targets"][0], "reflectance": 1.5}]}
+    path = run_config(tmp_path, scenes={"source": "synth", "spec": spec, "count": 2})
+    assert main([argv[0], str(path), *argv[1:]]) == EXIT_RUNTIME
+    assert not list(tmp_path.rglob(written))
+
+
 PSF_SPEC = {**SCENE_SPEC, "width": 192, "height": 160, "grid_pitch_um": 0.75,
             "targets": [{"class": "car", "distance_m": d, "size_m": [0.06, 0.05],
                          "reflectance": 0.2} for d in (5, 8, 12)]}

@@ -11,7 +11,8 @@ from scipy import ndimage
 from camsim.exposure import ExposurePlan, acquire, bracketed_capture, hdr_combine
 from camsim.optics import FWHM_TO_SIGMA, LensSpec, optical_image
 from camsim.scene import Scene, SceneMeta
-from camsim.sensor import MONO, RCCC, RGGB, PixelSpec, SensorSpec, derive_geometry
+from camsim.sensor import (MONO, RCCC, RGGB, PixelSpec, SensorSpec, derive_geometry,
+                           expected_rate)
 from camsim.spectral import DIMENSIONLESS, Spectrum, WavelengthGrid, resample
 
 GRID = WavelengthGrid(400.0, 30.0, 11)
@@ -132,3 +133,12 @@ def test_metering_and_brackets_share_one_rate():
     assert br.source.durations_s == hdr.durations_s
     for field in ("rate_e_per_s", "valid", "chosen"):
         assert np.array_equal(getattr(br.source, field), getattr(hdr, field)), field
+
+
+def test_expected_rate_rejects_image_of_another_cfa():
+    sc = make_scene(np.ones((32, 32, GRID.count)), 3.0)
+    lens = LensSpec(psf_fwhm_um=0.0)
+    mono = SensorSpec(dye_width_mm=0.096, dye_height_mm=0.096, cfa=MONO)
+    rggb = SensorSpec(dye_width_mm=0.096, dye_height_mm=0.096, cfa=RGGB)
+    with pytest.raises(ValueError, match="channels"):
+        expected_rate(optical_image(sc, lens, mono), rggb)
