@@ -77,6 +77,10 @@ class RunConfig:
             if scenes["source"] == "dir" and not Path(scenes["path"]).is_dir():
                 raise ConfigError(f"scene directory not found: {scenes['path']}")
             det = d.get("detector", {"proxy": {}})
+            unknown = sorted(set(det) - {"proxy", "import"})
+            if unknown:
+                raise ConfigError(f"unknown detector keys {unknown}; "
+                                  "expected 'proxy' or 'import'")
             if "import" in det and not Path(det["import"]).is_file():
                 raise ConfigError(f"detections file not found: {det['import']}")
             return RunConfig(
@@ -101,10 +105,17 @@ class RunConfig:
 
 
 def _n_workers() -> int:
+    """Scene workers: CAMSIM_THREADS when set, else the CPU count up to 8."""
     env = os.environ.get("CAMSIM_THREADS")
-    if env:
-        return max(1, int(env))
-    return min(8, os.cpu_count() or 1)
+    if not env:
+        return min(8, os.cpu_count() or 1)
+    try:
+        n = int(env)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise ConfigError(f"CAMSIM_THREADS must be a positive integer, got {env!r}")
+    return n
 
 
 def _load_scenes(cfg: RunConfig) -> list:
@@ -180,12 +191,13 @@ def run_pipeline(cfg: RunConfig, variants: list | None = None) -> list:
     each variant. Writes each variant's artifacts to its output_dir and
     returns its summary dict, in variant order."""
     variants = [cfg] if variants is None else variants
+    workers = _n_workers()
     jobs = [(cfg, variants, sid, i, source)
             for i, (sid, source) in enumerate(_load_scenes(cfg))]
     results = [{} for _ in variants]
     errors = [[] for _ in variants]
     if jobs:
-        with ThreadPoolExecutor(max_workers=_n_workers()) as pool:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             for sid, outs in pool.map(_process_scene, jobs):
                 for k, r in enumerate(outs):
                     if isinstance(r, Exception):
@@ -240,7 +252,10 @@ def _write_run(cfg: RunConfig, results: dict, errors: list) -> dict:
 # ------------------------------------------------------------- commands ----
 
 def cmd_synth(args) -> int:
-    spec_doc = json.loads(Path(args.spec).read_text())
+    try:
+        spec_doc = json.loads(Path(args.spec).read_text())
+    except json.JSONDecodeError as e:
+        raise ConfigError(f"spec JSON invalid: {e}") from e
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     base = spec_from_dict(spec_doc)

@@ -1,4 +1,4 @@
-"""The sensor-noise kernel, with a numba-jitted loop and a vectorized numpy
+"""The sensor-noise kernel, with a numba-jitted loop and a chunked numpy
 fallback (selected per call via backend.use_numba()).
 
 Both paths implement the same per-pixel algorithm on the same
@@ -7,6 +7,13 @@ counter-based streams. Noise sampling uses shot-noise Poisson draws
 normal approximation above) plus additive Gaussian read noise. Cross-
 backend outputs agree up to last-ulp libm differences (numpy SIMD vs
 scalar log/cos); same-backend runs are bit-reproducible.
+
+The numpy path walks the flattened raster in chunks of _CHUNK pixels, so
+its temporaries stay small. Inside a chunk the Knuth loop carries only the
+pixels that are still multiplying, and the normal-approximation Gaussians
+are drawn only for pixels at or above NORMAL_CUTOFF. Every pixel's streams
+are keyed by its flat index, so the output does not depend on the chunk
+size.
 """
 
 import numpy as np
@@ -18,6 +25,7 @@ NORMAL_CUTOFF = 50.0  # expected electrons above which the normal approx is used
 _LANE_SHOT = 101
 _LANE_READ = 102
 _TWO_PI = 2.0 * np.pi
+_CHUNK = 1 << 16  # pixels per numpy chunk: the working set stays in cache
 
 
 # ---------------------------------------------------------------- noise ----
@@ -37,33 +45,48 @@ def sample_sensor_noise(expected_e, read_sigma, well_e, seed):
 
 
 def _noise_numpy(lam, read_sigma, well_e, seed_u):
-    h, w = lam.shape
-    idx = np.arange(h * w, dtype=np.uint64).reshape(h, w)
+    flat = lam.reshape(-1)
+    out = np.empty_like(flat)
+    for start in range(0, flat.size, _CHUNK):
+        chunk = slice(start, start + _CHUNK)
+        out[chunk] = _noise_chunk(flat[chunk], start, read_sigma, well_e, seed_u)
+    return out.reshape(lam.shape)
+
+
+def _noise_chunk(lam, start, read_sigma, well_e, seed_u):
+    """Noisy electrons for the flat pixels start .. start + lam.size."""
+    idx = np.arange(start, start + lam.size, dtype=np.uint64)
     key_shot = stream_key(int(seed_u), _LANE_SHOT, idx)
     key_read = stream_key(int(seed_u), _LANE_READ, idx)
 
-    counts = np.zeros((h, w), dtype=np.float64)
+    counts = np.zeros(lam.size, dtype=np.float64)
     small = lam < NORMAL_CUTOFF
-    if small.any():
-        thresh = np.exp(-lam, where=small, out=np.ones_like(lam))
-        p = np.ones((h, w))
-        active = small.copy()
-        i = 0
-        while active.any():
-            with np.errstate(over="ignore"):
-                bits = mix64(key_shot + np.uint64(i + 1) * _GOLDEN)
-            u = (bits >> np.uint64(11)).astype(np.float64) * (1.0 / (1 << 53))
-            p = np.where(active, p * u, p)
-            cont = active & (p >= thresh)
-            counts += cont
-            active = cont
-            i += 1
-    big = ~small
-    if big.any():
-        u = uniforms(key_shot, 2)
+    # Knuth: multiply uniforms until the product drops below exp(-lam); the
+    # count is the number of factors that kept it at or above. Only the
+    # pixels still multiplying are carried in pos/key/p/thresh. Before they
+    # are compacted, every carried pixel gets count i: a pixel that stops
+    # now keeps it, one that goes on overwrites it later.
+    pos = np.flatnonzero(small)
+    key = key_shot[pos]
+    thresh = np.exp(-lam[pos])
+    p = np.ones(pos.size)
+    i = 0
+    while pos.size:
+        with np.errstate(over="ignore"):
+            bits = mix64(key + np.uint64(i + 1) * _GOLDEN)
+        p = p * ((bits >> np.uint64(11)).astype(np.float64) * (1.0 / (1 << 53)))
+        keep = np.flatnonzero(p >= thresh)
+        if keep.size < pos.size:
+            counts[pos] = i
+            pos, key, p, thresh = pos[keep], key[keep], p[keep], thresh[keep]
+        i += 1
+    big = np.flatnonzero(~small)
+    if big.size:
+        lam_b = lam[big]
+        u = uniforms(key_shot[big], 2)
         z = np.sqrt(-2.0 * np.log(1.0 - u[..., 0])) * np.cos(_TWO_PI * u[..., 1])
-        approx = np.rint(lam + np.sqrt(np.maximum(lam, 0.0)) * z)
-        counts = np.where(big, np.maximum(approx, 0.0), counts)
+        approx = np.rint(lam_b + np.sqrt(np.maximum(lam_b, 0.0)) * z)
+        counts[big] = np.maximum(approx, 0.0)
 
     ur = uniforms(key_read, 2)
     z2 = np.sqrt(-2.0 * np.log(1.0 - ur[..., 0])) * np.cos(_TWO_PI * ur[..., 1])

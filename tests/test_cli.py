@@ -67,6 +67,28 @@ def test_run_unknown_sensor_key_is_config_error(tmp_path):
     assert main(["run", str(path)]) == EXIT_CONFIG
 
 
+def test_run_unknown_detector_key_is_config_error(tmp_path):
+    path = run_config(tmp_path, detector={"snr_scale": 1.0, "min_pixels": 150})
+    assert main(["run", str(path)]) == EXIT_CONFIG
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5"])
+@pytest.mark.parametrize("command", ["run", "sweep-pixel"])
+def test_bad_thread_count_is_config_error(tmp_path, monkeypatch, capsys, value, command):
+    monkeypatch.setenv("CAMSIM_THREADS", value)
+    assert main([command, str(run_config(tmp_path))]) == EXIT_CONFIG
+    assert "CAMSIM_THREADS" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_synth_malformed_spec_is_config_error(tmp_path):
+    spec = tmp_path / "spec.json"
+    spec.write_text("{bad")
+    assert main(["synth", str(spec), str(tmp_path / "scenes")]) == EXIT_CONFIG
+    assert not (tmp_path / "scenes").exists()
+
+
 def test_run_deterministic_across_thread_counts(tmp_path, monkeypatch):
     path = run_config(tmp_path, scenes={"source": "synth", "spec": SCENE_SPEC,
                                         "count": 4})

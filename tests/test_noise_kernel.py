@@ -1,0 +1,140 @@
+"""The chunked, active-set numpy noise sampler against the whole-raster
+kernel it replaced.
+
+Both walk the same counter-based streams with the same arithmetic, so the
+outputs must be byte-identical: for λ edge values, for rasters that end
+exactly on, just before and just after a chunk boundary, for a short-bracket
+raster that keeps almost every pixel on the Knuth path, and for any chunk
+size.
+"""
+
+import numpy as np
+import pytest
+
+from camsim import kernels
+from camsim.kernels import NORMAL_CUTOFF
+from camsim.rng import _GOLDEN, mix64, stream_key, uniforms
+
+CHUNK = kernels._CHUNK
+EDGES = np.array([0.0, 1e-300, np.nextafter(NORMAL_CUTOFF, 0.0), NORMAL_CUTOFF,
+                  1e4, -1e-300, -3.0])
+
+
+def whole_raster_noise(lam, read_sigma, well_e, seed_u):
+    """The whole-raster numpy kernel as it was before chunking (the oracle):
+    every Knuth iteration runs over all pixels until the slowest finishes,
+    and the normal-approximation Gaussians are drawn for every pixel."""
+    h, w = lam.shape
+    idx = np.arange(h * w, dtype=np.uint64).reshape(h, w)
+    key_shot = stream_key(int(seed_u), kernels._LANE_SHOT, idx)
+    key_read = stream_key(int(seed_u), kernels._LANE_READ, idx)
+
+    counts = np.zeros((h, w), dtype=np.float64)
+    small = lam < NORMAL_CUTOFF
+    if small.any():
+        thresh = np.exp(-lam, where=small, out=np.ones_like(lam))
+        p = np.ones((h, w))
+        active = small.copy()
+        i = 0
+        while active.any():
+            with np.errstate(over="ignore"):
+                bits = mix64(key_shot + np.uint64(i + 1) * _GOLDEN)
+            u = (bits >> np.uint64(11)).astype(np.float64) * (1.0 / (1 << 53))
+            p = np.where(active, p * u, p)
+            cont = active & (p >= thresh)
+            counts += cont
+            active = cont
+            i += 1
+    big = ~small
+    if big.any():
+        u = uniforms(key_shot, 2)
+        z = np.sqrt(-2.0 * np.log(1.0 - u[..., 0])) * np.cos(2.0 * np.pi * u[..., 1])
+        approx = np.rint(lam + np.sqrt(np.maximum(lam, 0.0)) * z)
+        counts = np.where(big, np.maximum(approx, 0.0), counts)
+
+    ur = uniforms(key_read, 2)
+    z2 = np.sqrt(-2.0 * np.log(1.0 - ur[..., 0])) * np.cos(2.0 * np.pi * ur[..., 1])
+    e = counts + read_sigma * z2
+    return np.clip(e, 0.0, well_e)
+
+
+def mixed_raster(shape, seed):
+    """Edge values, small and large λ scattered over the raster."""
+    rng = np.random.default_rng(seed)
+    n = int(np.prod(shape))
+    pools = [rng.choice(EDGES, n), rng.uniform(0.0, 60.0, n),
+             rng.uniform(0.0, 2000.0, n), np.full(n, 45.0)]
+    pick = rng.integers(0, len(pools), n)
+    return np.choose(pick, pools).reshape(shape)
+
+
+def assert_same_bytes(lam, read_sigma=24.0, well_e=13500.0, seed=7):
+    lam = np.ascontiguousarray(lam, dtype=np.float64)
+    seed_u = np.uint64(seed)
+    want = whole_raster_noise(lam, read_sigma, well_e, seed_u)
+    got = kernels._noise_numpy(lam, read_sigma, well_e, seed_u)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("value", EDGES)
+def test_edge_values(value):
+    assert_same_bytes(np.full((3, 5), value))
+
+
+def test_edge_values_mixed_in_one_raster():
+    assert_same_bytes(np.tile(EDGES, (9, 3)), seed=123)
+
+
+@pytest.mark.parametrize("shape", [
+    (1, 1),
+    (37, 53),
+    (256, CHUNK // 256),          # exactly one chunk
+    (1, CHUNK - 1),               # one chunk - 1
+    (CHUNK + 1, 1),               # one chunk + 1
+    (301, 701),                   # several chunks, partial last one
+], ids=["1x1", "odd", "one-chunk", "chunk-minus-1", "chunk-plus-1", "several-chunks"])
+def test_shapes_across_chunk_boundaries(shape):
+    assert_same_bytes(mixed_raster(shape, seed=shape[0] * 7919 + shape[1]))
+
+
+def test_short_bracket_raster():
+    # λ below 4 on 99% of the pixels: almost every pixel runs the Knuth loop.
+    rng = np.random.default_rng(5)
+    lam = rng.uniform(0.0, 4.0, (480, 640))
+    bright = rng.random(lam.shape) < 0.01
+    lam[bright] = rng.uniform(4.0, 3000.0, np.count_nonzero(bright))
+    assert_same_bytes(lam, read_sigma=2.0, well_e=5000.0, seed=31)
+
+
+def test_product_equal_to_threshold_continues():
+    # λ = -log(u1) of pixel 0's first shot uniform, for a seed where
+    # exp(-λ) rounds back to u1 exactly: the first product ties the
+    # threshold, and a tie keeps the pixel multiplying.
+    for seed in range(100):
+        u1 = uniforms(stream_key(seed, kernels._LANE_SHOT, 0), 1)[0]
+        lam = -np.log(u1)
+        if np.exp(-lam) == u1:
+            break
+    else:
+        pytest.fail("no seed below 100 gives an exact round trip")
+    assert_same_bytes(np.full((1, 1), lam), read_sigma=0.0, seed=seed)
+
+
+def test_clip_and_zero_read_noise():
+    lam = mixed_raster((40, 50), seed=2)
+    assert_same_bytes(lam, read_sigma=0.0, well_e=30.0, seed=0)
+
+
+@pytest.mark.parametrize("chunk", [1, 7])
+def test_chunk_size_does_not_change_bytes(monkeypatch, chunk):
+    monkeypatch.setattr(kernels, "_CHUNK", chunk)
+    assert_same_bytes(mixed_raster((19, 23), seed=chunk), seed=99)
+
+
+def test_public_entry_point_uses_chunked_kernel(monkeypatch):
+    monkeypatch.setenv("CAMSIM_BACKEND", "numpy")
+    lam = mixed_raster((64, 48), seed=11)
+    got = kernels.sample_sensor_noise(lam, 24.0, 13500.0, seed=42)
+    want = whole_raster_noise(lam, 24.0, 13500.0, np.uint64(42))
+    assert got.tobytes() == want.tobytes()
