@@ -1,0 +1,68 @@
+"""Benchmark the numpy sensor-noise sampler.
+
+Usage:
+    python3 benchmarks/noise_bench.py [--size 1024] [--repeats 5]
+
+Times the sensor-noise sampler on three expected-electron rasters and
+prints a timing table:
+
+* λ ~ U(0, 2000), size x size: almost every pixel takes the normal
+  approximation;
+* flat λ = 45, size x size: every pixel runs a long Knuth loop;
+* short bracket, 1440 x 2560: λ < 4 on 99% of pixels, as a short HDR
+  bracket of a full-dye frame produces.
+
+Pixel integration is plain numpy and is timed end to end by perfbench/.
+"""
+
+import argparse
+import time
+
+import numpy as np
+
+from camsim.kernels import sample_sensor_noise
+
+
+def _time(fn, repeats):
+    best = float("inf")
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        fn()
+        best = min(best, time.perf_counter() - t0)
+    return best
+
+
+def _rasters(size):
+    rng = np.random.default_rng(0)
+    short = rng.uniform(0.0, 4.0, (1440, 2560))
+    bright = rng.random(short.shape) < 0.01
+    short[bright] = rng.uniform(4.0, 2000.0, np.count_nonzero(bright))
+    return {
+        f"U(0,2000) {size}x{size}": rng.uniform(0.0, 2000.0, (size, size)),
+        f"flat 45 {size}x{size}": np.full((size, size), 45.0),
+        "short 1440x2560": short,
+    }
+
+
+def _noise(lam):
+    return sample_sensor_noise(lam, 24.0, 13500.0, seed=7)
+
+
+def bench(size, repeats):
+    print(f"\nsensor noise, best of {repeats}:")
+    print(f"{'raster':<24} {'time [ms]':>12}")
+    for name, lam in _rasters(size).items():
+        _noise(lam)  # warm up
+        print(f"{name:<24} {_time(lambda: _noise(lam), repeats) * 1e3:>12.2f}")
+
+
+def main():
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("--size", type=int, default=1024)
+    p.add_argument("--repeats", type=int, default=5)
+    args = p.parse_args()
+    bench(args.size, args.repeats)
+
+
+if __name__ == "__main__":
+    main()

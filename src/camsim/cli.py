@@ -15,7 +15,7 @@ import os
 import sys
 import traceback
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +31,7 @@ from .plotting import curve_svg
 from .rng import stream_key
 from .scene import (Scene, SceneSpec, edge_case_scene, load_scene, save_scene,
                     spec_from_dict, synthesize)
-from .sensor import SensorSpec, derive_geometry
+from .sensor import PixelSpec, SensorSpec, derive_geometry
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -40,6 +40,19 @@ EXIT_RUNTIME = 3
 
 class ConfigError(Exception):
     pass
+
+
+def _check_keys(section, cls, path: str, ignored=()) -> None:
+    """ConfigError unless `section` is an object whose keys are all fields of
+    the dataclass `cls`; `ignored` fields are not read from the config.
+    Unknown keys are named by their dotted path."""
+    if not isinstance(section, dict):
+        raise ConfigError(f"config section {path or '<top level>'} must be an object")
+    known = {f.name for f in fields(cls)} - set(ignored)
+    unknown = sorted(set(section) - known)
+    if unknown:
+        prefix = f"{path}." if path else ""
+        raise ConfigError("unknown config keys: " + ", ".join(prefix + k for k in unknown))
 
 
 @dataclass
@@ -55,7 +68,7 @@ class RunConfig:
     seed: int
     target_lux: float | None = None
     save_images: bool = False
-    make_plot: bool = False
+    plot: bool = False
 
     @staticmethod
     def from_file(path, seed_override: int | None = None) -> "RunConfig":
@@ -70,6 +83,16 @@ class RunConfig:
 
     @staticmethod
     def from_dict(d: dict, seed_override: int | None = None) -> "RunConfig":
+        _check_keys(d, RunConfig, "")
+        lens = d.get("lens", {})
+        _check_keys(lens, LensSpec, "lens")
+        sensor = d.get("sensor", {})
+        _check_keys(sensor, SensorSpec, "sensor", ignored=("qe",))
+        _check_keys(sensor.get("pixel", {}), PixelSpec, "sensor.pixel")
+        exposure = d.get("exposure", {"mode": "center_weighted"})
+        _check_keys(exposure, ExposurePlan, "exposure")
+        policy = d.get("policy", {})
+        _check_keys(policy, LabelPolicy, "policy")
         try:
             scenes = d["scenes"]
             if scenes.get("source") not in ("synth", "dir"):
@@ -81,22 +104,25 @@ class RunConfig:
             if unknown:
                 raise ConfigError(f"unknown detector keys {unknown}; "
                                   "expected 'proxy' or 'import'")
+            # the proxy detector's seed is set per scene, not read from here
+            _check_keys(det.get("proxy", {}), ProxyDetectorConfig, "detector.proxy",
+                        ignored=("seed",))
             if "import" in det and not Path(det["import"]).is_file():
                 raise ConfigError(f"detections file not found: {det['import']}")
             return RunConfig(
                 scenes=scenes,
-                lens=LensSpec.from_dict(d.get("lens", {})),
-                sensor=SensorSpec.from_dict(d.get("sensor", {})),
-                exposure=ExposurePlan.from_dict(d.get("exposure", {"mode": "center_weighted"})),
+                lens=LensSpec.from_dict(lens),
+                sensor=SensorSpec.from_dict(sensor),
+                exposure=ExposurePlan.from_dict(exposure),
                 isp=d.get("isp", {"stages": ["demosaic", "color", "gamma"],
                                   "gamma": {"mode": "adaptive", "target": 0.2}}),
-                policy=LabelPolicy.from_dict(d.get("policy", {})),
+                policy=LabelPolicy.from_dict(policy),
                 detector=det,
                 output_dir=Path(d.get("output_dir", "out")),
                 seed=seed_override if seed_override is not None else d.get("seed", 0),
                 target_lux=d.get("target_lux"),
                 save_images=d.get("save_images", False),
-                make_plot=d.get("plot", False),
+                plot=d.get("plot", False),
             )
         except KeyError as e:
             raise ConfigError(f"config missing key: {e}") from e
@@ -241,7 +267,7 @@ def _write_run(cfg: RunConfig, results: dict, errors: list) -> dict:
     if errors:
         (out / "errors.log").write_text(
             "\n".join(f"{sid}: {exc}" for sid, exc in errors))
-    if cfg.make_plot:
+    if cfg.plot:
         pts = [(0.5 * (b.low_m + b.high_m), b.ap) for b in curve.bins if b.ap is not None]
         curve_svg([("AP", pts)], out / "ap_vs_distance.svg")
     summary["n_images"] = len(ordered)

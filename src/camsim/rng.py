@@ -7,8 +7,6 @@ independent of pixel evaluation order, thread count, and chunking.
 
 import numpy as np
 
-from .backend import njit
-
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
@@ -44,19 +42,3 @@ def uniforms(key, count: int) -> np.ndarray:
     with np.errstate(over="ignore"):
         bits = mix64(key[..., None] + ctr * _GOLDEN)
     return (bits >> np.uint64(11)).astype(np.float64) * _INV53
-
-
-@njit(cache=True)
-def _mix64_scalar(z):
-    # z must already be uint64; uint64 arithmetic wraps mod 2^64.
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return z ^ (z >> np.uint64(31))
-
-
-@njit(cache=True)
-def _uniform_at(key, counter):
-    # counter-th double of the stream under uint64 `key`, matching uniforms().
-    c = np.uint64(counter) + np.uint64(1)
-    v = _mix64_scalar(key + c * np.uint64(0x9E3779B97F4A7C15))
-    return (v >> np.uint64(11)) * _INV53

@@ -121,11 +121,6 @@ class SensorSpec:
 
     @staticmethod
     def from_dict(d: dict) -> "SensorSpec":
-        known = {"pixel", "cfa", "dye_width_mm", "dye_height_mm", "adc_bits",
-                 "analog_gain", "scale_well_with_area"}
-        unknown = sorted(set(d) - known)
-        if unknown:
-            raise ValueError(f"unknown sensor config keys: {', '.join(unknown)}")
         pd = d.get("pixel", {})
         pixel = PixelSpec(
             size_um=pd.get("size_um", 3.0),

@@ -73,6 +73,22 @@ def test_run_unknown_detector_key_is_config_error(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("overrides, dotted", [
+    ({"lense": {"f_number": 99}}, "lense"),
+    ({"lens": {"fnumber": 99}}, "lens.fnumber"),
+    ({"exposure": {"mode": "fixed", "t_sec": 0.01}}, "exposure.t_sec"),
+    ({"policy": {"min_box_width": 1}}, "policy.min_box_width"),
+    ({"sensor": {"dye_width_mm": 0.384, "dye_height_mm": 0.384,
+                 "pixel": {"sizeum": 6.0}}}, "sensor.pixel.sizeum"),
+    ({"detector": {"proxy": {"min_pixel": 1e9}}}, "detector.proxy.min_pixel"),
+], ids=["top", "lens", "exposure", "policy", "sensor.pixel", "detector.proxy"])
+def test_run_unknown_key_names_dotted_path(tmp_path, capsys, overrides, dotted):
+    path = run_config(tmp_path, **overrides)
+    assert main(["run", str(path)]) == EXIT_CONFIG
+    assert dotted in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5"])
 @pytest.mark.parametrize("command", ["run", "sweep-pixel"])
 def test_bad_thread_count_is_config_error(tmp_path, monkeypatch, capsys, value, command):

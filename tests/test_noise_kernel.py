@@ -72,7 +72,7 @@ def assert_same_bytes(lam, read_sigma=24.0, well_e=13500.0, seed=7):
     lam = np.ascontiguousarray(lam, dtype=np.float64)
     seed_u = np.uint64(seed)
     want = whole_raster_noise(lam, read_sigma, well_e, seed_u)
-    got = kernels._noise_numpy(lam, read_sigma, well_e, seed_u)
+    got = kernels.sample_sensor_noise(lam, read_sigma, well_e, seed)
     assert got.shape == want.shape and got.dtype == want.dtype
     assert got.tobytes() == want.tobytes()
 
@@ -132,9 +132,15 @@ def test_chunk_size_does_not_change_bytes(monkeypatch, chunk):
     assert_same_bytes(mixed_raster((19, 23), seed=chunk), seed=99)
 
 
-def test_public_entry_point_uses_chunked_kernel(monkeypatch):
-    monkeypatch.setenv("CAMSIM_BACKEND", "numpy")
+def test_public_entry_point_uses_chunked_kernel():
     lam = mixed_raster((64, 48), seed=11)
     got = kernels.sample_sensor_noise(lam, 24.0, 13500.0, seed=42)
     want = whole_raster_noise(lam, 24.0, 13500.0, np.uint64(42))
     assert got.tobytes() == want.tobytes()
+
+
+def test_noise_mean_variance_sanity():
+    lam = np.full((128, 128), 50.0)
+    e = kernels.sample_sensor_noise(lam, 0.0, 1e9, seed=2)
+    assert e.mean() == pytest.approx(50.0, rel=0.02)
+    assert e.var() == pytest.approx(50.0, rel=0.10)
