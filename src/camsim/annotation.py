@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from .scene import Scene
+from .sensor import SensorGeometry
 
 # Train/val/test proportions (normalized 3000:700:750).
 DEFAULT_SPLIT = (3000 / 4450, 700 / 4450, 750 / 4450)
@@ -46,12 +47,6 @@ class LabelPolicy:
     max_distance_m: float = 150.0
     apply_visibility: bool = True
 
-    @staticmethod
-    def from_dict(d: dict) -> "LabelPolicy":
-        return LabelPolicy(d.get("min_box_w", 10), d.get("min_box_h", 15),
-                           d.get("max_distance_m", 150.0),
-                           d.get("apply_visibility", True))
-
 
 def _majority_bin(inst: np.ndarray, factor: int, rows: int, cols: int) -> np.ndarray:
     """Majority vote per factor×factor block; ties go to the smaller id."""
@@ -66,15 +61,12 @@ def _majority_bin(inst: np.ndarray, factor: int, rows: int, cols: int) -> np.nda
     return ids[np.argmax(counts.reshape(rows * cols, ids.size), axis=1)].reshape(rows, cols)
 
 
-def project_truth(sc: Scene, sensor_rows: int, sensor_cols: int) -> list:
+def project_truth(sc: Scene, geometry: SensorGeometry) -> list:
     """Ground-truth boxes on the sensor grid. The scene instance map is
-    majority-binned to sensor resolution; distance is the median scene-grid
-    depth of the instance (pixel-size invariant)."""
-    h, w = sc.instances.shape
-    fy = h // sensor_rows if sensor_rows else 1
-    fx = w // sensor_cols if sensor_cols else 1
-    factor = max(1, min(fy, fx))
-    binned = _majority_bin(sc.instances, factor, sensor_rows, sensor_cols)
+    majority-binned over the same cells the sensor's pixels sample; distance
+    is the median scene-grid depth of the instance (pixel-size invariant)."""
+    g = geometry
+    binned = _majority_bin(sc.instances[g.y0:, g.x0:], g.factor, g.rows, g.cols)
     boxes = []
     for inst_id in sorted(sc.classes):
         mask = binned == inst_id

@@ -15,57 +15,60 @@ import os
 import sys
 import traceback
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import evalmetrics as ev
 from .annotation import LabelPolicy, apply_policy, export_dataset, project_truth
-from .detector import ProxyDetectorConfig, import_detections, proxy_detect
+from .config import ConfigError, from_config
+from .detector import DetectorConfig, import_detections, proxy_detect
 from .exposure import ExposurePlan, acquire
-from .isp import render, write_ppm
+from .isp import IspConfig, render, write_ppm
 from .optics import LensSpec, OpticalImage, mean_illuminance_lux, optical_image
 from .optics import radiance_to_irradiance  # noqa: F401  (perfbench/selftest.py wraps this binding)
 from .plotting import curve_svg
 from .rng import stream_key
-from .scene import (Scene, SceneSpec, edge_case_scene, load_scene, save_scene,
-                    spec_from_dict, synthesize)
-from .sensor import PixelSpec, SensorSpec, derive_geometry
+from .scene import Scene, SceneSpec, edge_case_scene, load_scene, save_scene, synthesize
+from .sensor import SensorSpec, derive_geometry
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
 
 
-class ConfigError(Exception):
-    pass
+@dataclass(frozen=True)
+class ScenesConfig:
+    """The run's scenes: `count` syntheses of `spec`, each seeded from the
+    run seed, or the saved scene directories under `path`."""
+    source: str
+    path: str | None = None
+    count: int = 1
+    # the runner seeds each scene, so the spec's own seed cannot be set here
+    spec: SceneSpec = field(default_factory=SceneSpec, metadata={"keys": {"seed": None}})
 
-
-def _check_keys(section, cls, path: str, ignored=()) -> None:
-    """ConfigError unless `section` is an object whose keys are all fields of
-    the dataclass `cls`; `ignored` fields are not read from the config.
-    Unknown keys are named by their dotted path."""
-    if not isinstance(section, dict):
-        raise ConfigError(f"config section {path or '<top level>'} must be an object")
-    known = {f.name for f in fields(cls)} - set(ignored)
-    unknown = sorted(set(section) - known)
-    if unknown:
-        prefix = f"{path}." if path else ""
-        raise ConfigError("unknown config keys: " + ", ".join(prefix + k for k in unknown))
+    def __post_init__(self):
+        if self.source not in ("synth", "dir"):
+            raise ValueError("source must be 'synth' or 'dir'")
+        if self.source == "dir" and not (self.path and Path(self.path).is_dir()):
+            raise ValueError(f"scene directory not found: {self.path}")
+        if type(self.count) is not int or self.count < 0:
+            raise ValueError(f"count must be a non-negative integer, got {self.count!r}")
 
 
 @dataclass
 class RunConfig:
-    scenes: dict
-    lens: LensSpec
-    sensor: SensorSpec
-    exposure: ExposurePlan
-    isp: dict
-    policy: LabelPolicy
-    detector: dict
-    output_dir: Path
-    seed: int
+    scenes: ScenesConfig
+    lens: LensSpec = field(default_factory=LensSpec)
+    sensor: SensorSpec = field(default_factory=SensorSpec)
+    # a given exposure section must name its mode; an omitted one meters
+    exposure: ExposurePlan = field(default_factory=lambda: ExposurePlan("center_weighted"))
+    isp: IspConfig = field(default_factory=IspConfig)
+    policy: LabelPolicy = field(default_factory=LabelPolicy)
+    detector: DetectorConfig = field(default_factory=DetectorConfig)
+    output_dir: Path = field(default=Path("out"), metadata={"parse": Path})
+    seed: int = 0
     target_lux: float | None = None
     save_images: bool = False
     plot: bool = False
@@ -83,51 +86,8 @@ class RunConfig:
 
     @staticmethod
     def from_dict(d: dict, seed_override: int | None = None) -> "RunConfig":
-        _check_keys(d, RunConfig, "")
-        lens = d.get("lens", {})
-        _check_keys(lens, LensSpec, "lens")
-        sensor = d.get("sensor", {})
-        _check_keys(sensor, SensorSpec, "sensor", ignored=("qe",))
-        _check_keys(sensor.get("pixel", {}), PixelSpec, "sensor.pixel")
-        exposure = d.get("exposure", {"mode": "center_weighted"})
-        _check_keys(exposure, ExposurePlan, "exposure")
-        policy = d.get("policy", {})
-        _check_keys(policy, LabelPolicy, "policy")
-        try:
-            scenes = d["scenes"]
-            if scenes.get("source") not in ("synth", "dir"):
-                raise ConfigError("scenes.source must be 'synth' or 'dir'")
-            if scenes["source"] == "dir" and not Path(scenes["path"]).is_dir():
-                raise ConfigError(f"scene directory not found: {scenes['path']}")
-            det = d.get("detector", {"proxy": {}})
-            unknown = sorted(set(det) - {"proxy", "import"})
-            if unknown:
-                raise ConfigError(f"unknown detector keys {unknown}; "
-                                  "expected 'proxy' or 'import'")
-            # the proxy detector's seed is set per scene, not read from here
-            _check_keys(det.get("proxy", {}), ProxyDetectorConfig, "detector.proxy",
-                        ignored=("seed",))
-            if "import" in det and not Path(det["import"]).is_file():
-                raise ConfigError(f"detections file not found: {det['import']}")
-            return RunConfig(
-                scenes=scenes,
-                lens=LensSpec.from_dict(lens),
-                sensor=SensorSpec.from_dict(sensor),
-                exposure=ExposurePlan.from_dict(exposure),
-                isp=d.get("isp", {"stages": ["demosaic", "color", "gamma"],
-                                  "gamma": {"mode": "adaptive", "target": 0.2}}),
-                policy=LabelPolicy.from_dict(policy),
-                detector=det,
-                output_dir=Path(d.get("output_dir", "out")),
-                seed=seed_override if seed_override is not None else d.get("seed", 0),
-                target_lux=d.get("target_lux"),
-                save_images=d.get("save_images", False),
-                plot=d.get("plot", False),
-            )
-        except KeyError as e:
-            raise ConfigError(f"config missing key: {e}") from e
-        except (ValueError, TypeError) as e:
-            raise ConfigError(str(e)) from e
+        cfg = from_config(RunConfig, d)
+        return cfg if seed_override is None else replace(cfg, seed=seed_override)
 
 
 def _n_workers() -> int:
@@ -149,13 +109,10 @@ def _load_scenes(cfg: RunConfig) -> list:
     synthesize or the scene directory to load; each scene's pool task opens
     its own, so at most one scene per worker is held in memory."""
     src = cfg.scenes
-    if src["source"] == "dir":
-        root = Path(src["path"])
-        dirs = sorted(p for p in root.iterdir() if (p / "radiance.sic").is_file())
+    if src.source == "dir":
+        dirs = sorted(p for p in Path(src.path).iterdir() if (p / "radiance.sic").is_file())
         return [(p.name, p) for p in dirs]
-    spec = spec_from_dict(src.get("spec", {}))
-    count = int(src.get("count", 1))
-    return [(f"scene_{i:04d}", replace(spec, seed=cfg.seed + i)) for i in range(count)]
+    return [(f"scene_{i:04d}", replace(src.spec, seed=cfg.seed + i)) for i in range(src.count)]
 
 
 def _scale_to_lux(sc: Scene, lens: LensSpec, target_lux: float) -> Scene:
@@ -172,11 +129,11 @@ def _capture_and_detect(v: RunConfig, sc: Scene, image: OpticalImage, seed: int,
     Returns (acquisition, rendered image, boxes, proxy config, detections)."""
     acq = acquire(image, v.sensor, v.exposure, seed)
     rendered = render(acq.source, v.isp)
-    boxes = apply_policy(project_truth(sc, *acq.shape), v.policy)
-    pconf = ProxyDetectorConfig.from_dict({**v.detector.get("proxy", {}), "seed": seed})
+    boxes = apply_policy(project_truth(sc, acq.geometry), v.policy)
+    pconf = replace(v.detector.proxy, seed=seed)
     # imported detections are read after the pool completes
-    dets = [] if "import" in v.detector else proxy_detect(rendered, boxes, pconf,
-                                                          image_id=image_id)
+    dets = [] if v.detector.imported else proxy_detect(rendered, boxes, pconf,
+                                                       image_id=image_id)
     return acq, rendered, boxes, pconf, dets
 
 
@@ -203,9 +160,9 @@ def _process_scene(args):
         except Exception as e:  # this variant failed; the others still run
             out.append(e)
             continue
-        rows, cols = acq.shape
         out.append({"gts": [ev.as_gt(scene_id, b) for b in boxes], "dets": dets,
-                    "duration_s": acq.duration_s, "rows": rows, "cols": cols,
+                    "duration_s": acq.duration_s,
+                    "rows": acq.geometry.rows, "cols": acq.geometry.cols,
                     "image": rendered if v.save_images else None, "boxes": boxes})
     return scene_id, out
 
@@ -255,9 +212,9 @@ def _write_run(cfg: RunConfig, results: dict, errors: list) -> dict:
         truths[sid] = r["boxes"]
         if r["image"] is not None:
             write_ppm(r["image"], out / f"{sid}.ppm")
-    if "import" in cfg.detector:
+    if cfg.detector.imported:
         sizes = {m["id"]: (m["width"], m["height"]) for m in images_meta}
-        dets = import_detections(cfg.detector["import"], sizes)
+        dets = import_detections(cfg.detector.imported, sizes)
 
     curve, summary = _write_scores(dets, gts, out, cfg.policy.max_distance_m)
     (out / "detections.json").write_text(json.dumps(ev.detections_to_json(dets), indent=1))
@@ -282,9 +239,9 @@ def cmd_synth(args) -> int:
         spec_doc = json.loads(Path(args.spec).read_text())
     except json.JSONDecodeError as e:
         raise ConfigError(f"spec JSON invalid: {e}") from e
+    base = from_config(SceneSpec, spec_doc)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    base = spec_from_dict(spec_doc)
     entries = []
     for i in range(args.count):
         s = replace(base, seed=(args.seed if args.seed is not None else base.seed) + i)
@@ -387,7 +344,7 @@ def edge_case_report(cfg: RunConfig) -> dict:
         "bracketed": ExposurePlan("bracketed"),
     }
     for name, plan in plans.items():
-        v = replace(cfg, exposure=plan, detector={"proxy": cfg.detector.get("proxy", {})})
+        v = replace(cfg, exposure=plan, detector=DetectorConfig(cfg.detector.proxy))
         acq, rendered, boxes, pconf, dets = _capture_and_detect(v, sc, image, cfg.seed, name)
         duration = list(plan.durations_s) if plan.mode == "bracketed" else acq.duration_s
         targets = {}

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +26,7 @@ _LANE_FP = 33
 
 @dataclass(frozen=True)
 class ProxyDetectorConfig:
-    seed: int = 0
+    seed: int = field(default=0, metadata={"key": None})  # set per scene by the runner
     min_pixels: int = 150  # ≈ a 10x15 box; smaller targets are never emitted
     snr_scale: float = 1.0
     jitter_px: float = 1.0
@@ -37,15 +37,17 @@ class ProxyDetectorConfig:
                 or self.fp_rate_per_image < 0:
             raise ValueError("proxy config fields must be non-negative")
 
-    @staticmethod
-    def from_dict(d: dict) -> "ProxyDetectorConfig":
-        return ProxyDetectorConfig(
-            seed=d.get("seed", 0),
-            min_pixels=d.get("min_pixels", 150),
-            snr_scale=d.get("snr_scale", 1.0),
-            jitter_px=d.get("jitter_px", 1.0),
-            fp_rate_per_image=d.get("fp_rate_per_image", 0.0),
-        )
+
+@dataclass(frozen=True)
+class DetectorConfig:
+    """The run's detector: the proxy's options, or a detections file (the
+    config key `import`) scored in its place."""
+    proxy: ProxyDetectorConfig = field(default_factory=ProxyDetectorConfig)
+    imported: str | None = field(default=None, metadata={"key": "import"})
+
+    def __post_init__(self):
+        if self.imported is not None and not Path(self.imported).is_file():
+            raise ValueError(f"detections file not found: {self.imported}")
 
 
 def _phi(x: float) -> float:

@@ -11,7 +11,8 @@ from .optics import LensSpec, OpticalImage, optical_image
 from .optics import radiance_to_irradiance  # noqa: F401  (perfbench/selftest.py wraps this binding)
 from .rng import stream_key
 from .scene import Scene
-from .sensor import RawFrame, SensorSpec, dn_to_electrons, expected_rate, expose
+from .sensor import (RawFrame, SensorGeometry, SensorSpec, dn_to_electrons, expected_rate,
+                     expose, sensor_geometry)
 
 DEFAULT_BRACKET_S = (12e-3, 0.12e-3, 12e-6)
 DEFAULT_CAP_S = 16e-3  # 60 fps frame budget
@@ -39,18 +40,6 @@ class ExposurePlan:
             if any(d[i] <= d[i + 1] for i in range(len(d) - 1)):
                 raise ValueError("bracket durations must be strictly decreasing")
 
-    @staticmethod
-    def from_dict(d: dict) -> "ExposurePlan":
-        return ExposurePlan(
-            mode=d.get("mode", "fixed"),
-            t_s=d.get("t_s", 1e-3),
-            cap_s=d.get("cap_s", DEFAULT_CAP_S),
-            window_fraction=d.get("window_fraction", 0.01),
-            target_fraction=d.get("target_fraction", 0.90),
-            statistic=d.get("statistic", "max"),
-            durations_s=tuple(d.get("durations_s", DEFAULT_BRACKET_S)),
-        )
-
 
 @dataclass(frozen=True)
 class HDRFrame:
@@ -76,10 +65,7 @@ class Acquisition:
     source: object  # what the ISP renders: the RawFrame, or the HDRFrame of brackets
     duration_s: float  # fixed or metered duration; the longest bracket when bracketed
     rate_e_per_s: np.ndarray  # noise-free electrons/s per pixel that every frame exposes
-
-    @property
-    def shape(self) -> tuple:
-        return self.rate_e_per_s.shape
+    geometry: SensorGeometry  # where those pixels sit on the scene grid
 
 
 def acquire(image: OpticalImage, sensor: SensorSpec, plan: ExposurePlan,
@@ -87,11 +73,12 @@ def acquire(image: OpticalImage, sensor: SensorSpec, plan: ExposurePlan,
     """Sample the optical image on the sensor's pixels once, then meter and
     expose (or expose every bracket) from that one expected-rate raster."""
     rate = expected_rate(image, sensor)
+    geometry = sensor_geometry(image.rates.shape, image.pitch_um, sensor)
     if plan.mode == "bracketed":
         frames = _brackets(rate, sensor, plan.durations_s, seed, True)
-        return Acquisition(hdr_combine(frames), plan.durations_s[0], rate)
+        return Acquisition(hdr_combine(frames), plan.durations_s[0], rate, geometry)
     t = plan.t_s if plan.mode == "fixed" else metered_duration(rate, sensor, plan)
-    return Acquisition(expose(rate, sensor, t, seed), t, rate)
+    return Acquisition(expose(rate, sensor, t, seed), t, rate, geometry)
 
 
 def metered_duration(rate: np.ndarray, sensor: SensorSpec, plan: ExposurePlan) -> float:

@@ -5,7 +5,7 @@ lossless PPM/PFM output."""
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -48,10 +48,24 @@ class GammaSpec:
         if not 0 < self.target < 1:
             raise ValueError("adaptive target must be in (0, 1)")
 
-    @staticmethod
-    def from_dict(d: dict) -> "GammaSpec":
-        return GammaSpec(d.get("mode", "adaptive"), d.get("gamma", 1.0),
-                         d.get("target", 0.2), d.get("solve_output_mean", False))
+
+@dataclass(frozen=True)
+class IspConfig:
+    """The ISP pipeline: `stages` run in order, the first of them demosaic
+    or raw. `matrix` is the 3x3 sensor-RGB to linear-sRGB correction; None
+    fits one to the sensor."""
+    stages: tuple = ("demosaic", "color", "gamma")
+    gamma: GammaSpec = field(default_factory=GammaSpec)
+    matrix: tuple | None = None
+
+    def __post_init__(self):
+        for stage in self.stages:
+            if stage not in ("demosaic", "color", "gamma", "raw"):
+                raise ValueError(f"unknown pipeline stage {stage!r}")
+        if not self.stages or self.stages[0] not in ("demosaic", "raw"):
+            raise ValueError("the pipeline must start with demosaic or raw")
+        if self.matrix is not None:
+            _correction_matrix(self.matrix)
 
 
 def _neighbor_views(x: np.ndarray) -> dict:
@@ -147,11 +161,15 @@ def color_correct(img: RGBImage, matrix: np.ndarray | None = None,
         if sensor is None:
             raise ValueError("need a matrix or a sensor to fit one from")
         matrix = fit_color_matrix(sensor)
+    out = np.clip(img.values @ _correction_matrix(matrix).T, 0.0, 1.0)
+    return RGBImage(out, TAG_LINEAR_SRGB)
+
+
+def _correction_matrix(matrix) -> np.ndarray:
     matrix = np.asarray(matrix, dtype=np.float64)
     if matrix.shape != (3, 3) or abs(np.linalg.det(matrix)) < 1e-12:
         raise ValueError("correction matrix must be 3x3 and non-singular")
-    out = np.clip(img.values @ matrix.T, 0.0, 1.0)
-    return RGBImage(out, TAG_LINEAR_SRGB)
+    return matrix
 
 
 def _srgb_encode(v: np.ndarray) -> np.ndarray:
@@ -214,31 +232,20 @@ def _hdr_to_mosaic_frame(hdr: HDRFrame) -> RawFrame:
     return RawFrame(dn, dn == max_code, 0.0, hdr.sensor, 0)
 
 
-def render(frame, config: dict | None = None) -> RGBImage:
-    """Configured pipeline composition over a RawFrame or HDRFrame:
-    {"stages": ["demosaic", "color", "gamma"], "gamma": {...}} or
-    {"stages": ["raw"]}."""
-    config = config or {"stages": ["demosaic", "color", "gamma"],
-                        "gamma": {"mode": "adaptive", "target": 0.2}}
-    stages = config.get("stages", ["demosaic", "color", "gamma"])
+def render(frame, isp: IspConfig = IspConfig()) -> RGBImage:
+    """The configured pipeline over a RawFrame or HDRFrame."""
     if isinstance(frame, HDRFrame):
         frame = _hdr_to_mosaic_frame(frame)
-    if stages == ["raw"] or stages == "raw":
-        return raw_passthrough(frame)
     img: RGBImage | None = None
-    for stage in stages:
+    for stage in isp.stages:
         if stage == "demosaic":
             img = demosaic_bilinear(frame)
         elif stage == "color":
-            img = color_correct(img, config.get("matrix"), frame.sensor)
+            img = color_correct(img, isp.matrix, frame.sensor)
         elif stage == "gamma":
-            img = apply_gamma(img, GammaSpec.from_dict(config.get("gamma", {})))
-        elif stage == "raw":
-            img = raw_passthrough(frame)
+            img = apply_gamma(img, isp.gamma)
         else:
-            raise ValueError(f"unknown pipeline stage {stage!r}")
-    if img is None:
-        raise ValueError("empty pipeline")
+            img = raw_passthrough(frame)
     return img
 
 

@@ -27,7 +27,7 @@ class LensSpec:
     focal_length_mm: float = 6.0
     f_number: float = 4.0
     fov_deg: float = 112.0
-    transmission: object = 1.0  # scalar or Spectrum
+    transmission: float | Spectrum = 1.0
     psf_fwhm_um: float = 1.5
     cos4_falloff: bool = False
 
@@ -36,17 +36,6 @@ class LensSpec:
             raise ValueError("f_number must exceed 0.5")
         if self.focal_length_mm <= 0 or self.psf_fwhm_um < 0:
             raise ValueError("focal length must be positive and PSF FWHM non-negative")
-
-    @staticmethod
-    def from_dict(d: dict) -> "LensSpec":
-        return LensSpec(
-            focal_length_mm=d.get("focal_length_mm", 6.0),
-            f_number=d.get("f_number", 4.0),
-            fov_deg=d.get("fov_deg", 112.0),
-            transmission=d.get("transmission", 1.0),
-            psf_fwhm_um=d.get("psf_fwhm_um", 1.5),
-            cos4_falloff=d.get("cos4_falloff", False),
-        )
 
 
 @dataclass(frozen=True)

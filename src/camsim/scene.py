@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import to_config
 from .spectral import (
     DIMENSIONLESS,
     IRRADIANCE,
@@ -50,10 +51,10 @@ class SceneMeta:
 
 @dataclass(frozen=True)
 class TargetSpec:
-    class_name: str
+    class_name: str = field(metadata={"key": "class"})
     distance_m: float
     size_m: tuple  # (width_m, height_m)
-    reflectance: object = 0.4  # scalar albedo or Spectrum
+    reflectance: float | Spectrum = 0.4
     position_px: tuple | None = None  # (cx, cy) on the scene grid; auto-packed if None
     shading: float = 1.0  # extra multiplicative albedo contrast
 
@@ -75,12 +76,13 @@ class SceneSpec:
     grid_pitch_um: float = 3.0
     focal_length_mm: float = 6.0
     grid: WavelengthGrid = DEFAULT_GRID
-    illuminant: Spectrum | None = None  # photon irradiance; default: scaled D65
-    background_reflectance: float = 0.45
+    # photon irradiance; default: scaled D65
+    illuminant: Spectrum | None = field(default=None, metadata={"key": None})
+    background_reflectance: float | Spectrum = 0.45
     background_luminance_cd_m2: float | None = 100.0  # rescales the illuminant
-    targets: tuple = ()
-    shadows: tuple = ()
-    speculars: tuple = ()
+    targets: tuple[TargetSpec, ...] = ()
+    shadows: tuple[Region, ...] = field(default=(), metadata={"keys": {"factor": "attenuation"}})
+    speculars: tuple[Region, ...] = field(default=(), metadata={"keys": {"factor": "gain"}})
     seed: int = 0
     description: str = ""
 
@@ -197,7 +199,7 @@ def synthesize(spec: SceneSpec) -> Scene:
 
     scene = Scene(cube, grid, spec.grid_pitch_um, depth, instances, classes,
                   SceneMeta(0.0, 0.0, spec.description, spec.seed, tuple(warnings)),
-                  spec_echo=spec_to_dict(spec))
+                  spec_echo=to_config(spec))
     stats = scene_statistics(scene)
     meta = SceneMeta(stats.mean_luminance, stats.dynamic_range_log10,
                      spec.description, spec.seed, tuple(warnings))
@@ -245,61 +247,6 @@ def edge_case_scene() -> Scene:
         description="specular center, shadowed dark target, lit control target",
     )
     return synthesize(spec)
-
-
-def spec_to_dict(spec: SceneSpec) -> dict:
-    def refl(r):
-        return json.loads(r.to_json()) if isinstance(r, Spectrum) else float(r)
-
-    return {
-        "width": spec.width,
-        "height": spec.height,
-        "grid_pitch_um": spec.grid_pitch_um,
-        "focal_length_mm": spec.focal_length_mm,
-        "grid": {"start_nm": spec.grid.start_nm, "step_nm": spec.grid.step_nm,
-                 "count": spec.grid.count},
-        "background_reflectance": refl(spec.background_reflectance),
-        "background_luminance_cd_m2": spec.background_luminance_cd_m2,
-        "targets": [
-            {"class": t.class_name, "distance_m": t.distance_m,
-             "size_m": list(t.size_m), "reflectance": refl(t.reflectance),
-             "position_px": list(t.position_px) if t.position_px else None,
-             "shading": t.shading}
-            for t in spec.targets
-        ],
-        "shadows": [{"rect": list(s.rect), "attenuation": s.factor} for s in spec.shadows],
-        "speculars": [{"rect": list(s.rect), "gain": s.factor} for s in spec.speculars],
-        "seed": spec.seed,
-        "description": spec.description,
-    }
-
-
-def spec_from_dict(d: dict) -> SceneSpec:
-    def refl(r):
-        return Spectrum.from_json(json.dumps(r)) if isinstance(r, dict) else float(r)
-
-    g = d.get("grid", {})
-    return SceneSpec(
-        width=d.get("width", 256),
-        height=d.get("height", 256),
-        grid_pitch_um=d.get("grid_pitch_um", 3.0),
-        focal_length_mm=d.get("focal_length_mm", 6.0),
-        grid=WavelengthGrid(g.get("start_nm", 400.0), g.get("step_nm", 10.0),
-                            g.get("count", 31)),
-        background_reflectance=refl(d.get("background_reflectance", 0.45)),
-        background_luminance_cd_m2=d.get("background_luminance_cd_m2", 100.0),
-        targets=tuple(
-            TargetSpec(t.get("class", t.get("class_name", "car")), t["distance_m"], tuple(t["size_m"]),
-                       refl(t.get("reflectance", 0.4)),
-                       tuple(t["position_px"]) if t.get("position_px") else None,
-                       t.get("shading", 1.0))
-            for t in d.get("targets", [])
-        ),
-        shadows=tuple(Region(tuple(s["rect"]), s["attenuation"]) for s in d.get("shadows", [])),
-        speculars=tuple(Region(tuple(s["rect"]), s["gain"]) for s in d.get("speculars", [])),
-        seed=d.get("seed", 0),
-        description=d.get("description", ""),
-    )
 
 
 def save_scene(scene: Scene, path) -> None:

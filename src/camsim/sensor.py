@@ -4,7 +4,7 @@ image over the CFA, shot/read noise, and the ADC."""
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -57,6 +57,14 @@ RCCC = CFA((("R", "C"), ("C", "C")))
 _NAMED_CFA = {"RGGB": RGGB, "MONO": MONO, "RCCC": RCCC}
 
 
+def _cfa_named(name: str) -> CFA:
+    """The CFA a config names (case-insensitive)."""
+    cfa = _NAMED_CFA.get(str(name).upper())
+    if cfa is None:
+        raise ValueError(f"unknown CFA {name!r}; expected one of {sorted(_NAMED_CFA)}")
+    return cfa
+
+
 def _gaussian_qe(center_nm, sigma_nm, peak, grid: WavelengthGrid) -> Spectrum:
     lam = grid.wavelengths_nm
     v = peak * np.exp(-0.5 * ((lam - center_nm) / sigma_nm) ** 2)
@@ -78,8 +86,9 @@ class SensorSpec:
     pixel: PixelSpec = field(default_factory=PixelSpec)
     dye_width_mm: float = 3.84
     dye_height_mm: float = 2.16
-    cfa: CFA = RGGB
-    qe: dict | None = None  # channel tag -> Spectrum; default built-in curves
+    cfa: CFA = field(default=RGGB, metadata={"parse": _cfa_named})
+    # channel tag -> Spectrum; default built-in curves
+    qe: dict | None = field(default=None, metadata={"key": None})
     adc_bits: int = 10
     analog_gain: float = 1.0
     scale_well_with_area: bool = True  # well ∝ pixel area from 3 µm baseline
@@ -112,35 +121,7 @@ class SensorSpec:
         return (1 << self.adc_bits) - 1
 
     def with_pixel_size(self, size_um: float) -> "SensorSpec":
-        return SensorSpec(
-            PixelSpec(size_um, self.pixel.well_capacity_e, self.pixel.read_noise_e,
-                      self.pixel.dark_current_e_per_s, self.pixel.conversion_gain_uV_per_e,
-                      self.pixel.voltage_swing_V, self.pixel.fill_factor),
-            self.dye_width_mm, self.dye_height_mm, self.cfa, self.qe,
-            self.adc_bits, self.analog_gain, self.scale_well_with_area)
-
-    @staticmethod
-    def from_dict(d: dict) -> "SensorSpec":
-        pd = d.get("pixel", {})
-        pixel = PixelSpec(
-            size_um=pd.get("size_um", 3.0),
-            well_capacity_e=pd.get("well_capacity_e", 13500.0),
-            read_noise_e=pd.get("read_noise_e", 24.0),
-            dark_current_e_per_s=pd.get("dark_current_e_per_s", 50.0),
-            conversion_gain_uV_per_e=pd.get("conversion_gain_uV_per_e"),
-            voltage_swing_V=pd.get("voltage_swing_V", 1.0),
-            fill_factor=pd.get("fill_factor", 1.0),
-        )
-        cfa = _NAMED_CFA[d.get("cfa", "RGGB").upper()]
-        return SensorSpec(
-            pixel=pixel,
-            dye_width_mm=d.get("dye_width_mm", 3.84),
-            dye_height_mm=d.get("dye_height_mm", 2.16),
-            cfa=cfa,
-            adc_bits=d.get("adc_bits", 10),
-            analog_gain=d.get("analog_gain", 1.0),
-            scale_well_with_area=d.get("scale_well_with_area", True),
-        )
+        return replace(self, pixel=replace(self.pixel, size_um=size_um))
 
 
 @dataclass(frozen=True)
@@ -170,38 +151,57 @@ def channel_index_map(sensor: SensorSpec, rows: int, cols: int) -> np.ndarray:
     return np.tile(pat, reps)[:rows, :cols]
 
 
-def expected_rate(image: OpticalImage, sensor: SensorSpec) -> np.ndarray:
-    """Expected photoelectrons per second per sensor pixel (noise-free,
-    unclamped): the optical image averaged over each pixel's footprint in
-    the pixel's CFA channel, times pixel area and fill factor.
+@dataclass(frozen=True)
+class SensorGeometry:
+    """Where the sensor's pixels sit on the optical image's grid: pixel
+    (r, c) averages the factor×factor grid cells from (y0 + r·factor,
+    x0 + c·factor). The annotator votes over the same cells."""
+    factor: int
+    rows: int
+    cols: int
+    y0: int
+    x0: int
 
-    The sensor grid is the dye-derived geometry, cropped from the top-left
-    to the extent of the optical image when the image covers less than the dye.
-    """
+
+def sensor_geometry(image_shape: tuple, pitch_um: float, sensor: SensorSpec) -> SensorGeometry:
+    """The sensor's pixel grid on an optical image (or scene) of this shape
+    and grid pitch: the dye-derived geometry, cut to the image's extent when
+    the image covers less than the dye, centred on the optical axis."""
     p = sensor.pixel.size_um
-    ratio = p / image.pitch_um
+    ratio = p / pitch_um
     f = int(round(ratio))
     if abs(ratio - f) > 1e-9 or f < 1:
         raise ValueError(
-            f"grid pitch {image.pitch_um} µm does not evenly divide pixel pitch {p} µm")
+            f"grid pitch {pitch_um} µm does not evenly divide pixel pitch {p} µm")
     rows, cols = derive_geometry(p, sensor)
-    h, w = image.rates.shape[:2]
+    h, w = image_shape[:2]
     rows = min(rows, (h // f) - (h // f) % 2)
     cols = min(cols, (w // f) - (w // f) % 2)
     if rows < 2 or cols < 2:
         raise ValueError("optical image too small for this pixel pitch")
+    return SensorGeometry(f, rows, cols, (h - rows * f) // 2, (w - cols * f) // 2)
+
+
+def expected_rate(image: OpticalImage, sensor: SensorSpec) -> np.ndarray:
+    """Expected photoelectrons per second per sensor pixel (noise-free,
+    unclamped): the optical image averaged over each pixel's footprint in
+    the pixel's CFA channel, times pixel area and fill factor, on the grid
+    `sensor_geometry` places."""
+    g = sensor_geometry(image.rates.shape, image.pitch_um, sensor)
     if tuple(image.channels) != tuple(sensor.cfa.channels):
         raise ValueError(f"optical image channels {image.channels} do not match "
                          f"the sensor CFA channels {sensor.cfa.channels}")
-    blocks = image.rates[: rows * f, : cols * f].reshape(rows, f, cols, f, -1)
+    f = g.factor
+    cells = image.rates[g.y0:g.y0 + g.rows * f, g.x0:g.x0 + g.cols * f]
+    blocks = cells.reshape(g.rows, f, g.cols, f, -1)
     # Each cell of one CFA period bins only its own channel plane: one plane
     # of work, not C, summed in the same order as a single-channel image.
     period = channel_index_map(sensor, len(sensor.cfa.pattern), len(sensor.cfa.pattern[0]))
     ph, pw = period.shape
-    binned = np.empty((rows, cols))
+    binned = np.empty((g.rows, g.cols))
     for (dy, dx), c in np.ndenumerate(period):
         binned[dy::ph, dx::pw] = blocks[dy::ph, :, dx::pw, :, c].mean(axis=(1, 3))
-    return binned * ((p * 1e-6) ** 2 * sensor.pixel.fill_factor)
+    return binned * ((sensor.pixel.size_um * 1e-6) ** 2 * sensor.pixel.fill_factor)
 
 
 def integrate(cube: IrradianceCube, sensor: SensorSpec, exposure_s: float) -> np.ndarray:
@@ -289,15 +289,7 @@ def save_frame(frame: RawFrame, path) -> None:
         "seed": frame.seed,
         "saturation_rle": _rle_encode(frame.saturated),
         "sensor": {
-            "pixel": {
-                "size_um": s.pixel.size_um,
-                "well_capacity_e": s.pixel.well_capacity_e,
-                "read_noise_e": s.pixel.read_noise_e,
-                "dark_current_e_per_s": s.pixel.dark_current_e_per_s,
-                "conversion_gain_uV_per_e": s.pixel.conversion_gain_uV_per_e,
-                "voltage_swing_V": s.pixel.voltage_swing_V,
-                "fill_factor": s.pixel.fill_factor,
-            },
+            "pixel": asdict(s.pixel),
             "dye_width_mm": s.dye_width_mm,
             "dye_height_mm": s.dye_height_mm,
             "cfa": "".join("".join(r) for r in s.cfa.pattern),

@@ -86,6 +86,9 @@ class Spectrum:
     @staticmethod
     def from_json(text: str) -> "Spectrum":
         d = json.loads(text)
+        unknown = sorted(set(d) - {"start_nm", "step_nm", "count", "unit", "values"})
+        if unknown:
+            raise ValueError(f"unknown spectrum keys {unknown}")
         grid = WavelengthGrid(d["start_nm"], d["step_nm"], d["count"])
         return Spectrum(grid, np.asarray(d["values"], dtype=np.float64), d["unit"])
 

@@ -17,13 +17,13 @@ from camsim.exposure import (DEFAULT_BRACKET_S, DEFAULT_CAP_S, ExposurePlan,
                              bracketed_capture, center_weighted_duration,
                              effective_dynamic_range, hdr_combine,
                              metering_window)
-from camsim.isp import (GammaSpec, RGBImage, TAG_LINEAR_SRGB, apply_gamma,
+from camsim.isp import (GammaSpec, IspConfig, RGBImage, TAG_LINEAR_SRGB, apply_gamma,
                         demosaic_bilinear, render)
 from camsim.optics import IrradianceCube, LensSpec, apply_psf, radiance_to_irradiance
 from camsim.scene import (Region, SceneSpec, TargetSpec, edge_case_scene,
                           synthesize)
 from camsim.sensor import (RawFrame, SensorSpec, capture, derive_geometry,
-                           dynamic_range_db, integrate, apply_noise)
+                           dynamic_range_db, integrate, apply_noise, sensor_geometry)
 from camsim.spectral import WavelengthGrid
 
 GRID11 = WavelengthGrid(400.0, 30.0, 11)
@@ -144,7 +144,7 @@ def test_criterion_08_adaptive_gamma():
     sensor = SensorSpec(dye_width_mm=0.192, dye_height_mm=0.192)
     with pytest.warns(UserWarning):
         frame = capture(sc, LENS, sensor, 5e-3, seed=1)
-    linear = render(frame, {"stages": ["demosaic", "color"]})
+    linear = render(frame, IspConfig(stages=("demosaic", "color")))
     out = apply_gamma(linear, GammaSpec(mode="adaptive", target=0.2))
     m = float(linear.values.mean())
     adaptive_err = abs(m ** out.gamma_used - 0.2)
@@ -227,7 +227,8 @@ def test_criterion_12_end_to_end_pixel_sweep():
         for p in sizes:
             frame = capture(sc, LENS, sensors[p], 12e-3, seed=7000 + seed)
             img = render(frame)
-            boxes = apply_policy(project_truth(sc, *frame.dn.shape), policy)
+            geometry = sensor_geometry(sc.instances.shape, sc.grid_pitch_um, sensors[p])
+            boxes = apply_policy(project_truth(sc, geometry), policy)
             sid = f"s{seed}"
             gts, dets = pools[p]
             gts.extend(ev.as_gt(sid, b) for b in boxes)
@@ -265,7 +266,8 @@ def test_criterion_13_edge_case():
             source = capture(sc, LENS, sensor, t, seed)
             shape = source.dn.shape
         img = render(source)
-        boxes = apply_policy(project_truth(sc, *shape), LabelPolicy())
+        geometry = sensor_geometry(sc.instances.shape, sc.grid_pitch_um, sensor)
+        boxes = apply_policy(project_truth(sc, geometry), LabelPolicy())
         shadow = next(b for b in boxes if b.instance_id == 2)
         cfg = ProxyDetectorConfig(seed=seed)
         dets = proxy_detect(img, boxes, cfg, image_id=name)

@@ -2,13 +2,20 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from camsim.annotation import (GroundTruthBox, LabelPolicy, apply_policy,
                                export_dataset, import_dataset, project_truth)
+from camsim.exposure import ExposurePlan, acquire
+from camsim.optics import LensSpec, optical_image
 from camsim.scene import SceneSpec, TargetSpec, synthesize
+from camsim.sensor import MONO, PixelSpec, SensorGeometry, SensorSpec
 from camsim.spectral import WavelengthGrid
 
 GRID = WavelengthGrid(400.0, 30.0, 11)
+FULL = SensorGeometry(factor=1, rows=128, cols=128, y0=0, x0=0)
+HALVED = SensorGeometry(factor=2, rows=64, cols=64, y0=0, x0=0)
 
 
 def make_scene():
@@ -24,7 +31,7 @@ def make_scene():
 
 def test_project_truth_full_resolution():
     sc = make_scene()
-    boxes = project_truth(sc, 128, 128)
+    boxes = project_truth(sc, FULL)
     assert len(boxes) == 2
     b = {x.instance_id: x for x in boxes}
     # 0.06 m at 20 m through 6 mm onto 3 µm: 6 px wide, 5 px tall
@@ -36,8 +43,8 @@ def test_project_truth_full_resolution():
 
 def test_project_truth_downsampled_geometry():
     sc = make_scene()
-    full = {b.instance_id: b for b in project_truth(sc, 128, 128)}
-    halved = {b.instance_id: b for b in project_truth(sc, 64, 64)}
+    full = {b.instance_id: b for b in project_truth(sc, FULL)}
+    halved = {b.instance_id: b for b in project_truth(sc, HALVED)}
     for i in (1, 2):
         fx0, fy0, fx1, fy1 = full[i].bbox
         hx0, hy0, hx1, hy1 = halved[i].bbox
@@ -104,7 +111,7 @@ def test_majority_vote_downsampling_tie_break():
     # force a 2x2 block that is half instance 1, half instance 2: tie goes to
     # the smaller id
     sc.instances[0:2, 0:2] = [[1, 1], [2, 2]]
-    boxes = {b.instance_id: b for b in project_truth(sc, 64, 64)}
+    boxes = {b.instance_id: b for b in project_truth(sc, HALVED)}
     x0, y0, x1, y1 = boxes[1].bbox
     assert x0 == 0 and y0 == 0
 
@@ -141,3 +148,43 @@ def test_majority_bin_matches_brute_force_vote_with_ties():
         got = _majority_bin(inst, factor, rows, cols)
         assert got.dtype == inst.dtype
         assert np.array_equal(got, _brute_force_majority(inst, factor, rows, cols)), trial
+
+
+@settings(max_examples=40, deadline=None)
+@given(h=st.integers(16, 160), w=st.integers(16, 160),
+       pitch=st.sampled_from([0.75, 1.5, 3.0]), factor=st.integers(1, 4),
+       dye_rows=st.integers(16, 40), dye_cols=st.integers(16, 40),
+       cx=st.floats(0.0, 1.0), cy=st.floats(0.0, 1.0),
+       tw=st.integers(1, 40), th=st.integers(1, 40))
+# a 3900x2200 scene at 1.5 µm on the default 3.84x2.16 mm dye of 3 µm pixels
+@example(h=2200, w=3900, pitch=1.5, factor=2, dye_rows=720, dye_cols=1280,
+         cx=1200 / 3900, cy=600 / 2200, tw=80, th=70)
+def test_truth_covers_target_pixels_in_the_frame(h, w, pitch, factor, dye_rows, dye_cols,
+                                                 cx, cy, tw, th):
+    """On a black background, the box of a uniform target holds every pixel
+    the target fills in the captured rate raster and none that it misses,
+    for scenes smaller and larger than the dye."""
+    p = pitch * factor
+    assume(1.5 <= p <= 10.0)  # smaller pixels fall below the sensor's 40 dB dynamic range
+    sc = synthesize(SceneSpec(
+        width=w, height=h, grid_pitch_um=pitch, grid=WavelengthGrid(550.0, 10.0, 1),
+        background_reflectance=0.0, background_luminance_cd_m2=None,
+        # 10 m through 6 mm: a size of n·pitch/600 m projects to n grid cells
+        targets=(TargetSpec("car", 10.0, (tw * pitch / 600, th * pitch / 600),
+                            reflectance=0.5, position_px=(cx * w, cy * h)),)))
+    sensor = SensorSpec(PixelSpec(size_um=p), dye_width_mm=(dye_cols + 0.5) * p / 1000,
+                        dye_height_mm=(dye_rows + 0.5) * p / 1000, cfa=MONO)
+    image = optical_image(sc, LensSpec(psf_fwhm_um=0.0), sensor)
+    acq = acquire(image, sensor, ExposurePlan("fixed", t_s=1e-3), seed=0)
+    rate = acq.rate_e_per_s
+    lit = rate > 0  # any target cell in the pixel's footprint
+    full = lit & (rate >= image.rates.max() * (p * 1e-6) ** 2 * (1 - 1e-9))  # target cells only
+    boxes = project_truth(sc, acq.geometry)
+    assert len(boxes) == 1 if full.any() else len(boxes) <= int(lit.any())
+    for b in boxes:
+        x0, y0, x1, y1 = b.bbox
+        ys, xs = np.nonzero(lit)
+        assert xs.min() <= x0 and x1 <= xs.max() + 1 and ys.min() <= y0 and y1 <= ys.max() + 1
+        ys, xs = np.nonzero(full)
+        if xs.size:
+            assert x0 <= xs.min() and xs.max() < x1 and y0 <= ys.min() and ys.max() < y1

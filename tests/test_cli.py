@@ -15,8 +15,8 @@ SCENE_SPEC = {
         {"class": "car", "distance_m": 20, "size_m": [0.06, 0.05],
          "reflectance": 0.2},
     ],
-    "seed": 4,
 }
+SYNTH_SPEC = {**SCENE_SPEC, "seed": 4}  # a run config seeds each scene itself
 
 
 def run_config(tmp_path, **overrides):
@@ -73,6 +73,10 @@ def test_run_unknown_detector_key_is_config_error(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+def scenes(**spec):
+    return {"source": "synth", "spec": {**SCENE_SPEC, **spec}}
+
+
 @pytest.mark.parametrize("overrides, dotted", [
     ({"lense": {"f_number": 99}}, "lense"),
     ({"lens": {"fnumber": 99}}, "lens.fnumber"),
@@ -81,12 +85,66 @@ def test_run_unknown_detector_key_is_config_error(tmp_path):
     ({"sensor": {"dye_width_mm": 0.384, "dye_height_mm": 0.384,
                  "pixel": {"sizeum": 6.0}}}, "sensor.pixel.sizeum"),
     ({"detector": {"proxy": {"min_pixel": 1e9}}}, "detector.proxy.min_pixel"),
-], ids=["top", "lens", "exposure", "policy", "sensor.pixel", "detector.proxy"])
+    ({"scenes": {**scenes(), "cuont": 2}}, "scenes.cuont"),
+    ({"scenes": scenes(widht=64)}, "scenes.spec.widht"),
+    ({"scenes": scenes(grid={**SCENE_SPEC["grid"], "cnt": 5})}, "scenes.spec.grid.cnt"),
+    ({"scenes": scenes(targets=[{**SCENE_SPEC["targets"][0], "reflectence": 0.9}])},
+     "scenes.spec.targets[0].reflectence"),
+    ({"scenes": scenes(shadows=[{"rect": [0, 0, 8, 8], "attenuaton": 0.5}])},
+     "scenes.spec.shadows[0].attenuaton"),
+    ({"scenes": scenes(seed=4)}, "scenes.spec.seed"),  # the runner seeds every scene
+    ({"isp": {"stagez": ["raw"]}}, "isp.stagez"),
+    ({"isp": {"gamma": {"gama": 0.5}}}, "isp.gamma.gama"),
+    ({"exposure": {"t_s": 0.002}}, "exposure.mode"),  # a given section names its mode
+    # bad values are rejected at load too, naming their section
+    ({"isp": {"gamma": {"mode": "bogus"}}}, "isp.gamma: "),
+    ({"isp": {"stages": ["sharpen"]}}, "isp: "),
+    ({"scenes": {**scenes(), "count": "two"}}, "scenes: "),
+    ({"sensor": {"dye_width_mm": 0.384, "dye_height_mm": 0.384, "cfa": "XYZ"}}, "sensor.cfa: "),
+    ({"lens": {"transmission": {"start_nm": 400.0, "step_nm": 30.0, "count": 11,
+                                "values": [0.9] * 11}}}, "lens.transmission.unit"),
+], ids=["top", "lens", "exposure", "policy", "sensor.pixel", "detector.proxy",
+        "scenes", "scenes.spec", "scenes.spec.grid", "scenes.spec.targets",
+        "scenes.spec.shadows", "scenes.spec.seed", "isp", "isp.gamma", "exposure.mode",
+        "isp.gamma.mode=bogus", "isp.stages=sharpen", "scenes.count=two", "sensor.cfa=XYZ",
+        "spectrum-without-unit"])
 def test_run_unknown_key_names_dotted_path(tmp_path, capsys, overrides, dotted):
     path = run_config(tmp_path, **overrides)
     assert main(["run", str(path)]) == EXIT_CONFIG
     assert dotted in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_spectrum_objects_are_honoured(tmp_path):
+    """A flat transmission and reflectance given as spectrum objects run
+    exactly as the same scalars do."""
+    def flat(v):
+        return {**SCENE_SPEC["grid"], "unit": "dimensionless", "values": [v] * 11}
+
+    car = SCENE_SPEC["targets"][0]
+    outs = []
+    for name, t, refl in (("scalar", 0.9, 0.2), ("spectrum", flat(0.9), flat(0.2))):
+        out = tmp_path / name
+        path = run_config(tmp_path, scenes={**scenes(targets=[{**car, "reflectance": refl}]),
+                                            "count": 1},
+                          lens={"transmission": t}, output_dir=str(out))
+        assert main(["run", str(path)]) == EXIT_OK
+        outs.append(out)
+    for name in RUN_FILES:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+
+def test_documented_and_benchmark_configs_parse(tmp_path, monkeypatch):
+    """The README's run config and every perfbench workload's config load."""
+    root = Path(__file__).resolve().parents[1]
+    readme = (root / "README.md").read_text().split("### Run config", 1)[1]
+    configs = [json.loads(readme.split("```json", 1)[1].split("```", 1)[0])]
+    monkeypatch.syspath_prepend(str(root / "perfbench"))
+    from workloads import WORKLOADS
+
+    configs += [w.config(0, str(tmp_path)) for w in WORKLOADS.values()]
+    for cfg in configs:
+        RunConfig.from_dict(cfg)
 
 
 @pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5"])
@@ -105,6 +163,14 @@ def test_synth_malformed_spec_is_config_error(tmp_path):
     assert not (tmp_path / "scenes").exists()
 
 
+def test_synth_unknown_spec_key_is_config_error(tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({**SYNTH_SPEC, "widht": 64}))
+    assert main(["synth", str(spec), str(tmp_path / "scenes")]) == EXIT_CONFIG
+    assert "widht" in capsys.readouterr().err
+    assert not (tmp_path / "scenes").exists()
+
+
 def test_run_deterministic_across_thread_counts(tmp_path, monkeypatch):
     path = run_config(tmp_path, scenes={"source": "synth", "spec": SCENE_SPEC,
                                         "count": 4})
@@ -118,7 +184,7 @@ def test_run_deterministic_across_thread_counts(tmp_path, monkeypatch):
 
 def test_synth_and_dir_run(tmp_path):
     spec = tmp_path / "spec.json"
-    spec.write_text(json.dumps(SCENE_SPEC))
+    spec.write_text(json.dumps(SYNTH_SPEC))
     rc = main(["synth", str(spec), str(tmp_path / "scenes"), "-n", "2"])
     assert rc == EXIT_OK
     manifest = json.loads((tmp_path / "scenes" / "manifest.json").read_text())
@@ -171,7 +237,7 @@ def test_sweep_pixel_command(tmp_path):
 def test_run_continues_after_scene_error(tmp_path):
     # one scene directory is corrupted; the other still being processed
     spec = tmp_path / "spec.json"
-    spec.write_text(json.dumps(SCENE_SPEC))
+    spec.write_text(json.dumps(SYNTH_SPEC))
     assert main(["synth", str(spec), str(tmp_path / "scenes"), "-n", "2"]) == EXIT_OK
     bad = tmp_path / "scenes" / "scene_0000" / "radiance.sic"
     bad.write_bytes(b"XXXX" + bad.read_bytes()[4:])

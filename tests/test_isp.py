@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from camsim.isp import (GammaSpec, RGBImage, TAG_LINEAR_SRGB, TAG_SENSOR_LINEAR,
+from camsim.isp import (GammaSpec, IspConfig, RGBImage, TAG_LINEAR_SRGB, TAG_SENSOR_LINEAR,
                         TAG_SRGB_ENCODED, apply_gamma, color_correct,
                         demosaic_bilinear, fit_color_matrix, raw_passthrough,
                         reflectance_patches, render, write_pfm, write_ppm)
@@ -143,7 +143,7 @@ def test_render_default_pipeline_tags():
 
 def test_render_raw_stage():
     frame = adc(np.full((8, 8), 5000.0), SensorSpec())
-    img = render(frame, {"stages": ["raw"]})
+    img = render(frame, IspConfig(stages=("raw",)))
     assert img.values.shape == (8, 8, 1)
     assert np.allclose(img.values[:, :, 0], raw_passthrough(frame).values[:, :, 0])
 
@@ -151,7 +151,7 @@ def test_render_raw_stage():
 def test_render_unknown_stage():
     frame = adc(np.zeros((8, 8)), SensorSpec())
     with pytest.raises(ValueError, match="unknown pipeline stage"):
-        render(frame, {"stages": ["sharpen"]})
+        render(frame, IspConfig(stages=("sharpen",)))
 
 
 def test_ppm_output(tmp_path):

@@ -49,6 +49,7 @@ def spectral_reference(sc, lens, sensor, exposure_s):
     rows, cols = derive_geometry(sensor.pixel.size_um, sensor)
     rows = min(rows, h // f // 2 * 2)
     cols = min(cols, w // f // 2 * 2)
+    y0, x0 = (h - rows * f) // 2, (w - cols * f) // 2  # centred on the optical axis
     pattern = sensor.cfa.pattern
     area = (sensor.pixel.size_um * 1e-6) ** 2
     out = np.empty((rows, cols))
@@ -56,7 +57,8 @@ def spectral_reference(sc, lens, sensor, exposure_s):
         for c in range(cols):
             tag = pattern[r % len(pattern)][c % len(pattern[0])]
             qe = resample(sensor.qe[tag], sc.grid).values
-            spectrum = cube[r * f:(r + 1) * f, c * f:(c + 1) * f].mean(axis=(0, 1))
+            spectrum = cube[y0 + r * f:y0 + (r + 1) * f,
+                            x0 + c * f:x0 + (c + 1) * f].mean(axis=(0, 1))
             out[r, c] = float(spectrum @ qe) * sc.grid.step_nm
     return out * area * sensor.pixel.fill_factor * exposure_s
 

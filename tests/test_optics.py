@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from camsim.config import from_config
 from camsim.optics import (FWHM_TO_SIGMA, IrradianceCube, LensSpec, apply_psf,
                            radiance_to_irradiance)
 from camsim.scene import SceneSpec, synthesize
@@ -78,8 +79,8 @@ def test_fwhm_sigma_constant():
 
 
 def test_lens_from_dict_round_trip():
-    lens = LensSpec.from_dict({"focal_length_mm": 8.0, "f_number": 2.0,
-                               "transmission": 0.85})
+    lens = from_config(LensSpec, {"focal_length_mm": 8.0, "f_number": 2.0,
+                                  "transmission": 0.85})
     assert lens.focal_length_mm == 8.0
     assert lens.f_number == 2.0
     assert lens.transmission == 0.85

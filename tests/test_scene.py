@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
+from camsim.config import from_config, to_config
 from camsim.scene import (BACKGROUND_DEPTH_M, Region, SceneFormatError, SceneSpec,
                           TargetSpec, edge_case_scene, load_scene, luminance_map,
-                          project_extent_px, save_scene, scene_statistics,
-                          spec_from_dict, spec_to_dict, synthesize)
+                          project_extent_px, save_scene, scene_statistics, synthesize)
 from camsim.spectral import WavelengthGrid
 
 SMALL_GRID = WavelengthGrid(400.0, 30.0, 11)
@@ -93,7 +93,7 @@ def test_scaled_scene():
 def test_spec_dict_round_trip():
     spec = small_spec(targets=(TargetSpec("car", 25.0, (1.5, 1.2), 0.3),),
                       shadows=(Region((1, 2, 3, 4), 0.5),))
-    assert spec_from_dict(spec_to_dict(spec)) == spec
+    assert from_config(SceneSpec, to_config(spec)) == spec
 
 
 def test_save_load_round_trip(tmp_path):

@@ -182,3 +182,4 @@ def test_save_frame(tmp_path):
     import json
     meta = json.loads((tmp_path / "f" / "frame.json").read_text())
     assert meta["exposure_s"] == 1e-3
+    assert PixelSpec(**meta["sensor"]["pixel"]) == s.pixel
