@@ -31,7 +31,7 @@ from .optics import radiance_to_irradiance  # noqa: F401  (perfbench/selftest.py
 from .plotting import curve_svg
 from .rng import stream_key
 from .scene import Scene, SceneSpec, edge_case_scene, load_scene, save_scene, synthesize
-from .sensor import SensorSpec, derive_geometry
+from .sensor import SensorSpec
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -43,10 +43,11 @@ class ScenesConfig:
     """The run's scenes: `count` syntheses of `spec`, each seeded from the
     run seed, or the saved scene directories under `path`."""
     source: str
-    path: str | None = None
-    count: int = 1
+    path: str | None = field(default=None, metadata={"when": ("source", "dir")})
+    count: int = field(default=1, metadata={"when": ("source", "synth")})
     # the runner seeds each scene, so the spec's own seed cannot be set here
-    spec: SceneSpec = field(default_factory=SceneSpec, metadata={"keys": {"seed": None}})
+    spec: SceneSpec = field(default_factory=SceneSpec,
+                            metadata={"keys": {"seed": None}, "when": ("source", "synth")})
 
     def __post_init__(self):
         if self.source not in ("synth", "dir"):
@@ -270,7 +271,10 @@ def cmd_sweep_pixel(args) -> int:
                         output_dir=cfg.output_dir / f"pixel_{size:g}um") for size in sizes]
     rows_out = []
     for size, v, summary in zip(sizes, variants, run_pipeline(cfg, variants)):
-        rows, cols = derive_geometry(size, v.sensor)
+        # the captured frame size, which the scene bounds as well as the dye
+        # (the largest frame when the scenes differ in size)
+        images = json.loads((v.output_dir / "dataset.json").read_text())["images"]
+        rows, cols = max(((im["height"], im["width"]) for im in images), default=("", ""))
         rows_out.append([size, rows, cols, summary["ap_overall"],
                          summary["od50_m"] if not summary["od50_beyond_range"] else "beyond-range"])
     cfg.output_dir.mkdir(parents=True, exist_ok=True)

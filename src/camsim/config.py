@@ -4,10 +4,11 @@ A section is a JSON object; the frozen dataclass that owns it states its
 keys, defaults and checks. Field metadata says what is special about a key:
 ``"key"`` is its JSON name when that is not the field name (None: the field
 cannot be set from a config), ``"keys"`` overrides the ``"key"`` of the
-fields of a nested section, and ``"parse"`` turns the JSON value into the
-field value. Nested dataclasses and ``tuple[X, ...]`` of them are nested
-sections, a JSON object where a Spectrum is allowed is a Spectrum, and
-lists become tuples.
+fields of a nested section, ``"parse"`` turns the JSON value into the
+field value, and ``"when": (key, value)`` reads the key only in a section
+whose ``key`` is ``value``. Nested dataclasses and ``tuple[X, ...]`` of them
+are nested sections, a JSON object where a Spectrum is allowed is a
+Spectrum, and lists become tuples.
 """
 
 from __future__ import annotations
@@ -70,14 +71,20 @@ def _value(value, hint, f, path: str):
 def from_config(cls, section, path: str = "", keys: dict | None = None):
     """The dataclass `cls` read from one config section. Unknown keys, a
     missing required key, and any TypeError or ValueError the dataclass
-    raises are a ConfigError that names the dotted `path`. `keys` overrides
-    the JSON keys of `cls`'s fields."""
+    raises, and a key that its "when" excludes are a ConfigError that
+    names the dotted `path`. `keys` overrides the JSON keys of `cls`'s
+    fields."""
     if not isinstance(section, dict):
         raise ConfigError(f"config section {path or '<top level>'} must be an object")
     known = _keys(cls, keys)
     unknown = sorted(set(section) - set(known))
     if unknown:
         raise ConfigError("unknown config keys: " + ", ".join(_join(path, k) for k in unknown))
+    for key, f in known.items():
+        when = f.metadata.get("when")
+        if key in section and when and section.get(when[0]) != when[1]:
+            raise ConfigError(f"config key {_join(path, key)} is read only when "
+                              f"{_join(path, when[0])} is {when[1]!r}")
     hints = typing.get_type_hints(cls)
     kwargs = {}
     for key, f in known.items():

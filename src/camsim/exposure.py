@@ -1,9 +1,10 @@
 """Exposure control: fixed plans, center-weighted metering with a frame-rate
-cap, and HDR bracketing with select-before-saturation fusion."""
+cap, and HDR bracketing with select-before-saturation fusion, each bracket
+sampled only on the pixels where the fusion reads it."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -71,12 +72,21 @@ class Acquisition:
 def acquire(image: OpticalImage, sensor: SensorSpec, plan: ExposurePlan,
             seed: int) -> Acquisition:
     """Sample the optical image on the sensor's pixels once, then meter and
-    expose (or expose every bracket) from that one expected-rate raster."""
+    expose from that one expected-rate raster. A bracketed plan exposes each
+    bracket only on the pixels that every longer bracket saturated, the only
+    pixels where the fusion reads it, so the HDR frame equals
+    `hdr_combine` of the full brackets at a fraction of the noise work."""
     rate = expected_rate(image, sensor)
     geometry = sensor_geometry(image.rates.shape, image.pitch_um, sensor)
     if plan.mode == "bracketed":
-        frames = _brackets(rate, sensor, plan.durations_s, seed, True)
-        return Acquisition(hdr_combine(frames), plan.durations_s[0], rate, geometry)
+        flat = rate.reshape(-1)
+
+        def bracket(i, at):
+            return expose(flat[at], sensor, plan.durations_s[i], _bracket_seed(seed, i),
+                          at=at)
+
+        hdr = _fuse(rate.shape, tuple(plan.durations_s), sensor, bracket)
+        return Acquisition(hdr, plan.durations_s[0], rate, geometry)
     t = plan.t_s if plan.mode == "fixed" else metered_duration(rate, sensor, plan)
     return Acquisition(expose(rate, sensor, t, seed), t, rate, geometry)
 
@@ -103,23 +113,24 @@ def center_weighted_duration(sc: Scene, lens: LensSpec, sensor: SensorSpec,
                             sensor, plan)
 
 
-def _brackets(rate, sensor, durations_s, seed, noise) -> list:
-    return [expose(rate, sensor, t, int(stream_key(seed, 7, i)), noise)
-            for i, t in enumerate(durations_s)]
+def _bracket_seed(seed: int, i: int) -> int:
+    return int(stream_key(seed, 7, i))
 
 
 def bracketed_capture(sc: Scene, lens: LensSpec, sensor: SensorSpec,
                       durations_s, seed: int, noise: bool = True) -> list:
-    """One capture per duration with independent noise streams keyed by
+    """One full capture per duration with independent noise streams keyed by
     (seed, bracket index)."""
-    return _brackets(expected_rate(optical_image(sc, lens, sensor), sensor), sensor,
-                     durations_s, seed, noise)
+    rate = expected_rate(optical_image(sc, lens, sensor), sensor)
+    return [expose(rate, sensor, t, _bracket_seed(seed, i), noise)
+            for i, t in enumerate(durations_s)]
 
 
 def hdr_combine(frames: list) -> HDRFrame:
-    """Per pixel, keep the longest-duration unsaturated frame and divide out
-    its duration; pixels saturated everywhere fall back to the shortest
-    duration and are flagged invalid."""
+    """The fusion of `acquire` over full bracket frames: per pixel, keep the
+    longest-duration unsaturated frame and divide out its duration; pixels
+    saturated everywhere fall back to the shortest duration and are flagged
+    invalid."""
     if not frames:
         raise ValueError("no frames to combine")
     shape = frames[0].dn.shape
@@ -130,19 +141,36 @@ def hdr_combine(frames: list) -> HDRFrame:
     if any(durations[i] <= durations[i + 1] for i in range(len(durations) - 1)):
         raise ValueError("frame durations must be strictly decreasing")
 
-    rate = np.zeros(shape, dtype=np.float64)
-    chosen = np.full(shape, len(frames) - 1, dtype=np.int64)
-    undecided = np.ones(shape, dtype=bool)
-    for i, f in enumerate(frames):
-        take = undecided & ~f.saturated
-        rate[take] = dn_to_electrons(f)[take] / f.exposure_s
-        chosen[take] = i
-        undecided &= ~take
-    valid = ~undecided
-    if undecided.any():
-        last = frames[-1]
-        rate[undecided] = dn_to_electrons(last)[undecided] / last.exposure_s
-    return HDRFrame(rate, valid, chosen, durations, frames[0].sensor)
+    def bracket(i, at):
+        f = frames[i]
+        return replace(f, dn=f.dn.reshape(-1)[at], saturated=f.saturated.reshape(-1)[at])
+
+    return _fuse(shape, durations, frames[0].sensor, bracket)
+
+
+def _fuse(shape: tuple, durations: tuple, sensor: SensorSpec, bracket) -> HDRFrame:
+    """Select-before-saturation fusion. `bracket(i, at)` is the RawFrame of
+    bracket i at the flat pixel indices `at`; it is asked only for the
+    pixels that every longer bracket saturated. Each pixel keeps the first
+    (longest) unsaturated bracket divided by its duration; a pixel saturated
+    in every bracket reads the last one and is flagged invalid."""
+    n = int(np.prod(shape))
+    rate = np.zeros(n, dtype=np.float64)
+    chosen = np.zeros(n, dtype=np.int64)
+    undecided = np.arange(n)
+    for i in range(len(durations)):
+        if not undecided.size:
+            break
+        f = bracket(i, undecided)
+        take = ~f.saturated | (i == len(durations) - 1)
+        at = undecided[take]
+        rate[at] = (dn_to_electrons(f) / f.exposure_s)[take]
+        chosen[at] = i
+        undecided = undecided[f.saturated]
+    valid = np.ones(n, dtype=bool)
+    valid[undecided] = False
+    return HDRFrame(rate.reshape(shape), valid.reshape(shape), chosen.reshape(shape),
+                    durations, sensor)
 
 
 def effective_dynamic_range(sensor_dr_db: float, durations_s) -> float:

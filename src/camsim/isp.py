@@ -68,18 +68,21 @@ class IspConfig:
             _correction_matrix(self.matrix)
 
 
-def _neighbor_views(x: np.ndarray) -> dict:
-    # 'reflect' padding (no edge repeat) keeps CFA parity at the borders
-    p = np.pad(x, 1, mode="reflect")
-    return {
-        "N": p[:-2, 1:-1], "S": p[2:, 1:-1], "W": p[1:-1, :-2], "E": p[1:-1, 2:],
-        "NW": p[:-2, :-2], "NE": p[:-2, 2:], "SW": p[2:, :-2], "SE": p[2:, 2:],
-    }
+# Bilinear RGGB interpolation: what R, G and B read at each CFA phase (row,
+# col parity), and the neighbour offsets each read averages, in summation
+# order. "x" is the pixel itself; "h", "v", "4" and "d" are its horizontal,
+# vertical, four edge and four diagonal neighbours.
+_RGGB_PICKS = {(0, 0): ("x", "4", "d"), (0, 1): ("h", "x", "v"),
+               (1, 0): ("v", "x", "h"), (1, 1): ("d", "4", "x")}
+_NEIGHBOURS = {"x": ((0, 0),), "h": ((0, 1), (0, -1)), "v": ((-1, 0), (1, 0)),
+               "4": ((-1, 0), (1, 0), (0, 1), (0, -1)),
+               "d": ((-1, -1), (-1, 1), (1, -1), (1, 1))}
 
 
 def demosaic_bilinear(frame: RawFrame) -> RGBImage:
     """Bilinear CFA interpolation on the DN-normalized mosaic (RGGB), or
-    channel replication for MONO."""
+    channel replication for MONO. Each neighbour average is computed only
+    on the CFA phase that reads it."""
     x = frame.dn.astype(np.float64) / frame.sensor.max_code()
     pattern = frame.sensor.cfa.pattern
     if pattern == MONO.pattern:
@@ -87,24 +90,17 @@ def demosaic_bilinear(frame: RawFrame) -> RGBImage:
     if pattern != RGGB.pattern:
         raise ValueError("no demosaic defined for this CFA (export raw instead)")
 
-    n = _neighbor_views(x)
-    avg_h = (n["E"] + n["W"]) / 2.0
-    avg_v = (n["N"] + n["S"]) / 2.0
-    avg_4 = (n["N"] + n["S"] + n["E"] + n["W"]) / 4.0
-    avg_d = (n["NW"] + n["NE"] + n["SW"] + n["SE"]) / 4.0
-
+    # 'reflect' padding (no edge repeat) keeps CFA parity at the borders
+    p = np.pad(x, 1, mode="reflect")
     h, w = x.shape
-    ii, jj = np.meshgrid(np.arange(h) % 2, np.arange(w) % 2, indexing="ij")
-    at_r = (ii == 0) & (jj == 0)
-    at_gr = (ii == 0) & (jj == 1)
-    at_gb = (ii == 1) & (jj == 0)
-    at_b = (ii == 1) & (jj == 1)
-
-    r = np.where(at_r, x, np.where(at_gr, avg_h, np.where(at_gb, avg_v, avg_d)))
-    g = np.where(at_r | at_b, avg_4, x)
-    b = np.where(at_b, x, np.where(at_gb, avg_h, np.where(at_gr, avg_v, avg_d)))
-    out = np.clip(np.stack([r, g, b], axis=2), 0.0, 1.0)
-    return RGBImage(out, TAG_SENSOR_LINEAR)
+    out = np.empty((h, w, 3))
+    for (dy, dx), picks in _RGGB_PICKS.items():
+        for c, pick in enumerate(picks):
+            offsets = _NEIGHBOURS[pick]
+            total = sum(p[1 + dy + oy:1 + h + oy:2, 1 + dx + ox:1 + w + ox:2]
+                        for oy, ox in offsets)
+            out[dy::2, dx::2, c] = total / len(offsets)
+    return RGBImage(np.clip(out, 0.0, 1.0, out=out), TAG_SENSOR_LINEAR)
 
 
 def reflectance_patches(grid: WavelengthGrid = DEFAULT_GRID) -> np.ndarray:

@@ -9,7 +9,9 @@ temporaries stay small. Inside a chunk the Knuth loop carries only the
 pixels that are still multiplying, and the normal-approximation Gaussians
 are drawn only for pixels at or above NORMAL_CUTOFF. Every pixel's streams
 are keyed by its flat index, so the output does not depend on the chunk
-size.
+size, and a subset of pixels can be sampled alone (`at=`) with exactly the
+bytes the whole raster would give them: exposure control samples each HDR
+bracket only on the pixels the fusion still reads.
 """
 
 import numpy as np
@@ -25,27 +27,33 @@ _CHUNK = 1 << 16  # pixels per numpy chunk: the working set stays in cache
 
 # ---------------------------------------------------------------- noise ----
 
-def sample_sensor_noise(expected_e, read_sigma, well_e, seed):
+def sample_sensor_noise(expected_e, read_sigma, well_e, seed, at=None):
     """Noisy electron raster from the expected-electron raster.
 
     Per pixel: Poisson(expected) + N(0, read_sigma²), clamped to
     [0, well_e]. Streams are keyed by (seed, lane, pixel index), so output
-    is independent of evaluation order and thread count.
+    is independent of evaluation order and thread count. `at`, when given,
+    holds the flat raster index of each element of `expected_e`, so
+    ``sample_sensor_noise(lam.flat[at], ..., at=at)`` equals
+    ``sample_sensor_noise(lam, ...).flat[at]`` byte for byte.
     """
     lam = np.ascontiguousarray(expected_e, dtype=np.float64)
     seed_u = np.uint64(int(seed) & 0xFFFFFFFFFFFFFFFF)
     read_sigma, well_e = float(read_sigma), float(well_e)
     flat = lam.reshape(-1)
+    at = np.arange(flat.size, dtype=np.uint64) if at is None \
+        else np.asarray(at, dtype=np.uint64).reshape(-1)
+    if at.size != flat.size:
+        raise ValueError(f"{at.size} pixel indices for {flat.size} expected values")
     out = np.empty_like(flat)
     for start in range(0, flat.size, _CHUNK):
         chunk = slice(start, start + _CHUNK)
-        out[chunk] = _noise_chunk(flat[chunk], start, read_sigma, well_e, seed_u)
+        out[chunk] = _noise_chunk(flat[chunk], at[chunk], read_sigma, well_e, seed_u)
     return out.reshape(lam.shape)
 
 
-def _noise_chunk(lam, start, read_sigma, well_e, seed_u):
-    """Noisy electrons for the flat pixels start .. start + lam.size."""
-    idx = np.arange(start, start + lam.size, dtype=np.uint64)
+def _noise_chunk(lam, idx, read_sigma, well_e, seed_u):
+    """Noisy electrons for the pixels at flat raster indices idx."""
     key_shot = stream_key(int(seed_u), _LANE_SHOT, idx)
     key_read = stream_key(int(seed_u), _LANE_READ, idx)
 

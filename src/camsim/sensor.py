@@ -213,12 +213,14 @@ def integrate(cube: IrradianceCube, sensor: SensorSpec, exposure_s: float) -> np
 
 
 def apply_noise(expected_e: np.ndarray, sensor: SensorSpec, exposure_s: float,
-                seed: int) -> np.ndarray:
+                seed: int, at=None) -> np.ndarray:
     """Poisson shot + dark-current noise and Gaussian read noise, clamped to
-    the (possibly area-scaled) well. Counter-based per-pixel streams."""
+    the (possibly area-scaled) well. Counter-based per-pixel streams; `at`
+    gives the flat raster index of each pixel when `expected_e` holds only
+    some of the raster's pixels."""
     lam = expected_e + sensor.pixel.dark_current_e_per_s * exposure_s
     return kernels.sample_sensor_noise(
-        lam, sensor.pixel.read_noise_e, sensor.effective_well_e(), seed)
+        lam, sensor.pixel.read_noise_e, sensor.effective_well_e(), seed, at=at)
 
 
 def adc(electrons: np.ndarray, sensor: SensorSpec, exposure_s: float = 0.0,
@@ -246,12 +248,14 @@ def dynamic_range_db(sensor: SensorSpec) -> float:
 
 
 def expose(rate: np.ndarray, sensor: SensorSpec, exposure_s: float, seed: int,
-           noise: bool = True) -> RawFrame:
+           noise: bool = True, at=None) -> RawFrame:
     """One frame from an expected-rate raster: electrons for the duration,
-    then noise (or the well clamp) and the ADC."""
+    then noise (or the well clamp) and the ADC. With `at`, `rate` holds the
+    pixels at those flat raster indices only, and the frame holds exactly
+    the values the whole raster's frame has there."""
     e = rate * exposure_s
     if noise:
-        e = apply_noise(e, sensor, exposure_s, seed)
+        e = apply_noise(e, sensor, exposure_s, seed, at)
     else:
         e = np.clip(e, 0.0, sensor.effective_well_e())
     return adc(e, sensor, exposure_s, seed)

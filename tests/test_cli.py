@@ -93,6 +93,10 @@ def scenes(**spec):
     ({"scenes": scenes(shadows=[{"rect": [0, 0, 8, 8], "attenuaton": 0.5}])},
      "scenes.spec.shadows[0].attenuaton"),
     ({"scenes": scenes(seed=4)}, "scenes.spec.seed"),  # the runner seeds every scene
+    # keys the scene source does not read
+    ({"scenes": {**scenes(), "path": "/nonexistent"}}, "scenes.path"),
+    ({"scenes": {"source": "dir", "path": ".", "count": 5}}, "scenes.count"),
+    ({"scenes": {"source": "dir", "path": ".", "spec": SCENE_SPEC}}, "scenes.spec"),
     ({"isp": {"stagez": ["raw"]}}, "isp.stagez"),
     ({"isp": {"gamma": {"gama": 0.5}}}, "isp.gamma.gama"),
     ({"exposure": {"t_s": 0.002}}, "exposure.mode"),  # a given section names its mode
@@ -105,7 +109,8 @@ def scenes(**spec):
                                 "values": [0.9] * 11}}}, "lens.transmission.unit"),
 ], ids=["top", "lens", "exposure", "policy", "sensor.pixel", "detector.proxy",
         "scenes", "scenes.spec", "scenes.spec.grid", "scenes.spec.targets",
-        "scenes.spec.shadows", "scenes.spec.seed", "isp", "isp.gamma", "exposure.mode",
+        "scenes.spec.shadows", "scenes.spec.seed", "scenes.path=synth", "scenes.count=dir",
+        "scenes.spec=dir", "isp", "isp.gamma", "exposure.mode",
         "isp.gamma.mode=bogus", "isp.stages=sharpen", "scenes.count=two", "sensor.cfa=XYZ",
         "spectrum-without-unit"])
 def test_run_unknown_key_names_dotted_path(tmp_path, capsys, overrides, dotted):
@@ -232,6 +237,18 @@ def test_sweep_pixel_command(tmp_path):
     csv_text = (tmp_path / "out" / "sweep_pixel.csv").read_text().splitlines()
     assert csv_text[0] == "pixel_size_um,rows,cols,ap_overall,od50_m"
     assert len(csv_text) == 3
+
+
+def test_sweep_pixel_reports_the_captured_geometry(tmp_path):
+    # a 128x128 scene at 3 µm on a 0.768 mm dye: the dye holds 256x256
+    # pixels, but the frames are cut to the scene
+    path = run_config(tmp_path, sensor={"dye_width_mm": 0.768, "dye_height_mm": 0.768})
+    assert main(["sweep-pixel", str(path), "--sizes", "3"]) == EXIT_OK
+    out = tmp_path / "out"
+    row = (out / "sweep_pixel.csv").read_text().splitlines()[1].split(",")
+    images = json.loads((out / "pixel_3um" / "dataset.json").read_text())["images"]
+    assert {(im["height"], im["width"]) for im in images} == {(128, 128)}
+    assert row[:3] == ["3.0", "128", "128"]
 
 
 def test_run_continues_after_scene_error(tmp_path):

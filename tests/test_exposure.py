@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from camsim.exposure import (DEFAULT_BRACKET_S, DEFAULT_CAP_S, ExposurePlan,
+from camsim import kernels
+from camsim.exposure import (DEFAULT_BRACKET_S, DEFAULT_CAP_S, ExposurePlan, acquire,
                              bracketed_capture, center_weighted_duration,
                              effective_dynamic_range, hdr_combine,
                              metering_window)
-from camsim.optics import LensSpec, apply_psf, radiance_to_irradiance
+from camsim.optics import LensSpec, apply_psf, optical_image, radiance_to_irradiance
 from camsim.scene import Region, SceneSpec, synthesize
 from camsim.sensor import SensorSpec, integrate
 from camsim.spectral import WavelengthGrid
@@ -136,6 +137,41 @@ def test_hdr_combine_validates_input():
         hdr_combine(frames[::-1])
     with pytest.raises(ValueError, match="no frames"):
         hdr_combine([])
+
+
+def test_lazy_brackets_equal_full_brackets_fused(monkeypatch):
+    """acquire samples bracket i only where brackets 0..i-1 saturated, and
+    its HDR frame equals hdr_combine of the full brackets, field by field."""
+    sensor = SensorSpec(dye_width_mm=0.96, dye_height_mm=0.96)  # 320x320: > one chunk
+    sc = synthesize(SceneSpec(width=320, height=320, grid=GRID, seed=3, speculars=(
+        Region((0, 0, 40, 40), 300.0),           # bracket 1
+        Region((100, 100, 140, 140), 3e3),       # bracket 2
+        Region((200, 200, 220, 230), 1e9))))     # saturated in every bracket
+    assert 320 * 320 > kernels._CHUNK
+    sampled = []
+    sample = kernels.sample_sensor_noise
+
+    def counting(expected_e, *args, **kwargs):
+        sampled.append(np.size(expected_e))
+        return sample(expected_e, *args, **kwargs)
+
+    monkeypatch.setattr(kernels, "sample_sensor_noise", counting)
+    hdr = acquire(optical_image(sc, LENS, sensor), sensor,
+                  ExposurePlan("bracketed"), seed=11).source
+    lazy_sampled = sum(sampled)
+    full = hdr_combine(bracketed_capture(sc, LENS, sensor, DEFAULT_BRACKET_S, seed=11))
+
+    for name in ("rate_e_per_s", "valid", "chosen"):
+        got, want = getattr(hdr, name), getattr(full, name)
+        assert got.shape == want.shape and got.dtype == want.dtype, name
+        assert got.tobytes() == want.tobytes(), name
+    assert hdr.durations_s == full.durations_s
+    assert np.count_nonzero((hdr.chosen == 1) & hdr.valid) == 1600
+    assert np.count_nonzero((hdr.chosen == 2) & hdr.valid) == 1600
+    assert np.count_nonzero(~hdr.valid) == 600
+    # bracket 0 everywhere, bracket 1 where 0 saturated, bracket 2 where both did
+    assert lazy_sampled == hdr.chosen.size + np.count_nonzero(hdr.chosen >= 1) \
+        + np.count_nonzero(hdr.chosen == 2)
 
 
 def test_effective_dynamic_range_extension():

@@ -50,6 +50,40 @@ def test_demosaic_interior_bilinear_values():
     assert img.values[1, 1, 1] == pytest.approx(0.0)      # green at the B site
 
 
+def bilinear_reference(x: np.ndarray) -> np.ndarray:
+    """Per-pixel bilinear RGGB interpolation with reflected borders, summed
+    in the order demosaic_bilinear uses."""
+    h, w = x.shape
+
+    def px(i, j):
+        i = -i if i < 0 else 2 * (h - 1) - i if i >= h else i
+        j = -j if j < 0 else 2 * (w - 1) - j if j >= w else j
+        return x[i, j]
+
+    out = np.empty((h, w, 3))
+    for i in range(h):
+        for j in range(w):
+            n, s, e, wst = px(i - 1, j), px(i + 1, j), px(i, j + 1), px(i, j - 1)
+            horiz, vert = (e + wst) / 2.0, (n + s) / 2.0
+            edge = (n + s + e + wst) / 4.0
+            diag = (px(i - 1, j - 1) + px(i - 1, j + 1) + px(i + 1, j - 1)
+                    + px(i + 1, j + 1)) / 4.0
+            out[i, j] = {(0, 0): (x[i, j], edge, diag), (0, 1): (horiz, x[i, j], vert),
+                         (1, 0): (vert, x[i, j], horiz),
+                         (1, 1): (diag, edge, x[i, j])}[i % 2, j % 2]
+    return np.clip(out, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("shape", [(8, 10), (7, 9), (6, 5), (5, 6), (2, 3)])
+def test_demosaic_matches_per_pixel_reference(shape):
+    dn = np.random.default_rng(shape[0] * 31 + shape[1]).integers(0, 1024, shape)
+    frame = mosaic_frame(dn)
+    want = bilinear_reference(dn / 1023.0)
+    got = demosaic_bilinear(frame).values
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
 def test_demosaic_mono_replicates():
     s = SensorSpec(cfa=MONO)
     img = demosaic_bilinear(mosaic_frame(np.full((4, 4), 100), s))

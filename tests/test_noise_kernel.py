@@ -5,7 +5,8 @@ Both walk the same counter-based streams with the same arithmetic, so the
 outputs must be byte-identical: for λ edge values, for rasters that end
 exactly on, just before and just after a chunk boundary, for a short-bracket
 raster that keeps almost every pixel on the Knuth path, and for any chunk
-size.
+size. Sampling a subset of pixels by their flat indices (`at=`) must give
+the bytes the whole raster gives at those indices.
 """
 
 import numpy as np
@@ -144,3 +145,47 @@ def test_noise_mean_variance_sanity():
     e = kernels.sample_sensor_noise(lam, 0.0, 1e9, seed=2)
     assert e.mean() == pytest.approx(50.0, rel=0.02)
     assert e.var() == pytest.approx(50.0, rel=0.10)
+
+
+def assert_subset_bytes(lam, idx, read_sigma=24.0, well_e=13500.0, seed=7):
+    """sample_sensor_noise on lam.flat[idx] with at=idx is the whole-raster
+    oracle at idx, byte for byte."""
+    lam = np.ascontiguousarray(lam, dtype=np.float64)
+    idx = np.asarray(idx, dtype=np.int64)
+    want = whole_raster_noise(lam, read_sigma, well_e, np.uint64(seed)).reshape(-1)[idx]
+    got = kernels.sample_sensor_noise(lam.reshape(-1)[idx], read_sigma, well_e, seed, at=idx)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+LAM = mixed_raster((301, 701), seed=17)  # several chunks, partial last one
+
+
+@pytest.mark.parametrize("idx", [
+    np.sort(np.random.default_rng(3).choice(LAM.size, 5000, replace=False)),
+    np.random.default_rng(4).permutation(LAM.size)[:3000],  # unsorted
+    np.array([], dtype=np.int64),
+    np.array([LAM.size - 1]),
+    np.arange(CHUNK - 40, CHUNK + 40),  # straddles the first chunk boundary
+    np.arange(0, LAM.size, 3),  # more than one chunk of indices
+], ids=["random", "unsorted", "empty", "one-pixel", "chunk-boundary", "strided"])
+def test_index_subset_matches_whole_raster(idx):
+    assert_subset_bytes(LAM, idx)
+
+
+def test_index_subset_edge_values():
+    lam = np.tile(EDGES, (9, 3))
+    assert_subset_bytes(lam, np.flatnonzero(np.arange(lam.size) % 2), seed=123)
+
+
+def test_index_subset_keeps_the_shape_of_its_values():
+    lam = mixed_raster((8, 9), seed=1)
+    idx = np.arange(12).reshape(3, 4) * 5
+    got = kernels.sample_sensor_noise(lam.reshape(-1)[idx], 24.0, 13500.0, 3, at=idx)
+    want = kernels.sample_sensor_noise(lam, 24.0, 13500.0, 3).reshape(-1)[idx]
+    assert got.shape == (3, 4) and got.tobytes() == want.tobytes()
+
+
+def test_index_count_must_match_values():
+    with pytest.raises(ValueError, match="pixel indices"):
+        kernels.sample_sensor_noise(np.ones(4), 1.0, 100.0, 0, at=np.arange(3))
