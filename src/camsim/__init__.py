@@ -1,8 +1,9 @@
 """camsim: end-to-end camera simulation with detection-metric evaluation.
 
-Pipeline: spectral scene -> lens/PSF -> CMOS sensor -> exposure control /
-HDR bracketing -> ISP -> ground-truth annotation -> (proxy) detection ->
-AP-vs-distance and OD50 metrics.
+Pipeline: spectral scene -> `optical_image` (lens, PSF, channel QE) ->
+`acquire` (pixel sampling, exposure control / HDR bracketing, noise, ADC) ->
+ISP -> ground-truth annotation -> (proxy) detection -> AP-vs-distance and
+OD50 metrics.
 """
 
 __version__ = "0.1.0"
@@ -15,15 +16,13 @@ from .scene import (  # noqa: F401
     Scene, SceneSpec, SceneMeta, TargetSpec, Region,
     synthesize, edge_case_scene, scene_statistics, save_scene, load_scene,
 )
-from .optics import LensSpec, IrradianceCube, radiance_to_irradiance, apply_psf  # noqa: F401
+from .optics import LensSpec, OpticalImage, optical_image  # noqa: F401
 from .sensor import (  # noqa: F401
-    PixelSpec, SensorSpec, CFA, RGGB, MONO, RCCC, RawFrame,
-    derive_geometry, integrate, apply_noise, adc, dynamic_range_db,
-    dn_to_electrons, capture,
+    PixelSpec, SensorSpec, CFA, RGGB, MONO, RCCC, RawFrame, derive_geometry,
+    expected_rate, expose, apply_noise, adc, dynamic_range_db, dn_to_electrons,
 )
 from .exposure import (  # noqa: F401
-    ExposurePlan, HDRFrame, center_weighted_duration, bracketed_capture,
-    hdr_combine, effective_dynamic_range,
+    ExposurePlan, HDRFrame, Acquisition, acquire, hdr_combine, effective_dynamic_range,
 )
 from .isp import (  # noqa: F401
     RGBImage, GammaSpec, demosaic_bilinear, color_correct, apply_gamma,

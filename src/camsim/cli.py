@@ -23,7 +23,7 @@ import numpy as np
 from . import evalmetrics as ev
 from .annotation import LabelPolicy, apply_policy, export_dataset, project_truth
 from .config import ConfigError, from_config
-from .detector import DetectorConfig, import_detections, proxy_detect
+from .detector import DetectorConfig, detectability, import_detections, proxy_detect
 from .exposure import ExposurePlan, acquire
 from .isp import IspConfig, render, write_ppm
 from .optics import LensSpec, OpticalImage, mean_illuminance_lux, optical_image
@@ -73,6 +73,11 @@ class RunConfig:
     target_lux: float | None = None
     save_images: bool = False
     plot: bool = False
+
+    def __post_init__(self):
+        lux = self.target_lux
+        if lux is not None and not (type(lux) in (int, float) and 0 < lux < float("inf")):
+            raise ValueError(f"target_lux must be a positive number, got {lux!r}")
 
     @staticmethod
     def from_file(path, seed_override: int | None = None) -> "RunConfig":
@@ -257,20 +262,29 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
+def _exit_code(summaries: list) -> int:
+    """A run or sweep fails when any of its variants lost a scene."""
+    return EXIT_OK if all(s["n_errors"] == 0 for s in summaries) else EXIT_RUNTIME
+
+
 def cmd_run(args) -> int:
     cfg = RunConfig.from_file(args.config, args.seed)
-    summary = run_pipeline(cfg)[0]
-    print(json.dumps(summary, indent=1))
-    return EXIT_OK if summary["n_errors"] == 0 else EXIT_RUNTIME
+    summaries = run_pipeline(cfg)
+    print(json.dumps(summaries[0], indent=1))
+    return _exit_code(summaries)
 
 
 def cmd_sweep_pixel(args) -> int:
     cfg = RunConfig.from_file(args.config, args.seed)
     sizes = args.sizes or [1.5, 3.0, 6.0]
-    variants = [replace(cfg, sensor=cfg.sensor.with_pixel_size(size),
-                        output_dir=cfg.output_dir / f"pixel_{size:g}um") for size in sizes]
+    try:
+        variants = [replace(cfg, sensor=cfg.sensor.with_pixel_size(size),
+                            output_dir=cfg.output_dir / f"pixel_{size:g}um") for size in sizes]
+    except ValueError as e:
+        raise ConfigError(f"--sizes: {e}") from e
+    summaries = run_pipeline(cfg, variants)
     rows_out = []
-    for size, v, summary in zip(sizes, variants, run_pipeline(cfg, variants)):
+    for size, v, summary in zip(sizes, variants, summaries):
         # the captured frame size, which the scene bounds as well as the dye
         # (the largest frame when the scenes differ in size)
         images = json.loads((v.output_dir / "dataset.json").read_text())["images"]
@@ -283,12 +297,16 @@ def cmd_sweep_pixel(args) -> int:
         w.writerow(["pixel_size_um", "rows", "cols", "ap_overall", "od50_m"])
         w.writerows(rows_out)
     print(f"wrote {cfg.output_dir / 'sweep_pixel.csv'}")
-    return EXIT_OK
+    return _exit_code(summaries)
 
 
 def cmd_sweep_exposure(args) -> int:
     cfg = RunConfig.from_file(args.config, args.seed)
     lux_levels = args.lux or [10.0, 500.0]
+    try:
+        bases = [replace(cfg, target_lux=lux) for lux in lux_levels]
+    except ValueError as e:
+        raise ConfigError(f"--lux: {e}") from e
     plans = {
         "fixed_12ms": ExposurePlan("fixed", t_s=12e-3),
         "fixed_0.12ms": ExposurePlan("fixed", t_s=0.12e-3),
@@ -297,12 +315,13 @@ def cmd_sweep_exposure(args) -> int:
         "bracketed": ExposurePlan("bracketed"),
     }
     rows_out = []
+    summaries = []
     cw_durations: dict = {}
-    for lux in lux_levels:
-        base = replace(cfg, target_lux=lux)
+    for lux, base in zip(lux_levels, bases):
         variants = [replace(base, exposure=plan, output_dir=cfg.output_dir / f"lux{lux:g}_{name}")
                     for name, plan in plans.items()]
         for name, v, summary in zip(plans, variants, run_pipeline(base, variants)):
+            summaries.append(summary)
             rows_out.append([lux, name, summary["ap_overall"],
                              summary["od50_m"] if not summary["od50_beyond_range"]
                              else "beyond-range"])
@@ -323,7 +342,7 @@ def cmd_sweep_exposure(args) -> int:
             for i, c in enumerate(hist):
                 w.writerow([lux, f"{edges[i]:.6g}", f"{edges[i + 1]:.6g}", int(c)])
     print(f"wrote {cfg.output_dir / 'sweep_exposure.csv'}")
-    return EXIT_OK
+    return _exit_code(summaries)
 
 
 def cmd_edge_case(args) -> int:
@@ -338,8 +357,6 @@ def cmd_edge_case(args) -> int:
 def edge_case_report(cfg: RunConfig) -> dict:
     """Run the fixed edge-case scene under center-weighted and bracketed
     exposure; report per-target detectability and detection outcome."""
-    from .detector import detectability
-
     sc = edge_case_scene()
     image = optical_image(sc, cfg.lens, cfg.sensor)
     report = {"algorithms": {}}
@@ -443,10 +460,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
-    except FileNotFoundError as e:
+    except (ConfigError, FileNotFoundError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
     except Exception as e:

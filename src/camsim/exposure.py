@@ -8,10 +8,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .optics import LensSpec, OpticalImage, optical_image
+from .optics import OpticalImage
 from .optics import radiance_to_irradiance  # noqa: F401  (perfbench/selftest.py wraps this binding)
 from .rng import stream_key
-from .scene import Scene
 from .sensor import (RawFrame, SensorGeometry, SensorSpec, dn_to_electrons, expected_rate,
                      expose, sensor_geometry)
 
@@ -104,26 +103,8 @@ def metered_duration(rate: np.ndarray, sensor: SensorSpec, plan: ExposurePlan) -
     return min(plan.cap_s, plan.target_fraction * sensor.effective_well_e() / stat)
 
 
-def center_weighted_duration(sc: Scene, lens: LensSpec, sensor: SensorSpec,
-                             plan: ExposurePlan) -> float:
-    """The metered duration of a center-weighted plan for one scene."""
-    if plan.mode != "center_weighted":
-        raise ValueError("plan mode must be center_weighted")
-    return metered_duration(expected_rate(optical_image(sc, lens, sensor), sensor),
-                            sensor, plan)
-
-
 def _bracket_seed(seed: int, i: int) -> int:
     return int(stream_key(seed, 7, i))
-
-
-def bracketed_capture(sc: Scene, lens: LensSpec, sensor: SensorSpec,
-                      durations_s, seed: int, noise: bool = True) -> list:
-    """One full capture per duration with independent noise streams keyed by
-    (seed, bracket index)."""
-    rate = expected_rate(optical_image(sc, lens, sensor), sensor)
-    return [expose(rate, sensor, t, _bracket_seed(seed, i), noise)
-            for i, t in enumerate(durations_s)]
 
 
 def hdr_combine(frames: list) -> HDRFrame:

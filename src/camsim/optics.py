@@ -118,11 +118,3 @@ def radiance_to_irradiance(scene: Scene, lens: LensSpec) -> IrradianceCube:
     return IrradianceCube(cube, scene.grid, scene.grid_pitch_um,
                           mean_illuminance_lux(scene, lens))
 
-
-def apply_psf(cube: IrradianceCube, lens: LensSpec) -> IrradianceCube:
-    """The PSF blur of every band of a spectral cube; the cube itself when
-    the blur is skipped."""
-    out = psf_blur(cube.values, cube.pitch_um, lens)
-    if out is cube.values:
-        return cube
-    return IrradianceCube(out, cube.grid, cube.pitch_um, cube.mean_illuminance_lux)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import random
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -108,10 +108,8 @@ class Scene:
 
     def scaled(self, k: float) -> "Scene":
         """Same scene with radiance (and meta luminance) scaled by k."""
-        meta = SceneMeta(self.meta.mean_luminance * k, self.meta.dynamic_range_log10,
-                         self.meta.description, self.meta.seed, self.meta.warnings)
-        return Scene(self.radiance * np.float32(k), self.grid, self.grid_pitch_um,
-                     self.depth, self.instances, self.classes, meta, self.spec_echo)
+        return replace(self, radiance=self.radiance * np.float32(k),
+                       meta=replace(self.meta, mean_luminance=self.meta.mean_luminance * k))
 
 
 def _reflectance_values(refl, grid: WavelengthGrid) -> np.ndarray:
@@ -200,11 +198,7 @@ def synthesize(spec: SceneSpec) -> Scene:
     scene = Scene(cube, grid, spec.grid_pitch_um, depth, instances, classes,
                   SceneMeta(0.0, 0.0, spec.description, spec.seed, tuple(warnings)),
                   spec_echo=to_config(spec))
-    stats = scene_statistics(scene)
-    meta = SceneMeta(stats.mean_luminance, stats.dynamic_range_log10,
-                     spec.description, spec.seed, tuple(warnings))
-    return Scene(cube, grid, spec.grid_pitch_um, depth, instances, classes, meta,
-                 scene.spec_echo)
+    return replace(scene, meta=scene_statistics(scene))
 
 
 def luminance_map(scene: Scene) -> np.ndarray:
@@ -222,8 +216,7 @@ def scene_statistics(scene: Scene) -> SceneMeta:
         lo = float(pos.min()) if pos.size else 1.0
         hi = max(hi, lo)
     dr = float(np.log10(hi / lo)) if hi > 0 else 0.0
-    return SceneMeta(mean, dr, scene.meta.description, scene.meta.seed,
-                     scene.meta.warnings)
+    return replace(scene.meta, mean_luminance=mean, dynamic_range_log10=dr)
 
 
 def edge_case_scene() -> Scene:

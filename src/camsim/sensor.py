@@ -10,10 +10,9 @@ from pathlib import Path
 import numpy as np
 
 from . import kernels
-from .optics import IrradianceCube, LensSpec, OpticalImage, channel_weights, optical_image
+from .optics import OpticalImage
 from .optics import radiance_to_irradiance  # noqa: F401  (perfbench/selftest.py wraps this binding)
-from .scene import Scene
-from .spectral import DIMENSIONLESS, DEFAULT_GRID, Spectrum, WavelengthGrid, project_bands
+from .spectral import DIMENSIONLESS, DEFAULT_GRID, Spectrum, WavelengthGrid
 
 REFERENCE_PIXEL_UM = 3.0  # well capacity is quoted at this pitch
 
@@ -30,7 +29,7 @@ class PixelSpec:
 
     def __post_init__(self):
         if not 1.0 <= self.size_um <= 10.0:
-            raise ValueError("pixel size must be in [1, 10] µm")
+            raise ValueError(f"pixel size must be in [1, 10] µm, got {self.size_um}")
         if not self.well_capacity_e > self.read_noise_e > 0:
             raise ValueError("need well_capacity_e > read_noise_e > 0")
         if not 0 < self.fill_factor <= 1:
@@ -204,14 +203,6 @@ def expected_rate(image: OpticalImage, sensor: SensorSpec) -> np.ndarray:
     return binned * ((sensor.pixel.size_um * 1e-6) ** 2 * sensor.pixel.fill_factor)
 
 
-def integrate(cube: IrradianceCube, sensor: SensorSpec, exposure_s: float) -> np.ndarray:
-    """Expected photoelectrons per sensor pixel from a spectral irradiance
-    cube: its projection onto the channel QE curves, binned as `expected_rate`."""
-    image = OpticalImage(project_bands(cube.values, channel_weights(sensor, cube.grid)),
-                         sensor.cfa.channels, cube.pitch_um)
-    return expected_rate(image, sensor) * exposure_s
-
-
 def apply_noise(expected_e: np.ndarray, sensor: SensorSpec, exposure_s: float,
                 seed: int, at=None) -> np.ndarray:
     """Poisson shot + dark-current noise and Gaussian read noise, clamped to
@@ -248,24 +239,13 @@ def dynamic_range_db(sensor: SensorSpec) -> float:
 
 
 def expose(rate: np.ndarray, sensor: SensorSpec, exposure_s: float, seed: int,
-           noise: bool = True, at=None) -> RawFrame:
+           at=None) -> RawFrame:
     """One frame from an expected-rate raster: electrons for the duration,
-    then noise (or the well clamp) and the ADC. With `at`, `rate` holds the
-    pixels at those flat raster indices only, and the frame holds exactly
-    the values the whole raster's frame has there."""
-    e = rate * exposure_s
-    if noise:
-        e = apply_noise(e, sensor, exposure_s, seed, at)
-    else:
-        e = np.clip(e, 0.0, sensor.effective_well_e())
+    then noise and the ADC. With `at`, `rate` holds the pixels at those flat
+    raster indices only, and the frame holds exactly the values the whole
+    raster's frame has there."""
+    e = apply_noise(rate * exposure_s, sensor, exposure_s, seed, at)
     return adc(e, sensor, exposure_s, seed)
-
-
-def capture(sc: Scene, lens: LensSpec, sensor: SensorSpec, exposure_s: float,
-            seed: int, noise: bool = True) -> RawFrame:
-    """Full stage composition: optical image -> pixels -> noise -> ADC."""
-    return expose(expected_rate(optical_image(sc, lens, sensor), sensor), sensor,
-                  exposure_s, seed, noise)
 
 
 def _rle_encode(mask: np.ndarray) -> list:

@@ -1,0 +1,19 @@
+"""Frames built from an expected-rate raster the way `acquire` builds them,
+for tests that need every bracket in full or a frame without noise."""
+
+import numpy as np
+
+from camsim.exposure import _bracket_seed
+from camsim.sensor import adc, expose
+
+
+def brackets(rate, sensor, durations_s, seed) -> list:
+    """One full noisy frame per duration, each with the noise stream
+    `acquire` gives that bracket."""
+    return [expose(rate, sensor, t, _bracket_seed(seed, i)) for i, t in enumerate(durations_s)]
+
+
+def noise_free(rate, sensor, exposure_s):
+    """The frame of `rate` exposed for `exposure_s` with no shot, dark or
+    read noise: electrons clamped to the well, then the ADC."""
+    return adc(np.clip(rate * exposure_s, 0.0, sensor.effective_well_e()), sensor, exposure_s)

@@ -13,18 +13,18 @@ from camsim import evalmetrics as ev
 from camsim.annotation import LabelPolicy, apply_policy, project_truth
 from camsim.cli import main as cli_main
 from camsim.detector import ProxyDetectorConfig, detectability, proxy_detect
-from camsim.exposure import (DEFAULT_BRACKET_S, DEFAULT_CAP_S, ExposurePlan,
-                             bracketed_capture, center_weighted_duration,
-                             effective_dynamic_range, hdr_combine,
+from camsim.exposure import (DEFAULT_BRACKET_S, DEFAULT_CAP_S, ExposurePlan, acquire,
+                             effective_dynamic_range, hdr_combine, metered_duration,
                              metering_window)
 from camsim.isp import (GammaSpec, IspConfig, RGBImage, TAG_LINEAR_SRGB, apply_gamma,
                         demosaic_bilinear, render)
-from camsim.optics import IrradianceCube, LensSpec, apply_psf, radiance_to_irradiance
+from camsim.optics import LensSpec, optical_image, psf_blur
 from camsim.scene import (Region, SceneSpec, TargetSpec, edge_case_scene,
                           synthesize)
-from camsim.sensor import (RawFrame, SensorSpec, capture, derive_geometry,
-                           dynamic_range_db, integrate, apply_noise, sensor_geometry)
+from camsim.sensor import (RawFrame, SensorSpec, derive_geometry, dynamic_range_db,
+                           expected_rate)
 from camsim.spectral import WavelengthGrid
+from frames import noise_free
 
 GRID11 = WavelengthGrid(400.0, 30.0, 11)
 LENS = LensSpec()
@@ -56,10 +56,11 @@ def test_criterion_03_sensor_linearity():
     durations = np.geomspace(12e-6, 12e-3, 10)
     means = []
     with pytest.warns(UserWarning):
-        for t in durations:
-            frame = capture(sc, LENS, sensor, float(t), seed=0, noise=False)
-            means.append(frame.dn.mean())
-            assert not frame.saturated.any()
+        rate = expected_rate(optical_image(sc, LENS, sensor), sensor)
+    for t in durations:
+        frame = noise_free(rate, sensor, float(t))
+        means.append(frame.dn.mean())
+        assert not frame.saturated.any()
     means = np.array(means)
     slope, intercept = np.polyfit(durations, means, 1)
     fitted = slope * durations + intercept
@@ -82,8 +83,7 @@ def test_criterion_05_psf():
     pitch = 0.375
     values = np.zeros((129, 129, 1))
     values[64, 64, 0] = 1.0
-    cube = IrradianceCube(values, WavelengthGrid(550.0, 1.0, 1), pitch, 0.0)
-    out = apply_psf(cube, LensSpec(psf_fwhm_um=1.5)).values[:, :, 0]
+    out = psf_blur(values, pitch, LensSpec(psf_fwhm_um=1.5))[:, :, 0]
     profile = out[64, :]
     half = profile.max() / 2.0
     above = np.nonzero(profile >= half)[0]
@@ -103,11 +103,8 @@ def test_criterion_06_hdr_combine():
         shadows=(Region((48, 48, 64, 64), 0.02),)))  # 2.5e4 intra-scene range
     sensor = SensorSpec(dye_width_mm=0.192, dye_height_mm=0.192)
     with pytest.warns(UserWarning):
-        frames = bracketed_capture(sc, LENS, sensor, DEFAULT_BRACKET_S, seed=0,
-                                   noise=False)
-        hdr = hdr_combine(frames)
-        true_rate = integrate(apply_psf(radiance_to_irradiance(sc, LENS), LENS),
-                              sensor, 1.0)
+        true_rate = expected_rate(optical_image(sc, LENS, sensor), sensor)
+    hdr = hdr_combine([noise_free(true_rate, sensor, t) for t in DEFAULT_BRACKET_S])
     step_e = sensor.effective_well_e() / sensor.max_code()
     bound = step_e / np.array(DEFAULT_BRACKET_S)[hdr.chosen] + 1e-9
     err = np.abs(hdr.rate_e_per_s - true_rate)
@@ -125,10 +122,10 @@ def test_criterion_07_auto_exposure_cap():
     sensor = SensorSpec(dye_width_mm=0.192, dye_height_mm=0.192)
     plan = ExposurePlan("center_weighted")
     with pytest.warns(UserWarning):
-        t_dark = center_weighted_duration(base.scaled(0.01), LENS, sensor, plan)
-        t_bright = center_weighted_duration(base.scaled(100.0), LENS, sensor, plan)
-        rate = integrate(apply_psf(radiance_to_irradiance(
-            base.scaled(100.0), LENS), LENS), sensor, 1.0)
+        dark = expected_rate(optical_image(base.scaled(0.01), LENS, sensor), sensor)
+        rate = expected_rate(optical_image(base.scaled(100.0), LENS, sensor), sensor)
+    t_dark = metered_duration(dark, sensor, plan)
+    t_bright = metered_duration(rate, sensor, plan)
     y0, x0, y1, x1 = metering_window(*rate.shape, plan.window_fraction)
     frac = rate[y0:y1, x0:x1].max() * t_bright / sensor.effective_well_e()
     ok = t_dark == DEFAULT_CAP_S and t_bright < 0.5e-3 and abs(frac - 0.9) <= 0.01
@@ -143,7 +140,8 @@ def test_criterion_08_adaptive_gamma():
                                                   reflectance=0.1),)))
     sensor = SensorSpec(dye_width_mm=0.192, dye_height_mm=0.192)
     with pytest.warns(UserWarning):
-        frame = capture(sc, LENS, sensor, 5e-3, seed=1)
+        frame = acquire(optical_image(sc, LENS, sensor), sensor,
+                        ExposurePlan("fixed", t_s=5e-3), seed=1).source
     linear = render(frame, IspConfig(stages=("demosaic", "color")))
     out = apply_gamma(linear, GammaSpec(mode="adaptive", target=0.2))
     m = float(linear.values.mean())
@@ -224,11 +222,12 @@ def test_criterion_12_end_to_end_pixel_sweep():
     pools = {p: ([], []) for p in sizes}  # gts, dets
     for seed in range(20):
         sc = synthesize(replace(spec0, seed=100 + seed))
+        image = optical_image(sc, LENS, base)  # one projection serves every size
         for p in sizes:
-            frame = capture(sc, LENS, sensors[p], 12e-3, seed=7000 + seed)
-            img = render(frame)
-            geometry = sensor_geometry(sc.instances.shape, sc.grid_pitch_um, sensors[p])
-            boxes = apply_policy(project_truth(sc, geometry), policy)
+            acq = acquire(image, sensors[p], ExposurePlan("fixed", t_s=12e-3),
+                          seed=7000 + seed)
+            img = render(acq.source)
+            boxes = apply_policy(project_truth(sc, acq.geometry), policy)
             sid = f"s{seed}"
             gts, dets = pools[p]
             gts.extend(ev.as_gt(sid, b) for b in boxes)
@@ -254,20 +253,12 @@ def test_criterion_13_edge_case():
     seed = 2  # fixed acceptance seed
     sc = edge_case_scene()
     sensor = SensorSpec()
-    plan = ExposurePlan("center_weighted")
+    image = optical_image(sc, LENS, sensor)
     results = {}
     for name in ("center_weighted", "bracketed"):
-        if name == "bracketed":
-            frames = bracketed_capture(sc, LENS, sensor, DEFAULT_BRACKET_S, seed)
-            source = hdr_combine(frames)
-            shape = frames[0].dn.shape
-        else:
-            t = center_weighted_duration(sc, LENS, sensor, plan)
-            source = capture(sc, LENS, sensor, t, seed)
-            shape = source.dn.shape
-        img = render(source)
-        geometry = sensor_geometry(sc.instances.shape, sc.grid_pitch_um, sensor)
-        boxes = apply_policy(project_truth(sc, geometry), LabelPolicy())
+        acq = acquire(image, sensor, ExposurePlan(name), seed)
+        img = render(acq.source)
+        boxes = apply_policy(project_truth(sc, acq.geometry), LabelPolicy())
         shadow = next(b for b in boxes if b.instance_id == 2)
         cfg = ProxyDetectorConfig(seed=seed)
         dets = proxy_detect(img, boxes, cfg, image_id=name)

@@ -107,12 +107,15 @@ def scenes(**spec):
     ({"sensor": {"dye_width_mm": 0.384, "dye_height_mm": 0.384, "cfa": "XYZ"}}, "sensor.cfa: "),
     ({"lens": {"transmission": {"start_nm": 400.0, "step_nm": 30.0, "count": 11,
                                 "values": [0.9] * 11}}}, "lens.transmission.unit"),
+    ({"target_lux": -5}, "target_lux"),
+    ({"target_lux": 0}, "target_lux"),
+    ({"target_lux": "abc"}, "target_lux"),
 ], ids=["top", "lens", "exposure", "policy", "sensor.pixel", "detector.proxy",
         "scenes", "scenes.spec", "scenes.spec.grid", "scenes.spec.targets",
         "scenes.spec.shadows", "scenes.spec.seed", "scenes.path=synth", "scenes.count=dir",
         "scenes.spec=dir", "isp", "isp.gamma", "exposure.mode",
         "isp.gamma.mode=bogus", "isp.stages=sharpen", "scenes.count=two", "sensor.cfa=XYZ",
-        "spectrum-without-unit"])
+        "spectrum-without-unit", "target_lux=-5", "target_lux=0", "target_lux=abc"])
 def test_run_unknown_key_names_dotted_path(tmp_path, capsys, overrides, dotted):
     path = run_config(tmp_path, **overrides)
     assert main(["run", str(path)]) == EXIT_CONFIG
@@ -249,6 +252,34 @@ def test_sweep_pixel_reports_the_captured_geometry(tmp_path):
     images = json.loads((out / "pixel_3um" / "dataset.json").read_text())["images"]
     assert {(im["height"], im["width"]) for im in images} == {(128, 128)}
     assert row[:3] == ["3.0", "128", "128"]
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["sweep-pixel", "--sizes", "0.5"], "--sizes"),
+    (["sweep-pixel", "--sizes", "3", "12"], "--sizes"),
+    (["sweep-exposure", "--lux", "-5"], "--lux"),
+    (["sweep-exposure", "--lux", "10", "0"], "--lux"),
+    (["sweep-exposure", "--lux", "nan"], "--lux"),
+], ids=["sizes=0.5", "sizes=12", "lux=-5", "lux=0", "lux=nan"])
+def test_bad_sweep_flag_is_config_error(tmp_path, capsys, argv, flag):
+    path = run_config(tmp_path)
+    assert main([argv[0], str(path), *argv[1:]]) == EXIT_CONFIG
+    assert flag in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_sweep_exits_runtime_error_when_a_size_fails(tmp_path):
+    # a 2 µm pixel does not sample a 1.5 µm grid, so every scene fails at 2 µm;
+    # the sweep still writes its table, and fails as a run with lost scenes does
+    path = run_config(tmp_path, scenes={"source": "synth", "count": 2,
+                                        "spec": {**SCENE_SPEC, "grid_pitch_um": 1.5}})
+    assert main(["sweep-pixel", str(path), "--sizes", "2.0", "3.0"]) == EXIT_RUNTIME
+    out = tmp_path / "out"
+    rows = (out / "sweep_pixel.csv").read_text().splitlines()
+    assert rows[1] == "2.0,,,,beyond-range"
+    assert rows[2].startswith("3.0,")
+    assert "does not evenly divide" in (out / "pixel_2um" / "errors.log").read_text()
+    assert not (out / "pixel_3um" / "errors.log").exists()
 
 
 def test_run_continues_after_scene_error(tmp_path):

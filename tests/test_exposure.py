@@ -3,13 +3,13 @@ import pytest
 
 from camsim import kernels
 from camsim.exposure import (DEFAULT_BRACKET_S, DEFAULT_CAP_S, ExposurePlan, acquire,
-                             bracketed_capture, center_weighted_duration,
-                             effective_dynamic_range, hdr_combine,
+                             effective_dynamic_range, hdr_combine, metered_duration,
                              metering_window)
-from camsim.optics import LensSpec, apply_psf, optical_image, radiance_to_irradiance
+from camsim.optics import LensSpec, optical_image
 from camsim.scene import Region, SceneSpec, synthesize
-from camsim.sensor import SensorSpec, integrate
+from camsim.sensor import SensorSpec, expected_rate
 from camsim.spectral import WavelengthGrid
+from frames import brackets, noise_free
 
 GRID = WavelengthGrid(400.0, 30.0, 11)
 LENS = LensSpec()
@@ -20,6 +20,16 @@ def scene(**kw):
     base = dict(width=64, height=64, grid=GRID, seed=0)
     base.update(kw)
     return synthesize(SceneSpec(**base))
+
+
+def rate(sc, sensor=SENSOR):
+    """The scene's expected electrons/s per sensor pixel, as `acquire` samples it."""
+    return expected_rate(optical_image(sc, LENS, sensor), sensor)
+
+
+def noise_free_brackets(sc):
+    r = rate(sc)
+    return [noise_free(r, SENSOR, t) for t in DEFAULT_BRACKET_S]
 
 
 def test_plan_validation():
@@ -47,17 +57,17 @@ def test_metering_window_area_fraction():
 def test_center_weighted_targets_90_percent_of_well():
     sc = scene(background_luminance_cd_m2=2000.0)
     plan = ExposurePlan("center_weighted")
-    t = center_weighted_duration(sc, LENS, SENSOR, plan)
+    r = rate(sc)
+    t = metered_duration(r, SENSOR, plan)
     assert 0 < t < DEFAULT_CAP_S
-    rate = integrate(apply_psf(radiance_to_irradiance(sc, LENS), LENS), SENSOR, 1.0)
-    y0, x0, y1, x1 = metering_window(*rate.shape, plan.window_fraction)
-    peak = rate[y0:y1, x0:x1].max() * t
+    y0, x0, y1, x1 = metering_window(*r.shape, plan.window_fraction)
+    peak = r[y0:y1, x0:x1].max() * t
     assert peak == pytest.approx(0.9 * SENSOR.effective_well_e(), rel=1e-9)
 
 
 def test_center_weighted_cap_on_dark_scene():
     sc = scene().scaled(1e-4)
-    t = center_weighted_duration(sc, LENS, SENSOR, ExposurePlan("center_weighted"))
+    t = metered_duration(rate(sc), SENSOR, ExposurePlan("center_weighted"))
     assert t == DEFAULT_CAP_S
 
 
@@ -70,9 +80,9 @@ def test_center_weighted_meters_the_center_not_the_edges():
                           speculars=(Region((0, 0, 8, 8), 100.0),))
     plain = scene(background_luminance_cd_m2=2000.0)
     plan = ExposurePlan("center_weighted")
-    t_center = center_weighted_duration(bright_center, LENS, SENSOR, plan)
-    t_corner = center_weighted_duration(bright_corner, LENS, SENSOR, plan)
-    t_plain = center_weighted_duration(plain, LENS, SENSOR, plan)
+    t_center = metered_duration(rate(bright_center), SENSOR, plan)
+    t_corner = metered_duration(rate(bright_corner), SENSOR, plan)
+    t_plain = metered_duration(rate(plain), SENSOR, plan)
     assert t_center < t_plain / 50
     assert t_corner == pytest.approx(t_plain, rel=1e-12)
 
@@ -84,22 +94,22 @@ def test_p99_statistic_ignores_a_single_hot_pixel():
     sc = synthesize(SceneSpec(width=256, height=256, grid=GRID, seed=0,
                               background_luminance_cd_m2=2000.0,
                               speculars=(Region((128, 128, 129, 129), 1000.0),)))
-    t_max = center_weighted_duration(sc, LENS, big, plan_max)
-    t_p99 = center_weighted_duration(sc, LENS, big, plan_p99)
+    r = rate(sc, big)
+    t_max = metered_duration(r, big, plan_max)
+    t_p99 = metered_duration(r, big, plan_p99)
     assert t_p99 > 10 * t_max
 
 
 def test_bracketed_capture_seeds_differ_per_frame():
     sc = scene()
-    frames = bracketed_capture(sc, LENS, SENSOR, (1e-3, 1e-4), seed=5)
+    frames = brackets(rate(sc), SENSOR, (1e-3, 1e-4), seed=5)
     assert frames[0].exposure_s == 1e-3
     assert frames[0].seed != frames[1].seed
 
 
 def test_hdr_combine_prefers_longest_unsaturated():
     sc = scene(speculars=(Region((0, 0, 16, 16), 1000.0),))
-    frames = bracketed_capture(sc, LENS, SENSOR, DEFAULT_BRACKET_S, seed=1,
-                               noise=False)
+    frames = noise_free_brackets(sc)
     hdr = hdr_combine(frames)
     assert hdr.valid.all()
     assert hdr.chosen[40, 40] == 0          # dim background: longest frame
@@ -109,11 +119,8 @@ def test_hdr_combine_prefers_longest_unsaturated():
 def test_hdr_combine_noise_free_quantization_bound():
     sc = scene(speculars=(Region((0, 0, 16, 16), 500.0),),
                shadows=(Region((48, 48, 64, 64), 0.01),))
-    frames = bracketed_capture(sc, LENS, SENSOR, DEFAULT_BRACKET_S, seed=0,
-                               noise=False)
-    hdr = hdr_combine(frames)
-    true_rate = integrate(
-        apply_psf(radiance_to_irradiance(sc, LENS), LENS), SENSOR, 1.0)
+    true_rate = rate(sc)
+    hdr = hdr_combine([noise_free(true_rate, SENSOR, t) for t in DEFAULT_BRACKET_S])
     step_e = SENSOR.effective_well_e() / SENSOR.max_code()
     t_chosen = np.array(DEFAULT_BRACKET_S)[hdr.chosen]
     bound = step_e / t_chosen + 1e-9
@@ -123,8 +130,7 @@ def test_hdr_combine_noise_free_quantization_bound():
 
 def test_hdr_combine_flags_fully_saturated_pixels():
     sc = scene(speculars=(Region((0, 0, 8, 8), 1e9),))
-    frames = bracketed_capture(sc, LENS, SENSOR, DEFAULT_BRACKET_S, seed=0,
-                               noise=False)
+    frames = noise_free_brackets(sc)
     hdr = hdr_combine(frames)
     assert not hdr.valid[2, 2]
     assert hdr.valid[40, 40]
@@ -132,7 +138,7 @@ def test_hdr_combine_flags_fully_saturated_pixels():
 
 def test_hdr_combine_validates_input():
     sc = scene()
-    frames = bracketed_capture(sc, LENS, SENSOR, (1e-3, 1e-4), seed=0)
+    frames = brackets(rate(sc), SENSOR, (1e-3, 1e-4), seed=0)
     with pytest.raises(ValueError, match="decreasing"):
         hdr_combine(frames[::-1])
     with pytest.raises(ValueError, match="no frames"):
@@ -156,10 +162,11 @@ def test_lazy_brackets_equal_full_brackets_fused(monkeypatch):
         return sample(expected_e, *args, **kwargs)
 
     monkeypatch.setattr(kernels, "sample_sensor_noise", counting)
-    hdr = acquire(optical_image(sc, LENS, sensor), sensor,
-                  ExposurePlan("bracketed"), seed=11).source
+    image = optical_image(sc, LENS, sensor)
+    hdr = acquire(image, sensor, ExposurePlan("bracketed"), seed=11).source
     lazy_sampled = sum(sampled)
-    full = hdr_combine(bracketed_capture(sc, LENS, sensor, DEFAULT_BRACKET_S, seed=11))
+    full = hdr_combine(brackets(expected_rate(image, sensor), sensor, DEFAULT_BRACKET_S,
+                                seed=11))
 
     for name in ("rate_e_per_s", "valid", "chosen"):
         got, want = getattr(hdr, name), getattr(full, name)

@@ -8,12 +8,13 @@ import numpy as np
 import pytest
 from scipy import ndimage
 
-from camsim.exposure import ExposurePlan, acquire, bracketed_capture, hdr_combine
+from camsim.exposure import ExposurePlan, acquire, hdr_combine
 from camsim.optics import FWHM_TO_SIGMA, LensSpec, optical_image
 from camsim.scene import Scene, SceneMeta
 from camsim.sensor import (MONO, RCCC, RGGB, PixelSpec, SensorSpec, derive_geometry,
                            expected_rate)
 from camsim.spectral import DIMENSIONLESS, Spectrum, WavelengthGrid, resample
+from frames import brackets
 
 GRID = WavelengthGrid(400.0, 30.0, 11)
 CFAS = {"RGGB": RGGB, "MONO": MONO, "RCCC": RCCC}
@@ -94,13 +95,14 @@ def test_acquire_matches_spectral_reference():
 
 
 @pytest.mark.parametrize("cfa", sorted(CFAS))
-@pytest.mark.parametrize("psf_fwhm_um", [0.0, 1.5])
-def test_flat_field_analytic_oracle(cfa, psf_fwhm_um):
+@pytest.mark.parametrize("psf_fwhm_um, pitch_um", [(0.0, 0.75), (1.5, 0.75), (0.0, 3.0)],
+                         ids=["0.0", "1.5", "0.0-pitch3"])  # pitch 3: one grid cell a pixel
+def test_flat_field_analytic_oracle(cfa, psf_fwhm_um, pitch_um):
     """A uniform, spectrally flat radiance L gives
     π·L·T/(1+4N²)·ΣQE·Δλ·A_pix·ff·t electrons in every pixel of a channel."""
     big_l = float(np.float32(3e15))  # scenes store radiance as float32
     big_t, n, ff, t = 0.8, 2.8, 0.6, 4e-3
-    sc = make_scene(np.full((96, 96, GRID.count), big_l), 0.75)
+    sc = make_scene(np.full((96, 96, GRID.count), big_l), pitch_um)
     lens = LensSpec(f_number=n, transmission=big_t, psf_fwhm_um=psf_fwhm_um)
     sensor = SensorSpec(PixelSpec(size_um=3.0, fill_factor=ff), dye_width_mm=0.072,
                         dye_height_mm=0.072, cfa=CFAS[cfa])
@@ -131,7 +133,7 @@ def test_metering_and_brackets_share_one_rate():
     plan = ExposurePlan("bracketed")
     br = acquire(image, sensor, plan, seed=3)
     assert br.duration_s == plan.durations_s[0]
-    hdr = hdr_combine(bracketed_capture(sc, lens, sensor, plan.durations_s, seed=3))
+    hdr = hdr_combine(brackets(cw.rate_e_per_s, sensor, plan.durations_s, seed=3))
     assert br.source.durations_s == hdr.durations_s
     for field in ("rate_e_per_s", "valid", "chosen"):
         assert np.array_equal(getattr(br.source, field), getattr(hdr, field)), field
