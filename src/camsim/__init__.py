@@ -26,7 +26,7 @@ from .exposure import (  # noqa: F401
 )
 from .isp import (  # noqa: F401
     RGBImage, GammaSpec, demosaic_bilinear, color_correct, apply_gamma,
-    raw_passthrough, render, fit_color_matrix, write_ppm, write_pfm,
+    raw_passthrough, render, fit_color_matrix, write_ppm,
 )
 from .annotation import (  # noqa: F401
     GroundTruthBox, LabelPolicy, project_truth, apply_policy, export_dataset,

@@ -143,7 +143,3 @@ def export_dataset(images: list, truths: dict, path, seed: int = 0,
     path.write_text(json.dumps(doc, indent=1))
     return {"path": str(path), "n_images": n, "n_annotations": len(annotations),
             "splits": {k: len(v) for k, v in splits.items()}}
-
-
-def import_dataset(path) -> dict:
-    return json.loads(Path(path).read_text())

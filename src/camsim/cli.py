@@ -31,7 +31,7 @@ from .optics import radiance_to_irradiance  # noqa: F401  (perfbench/selftest.py
 from .plotting import curve_svg
 from .rng import stream_key
 from .scene import Scene, SceneSpec, edge_case_scene, load_scene, save_scene, synthesize
-from .sensor import SensorSpec
+from .sensor import SensorSpec, sensor_geometry
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -54,7 +54,7 @@ class ScenesConfig:
             raise ValueError("source must be 'synth' or 'dir'")
         if self.source == "dir" and not (self.path and Path(self.path).is_dir()):
             raise ValueError(f"scene directory not found: {self.path}")
-        if type(self.count) is not int or self.count < 0:
+        if self.count < 0:
             raise ValueError(f"count must be a non-negative integer, got {self.count!r}")
 
 
@@ -76,8 +76,14 @@ class RunConfig:
 
     def __post_init__(self):
         lux = self.target_lux
-        if lux is not None and not (type(lux) in (int, float) and 0 < lux < float("inf")):
+        if lux is not None and not 0 < lux < float("inf"):
             raise ValueError(f"target_lux must be a positive number, got {lux!r}")
+        if self.scenes.source == "synth":
+            spec = self.scenes.spec
+            try:
+                sensor_geometry((spec.height, spec.width), spec.grid_pitch_um, self.sensor)
+            except ValueError as e:
+                raise ValueError(f"the sensor cannot sample scenes.spec: {e}") from e
 
     @staticmethod
     def from_file(path, seed_override: int | None = None) -> "RunConfig":
@@ -371,7 +377,7 @@ def edge_case_report(cfg: RunConfig) -> dict:
         targets = {}
         for b in boxes:
             d = detectability(rendered.values, b, pconf.min_pixels, pconf.snr_scale)
-            hit = any(ev.iou(det, b) >= 0.5 for det in dets)
+            hit = any(ev.iou(det, b) >= ev.IOU_THRESHOLD for det in dets)
             targets[str(b.instance_id)] = {
                 "class": b.class_name, "distance_m": b.distance_m,
                 "dprime": d, "detected": hit,

@@ -6,14 +6,16 @@ keys, defaults and checks. Field metadata says what is special about a key:
 cannot be set from a config), ``"keys"`` overrides the ``"key"`` of the
 fields of a nested section, ``"parse"`` turns the JSON value into the
 field value, and ``"when": (key, value)`` reads the key only in a section
-whose ``key`` is ``value``. Nested dataclasses and ``tuple[X, ...]`` of them
-are nested sections, a JSON object where a Spectrum is allowed is a
-Spectrum, and lists become tuples.
+whose ``key`` is ``value``. A field hinted bool, int, float or str (or one of
+them | None) and without ``"parse"`` must hold that JSON type. Nested
+dataclasses and ``tuple[X, ...]`` of them are nested sections, a JSON
+object where a Spectrum is allowed is a Spectrum, and lists become tuples.
 """
 
 from __future__ import annotations
 
 import json
+import types
 import typing
 from dataclasses import MISSING, fields, is_dataclass
 
@@ -41,6 +43,23 @@ def _keys(cls, keys: dict | None) -> dict:
 
 def _is_section(hint) -> bool:
     return isinstance(hint, type) and is_dataclass(hint)
+
+
+_SCALARS = {bool: "a boolean", int: "an integer", float: "a number", str: "a string"}
+
+
+def _scalar_error(value, hint) -> str | None:
+    """Why `value` is not the JSON scalar a field hinted bool, int, float or
+    str (or one of them | None) holds; None when it is, or for other hints."""
+    options = typing.get_args(hint) if isinstance(hint, types.UnionType) else (hint,)
+    kinds = [t for t in options if t is not type(None)]
+    if len(kinds) != 1 or kinds[0] not in _SCALARS or (value is None and type(None) in options):
+        return None
+    kind = kinds[0]
+    accepted = (int, float) if kind is float else kind
+    if isinstance(value, accepted) and (kind is bool or not isinstance(value, bool)):
+        return None
+    return f"must be {_SCALARS[kind]}, got {value!r}"
 
 
 def _frozen(value):
@@ -89,6 +108,9 @@ def from_config(cls, section, path: str = "", keys: dict | None = None):
     kwargs = {}
     for key, f in known.items():
         if key in section:
+            error = None if "parse" in f.metadata else _scalar_error(section[key], hints[f.name])
+            if error:
+                raise ConfigError(f"{path or 'config'}: {key} {error}")
             kwargs[f.name] = _value(section[key], hints[f.name], f, _join(path, key))
         elif f.default is MISSING and f.default_factory is MISSING:
             raise ConfigError(f"config missing key: {_join(path, key)}")

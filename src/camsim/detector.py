@@ -71,8 +71,7 @@ def detectability(image_values: np.ndarray, box, min_pixels: int,
     x1, y1 = min(w, x1), min(h, y1)
     if x1 <= x0 or y1 <= y0:
         return 0.0
-    pixel_count = getattr(box, "pixel_count", (x1 - x0) * (y1 - y0))
-    if pixel_count < min_pixels:
+    if box.pixel_count < min_pixels:
         return 0.0
     inside = luma[y0:y1, x0:x1]
     margin = max(2, (x1 - x0) // 2, (y1 - y0) // 2)
@@ -84,7 +83,7 @@ def detectability(image_values: np.ndarray, box, min_pixels: int,
     if ring.size < 8:
         return 0.0
     contrast = abs(float(inside.mean()) - float(ring.mean())) / (float(ring.std()) + 1e-6)
-    return snr_scale * math.sqrt(pixel_count) * contrast
+    return snr_scale * math.sqrt(box.pixel_count) * contrast
 
 
 def proxy_detect(image, truths: list, config: ProxyDetectorConfig,
@@ -101,13 +100,12 @@ def proxy_detect(image, truths: list, config: ProxyDetectorConfig,
         if dprime <= 0.0:
             continue
         prob = _phi(dprime - 1.0)
-        inst = getattr(box, "instance_id", 0)
-        u = uniforms(stream_key(config.seed, _LANE_DETECT, inst), 1)[0]
+        u = uniforms(stream_key(config.seed, _LANE_DETECT, box.instance_id), 1)[0]
         if u >= prob:
             continue
         jx = jy = 0.0
         if config.jitter_px > 0:
-            ju = uniforms(stream_key(config.seed, _LANE_JITTER, inst), 2)
+            ju = uniforms(stream_key(config.seed, _LANE_JITTER, box.instance_id), 2)
             jx = (2.0 * ju[0] - 1.0) * config.jitter_px
             jy = (2.0 * ju[1] - 1.0) * config.jitter_px
         x0, y0, x1, y1 = box.bbox

@@ -1,5 +1,5 @@
-"""Detection scoring: IoU matching, PASCAL average precision, the
-distance-binned AP curve, and the OD50 summary scalar."""
+"""Detection scoring: IoU matching, PASCAL all-points average precision at
+IoU >= 0.5, the distance-binned AP curve, and the OD50 summary scalar."""
 
 from __future__ import annotations
 
@@ -9,13 +9,14 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
+IOU_THRESHOLD = 0.5  # a detection matches ground truth at IoU >= 0.5 (PASCAL)
+
 
 @dataclass(frozen=True)
 class Detection:
     image_id: object
     bbox: tuple  # (x_min, y_min, x_max, y_max)
     score: float
-    class_name: str = "car"
 
     def __post_init__(self):
         x0, y0, x1, y1 = self.bbox
@@ -32,12 +33,11 @@ class GTBox:
     image_id: object
     bbox: tuple
     distance_m: float = 1.0
-    class_name: str = "car"
 
 
 def as_gt(image_id, box) -> GTBox:
     """Wrap an annotation.GroundTruthBox for pooled evaluation."""
-    return GTBox(image_id, box.bbox, box.distance_m, box.class_name)
+    return GTBox(image_id, box.bbox, box.distance_m)
 
 
 @dataclass(frozen=True)
@@ -52,24 +52,16 @@ class APBin:
 class APCurve:
     bins: tuple
 
-    def defined(self) -> list:
-        return [b for b in self.bins if b.ap is not None]
-
 
 @dataclass(frozen=True)
 class OD50Result:
     od50_m: float  # math.inf when the curve never drops below 0.5
     beyond_range: bool
-    crossing_bin: int | None
-
-
-def _bbox(obj) -> tuple:
-    return obj.bbox if hasattr(obj, "bbox") else tuple(obj)
 
 
 def iou(a, b) -> float:
-    ax0, ay0, ax1, ay1 = _bbox(a)
-    bx0, by0, bx1, by1 = _bbox(b)
+    ax0, ay0, ax1, ay1 = a.bbox
+    bx0, by0, bx1, by1 = b.bbox
     iw = min(ax1, bx1) - max(ax0, bx0)
     ih = min(ay1, by1) - max(ay0, by0)
     if iw <= 0 or ih <= 0:
@@ -79,7 +71,7 @@ def iou(a, b) -> float:
     return inter / union
 
 
-def match(dets: list, gts: list, iou_threshold: float = 0.5):
+def match(dets: list, gts: list):
     """Greedy PASCAL matching in descending score order.
 
     Returns (tp, det_gt, gt_matched): per-detection hit flag (input order),
@@ -91,7 +83,7 @@ def match(dets: list, gts: list, iou_threshold: float = 0.5):
     det_gt = [-1] * len(dets)
     gt_matched = [False] * len(gts)
     for i in order:
-        best_iou = iou_threshold
+        best_iou = IOU_THRESHOLD
         best_j = -1
         for j, g in enumerate(gts):
             if gt_matched[j]:
@@ -114,19 +106,17 @@ def _group_by_image(items: list) -> dict:
     return groups
 
 
-def _pooled_flags(dets: list, gts: list, iou_threshold: float):
+def _pooled_flags(dets: list, gts: list):
     """Per-image matching, pooled (score, tp) pairs in input order."""
-    det_groups = _group_by_image(dets)
-    gt_groups = _group_by_image(gts) if gts and hasattr(gts[0], "image_id") else None
+    gt_groups = _group_by_image(gts)
     pairs = []
-    for image_id, dgroup in det_groups.items():
-        ggroup = gt_groups.get(image_id, []) if gt_groups is not None else gts
-        tp, _, _ = match(dgroup, ggroup, iou_threshold)
+    for image_id, dgroup in _group_by_image(dets).items():
+        tp, _, _ = match(dgroup, gt_groups.get(image_id, []))
         pairs.extend(zip((d.score for d in dgroup), tp))
     return pairs
 
 
-def _ap_from_flags(pairs: list, n_gt: int, eleven_point: bool = False) -> float | None:
+def _ap_from_flags(pairs: list, n_gt: int) -> float | None:
     if n_gt == 0:
         return None
     if not pairs:
@@ -139,12 +129,6 @@ def _ap_from_flags(pairs: list, n_gt: int, eleven_point: bool = False) -> float 
         fp += not hit
         recalls.append(tp / n_gt)
         precisions.append(tp / (tp + fp))
-    if eleven_point:
-        total = 0.0
-        for r in [k / 10 for k in range(11)]:
-            best = max((p for p, rr in zip(precisions, recalls) if rr >= r), default=0.0)
-            total += best
-        return total / 11.0
     # all-points method with the monotone precision envelope
     env = list(precisions)
     for i in range(len(env) - 2, -1, -1):
@@ -157,19 +141,15 @@ def _ap_from_flags(pairs: list, n_gt: int, eleven_point: bool = False) -> float 
     return ap
 
 
-def average_precision(dets: list, gts: list, iou_threshold: float = 0.5,
-                      eleven_point: bool = False) -> float | None:
-    """PASCAL AP at the given IoU threshold (all-points interpolation by
-    default, VOC2007 11-point behind the flag). None when there is no GT."""
+def average_precision(dets: list, gts: list) -> float | None:
+    """PASCAL all-points AP at IOU_THRESHOLD. None when there is no GT."""
     if not gts:
         return None
-    pairs = _pooled_flags(dets, gts, iou_threshold)
-    return _ap_from_flags(pairs, len(gts), eleven_point)
+    return _ap_from_flags(_pooled_flags(dets, gts), len(gts))
 
 
 def ap_vs_distance(dets: list, gts: list, bin_m: float = 10.0,
-                   iou_threshold: float = 0.5, max_distance_m: float | None = None,
-                   eleven_point: bool = False) -> APCurve:
+                   max_distance_m: float | None = None) -> APCurve:
     """AP per 10 m distance bin. Matched detections land in their GT's bin;
     unmatched detections go to the nearest-by-IoU GT's bin, or are excluded
     when they overlap no GT at all (their distance is unknowable)."""
@@ -187,7 +167,7 @@ def ap_vs_distance(dets: list, gts: list, bin_m: float = 10.0,
         bin_gt[b] += 1
     for image_id, ggroup in gt_groups.items():
         dgroup = det_groups.get(image_id, [])
-        tp, det_gt, _ = match(dgroup, ggroup, iou_threshold)
+        tp, det_gt, _ = match(dgroup, ggroup)
         for i, d in enumerate(dgroup):
             if tp[i]:
                 ref = ggroup[det_gt[i]]
@@ -201,7 +181,7 @@ def ap_vs_distance(dets: list, gts: list, bin_m: float = 10.0,
     # detections in images with no GT at all have no distance anchor; excluded
     bins = tuple(
         APBin(i * bin_m, (i + 1) * bin_m,
-              _ap_from_flags(bin_pairs[i], bin_gt[i], eleven_point) if bin_gt[i] else None,
+              _ap_from_flags(bin_pairs[i], bin_gt[i]) if bin_gt[i] else None,
               bin_gt[i])
         for i in range(n_bins)
     )
@@ -212,19 +192,19 @@ def od50(curve: APCurve) -> OD50Result:
     """First crossing of AP below 0.5, linearly interpolated between bin
     centers; 0 when the curve starts below 0.5, beyond-range when it never
     drops."""
-    prev = None  # (center, ap, index)
-    for i, b in enumerate(curve.bins):
+    prev = None  # (center, ap)
+    for b in curve.bins:
         if b.ap is None:
             continue
         center = 0.5 * (b.low_m + b.high_m)
         if prev is None and b.ap < 0.5:
-            return OD50Result(0.0, False, i)
+            return OD50Result(0.0, False)
         if prev is not None and prev[1] >= 0.5 and b.ap < 0.5:
-            c0, a0, _ = prev
+            c0, a0 = prev
             od = c0 + (a0 - 0.5) / (a0 - b.ap) * (center - c0)
-            return OD50Result(od, False, i)
-        prev = (center, b.ap, i)
-    return OD50Result(math.inf, True, None)
+            return OD50Result(od, False)
+        prev = (center, b.ap)
+    return OD50Result(math.inf, True)
 
 
 # ------------------------------------------------------------------ I/O ----
@@ -281,9 +261,8 @@ def read_metrics_csv(path) -> APCurve:
     return APCurve(tuple(bins))
 
 
-def write_summary_json(curve: APCurve, dets: list, gts: list, path,
-                       iou_threshold: float = 0.5) -> dict:
-    overall = average_precision(dets, gts, iou_threshold)
+def write_summary_json(curve: APCurve, dets: list, gts: list, path) -> dict:
+    overall = average_precision(dets, gts)
     result = od50(curve)
     summary = {
         "ap_overall": overall,

@@ -31,6 +31,11 @@ class ExposurePlan:
     def __post_init__(self):
         if self.mode not in ("fixed", "center_weighted", "bracketed"):
             raise ValueError(f"unknown exposure mode {self.mode!r}")
+        if self.statistic not in ("max", "p99"):
+            raise ValueError(f"statistic must be 'max' or 'p99', got {self.statistic!r}")
+        for name in ("window_fraction", "target_fraction"):
+            if not 0 < getattr(self, name) <= 1:
+                raise ValueError(f"{name} must be in (0, 1], got {getattr(self, name)!r}")
         if self.mode == "fixed" and not 0 < self.t_s <= self.cap_s:
             raise ValueError("fixed duration must be in (0, cap]")
         if self.mode == "bracketed":

@@ -1,6 +1,6 @@
 """Post-acquisition processing: bilinear demosaic, color correction fit
 against built-in reflectance patches, gamma variants, raw passthrough, and
-lossless PPM/PFM output."""
+8-bit PPM output."""
 
 from __future__ import annotations
 
@@ -51,9 +51,9 @@ class GammaSpec:
 
 @dataclass(frozen=True)
 class IspConfig:
-    """The ISP pipeline: `stages` run in order, the first of them demosaic
-    or raw. `matrix` is the 3x3 sensor-RGB to linear-sRGB correction; None
-    fits one to the sensor."""
+    """The ISP pipeline: `stages`, run in order, are demosaic, color, gamma
+    or raw, gamma, any but the first left out. `matrix` is the 3x3
+    sensor-RGB to linear-sRGB correction; None fits one to the sensor."""
     stages: tuple = ("demosaic", "color", "gamma")
     gamma: GammaSpec = field(default_factory=GammaSpec)
     matrix: tuple | None = None
@@ -62,8 +62,11 @@ class IspConfig:
         for stage in self.stages:
             if stage not in ("demosaic", "color", "gamma", "raw"):
                 raise ValueError(f"unknown pipeline stage {stage!r}")
-        if not self.stages or self.stages[0] not in ("demosaic", "raw"):
-            raise ValueError("the pipeline must start with demosaic or raw")
+        orders = {"demosaic": ("demosaic", "color", "gamma"), "raw": ("raw", "gamma")}
+        remaining = iter(orders.get(self.stages[0], ()) if self.stages else ())
+        if not self.stages or not all(stage in remaining for stage in self.stages):
+            raise ValueError(f"stages {list(self.stages)} must start with demosaic or raw and "
+                             "follow demosaic, color, gamma or raw, gamma, each at most once")
         if self.matrix is not None:
             _correction_matrix(self.matrix)
 
@@ -254,14 +257,3 @@ def write_ppm(img: RGBImage, path) -> None:
     with open(path, "wb") as f:
         f.write(f"P6\n{v.shape[1]} {v.shape[0]}\n255\n".encode())
         f.write(data.tobytes())
-
-
-def write_pfm(img: RGBImage, path) -> None:
-    """Float PFM, little-endian (scale -1.0), bottom-up row order."""
-    v = img.values
-    color = v.shape[2] == 3
-    header = "PF" if color else "Pf"
-    with open(path, "wb") as f:
-        f.write(f"{header}\n{v.shape[1]} {v.shape[0]}\n-1.0\n".encode())
-        data = v[::-1, :, :] if color else v[::-1, :, 0]
-        f.write(data.astype("<f4").tobytes())

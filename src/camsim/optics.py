@@ -26,7 +26,6 @@ FWHM_TO_SIGMA = 2.0 * np.sqrt(2.0 * np.log(2.0))  # ≈ 2.3548
 class LensSpec:
     focal_length_mm: float = 6.0
     f_number: float = 4.0
-    fov_deg: float = 112.0
     transmission: float | Spectrum = 1.0
     psf_fwhm_um: float = 1.5
     cos4_falloff: bool = False

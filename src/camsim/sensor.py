@@ -3,9 +3,7 @@ image over the CFA, shot/read noise, and the ADC."""
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass, field, replace
-from pathlib import Path
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -246,40 +244,3 @@ def expose(rate: np.ndarray, sensor: SensorSpec, exposure_s: float, seed: int,
     raster's frame has there."""
     e = apply_noise(rate * exposure_s, sensor, exposure_s, seed, at)
     return adc(e, sensor, exposure_s, seed)
-
-
-def _rle_encode(mask: np.ndarray) -> list:
-    flat = mask.ravel().astype(np.int8)
-    edges = np.flatnonzero(np.diff(flat)) + 1
-    starts = np.concatenate(([0], edges))
-    lengths = np.diff(np.concatenate((starts, [flat.size])))
-    runs = []
-    for s, n in zip(starts, lengths):
-        if flat[s]:
-            runs.append([int(s), int(n)])
-    return runs
-
-
-def save_frame(frame: RawFrame, path) -> None:
-    """frame.raw16 (little-endian u16, row-major) + frame.json metadata."""
-    path = Path(path)
-    path.mkdir(parents=True, exist_ok=True)
-    frame.dn.astype("<u2").tofile(path / "frame.raw16")
-    s = frame.sensor
-    meta = {
-        "rows": int(frame.dn.shape[0]),
-        "cols": int(frame.dn.shape[1]),
-        "exposure_s": frame.exposure_s,
-        "seed": frame.seed,
-        "saturation_rle": _rle_encode(frame.saturated),
-        "sensor": {
-            "pixel": asdict(s.pixel),
-            "dye_width_mm": s.dye_width_mm,
-            "dye_height_mm": s.dye_height_mm,
-            "cfa": "".join("".join(r) for r in s.cfa.pattern),
-            "adc_bits": s.adc_bits,
-            "analog_gain": s.analog_gain,
-            "scale_well_with_area": s.scale_well_with_area,
-        },
-    }
-    (path / "frame.json").write_text(json.dumps(meta, indent=1))

@@ -6,7 +6,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from camsim.annotation import (GroundTruthBox, LabelPolicy, apply_policy,
-                               export_dataset, import_dataset, project_truth)
+                               export_dataset, project_truth)
 from camsim.exposure import ExposurePlan, acquire
 from camsim.optics import LensSpec, optical_image
 from camsim.scene import SceneSpec, TargetSpec, synthesize
@@ -77,7 +77,7 @@ def test_export_dataset_schema_and_split(tmp_path):
     truths = {im["id"]: [GroundTruthBox(1, "car", (1, 2, 11, 17), 25.0, 150)]
               for im in images}
     info = export_dataset(images, truths, tmp_path / "d.json", seed=3)
-    doc = import_dataset(tmp_path / "d.json")
+    doc = json.loads((tmp_path / "d.json").read_text())
     assert set(doc) == {"images", "annotations", "categories", "splits"}
     ann = doc["annotations"][0]
     assert ann["bbox"] == [1, 2, 10, 15]        # x, y, w, h
@@ -95,7 +95,7 @@ def test_export_dataset_split_is_seeded(tmp_path):
     a = export_dataset(images, {}, tmp_path / "a.json", seed=1)
     b = export_dataset(images, {}, tmp_path / "b.json", seed=1)
     c = export_dataset(images, {}, tmp_path / "c.json", seed=2)
-    da, db, dc = (import_dataset(tmp_path / f"{n}.json") for n in "abc")
+    da, db, dc = (json.loads((tmp_path / f"{n}.json").read_text()) for n in "abc")
     assert da["splits"] == db["splits"]
     assert da["splits"] != dc["splits"]
 

@@ -110,12 +110,37 @@ def scenes(**spec):
     ({"target_lux": -5}, "target_lux"),
     ({"target_lux": 0}, "target_lux"),
     ({"target_lux": "abc"}, "target_lux"),
+    # exposure and ISP values the pipeline cannot honour
+    ({"exposure": {"mode": "center_weighted", "statistic": "bogus"}}, "exposure: statistic"),
+    ({"exposure": {"mode": "center_weighted", "window_fraction": 0}},
+     "exposure: window_fraction"),
+    ({"exposure": {"mode": "center_weighted", "window_fraction": 5}},
+     "exposure: window_fraction"),
+    ({"exposure": {"mode": "center_weighted", "target_fraction": -1}},
+     "exposure: target_fraction"),
+    ({"isp": {"stages": ["demosaic", "gamma", "color"]}}, "isp: stages"),
+    ({"isp": {"stages": ["raw", "color"]}}, "isp: stages"),
+    ({"isp": {"stages": ["raw", "demosaic"]}}, "isp: stages"),
+    # scalars of the wrong JSON type
+    ({"seed": "abc"}, "config: seed"),
+    ({"policy": {"min_box_w": "a"}}, "policy: min_box_w"),
+    ({"lens": {"cos4_falloff": "yes"}}, "lens: cos4_falloff"),
+    ({"save_images": "no"}, "config: save_images"),
+    # a synth grid the sensor's pixels cannot sample
+    ({"scenes": scenes(grid_pitch_um=1.5),
+      "sensor": {"dye_width_mm": 0.384, "dye_height_mm": 0.384, "pixel": {"size_um": 2.0}}},
+     "scenes.spec"),
 ], ids=["top", "lens", "exposure", "policy", "sensor.pixel", "detector.proxy",
         "scenes", "scenes.spec", "scenes.spec.grid", "scenes.spec.targets",
         "scenes.spec.shadows", "scenes.spec.seed", "scenes.path=synth", "scenes.count=dir",
         "scenes.spec=dir", "isp", "isp.gamma", "exposure.mode",
         "isp.gamma.mode=bogus", "isp.stages=sharpen", "scenes.count=two", "sensor.cfa=XYZ",
-        "spectrum-without-unit", "target_lux=-5", "target_lux=0", "target_lux=abc"])
+        "spectrum-without-unit", "target_lux=-5", "target_lux=0", "target_lux=abc",
+        "exposure.statistic=bogus", "exposure.window_fraction=0",
+        "exposure.window_fraction=5", "exposure.target_fraction=-1",
+        "isp.stages=demosaic,gamma,color", "isp.stages=raw,color", "isp.stages=raw,demosaic",
+        "seed=abc", "policy.min_box_w=a", "lens.cos4_falloff=yes", "save_images=no",
+        "scenes.spec.grid_pitch_um=1.5"])
 def test_run_unknown_key_names_dotted_path(tmp_path, capsys, overrides, dotted):
     path = run_config(tmp_path, **overrides)
     assert main(["run", str(path)]) == EXIT_CONFIG
@@ -156,10 +181,11 @@ def test_documented_and_benchmark_configs_parse(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5"])
-@pytest.mark.parametrize("command", ["run", "sweep-pixel"])
-def test_bad_thread_count_is_config_error(tmp_path, monkeypatch, capsys, value, command):
+@pytest.mark.parametrize("argv", [["run"], ["sweep-pixel", "--sizes", "3", "6"]],
+                         ids=["run", "sweep-pixel"])
+def test_bad_thread_count_is_config_error(tmp_path, monkeypatch, capsys, value, argv):
     monkeypatch.setenv("CAMSIM_THREADS", value)
-    assert main([command, str(run_config(tmp_path))]) == EXIT_CONFIG
+    assert main([argv[0], str(run_config(tmp_path)), *argv[1:]]) == EXIT_CONFIG
     assert "CAMSIM_THREADS" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
@@ -260,7 +286,8 @@ def test_sweep_pixel_reports_the_captured_geometry(tmp_path):
     (["sweep-exposure", "--lux", "-5"], "--lux"),
     (["sweep-exposure", "--lux", "10", "0"], "--lux"),
     (["sweep-exposure", "--lux", "nan"], "--lux"),
-], ids=["sizes=0.5", "sizes=12", "lux=-5", "lux=0", "lux=nan"])
+    (["sweep-pixel", "--sizes", "2.0"], "--sizes"),  # cannot sample the 3 µm synth grid
+], ids=["sizes=0.5", "sizes=12", "lux=-5", "lux=0", "lux=nan", "sizes=2-on-3um-grid"])
 def test_bad_sweep_flag_is_config_error(tmp_path, capsys, argv, flag):
     path = run_config(tmp_path)
     assert main([argv[0], str(path), *argv[1:]]) == EXIT_CONFIG
@@ -269,10 +296,13 @@ def test_bad_sweep_flag_is_config_error(tmp_path, capsys, argv, flag):
 
 
 def test_sweep_exits_runtime_error_when_a_size_fails(tmp_path):
-    # a 2 µm pixel does not sample a 1.5 µm grid, so every scene fails at 2 µm;
-    # the sweep still writes its table, and fails as a run with lost scenes does
-    path = run_config(tmp_path, scenes={"source": "synth", "count": 2,
-                                        "spec": {**SCENE_SPEC, "grid_pitch_um": 1.5}})
+    # a 2 µm pixel does not sample a 1.5 µm grid; a saved scene's pitch is known
+    # only once it loads, so every scene fails at 2 µm at run time; the sweep
+    # still writes its table, and fails as a run with lost scenes does
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({**SYNTH_SPEC, "grid_pitch_um": 1.5}))
+    assert main(["synth", str(spec), str(tmp_path / "scenes"), "-n", "2"]) == EXIT_OK
+    path = run_config(tmp_path, scenes={"source": "dir", "path": str(tmp_path / "scenes")})
     assert main(["sweep-pixel", str(path), "--sizes", "2.0", "3.0"]) == EXIT_RUNTIME
     out = tmp_path / "out"
     rows = (out / "sweep_pixel.csv").read_text().splitlines()

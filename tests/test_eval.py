@@ -55,13 +55,13 @@ def test_match_iou_tie_lowest_gt_index():
 
 def test_match_respects_threshold():
     d = [det((0, 0, 10, 10), 1.0)]
-    tp, _, _ = match(d, [gt((6, 0, 16, 10))], iou_threshold=0.5)
+    tp, _, _ = match(d, [gt((6, 0, 16, 10))])
     assert tp == [False]
 
 
 # ------------------------------------------------------------------ AP ----
 
-def brute_force_ap(dets, gts, iou_threshold=0.5):
+def brute_force_ap(dets, gts):
     """Independent AP oracle: re-run fresh greedy matching on every score
     prefix, then integrate precision over recall with the running-max
     envelope."""
@@ -69,7 +69,7 @@ def brute_force_ap(dets, gts, iou_threshold=0.5):
     precisions, recalls = [], []
     for k in range(1, len(order) + 1):
         prefix = [dets[i] for i in order[:k]]
-        tp, _, _ = match(prefix, gts, iou_threshold)
+        tp, _, _ = match(prefix, gts)
         n_tp = sum(tp)
         precisions.append(n_tp / k)
         recalls.append(n_tp / len(gts))
@@ -117,12 +117,6 @@ def test_ap_simple_oracles():
     assert average_precision(d, g) == pytest.approx(0.5)
     assert average_precision([], g) == 0.0
     assert average_precision(d, []) is None
-
-
-def test_ap_eleven_point_variant():
-    g = [gt((0, 0, 10, 10))]
-    d = [det((0, 0, 10, 10), 0.9)]
-    assert average_precision(d, g, eleven_point=True) == pytest.approx(1.0)
 
 
 def test_ap_pools_per_image_matching():

@@ -4,7 +4,7 @@ import pytest
 from camsim.isp import (GammaSpec, IspConfig, RGBImage, TAG_LINEAR_SRGB, TAG_SENSOR_LINEAR,
                         TAG_SRGB_ENCODED, apply_gamma, color_correct,
                         demosaic_bilinear, fit_color_matrix, raw_passthrough,
-                        reflectance_patches, render, write_pfm, write_ppm)
+                        reflectance_patches, render, write_ppm)
 from camsim.sensor import MONO, RCCC, RawFrame, SensorSpec, adc
 
 
@@ -197,13 +197,3 @@ def test_ppm_output(tmp_path):
     pixels = np.frombuffer(blob.split(b"255\n", 1)[1], dtype=np.uint8)
     assert list(pixels[:3]) == [255, 128, 0]
 
-
-def test_pfm_output_round_trip(tmp_path):
-    rng = np.random.default_rng(3)
-    v = rng.uniform(0, 1, size=(4, 5, 3))
-    write_pfm(RGBImage(v, TAG_SRGB_ENCODED), tmp_path / "x.pfm")
-    blob = (tmp_path / "x.pfm").read_bytes()
-    header, rest = blob.split(b"-1.0\n", 1)
-    assert header == b"PF\n5 4\n"
-    data = np.frombuffer(rest, dtype="<f4").reshape(4, 5, 3)[::-1]
-    assert np.allclose(data, v, atol=1e-6)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from camsim.config import from_config
-from camsim.optics import FWHM_TO_SIGMA, LensSpec, psf_blur, radiance_to_irradiance
+from camsim.optics import FWHM_TO_SIGMA, LensSpec, project, psf_blur
 from camsim.scene import SceneSpec, synthesize
 from camsim.spectral import WavelengthGrid
 
@@ -17,19 +17,19 @@ def test_camera_equation_oracle():
     sc = synthesize(SceneSpec(width=32, height=32, grid=GRID, seed=0))
     lens = LensSpec(transmission=0.9, f_number=4.0, cos4_falloff=False,
                     psf_fwhm_um=0.0)
-    cube = radiance_to_irradiance(sc, lens)
+    cube = project(sc, lens, np.eye(sc.grid.count))
     factor = np.pi * 0.9 / (1.0 + 4.0 * 16.0)
     assert factor == pytest.approx(0.04349898, rel=1e-6)
-    assert np.allclose(cube.values, sc.radiance.astype(np.float64) * factor,
+    assert np.allclose(cube, sc.radiance.astype(np.float64) * factor,
                        rtol=1e-6)
 
 
 def test_cos4_falloff_darkens_corners():
     sc = synthesize(SceneSpec(width=64, height=64, grid=GRID, seed=0))
     lens = LensSpec(cos4_falloff=True, psf_fwhm_um=0.0)
-    cube = radiance_to_irradiance(sc, lens)
-    center = cube.values[32, 32].sum()
-    corner = cube.values[0, 0].sum()
+    cube = project(sc, lens, np.eye(sc.grid.count))
+    center = cube[32, 32].sum()
+    corner = cube[0, 0].sum()
     assert corner < center
 
 
@@ -38,9 +38,9 @@ def test_psf_flux_conservation():
                               grid=GRID, seed=0,
                               speculars=()))
     lens = LensSpec(psf_fwhm_um=1.5)
-    cube = radiance_to_irradiance(sc, lens)
-    blurred = psf_blur(cube.values, cube.pitch_um, lens)
-    assert blurred.sum() == pytest.approx(cube.values.sum(), rel=1e-9)
+    cube = project(sc, lens, np.eye(sc.grid.count))
+    blurred = psf_blur(cube, sc.grid_pitch_um, lens)
+    assert blurred.sum() == pytest.approx(cube.sum(), rel=1e-9)
 
 
 def test_psf_impulse_fwhm():

@@ -8,7 +8,7 @@ from camsim.scene import SceneSpec, synthesize
 from camsim.sensor import (MONO, RCCC, RGGB, PixelSpec, SensorSpec, adc,
                            apply_noise, channel_index_map, derive_geometry,
                            dn_to_electrons, dynamic_range_db, expected_rate,
-                           save_frame, sensor_geometry)
+                           sensor_geometry)
 from camsim.spectral import WavelengthGrid
 from frames import noise_free
 
@@ -156,14 +156,3 @@ def test_mono_and_rccc_cfas():
     m = channel_index_map(s2, 2, 2)
     assert len(np.unique(m)) == 2
 
-
-def test_save_frame(tmp_path):
-    s = SensorSpec()
-    frame = adc(np.full((8, 8), 5000.0), s, exposure_s=1e-3)
-    save_frame(frame, tmp_path / "f")
-    raw = np.fromfile(tmp_path / "f" / "frame.raw16", dtype="<u2")
-    assert raw.shape == (64,)
-    import json
-    meta = json.loads((tmp_path / "f" / "frame.json").read_text())
-    assert meta["exposure_s"] == 1e-3
-    assert PixelSpec(**meta["sensor"]["pixel"]) == s.pixel
