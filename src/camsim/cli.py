@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 import traceback
@@ -45,9 +46,11 @@ class ScenesConfig:
     source: str
     path: str | None = field(default=None, metadata={"when": ("source", "dir")})
     count: int = field(default=1, metadata={"when": ("source", "synth")})
-    # the runner seeds each scene, so the spec's own seed cannot be set here
+    # the runner seeds each scene and lays it out with the lens's focal
+    # length, so the spec's own seed and focal length cannot be set here
     spec: SceneSpec = field(default_factory=SceneSpec,
-                            metadata={"keys": {"seed": None}, "when": ("source", "synth")})
+                            metadata={"keys": {"seed": None, "focal_length_mm": None},
+                                      "when": ("source", "synth")})
 
     def __post_init__(self):
         if self.source not in ("synth", "dir"):
@@ -118,21 +121,22 @@ def _n_workers() -> int:
 
 def _load_scenes(cfg: RunConfig) -> list:
     """[(scene_id, source)] ordered by id. A source is the SceneSpec to
-    synthesize or the scene directory to load; each scene's pool task opens
-    its own, so at most one scene per worker is held in memory."""
+    synthesize (laid out with the lens's focal length) or the scene directory
+    to load; each scene's pool task opens its own, so at most one scene per
+    worker is held in memory."""
     src = cfg.scenes
     if src.source == "dir":
         dirs = sorted(p for p in Path(src.path).iterdir() if (p / "radiance.sic").is_file())
         return [(p.name, p) for p in dirs]
-    return [(f"scene_{i:04d}", replace(src.spec, seed=cfg.seed + i)) for i in range(src.count)]
+    spec = replace(src.spec, focal_length_mm=cfg.lens.focal_length_mm)
+    return [(f"scene_{i:04d}", replace(spec, seed=cfg.seed + i)) for i in range(src.count)]
 
 
-def _scale_to_lux(sc: Scene, lens: LensSpec, target_lux: float) -> Scene:
-    """Scalar radiance scale so mean sensor-plane illuminance hits the target."""
-    current = mean_illuminance_lux(sc, lens)
-    if current <= 0:
-        return sc
-    return sc.scaled(target_lux / current)
+def _scale_to_lux(sc: Scene, lens: LensSpec, target_lux: float | None) -> Scene:
+    """Scalar radiance scale so mean sensor-plane illuminance hits the target
+    (None: the scene as it is)."""
+    current = 0.0 if target_lux is None else mean_illuminance_lux(sc, lens)
+    return sc.scaled(target_lux / current) if current > 0 else sc
 
 
 def _capture_and_detect(v: RunConfig, sc: Scene, image: OpticalImage, seed: int,
@@ -150,25 +154,25 @@ def _capture_and_detect(v: RunConfig, sc: Scene, image: OpticalImage, seed: int,
 
 
 def _process_scene(args):
-    """One scene, opened once and projected once, through every variant.
-    Returns (scene_id, [result dict or exception, one per variant]). A spec
-    that synthesis rejects raises and fails the run; a scene directory that
-    does not load, or a scene that does not project, is an error of every
-    variant, and the other scenes still run."""
+    """One scene, opened once and projected once per target_lux, through every
+    variant. Returns (scene_id, [result dict or exception, one per variant]).
+    A spec that synthesis rejects raises and fails the run; a scene directory
+    that does not load, or a scene that does not project, is an error of
+    every variant, and the other scenes still run."""
     cfg, variants, scene_id, index, source = args
     sc = synthesize(source) if isinstance(source, SceneSpec) else None
     try:
         sc = load_scene(source) if sc is None else sc
-        if cfg.target_lux is not None:
-            sc = _scale_to_lux(sc, cfg.lens, cfg.target_lux)
-        image = optical_image(sc, cfg.lens, cfg.sensor)
+        images = {lux: optical_image(_scale_to_lux(sc, cfg.lens, lux), cfg.lens, cfg.sensor)
+                  for lux in dict.fromkeys(v.target_lux for v in variants)}
     except Exception as e:  # skip the broken scene, keep the rest
         return scene_id, [e] * len(variants)
     seed = int(stream_key(cfg.seed, 3, index) & np.uint64(0x7FFFFFFF))
     out = []
     for v in variants:
         try:
-            acq, rendered, boxes, _, dets = _capture_and_detect(v, sc, image, seed, scene_id)
+            acq, rendered, boxes, _, dets = _capture_and_detect(
+                v, sc, images[v.target_lux], seed, scene_id)
         except Exception as e:  # this variant failed; the others still run
             out.append(e)
             continue
@@ -181,10 +185,10 @@ def _process_scene(args):
 
 def run_pipeline(cfg: RunConfig, variants: list | None = None) -> list:
     """Full cmd_run over the configured scenes. Each variant (default: cfg
-    alone) is a config sharing cfg's scenes, lens, seed, target_lux and
-    sensor CFA/QE; every scene is opened and projected once and captured by
-    each variant. Writes each variant's artifacts to its output_dir and
-    returns its summary dict, in variant order."""
+    alone) is a config sharing cfg's scenes, lens, seed and sensor CFA/QE;
+    every scene is opened once, projected once per target_lux among the
+    variants and captured by each variant. Writes each variant's artifacts to
+    its output_dir and returns its summary dict, in variant order."""
     variants = [cfg] if variants is None else variants
     workers = _n_workers()
     jobs = [(cfg, variants, sid, i, source)
@@ -257,12 +261,9 @@ def cmd_synth(args) -> int:
     entries = []
     for i in range(args.count):
         s = replace(base, seed=(args.seed if args.seed is not None else base.seed) + i)
-        sc = synthesize(s)
         name = f"scene_{i:04d}"
-        save_scene(sc, out / name)
-        entries.append({"id": name, "seed": s.seed,
-                        "mean_luminance": sc.meta.mean_luminance,
-                        "dynamic_range_log10": sc.meta.dynamic_range_log10})
+        stats = save_scene(synthesize(s), out / name)
+        entries.append({"id": name, "seed": s.seed, **stats})
     (out / "manifest.json").write_text(json.dumps({"scenes": entries}, indent=1))
     print(f"synthesized {len(entries)} scenes into {out}")
     return EXIT_OK
@@ -280,9 +281,17 @@ def cmd_run(args) -> int:
     return _exit_code(summaries)
 
 
+def _distinct(values: list, flag: str) -> list:
+    """`values`, unless two of them name one output directory (equal under :g)."""
+    names = [f"{v:g}" for v in values]
+    if len(set(names)) < len(names):
+        raise ConfigError(f"{flag}: duplicate values in {' '.join(names)}")
+    return values
+
+
 def cmd_sweep_pixel(args) -> int:
     cfg = RunConfig.from_file(args.config, args.seed)
-    sizes = args.sizes or [1.5, 3.0, 6.0]
+    sizes = _distinct(args.sizes or [1.5, 3.0, 6.0], "--sizes")
     try:
         variants = [replace(cfg, sensor=cfg.sensor.with_pixel_size(size),
                             output_dir=cfg.output_dir / f"pixel_{size:g}um") for size in sizes]
@@ -308,11 +317,7 @@ def cmd_sweep_pixel(args) -> int:
 
 def cmd_sweep_exposure(args) -> int:
     cfg = RunConfig.from_file(args.config, args.seed)
-    lux_levels = args.lux or [10.0, 500.0]
-    try:
-        bases = [replace(cfg, target_lux=lux) for lux in lux_levels]
-    except ValueError as e:
-        raise ConfigError(f"--lux: {e}") from e
+    lux_levels = _distinct(args.lux or [10.0, 500.0], "--lux")
     plans = {
         "fixed_12ms": ExposurePlan("fixed", t_s=12e-3),
         "fixed_0.12ms": ExposurePlan("fixed", t_s=0.12e-3),
@@ -320,20 +325,23 @@ def cmd_sweep_exposure(args) -> int:
         "center_weighted": ExposurePlan("center_weighted"),
         "bracketed": ExposurePlan("bracketed"),
     }
+    keys = [(lux, name) for lux in lux_levels for name in plans]
+    try:
+        variants = [replace(cfg, target_lux=lux, exposure=plans[name],
+                            output_dir=cfg.output_dir / f"lux{lux:g}_{name}")
+                    for lux, name in keys]
+    except ValueError as e:
+        raise ConfigError(f"--lux: {e}") from e
+    summaries = run_pipeline(cfg, variants)
     rows_out = []
-    summaries = []
     cw_durations: dict = {}
-    for lux, base in zip(lux_levels, bases):
-        variants = [replace(base, exposure=plan, output_dir=cfg.output_dir / f"lux{lux:g}_{name}")
-                    for name, plan in plans.items()]
-        for name, v, summary in zip(plans, variants, run_pipeline(base, variants)):
-            summaries.append(summary)
-            rows_out.append([lux, name, summary["ap_overall"],
-                             summary["od50_m"] if not summary["od50_beyond_range"]
-                             else "beyond-range"])
-            if name == "center_weighted":
-                durs = json.loads((v.output_dir / "exposures.json").read_text())
-                cw_durations[lux] = sorted(durs.values())
+    for (lux, name), v, summary in zip(keys, variants, summaries):
+        rows_out.append([lux, name, summary["ap_overall"],
+                         summary["od50_m"] if not summary["od50_beyond_range"]
+                         else "beyond-range"])
+        if name == "center_weighted":
+            durs = json.loads((v.output_dir / "exposures.json").read_text())
+            cw_durations[lux] = sorted(durs.values())
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
     with open(cfg.output_dir / "sweep_exposure.csv", "w", newline="") as f:
         w = csv.writer(f)
@@ -362,8 +370,11 @@ def cmd_edge_case(args) -> int:
 
 def edge_case_report(cfg: RunConfig) -> dict:
     """Run the fixed edge-case scene under center-weighted and bracketed
-    exposure; report per-target detectability and detection outcome."""
-    sc = edge_case_scene()
+    exposure; report per-target detectability and detection outcome. The
+    scene is laid out at the largest grid pitch up to 3 µm that divides the
+    pixel pitch, with the lens's focal length."""
+    p = cfg.sensor.pixel.size_um
+    sc = edge_case_scene(p / math.ceil(p / 3.0), cfg.lens.focal_length_mm)
     image = optical_image(sc, cfg.lens, cfg.sensor)
     report = {"algorithms": {}}
     plans = {

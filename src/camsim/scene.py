@@ -42,8 +42,6 @@ class SceneFormatError(ValueError):
 
 @dataclass(frozen=True)
 class SceneMeta:
-    mean_luminance: float
-    dynamic_range_log10: float
     description: str = ""
     seed: int = 0
     warnings: tuple = ()
@@ -107,9 +105,8 @@ class Scene:
     spec_echo: dict = field(default_factory=dict)
 
     def scaled(self, k: float) -> "Scene":
-        """Same scene with radiance (and meta luminance) scaled by k."""
-        return replace(self, radiance=self.radiance * np.float32(k),
-                       meta=replace(self.meta, mean_luminance=self.meta.mean_luminance * k))
+        """Same scene with radiance scaled by k."""
+        return replace(self, radiance=self.radiance * np.float32(k))
 
 
 def _reflectance_values(refl, grid: WavelengthGrid) -> np.ndarray:
@@ -195,10 +192,9 @@ def synthesize(spec: SceneSpec) -> Scene:
         x0, y0, x1, y1 = region.rect
         cube[y0:y1, x0:x1, :] *= np.float32(region.factor)
 
-    scene = Scene(cube, grid, spec.grid_pitch_um, depth, instances, classes,
-                  SceneMeta(0.0, 0.0, spec.description, spec.seed, tuple(warnings)),
-                  spec_echo=to_config(spec))
-    return replace(scene, meta=scene_statistics(scene))
+    return Scene(cube, grid, spec.grid_pitch_um, depth, instances, classes,
+                 SceneMeta(spec.description, spec.seed, tuple(warnings)),
+                 spec_echo=to_config(spec))
 
 
 def luminance_map(scene: Scene) -> np.ndarray:
@@ -206,7 +202,8 @@ def luminance_map(scene: Scene) -> np.ndarray:
     return project_bands(scene.radiance, luminance_weights(scene.grid)[None, :])[:, :, 0]
 
 
-def scene_statistics(scene: Scene) -> SceneMeta:
+def scene_statistics(scene: Scene) -> dict:
+    """Mean luminance (cd/m²) and log10 of its 99.9th / 0.1th percentile."""
     lum = luminance_map(scene)
     mean = float(lum.mean())
     hi = float(np.percentile(lum, 99.9, method="higher"))
@@ -216,35 +213,40 @@ def scene_statistics(scene: Scene) -> SceneMeta:
         lo = float(pos.min()) if pos.size else 1.0
         hi = max(hi, lo)
     dr = float(np.log10(hi / lo)) if hi > 0 else 0.0
-    return replace(scene.meta, mean_luminance=mean, dynamic_range_log10=dr)
+    return {"mean_luminance": mean, "dynamic_range_log10": dr}
 
 
-def edge_case_scene() -> Scene:
+def edge_case_scene(pitch_um: float = 3.0, focal_length_mm: float = 6.0) -> Scene:
     """Fixed stress scene: a specular patch in the central metering window
     plus a dark target inside a deep shadow and a mid-reflectance control
-    target in plain light. Intra-scene dynamic range exceeds 3 log units."""
-    h = w = 256
+    target in plain light. Intra-scene dynamic range exceeds 3 log units.
+    The layout is given on a 3 µm grid and scaled to `pitch_um`."""
+    def px(*values):
+        return tuple(round(v * 3.0 / pitch_um) for v in values)
+
+    size = round(256 * 3.0 / pitch_um)
     spec = SceneSpec(
-        width=w, height=h, grid_pitch_um=3.0,
+        width=size, height=size, grid_pitch_um=pitch_um, focal_length_mm=focal_length_mm,
         background_reflectance=0.45,
         background_luminance_cd_m2=100.0,
         targets=(
             TargetSpec("car", 25.0, (0.75, 0.57), reflectance=0.25,
-                       position_px=(60, 64)),
+                       position_px=px(60, 64)),
             TargetSpec("car", 30.0, (0.63, 0.47), reflectance=0.08,
-                       position_px=(208, 160)),
+                       position_px=px(208, 160)),
         ),
-        shadows=(Region((172, 92, 252, 228), 0.01),),
-        speculars=(Region((108, 108, 148, 148), 600.0),),
+        shadows=(Region(px(172, 92, 252, 228), 0.01),),
+        speculars=(Region(px(108, 108, 148, 148), 600.0),),
         seed=20,
         description="specular center, shadowed dark target, lit control target",
     )
     return synthesize(spec)
 
 
-def save_scene(scene: Scene, path) -> None:
+def save_scene(scene: Scene, path) -> dict:
     """Write the scene directory format (radiance.sic, depth.f32,
-    instance.u16, meta.json). Lossless for all rasters."""
+    instance.u16, meta.json). Lossless for all rasters; returns the
+    `scene_statistics` that meta.json records."""
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
     h, w, nw = scene.radiance.shape
@@ -255,10 +257,10 @@ def save_scene(scene: Scene, path) -> None:
         f.write(np.ascontiguousarray(scene.radiance, dtype="<f4").tobytes())
     scene.depth.astype("<f4").tofile(path / "depth.f32")
     scene.instances.astype("<u2").tofile(path / "instance.u16")
+    stats = scene_statistics(scene)
     meta = {
         "classes": {str(k): v for k, v in scene.classes.items()},
-        "mean_luminance": scene.meta.mean_luminance,
-        "dynamic_range_log10": scene.meta.dynamic_range_log10,
+        **stats,
         "description": scene.meta.description,
         "seed": scene.meta.seed,
         "warnings": list(scene.meta.warnings),
@@ -266,6 +268,7 @@ def save_scene(scene: Scene, path) -> None:
         "spec": scene.spec_echo,
     }
     (path / "meta.json").write_text(json.dumps(meta, indent=1))
+    return stats
 
 
 def load_scene(path) -> Scene:
@@ -292,7 +295,6 @@ def load_scene(path) -> Scene:
     return Scene(
         cube, grid, meta["grid_pitch_um"], depth.reshape(h, w), inst.reshape(h, w),
         {int(k): v for k, v in meta["classes"].items()},
-        SceneMeta(meta["mean_luminance"], meta["dynamic_range_log10"],
-                  meta["description"], meta["seed"], tuple(meta["warnings"])),
+        SceneMeta(meta["description"], meta["seed"], tuple(meta["warnings"])),
         spec_echo=meta.get("spec", {}),
     )

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from camsim.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, RunConfig, main
+from camsim.scene import load_scene, project_extent_px, scene_statistics
 
 SCENE_SPEC = {
     "width": 128, "height": 128, "grid_pitch_um": 3.0,
@@ -93,6 +94,8 @@ def scenes(**spec):
     ({"scenes": scenes(shadows=[{"rect": [0, 0, 8, 8], "attenuaton": 0.5}])},
      "scenes.spec.shadows[0].attenuaton"),
     ({"scenes": scenes(seed=4)}, "scenes.spec.seed"),  # the runner seeds every scene
+    # the lens's focal length lays out every synth scene
+    ({"scenes": scenes(focal_length_mm=12.0)}, "scenes.spec.focal_length_mm"),
     # keys the scene source does not read
     ({"scenes": {**scenes(), "path": "/nonexistent"}}, "scenes.path"),
     ({"scenes": {"source": "dir", "path": ".", "count": 5}}, "scenes.count"),
@@ -132,7 +135,8 @@ def scenes(**spec):
      "scenes.spec"),
 ], ids=["top", "lens", "exposure", "policy", "sensor.pixel", "detector.proxy",
         "scenes", "scenes.spec", "scenes.spec.grid", "scenes.spec.targets",
-        "scenes.spec.shadows", "scenes.spec.seed", "scenes.path=synth", "scenes.count=dir",
+        "scenes.spec.shadows", "scenes.spec.seed", "scenes.spec.focal_length_mm",
+        "scenes.path=synth", "scenes.count=dir",
         "scenes.spec=dir", "isp", "isp.gamma", "exposure.mode",
         "isp.gamma.mode=bogus", "isp.stages=sharpen", "scenes.count=two", "sensor.cfa=XYZ",
         "spectrum-without-unit", "target_lux=-5", "target_lux=0", "target_lux=abc",
@@ -216,6 +220,29 @@ def test_run_deterministic_across_thread_counts(tmp_path, monkeypatch):
     assert blobs[0] == blobs[1]
 
 
+def test_synth_records_the_scene_statistics(tmp_path):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(SYNTH_SPEC))
+    assert main(["synth", str(spec), str(tmp_path / "scenes"), "-n", "2"]) == EXIT_OK
+    manifest = json.loads((tmp_path / "scenes" / "manifest.json").read_text())
+    for entry in manifest["scenes"]:
+        d = tmp_path / "scenes" / entry["id"]
+        stats = scene_statistics(load_scene(d))
+        meta = json.loads((d / "meta.json").read_text())
+        assert {k: entry[k] for k in stats} == stats
+        assert {k: meta[k] for k in stats} == stats
+
+
+def test_lens_focal_length_lays_out_synth_scenes(tmp_path):
+    # the 0.06 m car at 20 m spans 6 grid cells of 3 µm through a 6 mm lens,
+    # and 12 through a 12 mm lens; a 3 µm pixel bins one cell
+    path = run_config(tmp_path, lens={"focal_length_mm": 12.0})
+    assert main(["run", str(path)]) == EXIT_OK
+    dataset = json.loads((tmp_path / "out" / "dataset.json").read_text())
+    widths = {a["bbox"][2] for a in dataset["annotations"]}
+    assert widths == {project_extent_px(0.06, 20.0, 12.0, 3.0)} == {12}
+
+
 def test_synth_and_dir_run(tmp_path):
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps(SYNTH_SPEC))
@@ -259,6 +286,20 @@ def test_edge_case_command(tmp_path):
     assert set(report["algorithms"]) == {"center_weighted", "bracketed"}
 
 
+def test_edge_case_at_a_pixel_pitch_finer_than_3um(tmp_path):
+    # the stress scene is laid out on a 1.5 µm grid for 1.5 µm pixels
+    cfg = {"scenes": {"source": "synth", "spec": {"grid_pitch_um": 1.5}},
+           "sensor": {"pixel": {"size_um": 1.5}},
+           "output_dir": str(tmp_path / "out"), "seed": 2}
+    path = tmp_path / "e.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["edge-case", str(path)]) == EXIT_OK
+    report = json.loads((tmp_path / "out" / "edge_case.json").read_text())
+    assert set(report["algorithms"]) == {"center_weighted", "bracketed"}
+    for result in report["algorithms"].values():
+        assert set(result["targets"]) == {"1", "2"}
+
+
 def test_sweep_pixel_command(tmp_path):
     path = run_config(tmp_path)
     rc = main(["sweep-pixel", str(path), "--sizes", "3", "6"])
@@ -287,7 +328,11 @@ def test_sweep_pixel_reports_the_captured_geometry(tmp_path):
     (["sweep-exposure", "--lux", "10", "0"], "--lux"),
     (["sweep-exposure", "--lux", "nan"], "--lux"),
     (["sweep-pixel", "--sizes", "2.0"], "--sizes"),  # cannot sample the 3 µm synth grid
-], ids=["sizes=0.5", "sizes=12", "lux=-5", "lux=0", "lux=nan", "sizes=2-on-3um-grid"])
+    # two values that would share one output directory
+    (["sweep-pixel", "--sizes", "3", "3.0"], "--sizes"),
+    (["sweep-exposure", "--lux", "10", "10"], "--lux"),
+], ids=["sizes=0.5", "sizes=12", "lux=-5", "lux=0", "lux=nan", "sizes=2-on-3um-grid",
+        "sizes=3,3.0", "lux=10,10"])
 def test_bad_sweep_flag_is_config_error(tmp_path, capsys, argv, flag):
     path = run_config(tmp_path)
     assert main([argv[0], str(path), *argv[1:]]) == EXIT_CONFIG
@@ -374,31 +419,33 @@ def test_sweep_pixel_matches_separate_runs(tmp_path, mode):
 
 def _count_calls(monkeypatch, module, name, counts):
     fn = getattr(module, name)
+    counts[name] = 0
 
     def counted(*args, **kwargs):
-        counts[name] = counts.get(name, 0) + 1
+        counts[name] += 1
         return fn(*args, **kwargs)
     monkeypatch.setattr(module, name, counted)
 
 
-@pytest.mark.parametrize("argv, mode, per_scene", [
+@pytest.mark.parametrize("argv, mode, images", [
     (["sweep-pixel", "--sizes", "3", "6"], "fixed", 1),
     (["run"], "center_weighted", 1),
     (["run"], "bracketed", 1),
-    (["sweep-exposure", "--lux", "10", "500"], "fixed", 2),  # once per lux level
+    (["sweep-exposure", "--lux", "10", "500"], "fixed", 2),  # one image per lux level
 ])
-def test_scene_synthesized_and_projected_once(tmp_path, monkeypatch, argv, mode, per_scene):
-    from camsim import cli, optics
+def test_scene_synthesized_and_projected_once(tmp_path, monkeypatch, argv, mode, images):
+    from camsim import cli, optics, scene
 
     counts = {}
     _count_calls(monkeypatch, cli, "synthesize", counts)
     _count_calls(monkeypatch, cli, "optical_image", counts)
     _count_calls(monkeypatch, optics, "psf_blur", counts)
     _count_calls(monkeypatch, optics, "project", counts)
+    _count_calls(monkeypatch, scene, "project_bands", counts)  # the luminance pass
     path = run_config(tmp_path, exposure={"mode": mode})
     assert main([argv[0], str(path), *argv[1:]]) == EXIT_OK
-    n = 2 * per_scene  # run_config has two scenes
+    n = 2  # run_config has two scenes
     # sweep-exposure also projects onto luminance to scale each scene to its lux level
-    projections = 2 * n if argv[0] == "sweep-exposure" else n
-    assert counts == {"synthesize": n, "optical_image": n, "psf_blur": n,
-                      "project": projections}
+    projections = 2 * images if argv[0] == "sweep-exposure" else images
+    assert counts == {"synthesize": n, "optical_image": n * images, "psf_blur": n * images,
+                      "project": n * projections, "project_bands": 0}

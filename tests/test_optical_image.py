@@ -24,7 +24,7 @@ def make_scene(radiance, pitch_um, grid=GRID):
     h, w = radiance.shape[:2]
     return Scene(radiance.astype(np.float32), grid, pitch_um,
                  np.full((h, w), 10.0, np.float32), np.zeros((h, w), np.uint16), {},
-                 SceneMeta(0.0, 0.0))
+                 SceneMeta())
 
 
 def spectral_reference(sc, lens, sensor, exposure_s):

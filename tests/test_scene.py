@@ -68,7 +68,7 @@ def test_statistics_two_level_fixture():
                       speculars=(Region((0, 0, 32, 16), 10.0),))
     sc = synthesize(spec)
     stats = scene_statistics(sc)
-    assert stats.dynamic_range_log10 == pytest.approx(1.0, abs=1e-9)
+    assert stats["dynamic_range_log10"] == pytest.approx(1.0, abs=1e-9)
 
 
 def test_synthesis_is_seed_deterministic():
@@ -87,7 +87,8 @@ def test_scaled_scene():
     sc = synthesize(small_spec())
     sc2 = sc.scaled(5.0)
     assert np.allclose(sc2.radiance, 5.0 * sc.radiance, rtol=1e-6)
-    assert sc2.meta.mean_luminance == pytest.approx(5.0 * sc.meta.mean_luminance)
+    assert scene_statistics(sc2)["mean_luminance"] == pytest.approx(
+        5.0 * scene_statistics(sc)["mean_luminance"])
 
 
 def test_spec_dict_round_trip():
@@ -142,7 +143,23 @@ def test_edge_case_scene_contents():
     assert sc.radiance.shape == (256, 256, 31)
     assert set(np.unique(sc.instances)) == {0, 1, 2}
     # deep shadow plus strong specular: more than 3 log units of range
-    assert scene_statistics(sc).dynamic_range_log10 > 3.0
+    assert scene_statistics(sc)["dynamic_range_log10"] > 3.0
     # the specular patch sits inside the central metering window
     lum = luminance_map(sc)
     assert lum[128, 128] > 100.0 * lum[4, 4]
+
+
+def _instance_bounds(sc, idx):
+    ys, xs = np.nonzero(sc.instances == idx)
+    return np.array([xs.min(), ys.min(), xs.max() + 1, ys.max() + 1])
+
+
+def test_edge_case_scene_keeps_its_layout_at_any_pitch():
+    """At half the pitch the same physical scene spans twice the grid cells."""
+    coarse, fine = edge_case_scene(), edge_case_scene(1.5)
+    assert fine.radiance.shape == (512, 512, 31)
+    assert fine.grid_pitch_um == 1.5
+    for idx in (1, 2):
+        assert np.abs(_instance_bounds(fine, idx) - 2 * _instance_bounds(coarse, idx)).max() <= 1
+    lum = luminance_map(fine)
+    assert lum[256, 256] > 100.0 * lum[8, 8]
