@@ -29,7 +29,8 @@ from .isp import (  # noqa: F401
     raw_passthrough, render, fit_color_matrix, write_ppm,
 )
 from .annotation import (  # noqa: F401
-    GroundTruthBox, LabelPolicy, project_truth, apply_policy, export_dataset,
+    GroundTruthBox, LabelPolicy, SceneTruth, scene_truth, project_truth, apply_policy,
+    export_dataset,
 )
 from .evalmetrics import (  # noqa: F401
     Detection, GTBox, APCurve, APBin, OD50Result, as_gt,

@@ -9,6 +9,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
+from scipy import ndimage
 
 from .scene import Scene
 from .sensor import SensorGeometry
@@ -61,23 +62,52 @@ def _majority_bin(inst: np.ndarray, factor: int, rows: int, cols: int) -> np.nda
     return ids[np.argmax(counts.reshape(rows * cols, ids.size), axis=1)].reshape(rows, cols)
 
 
-def project_truth(sc: Scene, geometry: SensorGeometry) -> list:
-    """Ground-truth boxes on the sensor grid. The scene instance map is
-    majority-binned over the same cells the sensor's pixels sample; distance
-    is the median scene-grid depth of the instance (pixel-size invariant)."""
-    g = geometry
-    binned = _majority_bin(sc.instances[g.y0:, g.x0:], g.factor, g.rows, g.cols)
-    boxes = []
+@dataclass(frozen=True)
+class SceneTruth:
+    """What ground truth reads of a scene, at any pixel size: the instance
+    map, and per instance present on it its class, its bounding slices on
+    the scene grid and its median scene-grid depth."""
+    instances: np.ndarray  # (H, W) uint16, 0 = background
+    targets: dict  # instance id -> (class name, (row slice, col slice), depth m)
+
+
+def scene_truth(sc: Scene) -> SceneTruth:
+    """The pixel-size-invariant ground truth of a scene, computed once."""
+    objects = ndimage.find_objects(sc.instances)
+    targets = {}
     for inst_id in sorted(sc.classes):
-        mask = binned == inst_id
+        sl = objects[inst_id - 1] if 0 < inst_id <= len(objects) else None
+        if sl is None:
+            continue
+        depth = float(np.median(sc.depth[sl][sc.instances[sl] == inst_id]))
+        targets[inst_id] = (sc.classes[inst_id], sl, depth)
+    return SceneTruth(sc.instances, targets)
+
+
+def project_truth(truth: SceneTruth, geometry: SensorGeometry) -> list:
+    """Ground-truth boxes on the sensor grid. The scene instance map is
+    majority-binned over the same cells the sensor's pixels sample, on the
+    blocks that meet each instance's slices only: a block's vote reads its
+    own cells alone. Distance is the instance's median scene-grid depth."""
+    g = geometry
+    f = g.factor
+    boxes = []
+    for inst_id, (class_name, (ys, xs), depth) in truth.targets.items():
+        # sensor blocks meeting the slices, clipped to the frame
+        r0, r1 = max((ys.start - g.y0) // f, 0), min(-((g.y0 - ys.stop) // f), g.rows)
+        c0, c1 = max((xs.start - g.x0) // f, 0), min(-((g.x0 - xs.stop) // f), g.cols)
+        if r0 >= r1 or c0 >= c1:
+            continue
+        window = truth.instances[g.y0 + r0 * f:g.y0 + r1 * f, g.x0 + c0 * f:g.x0 + c1 * f]
+        mask = _majority_bin(window, f, r1 - r0, c1 - c0) == inst_id
         if not mask.any():
             continue
-        ys, xs = np.nonzero(mask)
-        depth = float(np.median(sc.depth[sc.instances == inst_id]))
+        rs, cs = np.nonzero(mask)
         boxes.append(GroundTruthBox(
             instance_id=int(inst_id),
-            class_name=sc.classes[inst_id],
-            bbox=(int(xs.min()), int(ys.min()), int(xs.max()) + 1, int(ys.max()) + 1),
+            class_name=class_name,
+            bbox=(c0 + int(cs.min()), r0 + int(rs.min()),
+                  c0 + int(cs.max()) + 1, r0 + int(rs.max()) + 1),
             distance_m=depth,
             pixel_count=int(mask.sum()),
         ))

@@ -22,7 +22,8 @@ from pathlib import Path
 import numpy as np
 
 from . import evalmetrics as ev
-from .annotation import LabelPolicy, apply_policy, export_dataset, project_truth
+from .annotation import (LabelPolicy, SceneTruth, apply_policy, export_dataset, project_truth,
+                         scene_truth)
 from .config import ConfigError, from_config
 from .detector import DetectorConfig, detectability, import_detections, proxy_detect
 from .exposure import ExposurePlan, acquire
@@ -81,6 +82,11 @@ class RunConfig:
         lux = self.target_lux
         if lux is not None and not 0 < lux < float("inf"):
             raise ValueError(f"target_lux must be a positive number, got {lux!r}")
+
+    def check_scenes(self) -> None:
+        """Reject a synth `scenes.spec` whose grid the sensor's pixels cannot
+        sample; checked where the scenes are loaded, since `edge-case` lays
+        out its own scene and never reads them."""
         if self.scenes.source == "synth":
             spec = self.scenes.spec
             try:
@@ -124,6 +130,10 @@ def _load_scenes(cfg: RunConfig) -> list:
     synthesize (laid out with the lens's focal length) or the scene directory
     to load; each scene's pool task opens its own, so at most one scene per
     worker is held in memory."""
+    try:
+        cfg.check_scenes()
+    except ValueError as e:
+        raise ConfigError(e) from e
     src = cfg.scenes
     if src.source == "dir":
         dirs = sorted(p for p in Path(src.path).iterdir() if (p / "radiance.sic").is_file())
@@ -139,13 +149,13 @@ def _scale_to_lux(sc: Scene, lens: LensSpec, target_lux: float | None) -> Scene:
     return sc.scaled(target_lux / current) if current > 0 else sc
 
 
-def _capture_and_detect(v: RunConfig, sc: Scene, image: OpticalImage, seed: int,
+def _capture_and_detect(v: RunConfig, truth: SceneTruth, image: OpticalImage, seed: int,
                         image_id) -> tuple:
     """One variant of a scene: acquire -> ISP -> annotate -> proxy-detect.
     Returns (acquisition, rendered image, boxes, proxy config, detections)."""
     acq = acquire(image, v.sensor, v.exposure, seed)
     rendered = render(acq.source, v.isp)
-    boxes = apply_policy(project_truth(sc, acq.geometry), v.policy)
+    boxes = apply_policy(project_truth(truth, acq.geometry), v.policy)
     pconf = replace(v.detector.proxy, seed=seed)
     # imported detections are read after the pool completes
     dets = [] if v.detector.imported else proxy_detect(rendered, boxes, pconf,
@@ -155,7 +165,9 @@ def _capture_and_detect(v: RunConfig, sc: Scene, image: OpticalImage, seed: int,
 
 def _process_scene(args):
     """One scene, opened once and projected once per target_lux, through every
-    variant. Returns (scene_id, [result dict or exception, one per variant]).
+    variant; only its ground truth is kept past the projections, so the
+    radiance cube is freed before any variant runs. Returns (scene_id,
+    [result dict or exception, one per variant]).
     A spec that synthesis rejects raises and fails the run; a scene directory
     that does not load, or a scene that does not project, is an error of
     every variant, and the other scenes still run."""
@@ -165,14 +177,16 @@ def _process_scene(args):
         sc = load_scene(source) if sc is None else sc
         images = {lux: optical_image(_scale_to_lux(sc, cfg.lens, lux), cfg.lens, cfg.sensor)
                   for lux in dict.fromkeys(v.target_lux for v in variants)}
+        truth = scene_truth(sc)
     except Exception as e:  # skip the broken scene, keep the rest
         return scene_id, [e] * len(variants)
+    del sc
     seed = int(stream_key(cfg.seed, 3, index) & np.uint64(0x7FFFFFFF))
     out = []
     for v in variants:
         try:
             acq, rendered, boxes, _, dets = _capture_and_detect(
-                v, sc, images[v.target_lux], seed, scene_id)
+                v, truth, images[v.target_lux], seed, scene_id)
         except Exception as e:  # this variant failed; the others still run
             out.append(e)
             continue
@@ -295,6 +309,8 @@ def cmd_sweep_pixel(args) -> int:
     try:
         variants = [replace(cfg, sensor=cfg.sensor.with_pixel_size(size),
                             output_dir=cfg.output_dir / f"pixel_{size:g}um") for size in sizes]
+        for v in variants:
+            v.check_scenes()
     except ValueError as e:
         raise ConfigError(f"--sizes: {e}") from e
     summaries = run_pipeline(cfg, variants)
@@ -370,12 +386,14 @@ def cmd_edge_case(args) -> int:
 
 def edge_case_report(cfg: RunConfig) -> dict:
     """Run the fixed edge-case scene under center-weighted and bracketed
-    exposure; report per-target detectability and detection outcome. The
-    scene is laid out at the largest grid pitch up to 3 µm that divides the
-    pixel pitch, with the lens's focal length."""
+    exposure; report every target of the scene, with its detectability and
+    detection outcome when the label policy keeps it. The scene is laid out
+    at the largest grid pitch up to 3 µm that divides the pixel pitch, with
+    the lens's focal length."""
     p = cfg.sensor.pixel.size_um
     sc = edge_case_scene(p / math.ceil(p / 3.0), cfg.lens.focal_length_mm)
     image = optical_image(sc, cfg.lens, cfg.sensor)
+    truth = scene_truth(sc)
     report = {"algorithms": {}}
     plans = {
         "center_weighted": ExposurePlan("center_weighted"),
@@ -383,16 +401,19 @@ def edge_case_report(cfg: RunConfig) -> dict:
     }
     for name, plan in plans.items():
         v = replace(cfg, exposure=plan, detector=DetectorConfig(cfg.detector.proxy))
-        acq, rendered, boxes, pconf, dets = _capture_and_detect(v, sc, image, cfg.seed, name)
+        acq, rendered, boxes, pconf, dets = _capture_and_detect(v, truth, image, cfg.seed, name)
         duration = list(plan.durations_s) if plan.mode == "bracketed" else acq.duration_s
+        labeled = {b.instance_id: b for b in boxes}
         targets = {}
-        for b in boxes:
-            d = detectability(rendered.values, b, pconf.min_pixels, pconf.snr_scale)
-            hit = any(ev.iou(det, b) >= ev.IOU_THRESHOLD for det in dets)
-            targets[str(b.instance_id)] = {
-                "class": b.class_name, "distance_m": b.distance_m,
-                "dprime": d, "detected": hit,
-            }
+        for inst_id, (class_name, _, depth) in truth.targets.items():
+            b = labeled.get(inst_id)
+            entry = {"class": class_name, "distance_m": depth, "labeled": b is not None,
+                     "dprime": None, "detected": False}
+            if b is not None:
+                entry["dprime"] = detectability(rendered.values, b, pconf.min_pixels,
+                                                pconf.snr_scale)
+                entry["detected"] = any(ev.iou(det, b) >= ev.IOU_THRESHOLD for det in dets)
+            targets[str(inst_id)] = entry
         report["algorithms"][name] = {"duration_s": duration, "targets": targets}
     return report
 

@@ -86,8 +86,8 @@ def acquire(image: OpticalImage, sensor: SensorSpec, plan: ExposurePlan,
         flat = rate.reshape(-1)
 
         def bracket(i, at):
-            return expose(flat[at], sensor, plan.durations_s[i], _bracket_seed(seed, i),
-                          at=at)
+            return expose(rate if at is None else flat[at], sensor, plan.durations_s[i],
+                          _bracket_seed(seed, i), at=at)
 
         hdr = _fuse(rate.shape, tuple(plan.durations_s), sensor, bracket)
         return Acquisition(hdr, plan.durations_s[0], rate, geometry)
@@ -129,22 +129,25 @@ def hdr_combine(frames: list) -> HDRFrame:
 
     def bracket(i, at):
         f = frames[i]
+        if at is None:
+            return f
         return replace(f, dn=f.dn.reshape(-1)[at], saturated=f.saturated.reshape(-1)[at])
 
     return _fuse(shape, durations, frames[0].sensor, bracket)
 
 
 def _fuse(shape: tuple, durations: tuple, sensor: SensorSpec, bracket) -> HDRFrame:
-    """Select-before-saturation fusion. `bracket(i, at)` is the RawFrame of
-    bracket i at the flat pixel indices `at`; it is asked only for the
-    pixels that every longer bracket saturated. Each pixel keeps the first
+    """Select-before-saturation fusion. `bracket(0, None)` is the whole
+    RawFrame of the longest bracket; `bracket(i, at)` for a later bracket is
+    its RawFrame at the flat pixel indices `at`, asked only for the pixels
+    that every longer bracket saturated. Each pixel keeps the first
     (longest) unsaturated bracket divided by its duration; a pixel saturated
     in every bracket reads the last one and is flagged invalid."""
-    n = int(np.prod(shape))
-    rate = np.zeros(n, dtype=np.float64)
-    chosen = np.zeros(n, dtype=np.int64)
-    undecided = np.arange(n)
-    for i in range(len(durations)):
+    f = bracket(0, None)
+    rate = (dn_to_electrons(f) / f.exposure_s).reshape(-1)
+    chosen = np.zeros(rate.size, dtype=np.int64)
+    undecided = np.flatnonzero(f.saturated)
+    for i in range(1, len(durations)):
         if not undecided.size:
             break
         f = bracket(i, undecided)
@@ -153,7 +156,7 @@ def _fuse(shape: tuple, durations: tuple, sensor: SensorSpec, bracket) -> HDRFra
         rate[at] = (dn_to_electrons(f) / f.exposure_s)[take]
         chosen[at] = i
         undecided = undecided[f.saturated]
-    valid = np.ones(n, dtype=bool)
+    valid = np.ones(rate.size, dtype=bool)
     valid[undecided] = False
     return HDRFrame(rate.reshape(shape), valid.reshape(shape), chosen.reshape(shape),
                     durations, sensor)

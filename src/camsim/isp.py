@@ -29,7 +29,8 @@ class RGBImage:
         v = self.values
         if v.ndim != 3 or v.shape[2] not in (1, 3):
             raise ValueError("image must be (H, W, 1|3)")
-        if not np.isfinite(v).all() or v.min() < 0 or v.max() > 1:
+        # NaN fails both comparisons; an empty image has no min and raises too
+        if not (v.min() >= 0 and v.max() <= 1):
             raise ValueError("image values must be finite and in [0, 1]")
 
 
@@ -160,8 +161,8 @@ def color_correct(img: RGBImage, matrix: np.ndarray | None = None,
         if sensor is None:
             raise ValueError("need a matrix or a sensor to fit one from")
         matrix = fit_color_matrix(sensor)
-    out = np.clip(img.values @ _correction_matrix(matrix).T, 0.0, 1.0)
-    return RGBImage(out, TAG_LINEAR_SRGB)
+    out = img.values @ _correction_matrix(matrix).T
+    return RGBImage(np.clip(out, 0.0, 1.0, out=out), TAG_LINEAR_SRGB)
 
 
 def _correction_matrix(matrix) -> np.ndarray:
@@ -180,7 +181,7 @@ def apply_gamma(img: RGBImage, spec: GammaSpec) -> RGBImage:
     v = img.values
     gamma_used: float | None = None
     if spec.mode == "none":
-        out = v
+        out = v.copy()
     elif spec.mode == "srgb":
         out = _srgb_encode(v)
     elif spec.mode == "fixed":
@@ -196,8 +197,7 @@ def apply_gamma(img: RGBImage, spec: GammaSpec) -> RGBImage:
         else:
             gamma_used = float(np.log(spec.target) / np.log(m))
         out = np.power(v, gamma_used)
-    out = np.clip(out, 0.0, 1.0)
-    return RGBImage(out, TAG_SRGB_ENCODED, gamma_used)
+    return RGBImage(np.clip(out, 0.0, 1.0, out=out), TAG_SRGB_ENCODED, gamma_used)
 
 
 def _solve_output_mean_gamma(v: np.ndarray, target: float) -> float:

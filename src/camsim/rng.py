@@ -38,7 +38,9 @@ def uniforms(key, count: int) -> np.ndarray:
     Scalar key -> shape (count,); array key of shape S -> shape S + (count,).
     """
     key = np.asarray(key, dtype=np.uint64)
-    ctr = np.arange(1, count + 1, dtype=np.uint64)
+    out = np.empty(key.shape + (count,))
     with np.errstate(over="ignore"):
-        bits = mix64(key[..., None] + ctr * _GOLDEN)
-    return (bits >> np.uint64(11)).astype(np.float64) * _INV53
+        for c in range(count):  # one contiguous pass over the keys per counter
+            bits = mix64(key + np.uint64(c + 1) * _GOLDEN)
+            out[..., c] = (bits >> np.uint64(11)).astype(np.float64) * _INV53
+    return out

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from camsim import evalmetrics as ev
-from camsim.annotation import LabelPolicy, apply_policy, project_truth
+from camsim.annotation import LabelPolicy, apply_policy, project_truth, scene_truth
 from camsim.cli import main as cli_main
 from camsim.detector import ProxyDetectorConfig, detectability, proxy_detect
 from camsim.exposure import (DEFAULT_BRACKET_S, DEFAULT_CAP_S, ExposurePlan, acquire,
@@ -227,7 +227,7 @@ def test_criterion_12_end_to_end_pixel_sweep():
             acq = acquire(image, sensors[p], ExposurePlan("fixed", t_s=12e-3),
                           seed=7000 + seed)
             img = render(acq.source)
-            boxes = apply_policy(project_truth(sc, acq.geometry), policy)
+            boxes = apply_policy(project_truth(scene_truth(sc), acq.geometry), policy)
             sid = f"s{seed}"
             gts, dets = pools[p]
             gts.extend(ev.as_gt(sid, b) for b in boxes)
@@ -258,7 +258,7 @@ def test_criterion_13_edge_case():
     for name in ("center_weighted", "bracketed"):
         acq = acquire(image, sensor, ExposurePlan(name), seed)
         img = render(acq.source)
-        boxes = apply_policy(project_truth(sc, acq.geometry), LabelPolicy())
+        boxes = apply_policy(project_truth(scene_truth(sc), acq.geometry), LabelPolicy())
         shadow = next(b for b in boxes if b.instance_id == 2)
         cfg = ProxyDetectorConfig(seed=seed)
         dets = proxy_detect(img, boxes, cfg, image_id=name)

@@ -5,11 +5,11 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from camsim.annotation import (GroundTruthBox, LabelPolicy, apply_policy,
-                               export_dataset, project_truth)
+from camsim.annotation import (GroundTruthBox, LabelPolicy, _majority_bin, apply_policy,
+                               export_dataset, project_truth, scene_truth)
 from camsim.exposure import ExposurePlan, acquire
 from camsim.optics import LensSpec, optical_image
-from camsim.scene import SceneSpec, TargetSpec, synthesize
+from camsim.scene import Scene, SceneMeta, SceneSpec, TargetSpec, synthesize
 from camsim.sensor import MONO, PixelSpec, SensorGeometry, SensorSpec
 from camsim.spectral import WavelengthGrid
 
@@ -31,7 +31,7 @@ def make_scene():
 
 def test_project_truth_full_resolution():
     sc = make_scene()
-    boxes = project_truth(sc, FULL)
+    boxes = project_truth(scene_truth(sc), FULL)
     assert len(boxes) == 2
     b = {x.instance_id: x for x in boxes}
     # 0.06 m at 20 m through 6 mm onto 3 µm: 6 px wide, 5 px tall
@@ -43,8 +43,8 @@ def test_project_truth_full_resolution():
 
 def test_project_truth_downsampled_geometry():
     sc = make_scene()
-    full = {b.instance_id: b for b in project_truth(sc, FULL)}
-    halved = {b.instance_id: b for b in project_truth(sc, HALVED)}
+    full = {b.instance_id: b for b in project_truth(scene_truth(sc), FULL)}
+    halved = {b.instance_id: b for b in project_truth(scene_truth(sc), HALVED)}
     for i in (1, 2):
         fx0, fy0, fx1, fy1 = full[i].bbox
         hx0, hy0, hx1, hy1 = halved[i].bbox
@@ -111,7 +111,7 @@ def test_majority_vote_downsampling_tie_break():
     # force a 2x2 block that is half instance 1, half instance 2: tie goes to
     # the smaller id
     sc.instances[0:2, 0:2] = [[1, 1], [2, 2]]
-    boxes = {b.instance_id: b for b in project_truth(sc, HALVED)}
+    boxes = {b.instance_id: b for b in project_truth(scene_truth(sc), HALVED)}
     x0, y0, x1, y1 = boxes[1].bbox
     assert x0 == 0 and y0 == 0
 
@@ -150,6 +150,70 @@ def test_majority_bin_matches_brute_force_vote_with_ties():
         assert np.array_equal(got, _brute_force_majority(inst, factor, rows, cols)), trial
 
 
+def _full_frame_truth(sc, g):
+    """Boxes as a vote over the whole sensor grid gives them, with the depth
+    median over the whole instance map: the oracle for the windowed vote."""
+    binned = _majority_bin(sc.instances[g.y0:, g.x0:], g.factor, g.rows, g.cols)
+    out = []
+    for inst_id in sorted(sc.classes):
+        mask = binned == inst_id
+        if mask.any():
+            ys, xs = np.nonzero(mask)
+            out.append((inst_id, sc.classes[inst_id],
+                        (int(xs.min()), int(ys.min()), int(xs.max()) + 1, int(ys.max()) + 1),
+                        int(mask.sum()), float(np.median(sc.depth[sc.instances == inst_id]))))
+    return out
+
+
+@st.composite
+def instance_scenes(draw):
+    """A sensor geometry with odd or even origin on an instance map that
+    extends past the frame, holding overlapping rectangles (instances that
+    share blocks and are cut by the frame edge), a salt-and-pepper patch
+    and blocks split exactly in half between two ids."""
+    factor = draw(st.integers(1, 8))
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    y0, x0 = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    h = y0 + rows * factor + draw(st.integers(0, 5))
+    w = x0 + cols * factor + draw(st.integers(0, 5))
+    inst = np.zeros((h, w), dtype=np.uint16)
+    ids = draw(st.lists(st.integers(1, 9), min_size=1, max_size=6))
+    for i in ids:
+        ya, yb = sorted(draw(st.integers(0, h)) for _ in range(2))
+        xa, xb = sorted(draw(st.integers(0, w)) for _ in range(2))
+        inst[ya:yb, xa:xb] = i
+    if draw(st.booleans()):
+        seed = draw(st.integers(0, 2 ** 32 - 1))
+        rng = np.random.default_rng(seed)
+        ya, xa = int(rng.integers(0, h)), int(rng.integers(0, w))
+        patch = inst[ya:ya + 2 * factor + 1, xa:xa + 2 * factor + 1]
+        patch[...] = rng.choice([0, *ids], size=patch.shape)
+    if factor % 2 == 0:
+        for r, c, a, b in draw(st.lists(st.tuples(st.integers(0, rows - 1),
+                                                  st.integers(0, cols - 1),
+                                                  st.sampled_from(ids), st.sampled_from(ids)),
+                                        max_size=4)):
+            block = inst[y0 + r * factor:y0 + (r + 1) * factor,
+                         x0 + c * factor:x0 + (c + 1) * factor]
+            block[: factor // 2] = a
+            block[factor // 2:] = b
+    depth = np.arange(h * w, dtype=np.float32).reshape(h, w) % 97 + 1
+    # some ids on the map have no class; a class may name an absent id
+    named = draw(st.sets(st.sampled_from([*ids, 10]), min_size=1))
+    sc = Scene(np.zeros((h, w, 1), np.float32), WavelengthGrid(550.0, 10.0, 1), 3.0,
+               depth, inst, {i: f"c{i}" for i in named}, SceneMeta())
+    return sc, SensorGeometry(factor, rows, cols, y0, x0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=instance_scenes())
+def test_windowed_vote_matches_the_full_frame_vote(case):
+    sc, g = case
+    got = [(b.instance_id, b.class_name, b.bbox, b.pixel_count, b.distance_m)
+           for b in project_truth(scene_truth(sc), g)]
+    assert got == _full_frame_truth(sc, g)
+
+
 @settings(max_examples=40, deadline=None)
 @given(h=st.integers(16, 160), w=st.integers(16, 160),
        pitch=st.sampled_from([0.75, 1.5, 3.0]), factor=st.integers(1, 4),
@@ -179,7 +243,7 @@ def test_truth_covers_target_pixels_in_the_frame(h, w, pitch, factor, dye_rows, 
     rate = acq.rate_e_per_s
     lit = rate > 0  # any target cell in the pixel's footprint
     full = lit & (rate >= image.rates.max() * (p * 1e-6) ** 2 * (1 - 1e-9))  # target cells only
-    boxes = project_truth(sc, acq.geometry)
+    boxes = project_truth(scene_truth(sc), acq.geometry)
     assert len(boxes) == 1 if full.any() else len(boxes) <= int(lit.any())
     for b in boxes:
         x0, y0, x1, y1 = b.bbox

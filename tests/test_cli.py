@@ -300,6 +300,36 @@ def test_edge_case_at_a_pixel_pitch_finer_than_3um(tmp_path):
         assert set(result["targets"]) == {"1", "2"}
 
 
+def test_edge_case_ignores_the_scenes_section(tmp_path):
+    # 1.5 µm pixels cannot sample the default 3 µm scenes.spec, which only
+    # run and the sweeps read; edge-case lays out its own scene
+    cfg = {"scenes": {"source": "synth", "spec": {}}, "sensor": {"pixel": {"size_um": 1.5}},
+           "output_dir": str(tmp_path / "out"), "seed": 2}
+    path = tmp_path / "e.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["edge-case", str(path)]) == EXIT_OK
+    assert (tmp_path / "out" / "edge_case.json").is_file()
+    cfg["output_dir"] = str(tmp_path / "run")
+    path.write_text(json.dumps(cfg))
+    assert main(["run", str(path)]) == EXIT_CONFIG
+    assert not (tmp_path / "run").exists()
+
+
+def test_edge_case_lists_targets_the_policy_rejects(tmp_path):
+    # at 10 µm both stress targets fall below the label policy's minimum box
+    cfg = {"scenes": {"source": "synth", "spec": {}}, "sensor": {"pixel": {"size_um": 10.0}},
+           "output_dir": str(tmp_path / "out"), "seed": 2}
+    path = tmp_path / "e.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["edge-case", str(path)]) == EXIT_OK
+    report = json.loads((tmp_path / "out" / "edge_case.json").read_text())
+    for result in report["algorithms"].values():
+        assert set(result["targets"]) == {"1", "2"}
+        for t in result["targets"].values():
+            assert t["labeled"] is False and t["dprime"] is None and t["detected"] is False
+            assert t["distance_m"] > 0
+
+
 def test_sweep_pixel_command(tmp_path):
     path = run_config(tmp_path)
     rc = main(["sweep-pixel", str(path), "--sizes", "3", "6"])
@@ -449,3 +479,46 @@ def test_scene_synthesized_and_projected_once(tmp_path, monkeypatch, argv, mode,
     projections = 2 * images if argv[0] == "sweep-exposure" else images
     assert counts == {"synthesize": n, "optical_image": n * images, "psf_blur": n * images,
                       "project": n * projections, "project_bands": 0}
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep-pixel", "--sizes", "3", "6"],
+    ["sweep-exposure", "--lux", "10", "500"],
+], ids=["sweep-pixel", "sweep-exposure"])
+def test_scene_truth_once_per_scene(tmp_path, monkeypatch, argv):
+    from camsim import cli
+
+    counts = {}
+    _count_calls(monkeypatch, cli, "scene_truth", counts)
+    path = run_config(tmp_path, exposure={"mode": "fixed"})
+    assert main([argv[0], str(path), *argv[1:]]) == EXIT_OK
+    assert counts == {"scene_truth": 2}  # run_config has two scenes
+
+
+@pytest.mark.parametrize("argv", [["run"], ["sweep-exposure", "--lux", "10", "500"]],
+                         ids=["run", "sweep-exposure"])
+def test_radiance_cube_freed_before_capture(tmp_path, monkeypatch, argv):
+    """No variant holds the scene's radiance cube: it is gone by the time the
+    first acquisition of the scene runs."""
+    import gc
+    import weakref
+
+    from camsim import cli
+
+    monkeypatch.setenv("CAMSIM_THREADS", "1")  # one scene at a time, in order
+    cubes, freed = [], []
+    synthesize, acquire = cli.synthesize, cli.acquire
+
+    def tracked_synthesize(spec):
+        sc = synthesize(spec)
+        cubes.append(weakref.ref(sc.radiance))
+        return sc
+
+    def checked_acquire(*args, **kwargs):
+        gc.collect()
+        freed.append(cubes[-1]() is None)
+        return acquire(*args, **kwargs)
+    monkeypatch.setattr(cli, "synthesize", tracked_synthesize)
+    monkeypatch.setattr(cli, "acquire", checked_acquire)
+    assert main([argv[0], str(run_config(tmp_path)), *argv[1:]]) == EXIT_OK
+    assert len(cubes) == 2 and freed and all(freed)

@@ -108,6 +108,28 @@ def test_color_matrix_maps_white_to_neutral():
     assert np.allclose(corrected, corrected[1], rtol=0.05)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1e-12, 1.0 + 1e-12],
+                         ids=["nan", "+inf", "-inf", "below-0", "above-1"])
+def test_rgb_image_rejects_values_outside_the_unit_interval(bad):
+    v = np.full((2, 3, 3), 0.5)
+    v[1, 2, 0] = bad
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        RGBImage(v, TAG_LINEAR_SRGB)
+
+
+def test_rgb_image_rejects_an_empty_image():
+    with pytest.raises(ValueError):
+        RGBImage(np.zeros((0, 4, 3)), TAG_LINEAR_SRGB)
+
+
+def test_gamma_none_returns_a_fresh_array():
+    v = np.full((2, 2, 3), 0.25)
+    img = RGBImage(v, TAG_LINEAR_SRGB)
+    out = apply_gamma(img, GammaSpec(mode="none"))
+    assert out.values is not v and not np.shares_memory(out.values, v)
+    assert np.array_equal(out.values, v)
+
+
 def test_color_correct_requires_sensor_linear_rgb():
     img = RGBImage(np.zeros((2, 2, 3)), TAG_LINEAR_SRGB)
     with pytest.raises(ValueError, match="sensor-linear"):

@@ -40,3 +40,18 @@ def test_stream_key_vectorized_matches_scalar():
     vec = stream_key(7, 3, idx)
     scal = np.array([stream_key(7, 3, int(i)) for i in idx], dtype=np.uint64)
     assert np.array_equal(vec, scal)
+
+
+def test_uniforms_equal_the_per_counter_formula():
+    # counter c (1-based) of key k draws (mix64(k + c·G) >> 11) · 2⁻⁵³
+    keys = stream_key(3, 5, np.arange(24, dtype=np.uint64)).reshape(4, 6)
+    got = uniforms(keys, 3)
+    assert got.shape == (4, 6, 3)
+    for c in range(3):
+        with np.errstate(over="ignore"):
+            bits = mix64(keys + np.uint64(c + 1) * _GOLDEN)
+        want = (bits >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
+        assert got[..., c].tobytes() == want.tobytes()
+    scalar = uniforms(keys[1, 2], 3)
+    assert scalar.shape == (3,)
+    assert scalar.tobytes() == got[1, 2].tobytes()
