@@ -1,9 +1,9 @@
 """Batch experiment driver.
 
 Commands: synth, run, sweep-pixel, sweep-exposure, edge-case, eval, plot.
-All experiment parameters live in a single JSON config; flags only select
-the command, config path, seed override, and verbosity. CAMSIM_THREADS caps
-the scene worker pool. Exit codes: 0 ok, 2 config error, 3 runtime error.
+All experiment parameters live in one JSON config; a sweep is a table of
+variants of it, run in one pipeline call. CAMSIM_THREADS caps the scene
+worker pool. Exit codes: 0 ok, 2 config error, 3 runtime error.
 """
 
 from __future__ import annotations
@@ -152,15 +152,14 @@ def _scale_to_lux(sc: Scene, lens: LensSpec, target_lux: float | None) -> Scene:
 def _capture_and_detect(v: RunConfig, truth: SceneTruth, image: OpticalImage, seed: int,
                         image_id) -> tuple:
     """One variant of a scene: acquire -> ISP -> annotate -> proxy-detect.
-    Returns (acquisition, rendered image, boxes, proxy config, detections)."""
+    Returns (acquisition, rendered image, boxes, detections)."""
     acq = acquire(image, v.sensor, v.exposure, seed)
     rendered = render(acq.source, v.isp)
     boxes = apply_policy(project_truth(truth, acq.geometry), v.policy)
-    pconf = replace(v.detector.proxy, seed=seed)
     # imported detections are read after the pool completes
-    dets = [] if v.detector.imported else proxy_detect(rendered, boxes, pconf,
-                                                       image_id=image_id)
-    return acq, rendered, boxes, pconf, dets
+    dets = [] if v.detector.imported else proxy_detect(
+        rendered, boxes, replace(v.detector.proxy, seed=seed), image_id=image_id)
+    return acq, rendered, boxes, dets
 
 
 def _process_scene(args):
@@ -185,25 +184,24 @@ def _process_scene(args):
     out = []
     for v in variants:
         try:
-            acq, rendered, boxes, _, dets = _capture_and_detect(
+            acq, rendered, boxes, dets = _capture_and_detect(
                 v, truth, images[v.target_lux], seed, scene_id)
         except Exception as e:  # this variant failed; the others still run
             out.append(e)
             continue
-        out.append({"gts": [ev.as_gt(scene_id, b) for b in boxes], "dets": dets,
-                    "duration_s": acq.duration_s,
+        out.append({"dets": dets, "duration_s": acq.duration_s,
                     "rows": acq.geometry.rows, "cols": acq.geometry.cols,
                     "image": rendered if v.save_images else None, "boxes": boxes})
     return scene_id, out
 
 
-def run_pipeline(cfg: RunConfig, variants: list | None = None) -> list:
-    """Full cmd_run over the configured scenes. Each variant (default: cfg
-    alone) is a config sharing cfg's scenes, lens, seed and sensor CFA/QE;
-    every scene is opened once, projected once per target_lux among the
-    variants and captured by each variant. Writes each variant's artifacts to
-    its output_dir and returns its summary dict, in variant order."""
-    variants = [cfg] if variants is None else variants
+def run_pipeline(cfg: RunConfig, variants: list) -> list:
+    """Full cmd_run over the configured scenes. Each variant is a config
+    sharing cfg's scenes, lens, seed and sensor CFA/QE; every scene is
+    opened once, projected once per target_lux among the variants and
+    captured by each variant. Writes each variant's artifacts to its
+    output_dir and returns its (summary, {scene_id: result dict}), in
+    variant order."""
     workers = _n_workers()
     jobs = [(cfg, variants, sid, i, source)
             for i, (sid, source) in enumerate(_load_scenes(cfg))]
@@ -217,7 +215,7 @@ def run_pipeline(cfg: RunConfig, variants: list | None = None) -> list:
                         errors[k].append((sid, r))
                     else:
                         results[k][sid] = r
-    return [_write_run(v, results[k], errors[k]) for k, v in enumerate(variants)]
+    return [(_write_run(v, results[k], errors[k]), results[k]) for k, v in enumerate(variants)]
 
 
 def _write_scores(dets: list, gts: list, out: Path, max_distance_m: float) -> tuple:
@@ -225,6 +223,11 @@ def _write_scores(dets: list, gts: list, out: Path, max_distance_m: float) -> tu
     curve = ev.ap_vs_distance(dets, gts, max_distance_m=max_distance_m)
     ev.write_metrics_csv(curve, out / "metrics.csv")
     return curve, ev.write_summary_json(curve, dets, gts, out / "summary.json")
+
+
+def _ap_points(curve) -> list:
+    """(bin centre, AP) of every bin of an AP-vs-distance curve that has an AP."""
+    return [(0.5 * (b.low_m + b.high_m), b.ap) for b in curve.bins if b.ap is not None]
 
 
 def _write_run(cfg: RunConfig, results: dict, errors: list) -> dict:
@@ -235,7 +238,7 @@ def _write_run(cfg: RunConfig, results: dict, errors: list) -> dict:
     gts, dets, images_meta, truths = [], [], [], {}
     for sid in ordered:
         r = results[sid]
-        gts.extend(r["gts"])
+        gts.extend(ev.as_gt(sid, b) for b in r["boxes"])
         dets.extend(r["dets"])
         images_meta.append({"id": sid, "file": f"{sid}.ppm",
                             "width": r["cols"], "height": r["rows"]})
@@ -255,8 +258,7 @@ def _write_run(cfg: RunConfig, results: dict, errors: list) -> dict:
         (out / "errors.log").write_text(
             "\n".join(f"{sid}: {exc}" for sid, exc in errors))
     if cfg.plot:
-        pts = [(0.5 * (b.low_m + b.high_m), b.ap) for b in curve.bins if b.ap is not None]
-        curve_svg([("AP", pts)], out / "ap_vs_distance.svg")
+        curve_svg([("AP", _ap_points(curve))], out / "ap_vs_distance.svg")
     summary["n_images"] = len(ordered)
     summary["n_errors"] = len(errors)
     return summary
@@ -265,6 +267,8 @@ def _write_run(cfg: RunConfig, results: dict, errors: list) -> dict:
 # ------------------------------------------------------------- commands ----
 
 def cmd_synth(args) -> int:
+    if args.count < 0:
+        raise ConfigError(f"-n/--count must be a non-negative integer, got {args.count}")
     try:
         spec_doc = json.loads(Path(args.spec).read_text())
     except json.JSONDecodeError as e:
@@ -290,89 +294,91 @@ def _exit_code(summaries: list) -> int:
 
 def cmd_run(args) -> int:
     cfg = RunConfig.from_file(args.config, args.seed)
-    summaries = run_pipeline(cfg)
-    print(json.dumps(summaries[0], indent=1))
-    return _exit_code(summaries)
+    (summary, _), = run_pipeline(cfg, [cfg])
+    print(json.dumps(summary, indent=1))
+    return _exit_code([summary])
 
 
-def _distinct(values: list, flag: str) -> list:
-    """`values`, unless two of them name one output directory (equal under :g)."""
+# sweep-exposure's plans, overrides of the config's exposure section
+PLANS = {"fixed_12ms": {"mode": "fixed", "t_s": 12e-3},
+         "fixed_0.12ms": {"mode": "fixed", "t_s": 0.12e-3},
+         "fixed_12us": {"mode": "fixed", "t_s": 12e-6},
+         "center_weighted": {"mode": "center_weighted"}, "bracketed": {"mode": "bracketed"}}
+
+
+def _plans(cfg: RunConfig, names) -> dict:
+    """{name: that plan of PLANS on cfg's exposure section}; a plan the
+    section makes invalid (a cap below a fixed duration, say) exits 2."""
+    try:
+        return {name: replace(cfg.exposure, **PLANS[name]) for name in names}
+    except ValueError as e:
+        raise ConfigError(f"exposure: {e}") from e
+
+
+def _sweep(cfg: RunConfig, flag: str, values: list, table, csv_name: str, header: list,
+           cells=lambda results: ()) -> list:
+    """One pipeline call over the [(row labels, variant)] `table(value)` gives
+    per `flag` value; writes a CSV row of labels, cells(per-scene results),
+    ap_overall and od50_m per variant; returns [(labels, summary, results)]."""
     names = [f"{v:g}" for v in values]
     if len(set(names)) < len(names):
         raise ConfigError(f"{flag}: duplicate values in {' '.join(names)}")
-    return values
+    try:
+        rows = [row for value in values for row in table(value)]
+    except ValueError as e:
+        raise ConfigError(f"{flag}: {e}") from e
+    runs = [(labels, *run) for (labels, _), run
+            in zip(rows, run_pipeline(cfg, [v for _, v in rows]))]
+    with open(cfg.output_dir / csv_name, "w", newline="") as f:
+        w = csv.writer(f)
+        w.writerow([*header, "ap_overall", "od50_m"])
+        for labels, summary, results in runs:
+            od50 = "beyond-range" if summary["od50_beyond_range"] else summary["od50_m"]
+            w.writerow([*labels, *cells(results), summary["ap_overall"], od50])
+    print(f"wrote {cfg.output_dir / csv_name}")
+    return runs
 
 
 def cmd_sweep_pixel(args) -> int:
     cfg = RunConfig.from_file(args.config, args.seed)
-    sizes = _distinct(args.sizes or [1.5, 3.0, 6.0], "--sizes")
-    try:
-        variants = [replace(cfg, sensor=cfg.sensor.with_pixel_size(size),
-                            output_dir=cfg.output_dir / f"pixel_{size:g}um") for size in sizes]
-        for v in variants:
-            v.check_scenes()
-    except ValueError as e:
-        raise ConfigError(f"--sizes: {e}") from e
-    summaries = run_pipeline(cfg, variants)
-    rows_out = []
-    for size, v, summary in zip(sizes, variants, summaries):
-        # the captured frame size, which the scene bounds as well as the dye
-        # (the largest frame when the scenes differ in size)
-        images = json.loads((v.output_dir / "dataset.json").read_text())["images"]
-        rows, cols = max(((im["height"], im["width"]) for im in images), default=("", ""))
-        rows_out.append([size, rows, cols, summary["ap_overall"],
-                         summary["od50_m"] if not summary["od50_beyond_range"] else "beyond-range"])
-    cfg.output_dir.mkdir(parents=True, exist_ok=True)
-    with open(cfg.output_dir / "sweep_pixel.csv", "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["pixel_size_um", "rows", "cols", "ap_overall", "od50_m"])
-        w.writerows(rows_out)
-    print(f"wrote {cfg.output_dir / 'sweep_pixel.csv'}")
-    return _exit_code(summaries)
+
+    def table(size):
+        v = replace(cfg, sensor=cfg.sensor.with_pixel_size(size),
+                    output_dir=cfg.output_dir / f"pixel_{size:g}um")
+        v.check_scenes()
+        return [((size,), v)]
+
+    # the largest captured frame, which the scene bounds as well as the dye
+    runs = _sweep(cfg, "--sizes", args.sizes or [1.5, 3.0, 6.0], table, "sweep_pixel.csv",
+                  ["pixel_size_um", "rows", "cols"],
+                  lambda results: max(((r["rows"], r["cols"]) for r in results.values()),
+                                      default=("", "")))
+    return _exit_code([summary for _, summary, _ in runs])
 
 
 def cmd_sweep_exposure(args) -> int:
     cfg = RunConfig.from_file(args.config, args.seed)
-    lux_levels = _distinct(args.lux or [10.0, 500.0], "--lux")
-    plans = {
-        "fixed_12ms": ExposurePlan("fixed", t_s=12e-3),
-        "fixed_0.12ms": ExposurePlan("fixed", t_s=0.12e-3),
-        "fixed_12us": ExposurePlan("fixed", t_s=12e-6),
-        "center_weighted": ExposurePlan("center_weighted"),
-        "bracketed": ExposurePlan("bracketed"),
-    }
-    keys = [(lux, name) for lux in lux_levels for name in plans]
-    try:
-        variants = [replace(cfg, target_lux=lux, exposure=plans[name],
-                            output_dir=cfg.output_dir / f"lux{lux:g}_{name}")
-                    for lux, name in keys]
-    except ValueError as e:
-        raise ConfigError(f"--lux: {e}") from e
-    summaries = run_pipeline(cfg, variants)
-    rows_out = []
-    cw_durations: dict = {}
-    for (lux, name), v, summary in zip(keys, variants, summaries):
-        rows_out.append([lux, name, summary["ap_overall"],
-                         summary["od50_m"] if not summary["od50_beyond_range"]
-                         else "beyond-range"])
-        if name == "center_weighted":
-            durs = json.loads((v.output_dir / "exposures.json").read_text())
-            cw_durations[lux] = sorted(durs.values())
-    cfg.output_dir.mkdir(parents=True, exist_ok=True)
-    with open(cfg.output_dir / "sweep_exposure.csv", "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["lux", "plan", "ap_overall", "od50_m"])
-        w.writerows(rows_out)
-    edges = np.geomspace(12e-6, 16e-3, 13)
+    plans = _plans(cfg, PLANS)
+
+    def table(lux):
+        return [((lux, name), replace(cfg, target_lux=lux, exposure=plan,
+                                      output_dir=cfg.output_dir / f"lux{lux:g}_{name}"))
+                for name, plan in plans.items()]
+
+    runs = _sweep(cfg, "--lux", args.lux or [10.0, 500.0], table, "sweep_exposure.csv",
+                  ["lux", "plan"])
     with open(cfg.output_dir / "cw_duration_histogram.csv", "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(["lux", "bin_low_s", "bin_high_s", "count"])
-        for lux, durs in cw_durations.items():
-            hist, _ = np.histogram(durs, bins=edges)
-            for i, c in enumerate(hist):
-                w.writerow([lux, f"{edges[i]:.6g}", f"{edges[i + 1]:.6g}", int(c)])
-    print(f"wrote {cfg.output_dir / 'sweep_exposure.csv'}")
-    return _exit_code(summaries)
+        cw = {lux: [r["duration_s"] for r in results.values()]
+              for (lux, name), _, results in runs if name == "center_weighted"}
+        for lux, durs in cw.items():
+            # the end bins reach out to the shortest and the longest duration
+            edges = np.geomspace(12e-6, 16e-3, 13)
+            edges[0], edges[-1] = min([edges[0], *durs]), max([edges[-1], *durs])
+            w.writerows([lux, f"{lo:.6g}", f"{hi:.6g}", int(c)]
+                        for lo, hi, c in zip(edges, edges[1:], np.histogram(durs, edges)[0]))
+    return _exit_code([summary for _, summary, _ in runs])
 
 
 def cmd_edge_case(args) -> int:
@@ -390,18 +396,16 @@ def edge_case_report(cfg: RunConfig) -> dict:
     detection outcome when the label policy keeps it. The scene is laid out
     at the largest grid pitch up to 3 µm that divides the pixel pitch, with
     the lens's focal length."""
+    plans = _plans(cfg, ("center_weighted", "bracketed"))
     p = cfg.sensor.pixel.size_um
     sc = edge_case_scene(p / math.ceil(p / 3.0), cfg.lens.focal_length_mm)
     image = optical_image(sc, cfg.lens, cfg.sensor)
     truth = scene_truth(sc)
+    proxy = cfg.detector.proxy
     report = {"algorithms": {}}
-    plans = {
-        "center_weighted": ExposurePlan("center_weighted"),
-        "bracketed": ExposurePlan("bracketed"),
-    }
     for name, plan in plans.items():
-        v = replace(cfg, exposure=plan, detector=DetectorConfig(cfg.detector.proxy))
-        acq, rendered, boxes, pconf, dets = _capture_and_detect(v, truth, image, cfg.seed, name)
+        v = replace(cfg, exposure=plan, detector=DetectorConfig(proxy))
+        acq, rendered, boxes, dets = _capture_and_detect(v, truth, image, cfg.seed, name)
         duration = list(plan.durations_s) if plan.mode == "bracketed" else acq.duration_s
         labeled = {b.instance_id: b for b in boxes}
         targets = {}
@@ -410,8 +414,8 @@ def edge_case_report(cfg: RunConfig) -> dict:
             entry = {"class": class_name, "distance_m": depth, "labeled": b is not None,
                      "dprime": None, "detected": False}
             if b is not None:
-                entry["dprime"] = detectability(rendered.values, b, pconf.min_pixels,
-                                                pconf.snr_scale)
+                entry["dprime"] = detectability(rendered.values, b, proxy.min_pixels,
+                                                proxy.snr_scale)
                 entry["detected"] = any(ev.iou(det, b) >= ev.IOU_THRESHOLD for det in dets)
             targets[str(inst_id)] = entry
         report["algorithms"][name] = {"duration_s": duration, "targets": targets}
@@ -437,12 +441,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_plot(args) -> int:
-    series = []
-    for path in args.csv:
-        curve = ev.read_metrics_csv(path)
-        pts = [(0.5 * (b.low_m + b.high_m), b.ap) for b in curve.bins if b.ap is not None]
-        series.append((Path(path).stem, pts))
-    curve_svg(series, args.out)
+    curve_svg([(Path(p).stem, _ap_points(ev.read_metrics_csv(p))) for p in args.csv], args.out)
     print(f"wrote {args.out}")
     return EXIT_OK
 

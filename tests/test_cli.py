@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 from pathlib import Path
@@ -194,6 +195,14 @@ def test_bad_thread_count_is_config_error(tmp_path, monkeypatch, capsys, value, 
     assert not (tmp_path / "out").exists()
 
 
+def test_synth_negative_count_is_config_error(tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(SYNTH_SPEC))
+    assert main(["synth", str(spec), str(tmp_path / "scenes"), "-n", "-2"]) == EXIT_CONFIG
+    assert "-n" in capsys.readouterr().err
+    assert not (tmp_path / "scenes").exists()
+
+
 def test_synth_malformed_spec_is_config_error(tmp_path):
     spec = tmp_path / "spec.json"
     spec.write_text("{bad")
@@ -315,6 +324,37 @@ def test_edge_case_ignores_the_scenes_section(tmp_path):
     assert not (tmp_path / "run").exists()
 
 
+def test_edge_case_honours_the_exposure_section(tmp_path):
+    # the metering target and the bracket durations come from the config
+    reports = []
+    for target in (0.9, 0.45):
+        cfg = {"scenes": {"source": "synth", "spec": {}}, "seed": 2,
+               "exposure": {"mode": "fixed", "durations_s": [8e-3, 1e-4],
+                            "target_fraction": target},
+               "output_dir": str(tmp_path / f"out_{target:g}")}
+        path = tmp_path / "e.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["edge-case", str(path)]) == EXIT_OK
+        reports.append(json.loads((tmp_path / f"out_{target:g}" / "edge_case.json").read_text()))
+    for report in reports:
+        assert report["algorithms"]["bracketed"]["duration_s"] == [8e-3, 1e-4]
+    metered = [r["algorithms"]["center_weighted"]["duration_s"] for r in reports]
+    assert metered[1] == pytest.approx(metered[0] / 2) and metered[0] < 16e-3
+
+
+@pytest.mark.parametrize("argv", [["sweep-exposure", "--lux", "10"], ["edge-case"]],
+                         ids=["sweep-exposure", "edge-case"])
+def test_plan_the_exposure_section_rules_out_is_config_error(tmp_path, capsys, argv):
+    # a 10 ms cap rules out the 12 ms fixed plan and the 12 ms bracket
+    path = run_config(tmp_path, exposure={"mode": "center_weighted", "cap_s": 0.01})
+    assert main(["run", str(path)]) == EXIT_OK
+    out = tmp_path / "out"
+    out.rename(tmp_path / "run")
+    assert main([argv[0], str(path), *argv[1:]]) == EXIT_CONFIG
+    assert "exposure: " in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_edge_case_lists_targets_the_policy_rejects(tmp_path):
     # at 10 µm both stress targets fall below the label policy's minimum box
     cfg = {"scenes": {"source": "synth", "spec": {}}, "sensor": {"pixel": {"size_um": 10.0}},
@@ -368,6 +408,30 @@ def test_bad_sweep_flag_is_config_error(tmp_path, capsys, argv, flag):
     assert main([argv[0], str(path), *argv[1:]]) == EXIT_CONFIG
     assert flag in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("section", [{"mode": "bracketed"},
+                                     {"mode": "center_weighted", "cap_s": 0.05}],
+                         ids=["cap=16ms", "cap=50ms"])
+def test_cw_histogram_counts_every_scored_scene(tmp_path, section):
+    # at 1e5 and 1e7 lux the metered durations fall below 12 µs, the first
+    # default bin edge, and at 10 lux a 50 ms cap lets them pass 16 ms, the
+    # last; the end bins reach out to them
+    path = run_config(tmp_path, scenes={"source": "synth", "spec": SCENE_SPEC, "count": 3},
+                      exposure=section)
+    assert main(["sweep-exposure", str(path), "--lux", "10", "1e5", "1e7"]) == EXIT_OK
+    out = tmp_path / "out"
+    with open(out / "cw_duration_histogram.csv", newline="") as f:
+        rows = list(csv.DictReader(f))
+    durations = []
+    for lux in (10.0, 1e5, 1e7):
+        # one duration per scored scene
+        scored = json.loads((out / f"lux{lux:g}_center_weighted" / "exposures.json").read_text())
+        durations += scored.values()
+        counts = [int(r["count"]) for r in rows if float(r["lux"]) == lux]
+        assert len(counts) == 12 and sum(counts) == len(scored) == 3
+    assert min(durations) < 12e-6
+    assert (max(durations) > 16e-3) == ("cap_s" in section)
 
 
 def test_sweep_exits_runtime_error_when_a_size_fails(tmp_path):
@@ -424,27 +488,62 @@ RUN_FILES = ("summary.json", "metrics.csv", "detections.json", "exposures.json",
              "dataset.json")
 
 
-@pytest.mark.parametrize("mode", ["center_weighted", "bracketed"])
-def test_sweep_pixel_matches_separate_runs(tmp_path, mode):
-    """Each size directory of one sweep (scenes projected once, the PSF
-    applied at the 0.75 µm grid) is byte-identical to a separate run."""
+SWEEP_PLANS = {"fixed_12ms": {"mode": "fixed", "t_s": 12e-3},
+               "fixed_0.12ms": {"mode": "fixed", "t_s": 0.12e-3},
+               "fixed_12us": {"mode": "fixed", "t_s": 12e-6},
+               "center_weighted": {"mode": "center_weighted"},
+               "bracketed": {"mode": "bracketed"}}
+
+
+@pytest.mark.parametrize("argv, section", [
+    (["sweep-pixel", "--sizes", "1.5", "3"], {"mode": "center_weighted"}),
+    (["sweep-pixel", "--sizes", "1.5", "3"], {"mode": "bracketed"}),
+    (["sweep-exposure", "--lux", "10", "500"], {"mode": "bracketed"}),
+    # every plan, not only center_weighted, runs on the config's own section
+    (["sweep-exposure", "--lux", "500"], {"mode": "center_weighted", "target_fraction": 0.5}),
+], ids=["pixel-center_weighted", "pixel-bracketed", "exposure",
+        "exposure-target_fraction=0.5"])
+def test_sweep_matches_separate_runs(tmp_path, argv, section):
+    """Each variant directory of one sweep (scenes projected once, the PSF
+    applied at the 0.75 µm grid) is byte-identical to a separate run of that
+    variant's config, and the sweep's CSV row repeats the variant's
+    summary.json (and, for a pixel size, its frame size in dataset.json)."""
     base = {"scenes": {"source": "synth", "spec": PSF_SPEC, "count": 3},
             "sensor": {"dye_width_mm": 0.12, "dye_height_mm": 0.096},
-            "exposure": {"mode": mode},
+            "exposure": section,
             "policy": {"min_box_w": 1, "min_box_h": 1}, "seed": 5}
+    values = [float(v) for v in argv[2:]]
+    if argv[0] == "sweep-pixel":
+        variants = {f"pixel_{size:g}um": {"sensor": {**base["sensor"], "pixel": {"size_um": size}}}
+                    for size in values}
+    else:
+        variants = {f"lux{lux:g}_{name}": {"target_lux": lux, "exposure": {**section, **plan}}
+                    for lux in values for name, plan in SWEEP_PLANS.items()}
     sweep = tmp_path / "sweep.json"
     sweep.write_text(json.dumps({**base, "output_dir": str(tmp_path / "sweep")}))
-    assert main(["sweep-pixel", str(sweep), "--sizes", "1.5", "3"]) == EXIT_OK
-    for size in (1.5, 3.0):
-        single = tmp_path / f"run_{size:g}.json"
-        out = tmp_path / f"run_{size:g}"
-        single.write_text(json.dumps({**base, "output_dir": str(out),
-                                      "sensor": {**base["sensor"],
-                                                 "pixel": {"size_um": size}}}))
+    assert main([argv[0], str(sweep), *argv[1:]]) == EXIT_OK
+    for name, overrides in variants.items():
+        single = tmp_path / f"{name}.json"
+        out = tmp_path / "runs" / name
+        single.write_text(json.dumps({**base, **overrides, "output_dir": str(out)}))
         assert main(["run", str(single)]) == EXIT_OK
-        for name in RUN_FILES:
-            assert (tmp_path / "sweep" / f"pixel_{size:g}um" / name).read_bytes() == \
-                (out / name).read_bytes(), (size, name)
+        for file in RUN_FILES:
+            assert (tmp_path / "sweep" / name / file).read_bytes() == \
+                (out / file).read_bytes(), (name, file)
+
+    table = argv[0].replace("-", "_")
+    with open(tmp_path / "sweep" / f"{table}.csv", newline="") as f:
+        rows = list(csv.reader(f))[1:]
+    assert len(rows) == len(variants)
+    for row in rows:
+        name = f"pixel_{float(row[0]):g}um" if argv[0] == "sweep-pixel" \
+            else f"lux{float(row[0]):g}_{row[1]}"
+        summary = json.loads((tmp_path / "sweep" / name / "summary.json").read_text())
+        od50 = "beyond-range" if summary["od50_beyond_range"] else str(summary["od50_m"])
+        assert row[-2:] == [str(summary["ap_overall"]), od50], name
+        if argv[0] == "sweep-pixel":
+            images = json.loads((tmp_path / "sweep" / name / "dataset.json").read_text())["images"]
+            assert {(im["height"], im["width"]) for im in images} == {(int(row[1]), int(row[2]))}
 
 
 def _count_calls(monkeypatch, module, name, counts):
