@@ -36,4 +36,4 @@ from .evalmetrics import (  # noqa: F401
     Detection, GTBox, APCurve, APBin, OD50Result, as_gt,
     iou, match, average_precision, ap_vs_distance, od50,
 )
-from .detector import ProxyDetectorConfig, proxy_detect, import_detections  # noqa: F401
+from .detector import ProxyDetectorConfig, proxy_detect  # noqa: F401

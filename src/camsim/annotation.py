@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 from scipy import ndimage
 
-from .scene import Scene
+from .scene import MAX_DISTANCE_M, Scene
 from .sensor import SensorGeometry
 
 # Train/val/test proportions (normalized 3000:700:750).
@@ -47,6 +47,12 @@ class LabelPolicy:
     min_box_h: int = 15
     max_distance_m: float = 150.0
     apply_visibility: bool = True
+
+    def __post_init__(self):
+        # ap_vs_distance bins every 10 m up to this distance
+        if not 0 < self.max_distance_m <= MAX_DISTANCE_M:
+            raise ValueError(f"max_distance_m must be in (0, {MAX_DISTANCE_M:g}], "
+                             f"got {self.max_distance_m!r}")
 
 
 def _majority_bin(inst: np.ndarray, factor: int, rows: int, cols: int) -> np.ndarray:

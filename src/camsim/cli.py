@@ -25,9 +25,9 @@ from . import evalmetrics as ev
 from .annotation import (LabelPolicy, SceneTruth, apply_policy, export_dataset, project_truth,
                          scene_truth)
 from .config import ConfigError, from_config
-from .detector import DetectorConfig, detectability, import_detections, proxy_detect
+from .detector import DetectorConfig, detectability, proxy_detect
 from .exposure import ExposurePlan, acquire
-from .isp import IspConfig, render, write_ppm
+from .isp import DEMOSAIC_PATTERNS, IspConfig, render, write_ppm
 from .optics import LensSpec, OpticalImage, mean_illuminance_lux, optical_image
 from .optics import radiance_to_irradiance  # noqa: F401  (perfbench/selftest.py wraps this binding)
 from .plotting import curve_svg
@@ -82,6 +82,8 @@ class RunConfig:
         lux = self.target_lux
         if lux is not None and not 0 < lux < float("inf"):
             raise ValueError(f"target_lux must be a positive number, got {lux!r}")
+        if "demosaic" in self.isp.stages and self.sensor.cfa.pattern not in DEMOSAIC_PATTERNS:
+            raise ValueError("sensor.cfa has no demosaic, so isp.stages must start with raw")
 
     def check_scenes(self) -> None:
         """Reject a synth `scenes.spec` whose grid the sensor's pixels cannot
@@ -156,9 +158,8 @@ def _capture_and_detect(v: RunConfig, truth: SceneTruth, image: OpticalImage, se
     acq = acquire(image, v.sensor, v.exposure, seed)
     rendered = render(acq.source, v.isp)
     boxes = apply_policy(project_truth(truth, acq.geometry), v.policy)
-    # imported detections are read after the pool completes
-    dets = [] if v.detector.imported else proxy_detect(
-        rendered, boxes, replace(v.detector.proxy, seed=seed), image_id=image_id)
+    dets = proxy_detect(rendered, boxes, replace(v.detector.proxy, seed=seed),
+                        image_id=image_id)
     return acq, rendered, boxes, dets
 
 
@@ -245,10 +246,6 @@ def _write_run(cfg: RunConfig, results: dict, errors: list) -> dict:
         truths[sid] = r["boxes"]
         if r["image"] is not None:
             write_ppm(r["image"], out / f"{sid}.ppm")
-    if cfg.detector.imported:
-        sizes = {m["id"]: (m["width"], m["height"]) for m in images_meta}
-        dets = import_detections(cfg.detector.imported, sizes)
-
     curve, summary = _write_scores(dets, gts, out, cfg.policy.max_distance_m)
     (out / "detections.json").write_text(json.dumps(ev.detections_to_json(dets), indent=1))
     export_dataset(images_meta, truths, out / "dataset.json", seed=cfg.seed)
@@ -404,8 +401,8 @@ def edge_case_report(cfg: RunConfig) -> dict:
     proxy = cfg.detector.proxy
     report = {"algorithms": {}}
     for name, plan in plans.items():
-        v = replace(cfg, exposure=plan, detector=DetectorConfig(proxy))
-        acq, rendered, boxes, dets = _capture_and_detect(v, truth, image, cfg.seed, name)
+        acq, rendered, boxes, dets = _capture_and_detect(
+            replace(cfg, exposure=plan), truth, image, cfg.seed, name)
         duration = list(plan.durations_s) if plan.mode == "bracketed" else acq.duration_s
         labeled = {b.instance_id: b for b in boxes}
         targets = {}
@@ -432,7 +429,7 @@ def cmd_eval(args) -> int:
                  a.get("distance_m", 1.0))
         for a in dataset["annotations"]
     ]
-    dets = import_detections(args.detections, sizes)
+    dets = ev.detections_from_json(json.loads(Path(args.detections).read_text()), sizes)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     _, summary = _write_scores(dets, gts, out, None)

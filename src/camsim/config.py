@@ -7,7 +7,8 @@ cannot be set from a config), ``"keys"`` overrides the ``"key"`` of the
 fields of a nested section, ``"parse"`` turns the JSON value into the
 field value, and ``"when": (key, value)`` reads the key only in a section
 whose ``key`` is ``value``. A field hinted bool, int, float or str (or one of
-them | None) and without ``"parse"`` must hold that JSON type. Nested
+them | None) and without ``"parse"`` must hold that JSON type. No value may
+hold NaN or an infinity, which JSON readers accept (1e400 reads as one). Nested
 dataclasses and ``tuple[X, ...]`` of them are nested sections, a JSON
 object where a Spectrum is allowed is a Spectrum, and lists become tuples.
 """
@@ -15,6 +16,7 @@ object where a Spectrum is allowed is a Spectrum, and lists become tuples.
 from __future__ import annotations
 
 import json
+import math
 import types
 import typing
 from dataclasses import MISSING, fields, is_dataclass
@@ -62,6 +64,16 @@ def _scalar_error(value, hint) -> str | None:
     return f"must be {_SCALARS[kind]}, got {value!r}"
 
 
+def _finite(value) -> bool:
+    """Whether every number in a JSON value, through its lists and objects,
+    is finite."""
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, list):
+        return all(map(_finite, value))
+    return not isinstance(value, float) or math.isfinite(value)
+
+
 def _frozen(value):
     return tuple(_frozen(v) for v in value) if isinstance(value, list) else value
 
@@ -78,6 +90,8 @@ def _value(value, hint, f, path: str):
                 and _is_section(args[0]):
             return tuple(from_config(args[0], v, f"{path}[{i}]", keys)
                          for i, v in enumerate(value))
+        if not _finite(value):
+            raise ValueError("NaN and infinities are not allowed")
         if isinstance(value, dict) and Spectrum in args:
             return Spectrum.from_json(json.dumps(value))
         return _frozen(value)
@@ -89,9 +103,9 @@ def _value(value, hint, f, path: str):
 
 def from_config(cls, section, path: str = "", keys: dict | None = None):
     """The dataclass `cls` read from one config section. Unknown keys, a
-    missing required key, and any TypeError or ValueError the dataclass
-    raises, and a key that its "when" excludes are a ConfigError that
-    names the dotted `path`. `keys` overrides the JSON keys of `cls`'s
+    missing required key, a non-finite number, any TypeError or ValueError
+    the dataclass raises, and a key that its "when" excludes are a
+    ConfigError that names the dotted `path`. `keys` overrides the JSON keys of `cls`'s
     fields."""
     if not isinstance(section, dict):
         raise ConfigError(f"config section {path or '<top level>'} must be an object")

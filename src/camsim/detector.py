@@ -3,20 +3,18 @@
 The proxy is an evaluation instrument, not a vision algorithm: it reads the
 ground-truth boxes and emits detections with a probability driven by an
 image-quality detectability index (pixels on target × local contrast over
-the local noise estimate). External CNN detections enter through
-import_detections instead.
+the local noise estimate). An external detector scores the exported
+dataset offline; its detections are scored by `camsim eval`, not here.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
-from .evalmetrics import Detection, detections_from_json
+from .evalmetrics import Detection
 from .rng import stream_key, uniforms
 
 _LANE_DETECT = 31
@@ -40,14 +38,8 @@ class ProxyDetectorConfig:
 
 @dataclass(frozen=True)
 class DetectorConfig:
-    """The run's detector: the proxy's options, or a detections file (the
-    config key `import`) scored in its place."""
+    """The run's detector: the proxy's options."""
     proxy: ProxyDetectorConfig = field(default_factory=ProxyDetectorConfig)
-    imported: str | None = field(default=None, metadata={"key": "import"})
-
-    def __post_init__(self):
-        if self.imported is not None and not Path(self.imported).is_file():
-            raise ValueError(f"detections file not found: {self.imported}")
 
 
 def _phi(x: float) -> float:
@@ -142,9 +134,3 @@ def _false_positives(h: int, w: int, config: ProxyDetectorConfig, image_id) -> l
                              float(v[4])))
     return out
 
-
-def import_detections(path, known_images: dict | None = None) -> list:
-    """Load external detector output (the detections JSON interchange
-    format), validating scores, boxes, and image ids."""
-    records = json.loads(Path(path).read_text())
-    return detections_from_json(records, known_images)

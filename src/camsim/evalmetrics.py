@@ -218,11 +218,11 @@ def detections_to_json(dets: list) -> list:
     ]
 
 
-def detections_from_json(records: list, known_images: dict | None = None) -> list:
-    """Parse [{image_id, bbox:[x,y,w,h], score}]; validates score range,
-    box positivity, bounds (when image sizes are known), and image ids."""
-    unknown = sorted({str(r["image_id"]) for r in records
-                      if known_images is not None and r["image_id"] not in known_images})
+def detections_from_json(records: list, known_images: dict) -> list:
+    """Parse [{image_id, bbox:[x,y,w,h], score}] against `known_images`
+    ({image id: (width, height)}); validates score range, box positivity,
+    bounds and image ids."""
+    unknown = sorted({str(r["image_id"]) for r in records if r["image_id"] not in known_images})
     if unknown:
         raise ValueError(f"detections reference unknown image ids: {', '.join(unknown)}")
     dets = []
@@ -233,11 +233,9 @@ def detections_from_json(records: list, known_images: dict | None = None) -> lis
             raise ValueError(f"detection score {score} outside [0, 1]")
         if w <= 0 or h <= 0:
             raise ValueError("detection box must have positive extent")
-        if known_images is not None:
-            iw, ih = known_images[r["image_id"]]
-            if x < 0 or y < 0 or x + w > iw or y + h > ih:
-                raise ValueError(
-                    f"detection box {r['bbox']} outside image {r['image_id']}")
+        iw, ih = known_images[r["image_id"]]
+        if x < 0 or y < 0 or x + w > iw or y + h > ih:
+            raise ValueError(f"detection box {r['bbox']} outside image {r['image_id']}")
         dets.append(Detection(r["image_id"], (x, y, x + w, y + h), score))
     return dets
 

@@ -40,6 +40,8 @@ class ExposurePlan:
             raise ValueError("fixed duration must be in (0, cap]")
         if self.mode == "bracketed":
             d = self.durations_s
+            if not d:
+                raise ValueError("bracketed needs at least one duration in durations_s")
             if any(not 0 < t <= self.cap_s for t in d):
                 raise ValueError("bracket durations must be in (0, cap]")
             if any(d[i] <= d[i + 1] for i in range(len(d) - 1)):

@@ -83,16 +83,21 @@ _NEIGHBOURS = {"x": ((0, 0),), "h": ((0, 1), (0, -1)), "v": ((-1, 0), (1, 0)),
                "d": ((-1, -1), (-1, 1), (1, -1), (1, 1))}
 
 
+# The CFA patterns demosaic_bilinear interpolates; a config whose sensor has
+# another must render raw
+DEMOSAIC_PATTERNS = (MONO.pattern, RGGB.pattern)
+
+
 def demosaic_bilinear(frame: RawFrame) -> RGBImage:
     """Bilinear CFA interpolation on the DN-normalized mosaic (RGGB), or
     channel replication for MONO. Each neighbour average is computed only
     on the CFA phase that reads it."""
     x = frame.dn.astype(np.float64) / frame.sensor.max_code()
     pattern = frame.sensor.cfa.pattern
+    if pattern not in DEMOSAIC_PATTERNS:
+        raise ValueError("no demosaic defined for this CFA (export raw instead)")
     if pattern == MONO.pattern:
         return RGBImage(np.repeat(x[:, :, None], 3, axis=2), TAG_SENSOR_LINEAR)
-    if pattern != RGGB.pattern:
-        raise ValueError("no demosaic defined for this CFA (export raw instead)")
 
     # 'reflect' padding (no edge repeat) keeps CFA parity at the borders
     p = np.pad(x, 1, mode="reflect")

@@ -31,6 +31,7 @@ from .spectral import (
 )
 
 BACKGROUND_DEPTH_M = 10000.0  # sky/background sentinel
+MAX_DISTANCE_M = 300.0  # the farthest a target, or the label policy, may reach
 _MAGIC = b"SIC1"
 
 
@@ -57,8 +58,8 @@ class TargetSpec:
     shading: float = 1.0  # extra multiplicative albedo contrast
 
     def __post_init__(self):
-        if not 0 < self.distance_m <= 300:
-            raise ValueError("target distance must be in (0, 300] m")
+        if not 0 < self.distance_m <= MAX_DISTANCE_M:
+            raise ValueError(f"target distance must be in (0, {MAX_DISTANCE_M:g}] m")
 
 
 @dataclass(frozen=True)

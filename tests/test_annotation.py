@@ -66,8 +66,9 @@ def test_policy_filters_small_boxes():
 
 
 def test_policy_disabled_keeps_everything():
-    boxes = [GroundTruthBox(1, "car", (0, 0, 2, 2), 500.0, 4)]
-    kept = apply_policy(boxes, LabelPolicy(1, 1, 1000.0, apply_visibility=False))
+    # 300 m is the farthest a target or the policy may reach
+    boxes = [GroundTruthBox(1, "car", (0, 0, 2, 2), 300.0, 4)]
+    kept = apply_policy(boxes, LabelPolicy(1, 1, 300.0, apply_visibility=False))
     assert len(kept) == 1
 
 

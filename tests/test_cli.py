@@ -134,6 +134,21 @@ def scenes(**spec):
     ({"scenes": scenes(grid_pitch_um=1.5),
       "sensor": {"dye_width_mm": 0.384, "dye_height_mm": 0.384, "pixel": {"size_um": 2.0}}},
      "scenes.spec"),
+    # external detections are scored by `camsim eval`, not by a run
+    ({"detector": {"import": "detections.json"}}, "detector.import"),
+    # non-finite numbers, which JSON readers accept, in scalars, lists and spectra
+    ({"lens": {"f_number": float("nan")}}, "lens.f_number: NaN"),
+    ({"lens": {"transmission": {"start_nm": 400.0, "step_nm": 30.0, "count": 11,
+                                "unit": "dimensionless",
+                                "values": [0.9] * 10 + [float("nan")]}}}, "lens.transmission: NaN"),
+    ({"policy": {"max_distance_m": float("inf")}}, "policy.max_distance_m: NaN"),
+    ({"scenes": scenes(targets=[{**SCENE_SPEC["targets"][0], "size_m": [0.06, float("nan")]}])},
+     "scenes.spec.targets[0].size_m: NaN"),
+    # ap_vs_distance makes one 10 m bin per step up to max_distance_m
+    ({"policy": {"max_distance_m": 0}}, "policy: max_distance_m"),
+    ({"policy": {"max_distance_m": -5}}, "policy: max_distance_m"),
+    ({"policy": {"max_distance_m": 301}}, "policy: max_distance_m"),
+    ({"exposure": {"mode": "bracketed", "durations_s": []}}, "exposure: bracketed"),
 ], ids=["top", "lens", "exposure", "policy", "sensor.pixel", "detector.proxy",
         "scenes", "scenes.spec", "scenes.spec.grid", "scenes.spec.targets",
         "scenes.spec.shadows", "scenes.spec.seed", "scenes.spec.focal_length_mm",
@@ -145,12 +160,28 @@ def scenes(**spec):
         "exposure.window_fraction=5", "exposure.target_fraction=-1",
         "isp.stages=demosaic,gamma,color", "isp.stages=raw,color", "isp.stages=raw,demosaic",
         "seed=abc", "policy.min_box_w=a", "lens.cos4_falloff=yes", "save_images=no",
-        "scenes.spec.grid_pitch_um=1.5"])
+        "scenes.spec.grid_pitch_um=1.5", "detector.import", "lens.f_number=NaN",
+        "lens.transmission=NaN", "policy.max_distance_m=Infinity",
+        "scenes.spec.targets.size_m=NaN", "policy.max_distance_m=0",
+        "policy.max_distance_m=-5", "policy.max_distance_m=301",
+        "exposure.durations_s=[]"])
 def test_run_unknown_key_names_dotted_path(tmp_path, capsys, overrides, dotted):
     path = run_config(tmp_path, **overrides)
     assert main(["run", str(path)]) == EXIT_CONFIG
     assert dotted in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_rccc_renders_raw_only(tmp_path, capsys):
+    """An RCCC mosaic has no demosaic, so the default ISP is rejected at
+    load; the raw pipeline runs."""
+    sensor = {"dye_width_mm": 0.384, "dye_height_mm": 0.384, "cfa": "RCCC"}
+    assert main(["run", str(run_config(tmp_path, sensor=sensor))]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "sensor.cfa" in err and "isp.stages" in err
+    assert not (tmp_path / "out").exists()
+    path = run_config(tmp_path, sensor=sensor, isp={"stages": ["raw", "gamma"]})
+    assert main(["run", str(path)]) == EXIT_OK
 
 
 def test_spectrum_objects_are_honoured(tmp_path):
@@ -207,6 +238,14 @@ def test_synth_malformed_spec_is_config_error(tmp_path):
     spec = tmp_path / "spec.json"
     spec.write_text("{bad")
     assert main(["synth", str(spec), str(tmp_path / "scenes")]) == EXIT_CONFIG
+    assert not (tmp_path / "scenes").exists()
+
+
+def test_synth_nonfinite_spec_value_is_config_error(tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({**SYNTH_SPEC, "background_luminance_cd_m2": float("nan")}))
+    assert main(["synth", str(spec), str(tmp_path / "scenes")]) == EXIT_CONFIG
+    assert "background_luminance_cd_m2" in capsys.readouterr().err
     assert not (tmp_path / "scenes").exists()
 
 
@@ -271,9 +310,8 @@ def test_eval_command_round_trip(tmp_path):
     rc = main(["eval", str(out / "dataset.json"), str(out / "detections.json"),
                str(tmp_path / "scores")])
     assert rc == EXIT_OK
-    a = json.loads((out / "summary.json").read_text())
-    b = json.loads((tmp_path / "scores" / "summary.json").read_text())
-    assert a["ap_overall"] == b["ap_overall"]
+    summary = (out / "summary.json").read_bytes()
+    assert (tmp_path / "scores" / "summary.json").read_bytes() == summary
 
 
 def test_plot_command(tmp_path):
@@ -342,11 +380,19 @@ def test_edge_case_honours_the_exposure_section(tmp_path):
     assert metered[1] == pytest.approx(metered[0] / 2) and metered[0] < 16e-3
 
 
-@pytest.mark.parametrize("argv", [["sweep-exposure", "--lux", "10"], ["edge-case"]],
-                         ids=["sweep-exposure", "edge-case"])
-def test_plan_the_exposure_section_rules_out_is_config_error(tmp_path, capsys, argv):
-    # a 10 ms cap rules out the 12 ms fixed plan and the 12 ms bracket
-    path = run_config(tmp_path, exposure={"mode": "center_weighted", "cap_s": 0.01})
+CAP_10MS = {"mode": "center_weighted", "cap_s": 0.01}
+NO_BRACKETS = {"mode": "fixed", "durations_s": []}
+
+
+@pytest.mark.parametrize("argv, exposure", [
+    (["sweep-exposure", "--lux", "10"], CAP_10MS), (["edge-case"], CAP_10MS),
+    (["sweep-exposure", "--lux", "10"], NO_BRACKETS), (["edge-case"], NO_BRACKETS),
+], ids=["sweep-exposure", "edge-case", "sweep-exposure-no-brackets", "edge-case-no-brackets"])
+def test_plan_the_exposure_section_rules_out_is_config_error(tmp_path, capsys, argv, exposure):
+    # a 10 ms cap rules out the 12 ms fixed plan and the 12 ms bracket; a
+    # fixed section's empty bracket list, which `run` never reads, rules out
+    # the bracketed plan
+    path = run_config(tmp_path, exposure=exposure)
     assert main(["run", str(path)]) == EXIT_OK
     out = tmp_path / "out"
     out.rename(tmp_path / "run")

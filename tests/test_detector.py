@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from camsim.annotation import GroundTruthBox
-from camsim.detector import (ProxyDetectorConfig, detectability,
-                             import_detections, proxy_detect)
+from camsim.detector import ProxyDetectorConfig, detectability, proxy_detect
 
 
 def image_with_square(h=64, w=64, lo=0.2, hi=0.7, box=(20, 20, 44, 44)):
@@ -89,10 +88,3 @@ def test_false_positive_boxes_inside_image():
         x0, y0, x1, y1 = d.bbox
         assert 0 <= x0 < x1 <= 64 and 0 <= y0 < y1 <= 64
 
-
-def test_import_detections(tmp_path):
-    import json
-    recs = [{"image_id": "a", "bbox": [1, 1, 5, 5], "score": 0.9}]
-    (tmp_path / "d.json").write_text(json.dumps(recs))
-    dets = import_detections(tmp_path / "d.json", {"a": (64, 64)})
-    assert dets[0].bbox == (1, 1, 6, 6)

@@ -209,6 +209,12 @@ def test_detections_json_round_trip():
     assert back[0].score == 0.75
 
 
+def test_detections_from_json_reads_xywh_boxes():
+    recs = [{"image_id": "a", "bbox": [1, 1, 5, 5], "score": 0.9}]
+    dets = detections_from_json(recs, {"a": (64, 64)})
+    assert dets[0].bbox == (1, 1, 6, 6)
+
+
 def test_detections_json_validation():
     rec = {"image_id": "x", "bbox": [0, 0, 10, 10], "score": 1.5}
     with pytest.raises(ValueError, match="score"):
