@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +25,6 @@ class GroundTruthBox:
     bbox: tuple  # (x_min, y_min, x_max, y_max), half-open sensor pixels
     distance_m: float
     pixel_count: int
-    visible: bool = True
 
     def __post_init__(self):
         x0, y0, x1, y1 = self.bbox
@@ -123,15 +122,11 @@ def project_truth(truth: SceneTruth, geometry: SensorGeometry) -> list:
 def apply_policy(boxes: list, policy: LabelPolicy) -> list:
     """Visibility rule: w ≥ min_box_w, h ≥ min_box_h, distance ≤ max
     (all boundaries inclusive). Non-visible boxes are dropped when
-    apply_visibility is set, otherwise only flagged."""
-    out = []
-    for b in boxes:
-        visible = (b.width >= policy.min_box_w and b.height >= policy.min_box_h
-                   and b.distance_m <= policy.max_distance_m)
-        if policy.apply_visibility and not visible:
-            continue
-        out.append(replace(b, visible=visible))
-    return out
+    apply_visibility is set; otherwise every box is kept."""
+    if not policy.apply_visibility:
+        return list(boxes)
+    return [b for b in boxes if b.width >= policy.min_box_w and b.height >= policy.min_box_h
+            and b.distance_m <= policy.max_distance_m]
 
 
 def export_dataset(images: list, truths: dict, path, seed: int = 0,

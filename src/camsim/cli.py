@@ -76,7 +76,6 @@ class RunConfig:
     seed: int = 0
     target_lux: float | None = None
     save_images: bool = False
-    plot: bool = False
 
     def __post_init__(self):
         lux = self.target_lux
@@ -219,16 +218,11 @@ def run_pipeline(cfg: RunConfig, variants: list) -> list:
     return [(_write_run(v, results[k], errors[k]), results[k]) for k, v in enumerate(variants)]
 
 
-def _write_scores(dets: list, gts: list, out: Path, max_distance_m: float) -> tuple:
-    """metrics.csv and summary.json; returns (AP curve, summary dict)."""
+def _write_scores(dets: list, gts: list, out: Path, max_distance_m: float) -> dict:
+    """metrics.csv and summary.json; returns the summary dict."""
     curve = ev.ap_vs_distance(dets, gts, max_distance_m=max_distance_m)
     ev.write_metrics_csv(curve, out / "metrics.csv")
-    return curve, ev.write_summary_json(curve, dets, gts, out / "summary.json")
-
-
-def _ap_points(curve) -> list:
-    """(bin centre, AP) of every bin of an AP-vs-distance curve that has an AP."""
-    return [(0.5 * (b.low_m + b.high_m), b.ap) for b in curve.bins if b.ap is not None]
+    return ev.write_summary_json(curve, dets, gts, out / "summary.json")
 
 
 def _write_run(cfg: RunConfig, results: dict, errors: list) -> dict:
@@ -246,7 +240,7 @@ def _write_run(cfg: RunConfig, results: dict, errors: list) -> dict:
         truths[sid] = r["boxes"]
         if r["image"] is not None:
             write_ppm(r["image"], out / f"{sid}.ppm")
-    curve, summary = _write_scores(dets, gts, out, cfg.policy.max_distance_m)
+    summary = _write_scores(dets, gts, out, cfg.policy.max_distance_m)
     (out / "detections.json").write_text(json.dumps(ev.detections_to_json(dets), indent=1))
     export_dataset(images_meta, truths, out / "dataset.json", seed=cfg.seed)
     durations = {sid: results[sid]["duration_s"] for sid in ordered}
@@ -254,8 +248,6 @@ def _write_run(cfg: RunConfig, results: dict, errors: list) -> dict:
     if errors:
         (out / "errors.log").write_text(
             "\n".join(f"{sid}: {exc}" for sid, exc in errors))
-    if cfg.plot:
-        curve_svg([("AP", _ap_points(curve))], out / "ap_vs_distance.svg")
     summary["n_images"] = len(ordered)
     summary["n_errors"] = len(errors)
     return summary
@@ -419,8 +411,19 @@ def edge_case_report(cfg: RunConfig) -> dict:
     return report
 
 
-def cmd_eval(args) -> int:
-    dataset = json.loads(Path(args.dataset).read_text())
+def _read_input(path, parse):
+    """parse(the JSON in the file at `path`); input that is not JSON or that
+    `parse` rejects is a ConfigError naming the file."""
+    try:
+        return parse(json.loads(Path(path).read_text()))
+    except KeyError as e:
+        raise ConfigError(f"{path}: missing key {e}") from e
+    except (TypeError, ValueError) as e:
+        raise ConfigError(f"{path}: {e}") from e
+
+
+def _dataset_truth(dataset: dict) -> tuple:
+    """({image id: (width, height)}, [GTBox]) of an exported dataset.json."""
     sizes = {im["id"]: (im["width"], im["height"]) for im in dataset["images"]}
     gts = [
         ev.GTBox(a["image_id"],
@@ -429,16 +432,24 @@ def cmd_eval(args) -> int:
                  a.get("distance_m", 1.0))
         for a in dataset["annotations"]
     ]
-    dets = ev.detections_from_json(json.loads(Path(args.detections).read_text()), sizes)
+    return sizes, gts
+
+
+def cmd_eval(args) -> int:
+    sizes, gts = _read_input(args.dataset, _dataset_truth)
+    dets = _read_input(args.detections, lambda records: ev.detections_from_json(records, sizes))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    _, summary = _write_scores(dets, gts, out, None)
+    summary = _write_scores(dets, gts, out, None)
     print(json.dumps(summary, indent=1))
     return EXIT_OK
 
 
 def cmd_plot(args) -> int:
-    curve_svg([(Path(p).stem, _ap_points(ev.read_metrics_csv(p))) for p in args.csv], args.out)
+    # each curve's points: (bin centre, AP) of every bin that has an AP
+    curve_svg([(Path(p).stem, [(0.5 * (b.low_m + b.high_m), b.ap)
+                               for b in ev.read_metrics_csv(p).bins if b.ap is not None])
+               for p in args.csv], args.out)
     print(f"wrote {args.out}")
     return EXIT_OK
 

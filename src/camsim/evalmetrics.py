@@ -227,6 +227,8 @@ def detections_from_json(records: list, known_images: dict) -> list:
         raise ValueError(f"detections reference unknown image ids: {', '.join(unknown)}")
     dets = []
     for r in records:
+        if len(r["bbox"]) != 4:
+            raise ValueError(f"detection bbox {r['bbox']} is not [x, y, w, h]")
         x, y, w, h = r["bbox"]
         score = float(r["score"])
         if not 0.0 <= score <= 1.0:

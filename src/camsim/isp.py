@@ -14,15 +14,10 @@ from .exposure import HDRFrame
 from .sensor import MONO, RGGB, RawFrame, SensorSpec
 from .spectral import DEFAULT_GRID, IRRADIANCE, WavelengthGrid, d65_spectrum, resample
 
-TAG_SENSOR_LINEAR = "sensor-linear"
-TAG_LINEAR_SRGB = "linear-sRGB"
-TAG_SRGB_ENCODED = "sRGB-encoded"
-
 
 @dataclass(frozen=True)
 class RGBImage:
     values: np.ndarray  # (H, W, 3) or (H, W, 1), float64 in [0, 1]
-    tag: str
     gamma_used: float | None = None
 
     def __post_init__(self):
@@ -36,14 +31,14 @@ class RGBImage:
 
 @dataclass(frozen=True)
 class GammaSpec:
-    mode: str = "adaptive"  # "fixed" | "adaptive" | "srgb" | "none"
+    mode: str = "adaptive"  # "fixed" | "adaptive" | "srgb"
     gamma: float = 1.0
     target: float = 0.2
-    solve_output_mean: bool = False  # adaptive: solve mean(v^γ)=target instead
 
     def __post_init__(self):
-        if self.mode not in ("fixed", "adaptive", "srgb", "none"):
-            raise ValueError(f"unknown gamma mode {self.mode!r}")
+        if self.mode not in ("fixed", "adaptive", "srgb"):
+            raise ValueError(f"unknown gamma mode {self.mode!r}; expected fixed, adaptive or "
+                             "srgb (to skip gamma, leave it out of isp.stages)")
         if self.mode == "fixed" and not 0 < self.gamma <= 10:
             raise ValueError("fixed gamma must be in (0, 10]")
         if not 0 < self.target < 1:
@@ -53,8 +48,10 @@ class GammaSpec:
 @dataclass(frozen=True)
 class IspConfig:
     """The ISP pipeline: `stages`, run in order, are demosaic, color, gamma
-    or raw, gamma, any but the first left out. `matrix` is the 3x3
-    sensor-RGB to linear-sRGB correction; None fits one to the sensor."""
+    or raw, gamma, any but the first left out; this order is checked here
+    only. `matrix` is the 3x3 sensor-RGB to linear-sRGB correction (None
+    fits one to the sensor), read only with a color stage; `gamma` is read
+    only with a gamma stage."""
     stages: tuple = ("demosaic", "color", "gamma")
     gamma: GammaSpec = field(default_factory=GammaSpec)
     matrix: tuple | None = None
@@ -69,7 +66,11 @@ class IspConfig:
             raise ValueError(f"stages {list(self.stages)} must start with demosaic or raw and "
                              "follow demosaic, color, gamma or raw, gamma, each at most once")
         if self.matrix is not None:
+            if "color" not in self.stages:
+                raise ValueError("matrix is read only with a color stage")
             _correction_matrix(self.matrix)
+        if self.gamma != GammaSpec() and "gamma" not in self.stages:
+            raise ValueError("gamma is read only with a gamma stage")
 
 
 # Bilinear RGGB interpolation: what R, G and B read at each CFA phase (row,
@@ -97,7 +98,7 @@ def demosaic_bilinear(frame: RawFrame) -> RGBImage:
     if pattern not in DEMOSAIC_PATTERNS:
         raise ValueError("no demosaic defined for this CFA (export raw instead)")
     if pattern == MONO.pattern:
-        return RGBImage(np.repeat(x[:, :, None], 3, axis=2), TAG_SENSOR_LINEAR)
+        return RGBImage(np.repeat(x[:, :, None], 3, axis=2))
 
     # 'reflect' padding (no edge repeat) keeps CFA parity at the borders
     p = np.pad(x, 1, mode="reflect")
@@ -109,7 +110,7 @@ def demosaic_bilinear(frame: RawFrame) -> RGBImage:
             total = sum(p[1 + dy + oy:1 + h + oy:2, 1 + dx + ox:1 + w + ox:2]
                         for oy, ox in offsets)
             out[dy::2, dx::2, c] = total / len(offsets)
-    return RGBImage(np.clip(out, 0.0, 1.0, out=out), TAG_SENSOR_LINEAR)
+    return RGBImage(np.clip(out, 0.0, 1.0, out=out))
 
 
 def reflectance_patches(grid: WavelengthGrid = DEFAULT_GRID) -> np.ndarray:
@@ -155,19 +156,11 @@ def fit_color_matrix(sensor: SensorSpec, grid: WavelengthGrid = DEFAULT_GRID) ->
     return coeffs.T
 
 
-def color_correct(img: RGBImage, matrix: np.ndarray | None = None,
-                  sensor: SensorSpec | None = None) -> RGBImage:
-    """Per-pixel 3x3 correction into linear sRGB, clamped to [0, 1]."""
-    if img.tag != TAG_SENSOR_LINEAR:
-        raise ValueError("color_correct expects a sensor-linear image")
-    if img.values.shape[2] != 3:
-        raise ValueError("color_correct expects a 3-channel image")
-    if matrix is None:
-        if sensor is None:
-            raise ValueError("need a matrix or a sensor to fit one from")
-        matrix = fit_color_matrix(sensor)
+def color_correct(img: RGBImage, matrix) -> RGBImage:
+    """Per-pixel 3x3 correction of a demosaiced sensor-RGB image into linear
+    sRGB, clamped to [0, 1]."""
     out = img.values @ _correction_matrix(matrix).T
-    return RGBImage(np.clip(out, 0.0, 1.0, out=out), TAG_LINEAR_SRGB)
+    return RGBImage(np.clip(out, 0.0, 1.0, out=out))
 
 
 def _correction_matrix(matrix) -> np.ndarray:
@@ -185,44 +178,26 @@ def _srgb_encode(v: np.ndarray) -> np.ndarray:
 def apply_gamma(img: RGBImage, spec: GammaSpec) -> RGBImage:
     v = img.values
     gamma_used: float | None = None
-    if spec.mode == "none":
-        out = v.copy()
-    elif spec.mode == "srgb":
+    if spec.mode == "srgb":
         out = _srgb_encode(v)
     elif spec.mode == "fixed":
         gamma_used = spec.gamma
         out = np.power(v, spec.gamma)
-    else:  # adaptive
+    else:  # adaptive: mean^γ = target
         m = float(v.mean())
         if not 0.0 < m < 1.0:
             warnings.warn(f"adaptive gamma undefined for mean {m}; using gamma=1")
             gamma_used = 1.0
-        elif spec.solve_output_mean:
-            gamma_used = _solve_output_mean_gamma(v, spec.target)
         else:
             gamma_used = float(np.log(spec.target) / np.log(m))
         out = np.power(v, gamma_used)
-    return RGBImage(np.clip(out, 0.0, 1.0, out=out), TAG_SRGB_ENCODED, gamma_used)
-
-
-def _solve_output_mean_gamma(v: np.ndarray, target: float) -> float:
-    """Bisection on mean(v^γ) = target (monotone decreasing in γ)."""
-    lo, hi = 1e-4, 10.0
-    if v.max() <= 0:
-        return 1.0
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if float(np.power(v, mid).mean()) > target:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return RGBImage(np.clip(out, 0.0, 1.0, out=out), gamma_used)
 
 
 def raw_passthrough(frame: RawFrame) -> RGBImage:
     """DN-normalized untouched mosaic as a single sensor-linear plane."""
     x = frame.dn.astype(np.float64) / frame.sensor.max_code()
-    return RGBImage(x[:, :, None], TAG_SENSOR_LINEAR)
+    return RGBImage(x[:, :, None])
 
 
 def _hdr_to_mosaic_frame(hdr: HDRFrame) -> RawFrame:
@@ -233,11 +208,12 @@ def _hdr_to_mosaic_frame(hdr: HDRFrame) -> RawFrame:
     v = np.clip(hdr.rate_e_per_s / norm, 0.0, 1.0)
     max_code = hdr.sensor.max_code()
     dn = np.round(v * max_code).astype(np.uint16)
-    return RawFrame(dn, dn == max_code, 0.0, hdr.sensor, 0)
+    return RawFrame(dn, dn == max_code, 0.0, hdr.sensor)
 
 
 def render(frame, isp: IspConfig = IspConfig()) -> RGBImage:
-    """The configured pipeline over a RawFrame or HDRFrame."""
+    """The configured pipeline over a RawFrame or HDRFrame. The color stage
+    applies `isp.matrix`, or one fitted to the frame's sensor."""
     if isinstance(frame, HDRFrame):
         frame = _hdr_to_mosaic_frame(frame)
     img: RGBImage | None = None
@@ -245,7 +221,8 @@ def render(frame, isp: IspConfig = IspConfig()) -> RGBImage:
         if stage == "demosaic":
             img = demosaic_bilinear(frame)
         elif stage == "color":
-            img = color_correct(img, isp.matrix, frame.sensor)
+            matrix = fit_color_matrix(frame.sensor) if isp.matrix is None else isp.matrix
+            img = color_correct(img, matrix)
         elif stage == "gamma":
             img = apply_gamma(img, isp.gamma)
         else:

@@ -55,7 +55,6 @@ class TargetSpec:
     size_m: tuple  # (width_m, height_m)
     reflectance: float | Spectrum = 0.4
     position_px: tuple | None = None  # (cx, cy) on the scene grid; auto-packed if None
-    shading: float = 1.0  # extra multiplicative albedo contrast
 
     def __post_init__(self):
         if not 0 < self.distance_m <= MAX_DISTANCE_M:
@@ -180,7 +179,7 @@ def synthesize(spec: SceneSpec) -> Scene:
         if x1 <= x0 or y1 <= y0:
             warnings.append(f"target {idx} ({tgt.class_name}) fell outside the raster; dropped")
             continue
-        refl = _reflectance_values(tgt.reflectance, grid) * tgt.shading
+        refl = _reflectance_values(tgt.reflectance, grid)
         cube[y0:y1, x0:x1, :] = (illum.values * refl / np.pi).astype(np.float32)
         depth[y0:y1, x0:x1] = tgt.distance_m
         instances[y0:y1, x0:x1] = idx

@@ -127,7 +127,6 @@ class RawFrame:
     saturated: np.ndarray  # bool (rows, cols)
     exposure_s: float
     sensor: SensorSpec
-    seed: int
 
 
 def derive_geometry(pixel_size_um: float, sensor: SensorSpec) -> tuple:
@@ -212,8 +211,7 @@ def apply_noise(expected_e: np.ndarray, sensor: SensorSpec, exposure_s: float,
         lam, sensor.pixel.read_noise_e, sensor.effective_well_e(), seed, at=at)
 
 
-def adc(electrons: np.ndarray, sensor: SensorSpec, exposure_s: float = 0.0,
-        seed: int = 0) -> RawFrame:
+def adc(electrons: np.ndarray, sensor: SensorSpec, exposure_s: float = 0.0) -> RawFrame:
     """Quantize electrons to digital numbers; default conversion gain maps
     the well exactly onto the voltage swing."""
     well = sensor.effective_well_e()
@@ -222,7 +220,7 @@ def adc(electrons: np.ndarray, sensor: SensorSpec, exposure_s: float = 0.0,
     dn = np.floor(volts / sensor.pixel.voltage_swing_V * max_code)
     dn = np.clip(dn, 0, max_code).astype(np.uint16)
     saturated = (electrons >= well) | (dn == max_code)
-    return RawFrame(dn, saturated, exposure_s, sensor, seed)
+    return RawFrame(dn, saturated, exposure_s, sensor)
 
 
 def dn_to_electrons(frame: RawFrame) -> np.ndarray:
@@ -243,4 +241,4 @@ def expose(rate: np.ndarray, sensor: SensorSpec, exposure_s: float, seed: int,
     raster indices only, and the frame holds exactly the values the whole
     raster's frame has there."""
     e = apply_noise(rate * exposure_s, sensor, exposure_s, seed, at)
-    return adc(e, sensor, exposure_s, seed)
+    return adc(e, sensor, exposure_s)

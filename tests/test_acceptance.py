@@ -16,7 +16,7 @@ from camsim.detector import ProxyDetectorConfig, detectability, proxy_detect
 from camsim.exposure import (DEFAULT_BRACKET_S, DEFAULT_CAP_S, ExposurePlan, acquire,
                              effective_dynamic_range, hdr_combine, metered_duration,
                              metering_window)
-from camsim.isp import (GammaSpec, IspConfig, RGBImage, TAG_LINEAR_SRGB, apply_gamma,
+from camsim.isp import (GammaSpec, IspConfig, RGBImage, apply_gamma,
                         demosaic_bilinear, render)
 from camsim.optics import LensSpec, optical_image, psf_blur
 from camsim.scene import (Region, SceneSpec, TargetSpec, edge_case_scene,
@@ -156,13 +156,13 @@ def test_criterion_08_adaptive_gamma():
 def test_criterion_09_demosaic():
     sensor = SensorSpec()
     flat = RawFrame(np.full((8, 8), 600, dtype=np.uint16),
-                    np.zeros((8, 8), bool), 1e-3, sensor, 0)
+                    np.zeros((8, 8), bool), 1e-3, sensor)
     img = demosaic_bilinear(flat)
     interior = img.values[1:-1, 1:-1]
     flat_ok = np.allclose(interior, 600.0 / 1023.0, atol=1e-12)
     red = RawFrame(np.array([[1023, 0, 1023], [0, 0, 0], [1023, 0, 1023]],
                             dtype=np.uint16),
-                   np.zeros((3, 3), bool), 1e-3, sensor, 0)
+                   np.zeros((3, 3), bool), 1e-3, sensor)
     rgb = demosaic_bilinear(red).values
     red_ok = (np.allclose(rgb[:, :, 0], 1.0, atol=1e-12)
               and np.allclose(rgb[:, :, 1:], 0.0, atol=1e-12))

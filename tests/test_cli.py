@@ -1,11 +1,14 @@
 import csv
 import json
 import os
+import typing
+from dataclasses import is_dataclass
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from camsim import config
 from camsim.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, RunConfig, main
 from camsim.scene import load_scene, project_extent_px, scene_statistics
 
@@ -149,6 +152,16 @@ def scenes(**spec):
     ({"policy": {"max_distance_m": -5}}, "policy: max_distance_m"),
     ({"policy": {"max_distance_m": 301}}, "policy: max_distance_m"),
     ({"exposure": {"mode": "bracketed", "durations_s": []}}, "exposure: bracketed"),
+    # one spelling per ISP variant: no gamma stage skips gamma
+    ({"isp": {"gamma": {"mode": "none"}}}, "isp.gamma: unknown gamma mode 'none'"),
+    ({"isp": {"gamma": {"mode": "adaptive", "solve_output_mean": True}}},
+     "isp.gamma.solve_output_mean"),
+    ({"plot": True}, "unknown config keys: plot"),
+    ({"scenes": scenes(targets=[{**SCENE_SPEC["targets"][0], "shading": 1.0}])},
+     "scenes.spec.targets[0].shading"),
+    # ISP settings that no stage of the pipeline reads
+    ({"isp": {"stages": ["demosaic", "gamma"], "matrix": np.eye(3).tolist()}}, "isp: matrix"),
+    ({"isp": {"stages": ["demosaic", "color"], "gamma": {"mode": "srgb"}}}, "isp: gamma"),
 ], ids=["top", "lens", "exposure", "policy", "sensor.pixel", "detector.proxy",
         "scenes", "scenes.spec", "scenes.spec.grid", "scenes.spec.targets",
         "scenes.spec.shadows", "scenes.spec.seed", "scenes.spec.focal_length_mm",
@@ -164,12 +177,76 @@ def scenes(**spec):
         "lens.transmission=NaN", "policy.max_distance_m=Infinity",
         "scenes.spec.targets.size_m=NaN", "policy.max_distance_m=0",
         "policy.max_distance_m=-5", "policy.max_distance_m=301",
-        "exposure.durations_s=[]"])
+        "exposure.durations_s=[]", "isp.gamma.mode=none", "isp.gamma.solve_output_mean",
+        "plot", "scenes.spec.targets.shading", "isp.matrix-without-color",
+        "isp.gamma-without-gamma"])
 def test_run_unknown_key_names_dotted_path(tmp_path, capsys, overrides, dotted):
     path = run_config(tmp_path, **overrides)
     assert main(["run", str(path)]) == EXIT_CONFIG
     assert dotted in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_isp_settings_its_stages_read_load():
+    """The same settings load where a stage reads them, and a gamma section
+    equal to the default needs no gamma stage."""
+    isp = RunConfig.from_dict({"scenes": scenes(), "isp": {
+        "stages": ["demosaic", "color", "gamma"], "matrix": np.eye(3).tolist(),
+        "gamma": {"mode": "srgb"}}}).isp
+    assert isp.matrix is not None and isp.gamma.mode == "srgb"
+    RunConfig.from_dict({"scenes": scenes(), "isp": {"stages": ["raw"],
+                                                     "gamma": {"mode": "adaptive"}}})
+
+
+# every key a run config can set, by dotted path ("[]": each list element)
+SETTABLE_KEYS = {
+    "detector.proxy.fp_rate_per_image", "detector.proxy.jitter_px",
+    "detector.proxy.min_pixels", "detector.proxy.snr_scale",
+    "exposure.cap_s", "exposure.durations_s", "exposure.mode", "exposure.statistic",
+    "exposure.t_s", "exposure.target_fraction", "exposure.window_fraction",
+    "isp.gamma.gamma", "isp.gamma.mode", "isp.gamma.target", "isp.matrix", "isp.stages",
+    "lens.cos4_falloff", "lens.f_number", "lens.focal_length_mm", "lens.psf_fwhm_um",
+    "lens.transmission",
+    "output_dir",
+    "policy.apply_visibility", "policy.max_distance_m", "policy.min_box_h", "policy.min_box_w",
+    "save_images",
+    "scenes.count", "scenes.path", "scenes.source",
+    "scenes.spec.background_luminance_cd_m2", "scenes.spec.background_reflectance",
+    "scenes.spec.description", "scenes.spec.grid.count", "scenes.spec.grid.start_nm",
+    "scenes.spec.grid.step_nm", "scenes.spec.grid_pitch_um", "scenes.spec.height",
+    "scenes.spec.shadows[].attenuation", "scenes.spec.shadows[].rect",
+    "scenes.spec.speculars[].gain", "scenes.spec.speculars[].rect",
+    "scenes.spec.targets[].class", "scenes.spec.targets[].distance_m",
+    "scenes.spec.targets[].position_px", "scenes.spec.targets[].reflectance",
+    "scenes.spec.targets[].size_m", "scenes.spec.width",
+    "seed",
+    "sensor.adc_bits", "sensor.analog_gain", "sensor.cfa", "sensor.dye_height_mm",
+    "sensor.dye_width_mm", "sensor.pixel.conversion_gain_uV_per_e",
+    "sensor.pixel.dark_current_e_per_s", "sensor.pixel.fill_factor",
+    "sensor.pixel.read_noise_e", "sensor.pixel.size_um", "sensor.pixel.voltage_swing_V",
+    "sensor.pixel.well_capacity_e", "sensor.scale_well_with_area",
+    "target_lux",
+}
+
+
+def test_settable_keys_are_pinned():
+    """A new run-config option shows up here as a deliberate diff."""
+    def walk(cls, keys, path):
+        hints = typing.get_type_hints(cls)
+        for key, f in config._keys(cls, keys).items():
+            hint, dotted = hints[f.name], f"{path}{key}"
+            args = typing.get_args(hint)
+            if "parse" not in f.metadata and is_dataclass(hint):
+                yield from walk(hint, f.metadata.get("keys"), dotted + ".")
+            elif typing.get_origin(hint) is tuple and args[1:] == (Ellipsis,) \
+                    and is_dataclass(args[0]):
+                yield from walk(args[0], f.metadata.get("keys"), dotted + "[].")
+            else:
+                yield dotted
+
+    keys = list(walk(RunConfig, None, ""))
+    assert len(keys) == len(SETTABLE_KEYS) == 63
+    assert set(keys) == SETTABLE_KEYS
 
 
 def test_rccc_renders_raw_only(tmp_path, capsys):
@@ -312,6 +389,33 @@ def test_eval_command_round_trip(tmp_path):
     assert rc == EXIT_OK
     summary = (out / "summary.json").read_bytes()
     assert (tmp_path / "scores" / "summary.json").read_bytes() == summary
+
+
+@pytest.fixture(scope="module")
+def run_output(tmp_path_factory):
+    """A finished 2-scene run's output directory."""
+    tmp_path = tmp_path_factory.mktemp("run")
+    assert main(["run", str(run_config(tmp_path))]) == EXIT_OK
+    return tmp_path / "out"
+
+
+@pytest.mark.parametrize("records, message", [
+    (None, "Expecting"),
+    ([{"bbox": [1, 1, 4, 4], "score": 1.5}], "outside [0, 1]"),
+    ([{"bbox": [1, 1, 4], "score": 0.5}], "is not [x, y, w, h]"),
+    ([{"bbox": [1, 1, 4, 4]}], "missing key 'score'"),
+], ids=["not-json", "score=1.5", "bbox-of-3", "no-score"])
+def test_eval_malformed_detections_is_config_error(tmp_path, capsys, run_output, records,
+                                                   message):
+    image_id = json.loads((run_output / "dataset.json").read_text())["images"][0]["id"]
+    dets = tmp_path / "dets.json"
+    dets.write_text("{not json" if records is None
+                    else json.dumps([{"image_id": image_id, **r} for r in records]))
+    rc = main(["eval", str(run_output / "dataset.json"), str(dets), str(tmp_path / "scores")])
+    assert rc == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"{dets}: " in err and message in err
+    assert not (tmp_path / "scores").exists()
 
 
 def test_plot_command(tmp_path):

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from camsim import kernels
-from camsim.exposure import (DEFAULT_BRACKET_S, DEFAULT_CAP_S, ExposurePlan, acquire,
-                             effective_dynamic_range, hdr_combine, metered_duration,
+from camsim.exposure import (DEFAULT_BRACKET_S, DEFAULT_CAP_S, ExposurePlan, _bracket_seed,
+                             acquire, effective_dynamic_range, hdr_combine, metered_duration,
                              metering_window)
 from camsim.optics import LensSpec, optical_image
 from camsim.scene import Region, SceneSpec, synthesize
@@ -104,7 +104,10 @@ def test_bracketed_capture_seeds_differ_per_frame():
     sc = scene()
     frames = brackets(rate(sc), SENSOR, (1e-3, 1e-4), seed=5)
     assert frames[0].exposure_s == 1e-3
-    assert frames[0].seed != frames[1].seed
+    assert _bracket_seed(5, 0) != _bracket_seed(5, 1)
+    # the seeds reach the noise: two brackets of one duration differ
+    same = brackets(rate(sc), SENSOR, (1e-3, 1e-3), seed=5)
+    assert not np.array_equal(same[0].dn, same[1].dn)
 
 
 def test_hdr_combine_prefers_longest_unsaturated():

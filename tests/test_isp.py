@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from camsim.isp import (GammaSpec, IspConfig, RGBImage, TAG_LINEAR_SRGB, TAG_SENSOR_LINEAR,
-                        TAG_SRGB_ENCODED, apply_gamma, color_correct,
+from camsim.isp import (GammaSpec, IspConfig, RGBImage, apply_gamma, color_correct,
                         demosaic_bilinear, fit_color_matrix, raw_passthrough,
                         reflectance_patches, render, write_ppm)
 from camsim.sensor import MONO, RCCC, RawFrame, SensorSpec, adc
@@ -11,13 +10,12 @@ from camsim.sensor import MONO, RCCC, RawFrame, SensorSpec, adc
 def mosaic_frame(dn: np.ndarray, sensor=None) -> RawFrame:
     sensor = sensor or SensorSpec()
     dn = dn.astype(np.uint16)
-    return RawFrame(dn, dn == sensor.max_code(), 1e-3, sensor, 0)
+    return RawFrame(dn, dn == sensor.max_code(), 1e-3, sensor)
 
 
 def test_demosaic_constant_field_exact():
     frame = mosaic_frame(np.full((8, 8), 600))
     img = demosaic_bilinear(frame)
-    assert img.tag == TAG_SENSOR_LINEAR
     # exact at every pixel, borders included (reflect padding keeps parity)
     assert np.allclose(img.values, 600.0 / 1023.0, atol=1e-12)
 
@@ -114,30 +112,16 @@ def test_rgb_image_rejects_values_outside_the_unit_interval(bad):
     v = np.full((2, 3, 3), 0.5)
     v[1, 2, 0] = bad
     with pytest.raises(ValueError, match=r"\[0, 1\]"):
-        RGBImage(v, TAG_LINEAR_SRGB)
+        RGBImage(v)
 
 
 def test_rgb_image_rejects_an_empty_image():
     with pytest.raises(ValueError):
-        RGBImage(np.zeros((0, 4, 3)), TAG_LINEAR_SRGB)
-
-
-def test_gamma_none_returns_a_fresh_array():
-    v = np.full((2, 2, 3), 0.25)
-    img = RGBImage(v, TAG_LINEAR_SRGB)
-    out = apply_gamma(img, GammaSpec(mode="none"))
-    assert out.values is not v and not np.shares_memory(out.values, v)
-    assert np.array_equal(out.values, v)
+        RGBImage(np.zeros((0, 4, 3)))
 
 
 def test_color_correct_requires_sensor_linear_rgb():
-    img = RGBImage(np.zeros((2, 2, 3)), TAG_LINEAR_SRGB)
-    with pytest.raises(ValueError, match="sensor-linear"):
-        color_correct(img, np.eye(3))
-    gray = RGBImage(np.zeros((2, 2, 1)), TAG_SENSOR_LINEAR)
-    with pytest.raises(ValueError, match="3-channel"):
-        color_correct(gray, np.eye(3))
-    rgb = RGBImage(np.full((2, 2, 3), 0.5), TAG_SENSOR_LINEAR)
+    rgb = RGBImage(np.full((2, 2, 3), 0.5))
     with pytest.raises(ValueError, match="non-singular"):
         color_correct(rgb, np.zeros((3, 3)))
 
@@ -145,30 +129,21 @@ def test_color_correct_requires_sensor_linear_rgb():
 def test_adaptive_gamma_input_mean_identity():
     rng = np.random.default_rng(0)
     v = rng.uniform(0.05, 0.95, size=(32, 32, 3))
-    img = RGBImage(v, TAG_LINEAR_SRGB)
+    img = RGBImage(v)
     out = apply_gamma(img, GammaSpec(mode="adaptive", target=0.2))
     assert (float(v.mean()) ** out.gamma_used) == pytest.approx(0.2, abs=1e-9)
-
-
-def test_adaptive_gamma_solve_output_mean():
-    rng = np.random.default_rng(1)
-    v = rng.uniform(0.01, 0.99, size=(16, 16, 3))
-    img = RGBImage(v, TAG_LINEAR_SRGB)
-    out = apply_gamma(img, GammaSpec(mode="adaptive", target=0.3,
-                                     solve_output_mean=True))
-    assert float(out.values.mean()) == pytest.approx(0.3, abs=1e-6)
 
 
 def test_fixed_gamma_matches_direct_power():
     rng = np.random.default_rng(2)
     v = rng.uniform(0.0, 1.0, size=(8, 8, 3))
-    out = apply_gamma(RGBImage(v, TAG_LINEAR_SRGB), GammaSpec("fixed", gamma=0.1))
+    out = apply_gamma(RGBImage(v), GammaSpec("fixed", gamma=0.1))
     assert np.allclose(out.values, np.power(v, 0.1), atol=1e-12)
     assert out.gamma_used == 0.1
 
 
 def test_adaptive_gamma_degenerate_mean_warns():
-    img = RGBImage(np.zeros((4, 4, 3)), TAG_LINEAR_SRGB)
+    img = RGBImage(np.zeros((4, 4, 3)))
     with pytest.warns(UserWarning, match="adaptive gamma"):
         out = apply_gamma(img, GammaSpec(mode="adaptive"))
     assert out.gamma_used == 1.0
@@ -176,7 +151,7 @@ def test_adaptive_gamma_degenerate_mean_warns():
 
 def test_srgb_encode_breakpoints():
     v = np.array([[[0.0, 0.0031308, 1.0]]])
-    out = apply_gamma(RGBImage(v, TAG_LINEAR_SRGB), GammaSpec(mode="srgb"))
+    out = apply_gamma(RGBImage(v), GammaSpec(mode="srgb"))
     assert out.values[0, 0, 0] == 0.0
     assert out.values[0, 0, 1] == pytest.approx(12.92 * 0.0031308, rel=1e-9)
     assert out.values[0, 0, 2] == pytest.approx(1.0, abs=1e-9)
@@ -193,8 +168,19 @@ def test_reflectance_patches_shape_and_range():
 def test_render_default_pipeline_tags():
     frame = adc(np.full((8, 8), 5000.0), SensorSpec())
     img = render(frame)
-    assert img.tag == TAG_SRGB_ENCODED
     assert img.gamma_used is not None
+
+
+def test_render_fits_the_matrix_unless_one_is_given():
+    frame = mosaic_frame(np.random.default_rng(3).integers(0, 1024, (8, 10)))
+    linear = demosaic_bilinear(frame)
+    stages = ("demosaic", "color")
+    fitted = render(frame, IspConfig(stages=stages)).values
+    want = color_correct(linear, fit_color_matrix(frame.sensor)).values
+    assert fitted.tobytes() == want.tobytes()
+    matrix = ((0.5, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 0.25))
+    given = render(frame, IspConfig(stages=stages, matrix=matrix)).values
+    assert given.tobytes() == (linear.values * (0.5, 1.0, 0.25)).tobytes()
 
 
 def test_render_raw_stage():
@@ -213,7 +199,7 @@ def test_render_unknown_stage():
 def test_ppm_output(tmp_path):
     v = np.zeros((2, 3, 3))
     v[0, 0] = [1.0, 0.5, 0.0]
-    write_ppm(RGBImage(v, TAG_SRGB_ENCODED), tmp_path / "x.ppm")
+    write_ppm(RGBImage(v), tmp_path / "x.ppm")
     blob = (tmp_path / "x.ppm").read_bytes()
     assert blob.startswith(b"P6\n3 2\n255\n")
     pixels = np.frombuffer(blob.split(b"255\n", 1)[1], dtype=np.uint8)
