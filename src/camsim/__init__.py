@@ -33,7 +33,7 @@ from .annotation import (  # noqa: F401
     export_dataset,
 )
 from .evalmetrics import (  # noqa: F401
-    Detection, GTBox, APCurve, APBin, OD50Result, as_gt,
+    Detection, GTBox, APBin, as_gt,
     iou, match, average_precision, ap_vs_distance, od50,
 )
 from .detector import ProxyDetectorConfig, proxy_detect  # noqa: F401

@@ -96,7 +96,7 @@ class RunConfig:
                 raise ValueError(f"the sensor cannot sample scenes.spec: {e}") from e
 
     @staticmethod
-    def from_file(path, seed_override: int | None = None) -> "RunConfig":
+    def from_file(path) -> "RunConfig":
         path = Path(path)
         if not path.is_file():
             raise ConfigError(f"config file not found: {path}")
@@ -104,12 +104,11 @@ class RunConfig:
             d = json.loads(path.read_text())
         except json.JSONDecodeError as e:
             raise ConfigError(f"config JSON invalid: {e}") from e
-        return RunConfig.from_dict(d, seed_override)
+        return RunConfig.from_dict(d)
 
     @staticmethod
-    def from_dict(d: dict, seed_override: int | None = None) -> "RunConfig":
-        cfg = from_config(RunConfig, d)
-        return cfg if seed_override is None else replace(cfg, seed=seed_override)
+    def from_dict(d: dict) -> "RunConfig":
+        return from_config(RunConfig, d)
 
 
 def _n_workers() -> int:
@@ -218,13 +217,6 @@ def run_pipeline(cfg: RunConfig, variants: list) -> list:
     return [(_write_run(v, results[k], errors[k]), results[k]) for k, v in enumerate(variants)]
 
 
-def _write_scores(dets: list, gts: list, out: Path, max_distance_m: float) -> dict:
-    """metrics.csv and summary.json; returns the summary dict."""
-    curve = ev.ap_vs_distance(dets, gts, max_distance_m=max_distance_m)
-    ev.write_metrics_csv(curve, out / "metrics.csv")
-    return ev.write_summary_json(curve, dets, gts, out / "summary.json")
-
-
 def _write_run(cfg: RunConfig, results: dict, errors: list) -> dict:
     """Write one run's artifacts from its per-scene results; returns the summary."""
     out = cfg.output_dir
@@ -240,7 +232,8 @@ def _write_run(cfg: RunConfig, results: dict, errors: list) -> dict:
         truths[sid] = r["boxes"]
         if r["image"] is not None:
             write_ppm(r["image"], out / f"{sid}.ppm")
-    summary = _write_scores(dets, gts, out, cfg.policy.max_distance_m)
+    summary = ev.write_scores(dets, gts, out, cfg.policy.max_distance_m,
+                              len(ordered), len(errors))
     (out / "detections.json").write_text(json.dumps(ev.detections_to_json(dets), indent=1))
     export_dataset(images_meta, truths, out / "dataset.json", seed=cfg.seed)
     durations = {sid: results[sid]["duration_s"] for sid in ordered}
@@ -248,8 +241,6 @@ def _write_run(cfg: RunConfig, results: dict, errors: list) -> dict:
     if errors:
         (out / "errors.log").write_text(
             "\n".join(f"{sid}: {exc}" for sid, exc in errors))
-    summary["n_images"] = len(ordered)
-    summary["n_errors"] = len(errors)
     return summary
 
 
@@ -267,7 +258,7 @@ def cmd_synth(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     entries = []
     for i in range(args.count):
-        s = replace(base, seed=(args.seed if args.seed is not None else base.seed) + i)
+        s = replace(base, seed=base.seed + i)
         name = f"scene_{i:04d}"
         stats = save_scene(synthesize(s), out / name)
         entries.append({"id": name, "seed": s.seed, **stats})
@@ -282,7 +273,7 @@ def _exit_code(summaries: list) -> int:
 
 
 def cmd_run(args) -> int:
-    cfg = RunConfig.from_file(args.config, args.seed)
+    cfg = RunConfig.from_file(args.config)
     (summary, _), = run_pipeline(cfg, [cfg])
     print(json.dumps(summary, indent=1))
     return _exit_code([summary])
@@ -329,7 +320,7 @@ def _sweep(cfg: RunConfig, flag: str, values: list, table, csv_name: str, header
 
 
 def cmd_sweep_pixel(args) -> int:
-    cfg = RunConfig.from_file(args.config, args.seed)
+    cfg = RunConfig.from_file(args.config)
 
     def table(size):
         v = replace(cfg, sensor=cfg.sensor.with_pixel_size(size),
@@ -346,7 +337,7 @@ def cmd_sweep_pixel(args) -> int:
 
 
 def cmd_sweep_exposure(args) -> int:
-    cfg = RunConfig.from_file(args.config, args.seed)
+    cfg = RunConfig.from_file(args.config)
     plans = _plans(cfg, PLANS)
 
     def table(lux):
@@ -371,7 +362,7 @@ def cmd_sweep_exposure(args) -> int:
 
 
 def cmd_edge_case(args) -> int:
-    cfg = RunConfig.from_file(args.config, args.seed)
+    cfg = RunConfig.from_file(args.config)
     report = edge_case_report(cfg)
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
     (cfg.output_dir / "edge_case.json").write_text(json.dumps(report, indent=1))
@@ -429,7 +420,7 @@ def _dataset_truth(dataset: dict) -> tuple:
         ev.GTBox(a["image_id"],
                  (a["bbox"][0], a["bbox"][1],
                   a["bbox"][0] + a["bbox"][2], a["bbox"][1] + a["bbox"][3]),
-                 a.get("distance_m", 1.0))
+                 a["distance_m"])
         for a in dataset["annotations"]
     ]
     return sizes, gts
@@ -440,7 +431,7 @@ def cmd_eval(args) -> int:
     dets = _read_input(args.detections, lambda records: ev.detections_from_json(records, sizes))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    summary = _write_scores(dets, gts, out, None)
+    summary = ev.write_scores(dets, gts, out, None, len(sizes), 0)
     print(json.dumps(summary, indent=1))
     return EXIT_OK
 
@@ -448,7 +439,7 @@ def cmd_eval(args) -> int:
 def cmd_plot(args) -> int:
     # each curve's points: (bin centre, AP) of every bin that has an AP
     curve_svg([(Path(p).stem, [(0.5 * (b.low_m + b.high_m), b.ap)
-                               for b in ev.read_metrics_csv(p).bins if b.ap is not None])
+                               for b in ev.read_metrics_csv(p) if b.ap is not None])
                for p in args.csv], args.out)
     print(f"wrote {args.out}")
     return EXIT_OK
@@ -463,29 +454,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("spec")
     p.add_argument("out")
     p.add_argument("-n", "--count", type=int, default=1)
-    p.add_argument("--seed", type=int)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("run", help="full pipeline over the configured scenes")
     p.add_argument("config")
-    p.add_argument("--seed", type=int)
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("sweep-pixel", help="pixel-size sweep with OD50 collation")
     p.add_argument("config")
     p.add_argument("--sizes", type=float, nargs="+")
-    p.add_argument("--seed", type=int)
     p.set_defaults(func=cmd_sweep_pixel)
 
     p = sub.add_parser("sweep-exposure", help="exposure algorithm comparison")
     p.add_argument("config")
     p.add_argument("--lux", type=float, nargs="+")
-    p.add_argument("--seed", type=int)
     p.set_defaults(func=cmd_sweep_exposure)
 
     p = sub.add_parser("edge-case", help="specular/shadow stress scene comparison")
     p.add_argument("config")
-    p.add_argument("--seed", type=int)
     p.set_defaults(func=cmd_edge_case)
 
     p = sub.add_parser("eval", help="score external detections against a dataset")

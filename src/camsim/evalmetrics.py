@@ -32,7 +32,7 @@ class GTBox:
     known distance."""
     image_id: object
     bbox: tuple
-    distance_m: float = 1.0
+    distance_m: float
 
 
 def as_gt(image_id, box) -> GTBox:
@@ -46,17 +46,6 @@ class APBin:
     high_m: float
     ap: float | None  # None where the bin has no ground truth
     gt_count: int
-
-
-@dataclass(frozen=True)
-class APCurve:
-    bins: tuple
-
-
-@dataclass(frozen=True)
-class OD50Result:
-    od50_m: float  # math.inf when the curve never drops below 0.5
-    beyond_range: bool
 
 
 def iou(a, b) -> float:
@@ -74,9 +63,9 @@ def iou(a, b) -> float:
 def match(dets: list, gts: list):
     """Greedy PASCAL matching in descending score order.
 
-    Returns (tp, det_gt, gt_matched): per-detection hit flag (input order),
-    index of the matched GT or -1, and per-GT matched flag. Score ties keep
-    input order; IoU ties take the lowest GT index.
+    Returns (tp, det_gt): per-detection hit flag (input order) and index of
+    the matched GT or -1. Score ties keep input order; IoU ties take the
+    lowest GT index.
     """
     order = sorted(range(len(dets)), key=lambda i: (-dets[i].score, i))
     tp = [False] * len(dets)
@@ -96,7 +85,7 @@ def match(dets: list, gts: list):
             tp[i] = True
             det_gt[i] = best_j
             gt_matched[best_j] = True
-    return tp, det_gt, gt_matched
+    return tp, det_gt
 
 
 def _group_by_image(items: list) -> dict:
@@ -111,7 +100,7 @@ def _pooled_flags(dets: list, gts: list):
     gt_groups = _group_by_image(gts)
     pairs = []
     for image_id, dgroup in _group_by_image(dets).items():
-        tp, _, _ = match(dgroup, gt_groups.get(image_id, []))
+        tp, _ = match(dgroup, gt_groups.get(image_id, []))
         pairs.extend(zip((d.score for d in dgroup), tp))
     return pairs
 
@@ -149,10 +138,10 @@ def average_precision(dets: list, gts: list) -> float | None:
 
 
 def ap_vs_distance(dets: list, gts: list, bin_m: float = 10.0,
-                   max_distance_m: float | None = None) -> APCurve:
-    """AP per 10 m distance bin. Matched detections land in their GT's bin;
-    unmatched detections go to the nearest-by-IoU GT's bin, or are excluded
-    when they overlap no GT at all (their distance is unknowable)."""
+                   max_distance_m: float | None = None) -> tuple:
+    """A tuple of APBin, one per 10 m distance bin. Matched detections land
+    in their GT's bin; unmatched ones go to the nearest-by-IoU GT's bin, or
+    are excluded when they overlap no GT at all (their distance is unknowable)."""
     det_groups = _group_by_image(dets)
     gt_groups = _group_by_image(gts)
     top = max((g.distance_m for g in gts), default=0.0)
@@ -167,7 +156,7 @@ def ap_vs_distance(dets: list, gts: list, bin_m: float = 10.0,
         bin_gt[b] += 1
     for image_id, ggroup in gt_groups.items():
         dgroup = det_groups.get(image_id, [])
-        tp, det_gt, _ = match(dgroup, ggroup)
+        tp, det_gt = match(dgroup, ggroup)
         for i, d in enumerate(dgroup):
             if tp[i]:
                 ref = ggroup[det_gt[i]]
@@ -179,32 +168,30 @@ def ap_vs_distance(dets: list, gts: list, bin_m: float = 10.0,
             b = min(n_bins - 1, int(ref.distance_m / bin_m))
             bin_pairs[b].append((d.score, tp[i]))
     # detections in images with no GT at all have no distance anchor; excluded
-    bins = tuple(
+    return tuple(
         APBin(i * bin_m, (i + 1) * bin_m,
               _ap_from_flags(bin_pairs[i], bin_gt[i]) if bin_gt[i] else None,
               bin_gt[i])
         for i in range(n_bins)
     )
-    return APCurve(bins)
 
 
-def od50(curve: APCurve) -> OD50Result:
+def od50(bins: tuple) -> float:
     """First crossing of AP below 0.5, linearly interpolated between bin
-    centers; 0 when the curve starts below 0.5, beyond-range when it never
-    drops."""
+    centers; 0 when the curve starts below 0.5, math.inf (beyond range) when
+    it never drops."""
     prev = None  # (center, ap)
-    for b in curve.bins:
+    for b in bins:
         if b.ap is None:
             continue
         center = 0.5 * (b.low_m + b.high_m)
         if prev is None and b.ap < 0.5:
-            return OD50Result(0.0, False)
+            return 0.0
         if prev is not None and prev[1] >= 0.5 and b.ap < 0.5:
             c0, a0 = prev
-            od = c0 + (a0 - 0.5) / (a0 - b.ap) * (center - c0)
-            return OD50Result(od, False)
+            return c0 + (a0 - 0.5) / (a0 - b.ap) * (center - c0)
         prev = (center, b.ap)
-    return OD50Result(math.inf, True)
+    return math.inf
 
 
 # ------------------------------------------------------------------ I/O ----
@@ -242,34 +229,41 @@ def detections_from_json(records: list, known_images: dict) -> list:
     return dets
 
 
-def write_metrics_csv(curve: APCurve, path) -> None:
+def write_metrics_csv(bins: tuple, path) -> None:
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["bin_low_m", "bin_high_m", "gt_count", "ap"])
-        for b in curve.bins:
+        for b in bins:
             writer.writerow([b.low_m, b.high_m, b.gt_count,
                              "" if b.ap is None else f"{b.ap:.6f}"])
 
 
-def read_metrics_csv(path) -> APCurve:
+def read_metrics_csv(path) -> tuple:
     bins = []
     with open(path, newline="") as f:
         for row in csv.DictReader(f):
             ap = float(row["ap"]) if row["ap"] != "" else None
             bins.append(APBin(float(row["bin_low_m"]), float(row["bin_high_m"]),
                               ap, int(row["gt_count"])))
-    return APCurve(tuple(bins))
+    return tuple(bins)
 
 
-def write_summary_json(curve: APCurve, dets: list, gts: list, path) -> dict:
-    overall = average_precision(dets, gts)
-    result = od50(curve)
+def write_scores(dets: list, gts: list, out: Path, max_distance_m: float | None,
+                 n_images: int, n_errors: int) -> dict:
+    """Score `dets` against `gts` into `out`: metrics.csv (the AP-vs-distance
+    bins, up to at least `max_distance_m`) and summary.json, which also holds
+    the images scored and the scenes lost. Returns the summary."""
+    bins = ap_vs_distance(dets, gts, max_distance_m=max_distance_m)
+    write_metrics_csv(bins, out / "metrics.csv")
+    od = od50(bins)
     summary = {
-        "ap_overall": overall,
-        "od50_m": None if result.beyond_range else result.od50_m,
-        "od50_beyond_range": result.beyond_range,
+        "ap_overall": average_precision(dets, gts),
+        "od50_m": None if math.isinf(od) else od,
+        "od50_beyond_range": math.isinf(od),
         "n_detections": len(dets),
         "n_ground_truth": len(gts),
+        "n_images": n_images,
+        "n_errors": n_errors,
     }
-    Path(path).write_text(json.dumps(summary, indent=1))
+    (out / "summary.json").write_text(json.dumps(summary, indent=1))
     return summary

@@ -39,6 +39,10 @@ class GammaSpec:
         if self.mode not in ("fixed", "adaptive", "srgb"):
             raise ValueError(f"unknown gamma mode {self.mode!r}; expected fixed, adaptive or "
                              "srgb (to skip gamma, leave it out of isp.stages)")
+        if self.mode != "fixed" and self.gamma != GammaSpec.gamma:
+            raise ValueError(f"gamma is read only in fixed mode, not {self.mode}")
+        if self.mode != "adaptive" and self.target != GammaSpec.target:
+            raise ValueError(f"target is read only in adaptive mode, not {self.mode}")
         if self.mode == "fixed" and not 0 < self.gamma <= 10:
             raise ValueError("fixed gamma must be in (0, 10]")
         if not 0 < self.target < 1:

@@ -2,7 +2,6 @@
 each. Run with `pytest tests/test_acceptance.py -v -s` to see the lines."""
 
 import json
-import math
 import random
 from dataclasses import replace
 
@@ -183,10 +182,8 @@ def test_criterion_10_ap_oracle():
 
 
 def test_criterion_11_od50():
-    fixture = ev.APCurve((ev.APBin(40.0, 50.0, 0.6, 5),
-                          ev.APBin(50.0, 60.0, 0.4, 5)))
-    r = ev.od50(fixture)
-    fixture_ok = (not r.beyond_range) and r.od50_m == pytest.approx(50.0, abs=1e-12)
+    r = ev.od50((ev.APBin(40.0, 50.0, 0.6, 5), ev.APBin(50.0, 60.0, 0.4, 5)))
+    fixture_ok = r == pytest.approx(50.0, abs=1e-12)
     rng = random.Random(7)
     monotone_ok = True
     for _ in range(100):
@@ -195,14 +192,12 @@ def test_criterion_11_od50():
         raised = list(aps)
         raised[i] = min(1.0, raised[i] + rng.random())
         def val(vals):
-            c = ev.APCurve(tuple(ev.APBin(k * 10.0, (k + 1) * 10.0, a, 5)
+            return ev.od50(tuple(ev.APBin(k * 10.0, (k + 1) * 10.0, a, 5)
                                  for k, a in enumerate(vals)))
-            res = ev.od50(c)
-            return math.inf if res.beyond_range else res.od50_m
         if val(raised) < val(aps) - 1e-12:
             monotone_ok = False
     report(11, "od50", fixture_ok and monotone_ok,
-           f"fixture -> {r.od50_m:.1f} m, monotone on 100 random curves: "
+           f"fixture -> {r:.1f} m, monotone on 100 random curves: "
            f"{monotone_ok}")
 
 
@@ -238,11 +233,10 @@ def test_criterion_12_end_to_end_pixel_sweep():
     for p in sizes:
         gts, dets = pools[p]
         curve = ev.ap_vs_distance(dets, gts, max_distance_m=150.0)
-        aps = [b.ap for b in curve.bins if b.ap is not None]
+        aps = [b.ap for b in curve if b.ap is not None]
         violations = sum(1 for a, b in zip(aps, aps[1:]) if b > a + 1e-9)
         curves_ok &= violations <= 1
-        r = ev.od50(curve)
-        od[p] = math.inf if r.beyond_range else r.od50_m
+        od[p] = ev.od50(curve)
     order_ok = od[1.5] >= od[3.0] >= od[6.0]
     report(12, "end-to-end pixel sweep", curves_ok and order_ok,
            f"OD50 = {od[1.5]:.1f} / {od[3.0]:.1f} / {od[6.0]:.1f} m "

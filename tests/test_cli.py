@@ -1,15 +1,17 @@
 import csv
 import json
 import os
+import shlex
 import typing
-from dataclasses import is_dataclass
+from dataclasses import is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from camsim import config
-from camsim.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, RunConfig, main
+from camsim.cli import (EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, RunConfig, build_parser, main,
+                        run_pipeline)
 from camsim.scene import load_scene, project_extent_px, scene_statistics
 
 SCENE_SPEC = {
@@ -162,6 +164,9 @@ def scenes(**spec):
     # ISP settings that no stage of the pipeline reads
     ({"isp": {"stages": ["demosaic", "gamma"], "matrix": np.eye(3).tolist()}}, "isp: matrix"),
     ({"isp": {"stages": ["demosaic", "color"], "gamma": {"mode": "srgb"}}}, "isp: gamma"),
+    # gamma values that the gamma mode does not read
+    ({"isp": {"gamma": {"mode": "adaptive", "gamma": 0.45}}}, "isp.gamma: gamma"),
+    ({"isp": {"gamma": {"mode": "srgb", "target": 0.5}}}, "isp.gamma: target"),
 ], ids=["top", "lens", "exposure", "policy", "sensor.pixel", "detector.proxy",
         "scenes", "scenes.spec", "scenes.spec.grid", "scenes.spec.targets",
         "scenes.spec.shadows", "scenes.spec.seed", "scenes.spec.focal_length_mm",
@@ -179,7 +184,8 @@ def scenes(**spec):
         "policy.max_distance_m=-5", "policy.max_distance_m=301",
         "exposure.durations_s=[]", "isp.gamma.mode=none", "isp.gamma.solve_output_mean",
         "plot", "scenes.spec.targets.shading", "isp.matrix-without-color",
-        "isp.gamma-without-gamma"])
+        "isp.gamma-without-gamma", "isp.gamma.gamma-not-fixed",
+        "isp.gamma.target-not-adaptive"])
 def test_run_unknown_key_names_dotted_path(tmp_path, capsys, overrides, dotted):
     path = run_config(tmp_path, **overrides)
     assert main(["run", str(path)]) == EXIT_CONFIG
@@ -293,6 +299,30 @@ def test_documented_and_benchmark_configs_parse(tmp_path, monkeypatch):
         RunConfig.from_dict(cfg)
 
 
+def test_readme_command_lines_parse():
+    """Every `camsim` line of the README's command-line block parses, so a
+    deleted flag or a renamed command cannot linger in the docs."""
+    root = Path(__file__).resolve().parents[1]
+    block = (root / "README.md").read_text().split("## Command line", 1)[1]
+    block = block.split("```bash", 1)[1].split("```", 1)[0]
+    lines = [shlex.split(line.split("#", 1)[0]) for line in block.splitlines()
+             if line.startswith("camsim ")]
+    assert lines
+    for argv in lines:
+        build_parser().parse_args(argv[1:])
+
+
+@pytest.mark.parametrize("argv", [["synth", "spec.json", "out"], ["run", "run.json"],
+                                  ["sweep-pixel", "run.json"], ["sweep-exposure", "run.json"],
+                                  ["edge-case", "run.json"]], ids=lambda argv: argv[0])
+def test_seed_flag_is_rejected(capsys, argv):
+    """The seed lives in the run config (or scene spec) only."""
+    with pytest.raises(SystemExit) as e:
+        main([*argv, "--seed", "3"])
+    assert e.value.code == EXIT_CONFIG
+    assert "--seed" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5"])
 @pytest.mark.parametrize("argv", [["run"], ["sweep-pixel", "--sizes", "3", "6"]],
                          ids=["run", "sweep-pixel"])
@@ -399,22 +429,31 @@ def run_output(tmp_path_factory):
     return tmp_path / "out"
 
 
-@pytest.mark.parametrize("records, message", [
-    (None, "Expecting"),
-    ([{"bbox": [1, 1, 4, 4], "score": 1.5}], "outside [0, 1]"),
-    ([{"bbox": [1, 1, 4], "score": 0.5}], "is not [x, y, w, h]"),
-    ([{"bbox": [1, 1, 4, 4]}], "missing key 'score'"),
-], ids=["not-json", "score=1.5", "bbox-of-3", "no-score"])
-def test_eval_malformed_detections_is_config_error(tmp_path, capsys, run_output, records,
+@pytest.mark.parametrize("bad, records, message", [
+    ("detections", None, "Expecting"),
+    ("detections", [{"bbox": [1, 1, 4, 4], "score": 1.5}], "outside [0, 1]"),
+    ("detections", [{"bbox": [1, 1, 4], "score": 0.5}], "is not [x, y, w, h]"),
+    ("detections", [{"bbox": [1, 1, 4, 4]}], "missing key 'score'"),
+    ("dataset", [{"bbox": [1, 1, 4, 4], "score": 0.5}], "missing key 'distance_m'"),
+], ids=["not-json", "score=1.5", "bbox-of-3", "no-score", "dataset-without-distance_m"])
+def test_eval_malformed_detections_is_config_error(tmp_path, capsys, run_output, bad, records,
                                                    message):
-    image_id = json.loads((run_output / "dataset.json").read_text())["images"][0]["id"]
-    dets = tmp_path / "dets.json"
-    dets.write_text("{not json" if records is None
-                    else json.dumps([{"image_id": image_id, **r} for r in records]))
-    rc = main(["eval", str(run_output / "dataset.json"), str(dets), str(tmp_path / "scores")])
+    """Malformed detections, or a dataset whose annotations lack their
+    distance, exit 2 naming the file."""
+    dataset = json.loads((run_output / "dataset.json").read_text())
+    if bad == "dataset":
+        for a in dataset["annotations"]:
+            del a["distance_m"]
+    files = {"dataset": tmp_path / "dataset.json", "detections": tmp_path / "dets.json"}
+    files["dataset"].write_text(json.dumps(dataset))
+    image_id = dataset["images"][0]["id"]
+    files["detections"].write_text("{not json" if records is None else json.dumps(
+        [{"image_id": image_id, **r} for r in records]))
+    rc = main(["eval", str(files["dataset"]), str(files["detections"]),
+               str(tmp_path / "scores")])
     assert rc == EXIT_CONFIG
     err = capsys.readouterr().err
-    assert f"{dets}: " in err and message in err
+    assert f"{files[bad]}: " in err and message in err
     assert not (tmp_path / "scores").exists()
 
 
@@ -616,6 +655,25 @@ def test_run_continues_after_scene_error(tmp_path):
     assert (out / "errors.log").read_text().startswith("scene_0000")
     summary = json.loads((out / "summary.json").read_text())
     assert summary["n_ground_truth"] == 1  # the good scene was still scored
+    assert summary["n_images"] == 1 and summary["n_errors"] == 1
+
+
+def test_sweep_variant_summary_holds_the_counts(tmp_path):
+    """Each variant's summary.json is the summary run_pipeline returns, with
+    the images it scored and the scenes it lost."""
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(SYNTH_SPEC))
+    assert main(["synth", str(spec), str(tmp_path / "scenes"), "-n", "2"]) == EXIT_OK
+    bad = tmp_path / "scenes" / "scene_0001" / "radiance.sic"
+    bad.write_bytes(b"XXXX" + bad.read_bytes()[4:])
+    cfg = RunConfig.from_file(run_config(tmp_path, scenes={
+        "source": "dir", "path": str(tmp_path / "scenes")}))
+    variants = [replace(cfg, sensor=cfg.sensor.with_pixel_size(size),
+                        output_dir=cfg.output_dir / f"pixel_{size:g}um") for size in (3.0, 6.0)]
+    for v, (summary, results) in zip(variants, run_pipeline(cfg, variants)):
+        assert list(results) == ["scene_0000"]
+        assert summary["n_images"] == 1 and summary["n_errors"] == 1
+        assert json.loads((v.output_dir / "summary.json").read_text()) == summary
 
 
 @pytest.mark.parametrize("argv, written", [

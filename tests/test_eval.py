@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from camsim.evalmetrics import (APBin, APCurve, Detection, GTBox,
+from camsim.evalmetrics import (APBin, Detection, GTBox,
                                 average_precision, ap_vs_distance,
                                 detections_from_json, detections_to_json, iou,
                                 match, od50, read_metrics_csv,
@@ -34,28 +34,27 @@ def test_match_greedy_score_order():
     # the higher-scoring detection wins the only GT
     dets = [det((0, 0, 10, 10), 0.4), det((1, 0, 11, 10), 0.9)]
     gts = [gt((0, 0, 10, 10))]
-    tp, det_gt, matched = match(dets, gts)
+    tp, det_gt = match(dets, gts)
     assert tp == [False, True]
-    assert det_gt == [-1, 0]
-    assert matched == [True]
+    assert det_gt == [-1, 0]  # the GT is matched, by the second detection
 
 
 def test_match_score_tie_keeps_input_order():
     dets = [det((1, 0, 11, 10), 0.5), det((0, 0, 10, 10), 0.5)]
-    tp, _, _ = match(dets, [gt((0, 0, 10, 10))])
+    tp, _ = match(dets, [gt((0, 0, 10, 10))])
     assert tp == [True, False]
 
 
 def test_match_iou_tie_lowest_gt_index():
     d = [det((0, 0, 10, 10), 1.0)]
     gts = [gt((0, 0, 10, 10)), gt((0, 0, 10, 10))]
-    _, det_gt, _ = match(d, gts)
+    _, det_gt = match(d, gts)
     assert det_gt == [0]
 
 
 def test_match_respects_threshold():
     d = [det((0, 0, 10, 10), 1.0)]
-    tp, _, _ = match(d, [gt((6, 0, 16, 10))])
+    tp, _ = match(d, [gt((6, 0, 16, 10))])
     assert tp == [False]
 
 
@@ -69,7 +68,7 @@ def brute_force_ap(dets, gts):
     precisions, recalls = [], []
     for k in range(1, len(order) + 1):
         prefix = [dets[i] for i in order[:k]]
-        tp, _, _ = match(prefix, gts)
+        tp, _ = match(prefix, gts)
         n_tp = sum(tp)
         precisions.append(n_tp / k)
         recalls.append(n_tp / len(gts))
@@ -141,28 +140,21 @@ def test_ap_bounded(seed):
 # ------------------------------------------------ distance bins & OD50 ----
 
 def curve(pairs):
-    bins = []
-    for i, ap in enumerate(pairs):
-        bins.append(APBin(i * 10.0, (i + 1) * 10.0, ap, 0 if ap is None else 5))
-    return APCurve(tuple(bins))
+    return tuple(APBin(i * 10.0, (i + 1) * 10.0, ap, 0 if ap is None else 5)
+                 for i, ap in enumerate(pairs))
 
 
 def test_od50_interpolation_fixture():
     """(45 m, 0.6) -> (55 m, 0.4) crosses 0.5 exactly at 50 m."""
-    c = APCurve((APBin(40.0, 50.0, 0.6, 5), APBin(50.0, 60.0, 0.4, 5)))
-    r = od50(c)
-    assert r.od50_m == pytest.approx(50.0, abs=1e-12)
-    assert not r.beyond_range
+    assert od50((APBin(40.0, 50.0, 0.6, 5), APBin(50.0, 60.0, 0.4, 5))) == \
+        pytest.approx(50.0, abs=1e-12)
 
 
 def test_od50_edge_cases():
-    r = od50(curve([0.4, 0.3]))
-    assert r.od50_m == 0.0
-    r = od50(curve([0.9, 0.8, 0.7]))
-    assert r.beyond_range and math.isinf(r.od50_m)
+    assert od50(curve([0.4, 0.3])) == 0.0
+    assert od50(curve([0.9, 0.8, 0.7])) == math.inf  # beyond range
     # None bins are skipped, crossing still found
-    r = od50(curve([0.9, None, 0.1]))
-    assert r.od50_m == pytest.approx(15.0)
+    assert od50(curve([0.9, None, 0.1])) == pytest.approx(15.0)
 
 
 @given(st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=2, max_size=12),
@@ -170,25 +162,21 @@ def test_od50_edge_cases():
 @settings(max_examples=100, deadline=None)
 def test_od50_monotone_raising_property(aps, idx):
     """Raising any AP value never decreases the reported OD50."""
-    base = od50(curve(aps))
     raised = list(aps)
     i = idx % len(raised)
     raised[i] = min(1.0, raised[i] + 0.3)
-    higher = od50(curve(raised))
-    a = base.od50_m if not base.beyond_range else math.inf
-    b = higher.od50_m if not higher.beyond_range else math.inf
-    assert b >= a - 1e-12
+    assert od50(curve(raised)) >= od50(curve(aps)) - 1e-12
 
 
 def test_ap_vs_distance_bins_by_gt_distance():
     g = [gt((0, 0, 10, 10), dist=12.0), gt((20, 0, 30, 10), dist=37.0)]
     d = [det((0, 0, 10, 10), 0.9), det((50, 50, 60, 60), 0.5)]
     c = ap_vs_distance(d, g, bin_m=10.0)
-    assert c.bins[1].gt_count == 1 and c.bins[1].ap == pytest.approx(1.0)
-    assert c.bins[3].gt_count == 1 and c.bins[3].ap == pytest.approx(0.0)
-    assert c.bins[0].ap is None  # no GT there
+    assert c[1].gt_count == 1 and c[1].ap == pytest.approx(1.0)
+    assert c[3].gt_count == 1 and c[3].ap == pytest.approx(0.0)
+    assert c[0].ap is None  # no GT there
     # the unmatched detection overlaps no GT: excluded from every bin
-    assert all(b.gt_count in (0, 1) for b in c.bins)
+    assert all(b.gt_count in (0, 1) for b in c)
 
 
 def test_ap_vs_distance_unmatched_goes_to_nearest_gt_bin():
@@ -197,7 +185,7 @@ def test_ap_vs_distance_unmatched_goes_to_nearest_gt_bin():
     # anchored to its best-overlap GT's bin
     d = [det((0, 0, 10, 10), 0.8), det((7, 0, 17, 10), 0.9)]
     c = ap_vs_distance(d, g, bin_m=10.0)
-    assert c.bins[1].ap == pytest.approx(0.5)
+    assert c[1].ap == pytest.approx(0.5)
 
 
 # ------------------------------------------------------------------ I/O ----
@@ -232,8 +220,8 @@ def test_metrics_csv_round_trip(tmp_path):
     c = curve([1.0, 0.5, None, 0.25])
     write_metrics_csv(c, tmp_path / "m.csv")
     back = read_metrics_csv(tmp_path / "m.csv")
-    assert len(back.bins) == 4
-    assert back.bins[0].ap == pytest.approx(1.0)
-    assert back.bins[2].ap is None
+    assert len(back) == 4
+    assert back[0].ap == pytest.approx(1.0)
+    assert back[2].ap is None
     header = (tmp_path / "m.csv").read_text().splitlines()[0]
     assert header == "bin_low_m,bin_high_m,gt_count,ap"
