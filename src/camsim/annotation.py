@@ -9,7 +9,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy import ndimage
 
 from .scene import MAX_DISTANCE_M, Scene
 from .sensor import SensorGeometry
@@ -76,12 +75,36 @@ class SceneTruth:
     targets: dict  # instance id -> (class name, (row slice, col slice), depth m)
 
 
+def _instance_slices(instances: np.ndarray) -> dict:
+    """Instance id -> (row slice, col slice) bounding it, for every id on
+    the map, from one pass over the band of rows that holds any instance."""
+    rows = np.flatnonzero(instances.any(axis=1))
+    if rows.size == 0:
+        return {}
+    top = int(rows[0])
+    band = instances[top:int(rows[-1]) + 1]
+    flat = np.flatnonzero(band)
+    ids = band.ravel()[flat]
+    r = flat // band.shape[1]
+    c = flat - r * band.shape[1]
+    n = int(ids.max()) + 1
+    r_lo, c_lo = np.full(n, band.size), np.full(n, band.size)
+    r_hi, c_hi = np.full(n, -1), np.full(n, -1)
+    np.minimum.at(r_lo, ids, r)
+    np.maximum.at(r_hi, ids, r)
+    np.minimum.at(c_lo, ids, c)
+    np.maximum.at(c_hi, ids, c)
+    return {int(i): (slice(top + int(r_lo[i]), top + int(r_hi[i]) + 1),
+                     slice(int(c_lo[i]), int(c_hi[i]) + 1))
+            for i in np.flatnonzero(r_hi >= 0)}
+
+
 def scene_truth(sc: Scene) -> SceneTruth:
     """The pixel-size-invariant ground truth of a scene, computed once."""
-    objects = ndimage.find_objects(sc.instances)
+    slices = _instance_slices(sc.instances)
     targets = {}
     for inst_id in sorted(sc.classes):
-        sl = objects[inst_id - 1] if 0 < inst_id <= len(objects) else None
+        sl = slices.get(inst_id)
         if sl is None:
             continue
         depth = float(np.median(sc.depth[sl][sc.instances[sl] == inst_id]))

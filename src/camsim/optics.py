@@ -6,6 +6,13 @@ radiance to photoelectrons is linear, and the falloff and the PSF do not
 depend on wavelength, so radiance is projected once onto a few weighted
 band sums (one per sensor channel, or luminance) and the falloff and the
 PSF act on those planes instead of on every spectral band.
+
+The PSF is a separable Gaussian blur in numpy, done a block of rows at a
+time so that each block stays in cache. It reproduces, bit for bit,
+`scipy.ndimage.gaussian_filter(planes, (σ, σ, 0), mode="reflect",
+truncate=6.0)`: the same weights, half-sample reflected edges, axis 0
+before axis 1, and the same accumulation order for every output (centre
+tap first, then the symmetric pairs from the outermost tap inwards).
 """
 
 from __future__ import annotations
@@ -14,12 +21,12 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .scene import Scene
 from .spectral import Spectrum, WavelengthGrid, luminance_weights, project_bands, resample
 
 FWHM_TO_SIGMA = 2.0 * np.sqrt(2.0 * np.log(2.0))  # ≈ 2.3548
+_BLOCK_BYTES = 1 << 19  # a block's row buffer: 16 rows of 1280×3 float64, in L2 with its slab
 
 
 @dataclass(frozen=True)
@@ -81,9 +88,16 @@ def mean_illuminance_lux(scene: Scene, lens: LensSpec) -> float:
 
 
 def psf_blur(planes: np.ndarray, pitch_um: float, lens: LensSpec) -> np.ndarray:
-    """Gaussian blur (σ = FWHM/2.3548) of each (H, W) plane, reflective
-    edges so total flux is conserved. Returns `planes` itself, with a warning,
-    when the grid is too coarse to sample the kernel."""
+    """Gaussian blur (σ = FWHM/2.3548) of float64 (H, W, C) planes, plane
+    by plane, with reflective edges so total flux is conserved. Returns
+    `planes` itself, with a warning, when the grid is too coarse to sample
+    the kernel.
+
+    Weights are exp(-x²/2σ²) normalised to sum 1 over x = -r..r, with
+    r = int(6σ + 0.5). Axis 0 is blurred, then axis 1; each output is
+    w₀·x[i] + Σ (x[i−k] + x[i+k])·w_k accumulated for k = r down to 1, the
+    order in which `scipy.ndimage.gaussian_filter` sums, so the result is
+    identical to it."""
     if lens.psf_fwhm_um == 0.0:
         return planes
     if pitch_um > lens.psf_fwhm_um / 2.0:
@@ -91,9 +105,54 @@ def psf_blur(planes: np.ndarray, pitch_um: float, lens: LensSpec) -> np.ndarray:
             f"grid pitch {pitch_um} µm too coarse for "
             f"{lens.psf_fwhm_um} µm FWHM PSF; convolution skipped")
         return planes
-    sigma_px = lens.psf_fwhm_um / FWHM_TO_SIGMA / pitch_um
-    return ndimage.gaussian_filter(
-        planes, sigma=(sigma_px, sigma_px, 0.0), mode="reflect", truncate=6.0)
+    return _gaussian_blur(planes, lens.psf_fwhm_um / FWHM_TO_SIGMA / pitch_um)
+
+
+def _reflect(idx: np.ndarray, n: int) -> np.ndarray:
+    """Half-sample reflection of indices into 0..n-1, with period 2n, so
+    sides shorter than the kernel radius reflect again."""
+    m = np.mod(idx, 2 * n)
+    return np.where(m < n, m, 2 * n - 1 - m)
+
+
+def _gaussian_blur(planes: np.ndarray, sigma: float) -> np.ndarray:
+    """`psf_blur`'s separable blur at σ grid cells. Each block of rows takes
+    its axis-0 pass from a slab of input rows (a view, unless the slab
+    crosses the top or bottom edge), writes it between reflected column
+    margins in a per-block buffer and takes its axis-1 pass from there."""
+    r = int(6.0 * sigma + 0.5)
+    x = np.arange(-r, r + 1)
+    phi = np.exp(-0.5 / (sigma * sigma) * x ** 2)
+    w = (phi / phi.sum())[r:]  # w[k] weighs the taps at distance k
+    h, width, c = planes.shape
+    out = np.empty((h, width, c))
+    block = max(1, _BLOCK_BYTES // (8 * (width + 2 * r) * c))
+    buf = np.empty((block, width + 2 * r, c))
+    pair = np.empty((block, width, c))
+    left = r + _reflect(np.arange(-r, 0), width)
+    right = r + _reflect(np.arange(width, width + r), width)
+    for i0 in range(0, h, block):
+        b = min(block, h - i0)
+        if r <= i0 and i0 + b + r <= h:
+            slab = planes[i0 - r:i0 + b + r]
+        else:
+            slab = planes[_reflect(np.arange(i0 - r, i0 + b + r), h)]
+        rows, t = buf[:b], pair[:b]
+        mid = rows[:, r:r + width]
+        np.multiply(slab[r:r + b], w[0], out=mid)
+        for k in range(r, 0, -1):
+            np.add(slab[r - k:r - k + b], slab[r + k:r + k + b], out=t)
+            t *= w[k]
+            mid += t
+        rows[:, :r] = rows[:, left]
+        rows[:, r + width:] = rows[:, right]
+        dst = out[i0:i0 + b]
+        np.multiply(mid, w[0], out=dst)
+        for k in range(r, 0, -1):
+            np.add(rows[:, r - k:r - k + width], rows[:, r + k:r + k + width], out=t)
+            t *= w[k]
+            dst += t
+    return out
 
 
 def channel_weights(sensor, grid: WavelengthGrid) -> np.ndarray:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from scipy import ndimage
 
 from camsim.annotation import (GroundTruthBox, LabelPolicy, _majority_bin, apply_policy,
                                export_dataset, project_truth, scene_truth)
@@ -253,3 +254,42 @@ def test_truth_covers_target_pixels_in_the_frame(h, w, pitch, factor, dye_rows, 
         ys, xs = np.nonzero(full)
         if xs.size:
             assert x0 <= xs.min() and xs.max() < x1 and y0 <= ys.min() and ys.max() < y1
+
+
+def _find_objects_truth(sc):
+    """`scene_truth`'s targets as `scipy.ndimage.find_objects` bounds them."""
+    objects = ndimage.find_objects(sc.instances)
+    targets = {}
+    for inst_id in sorted(sc.classes):
+        sl = objects[inst_id - 1] if 0 < inst_id <= len(objects) else None
+        if sl is not None:
+            depth = float(np.median(sc.depth[sl][sc.instances[sl] == inst_id]))
+            targets[inst_id] = (sc.classes[inst_id], sl, depth)
+    return targets
+
+
+@settings(max_examples=200, deadline=None)
+@given(h=st.integers(1, 24), w=st.integers(1, 24),
+       rects=st.lists(st.tuples(st.integers(1, 65535), st.floats(0, 1), st.floats(0, 1),
+                                st.floats(0, 1), st.floats(0, 1)), max_size=6),
+       missing=st.sets(st.integers(1, 65535), max_size=3),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(h=5, w=7, rects=[], missing={1}, seed=0)  # an empty map
+# instances on the top, bottom, left and right edges, and one spanning the map
+@example(h=5, w=7, rects=[(3, 0, 0, 1, 0.2), (65535, 0, 0.8, 1, 1), (2, 0, 0, 0.2, 1),
+                          (9, 0.8, 0, 1, 1)], missing=set(), seed=1)
+@example(h=1, w=1, rects=[(7, 0, 0, 1, 1)], missing={8}, seed=2)
+def test_scene_truth_matches_find_objects(h, w, rects, missing, seed):
+    """Random uint16 instance maps of overlapping rectangles: each target's
+    slices and depth median equal those `find_objects` bounds give, ids the
+    classes name but the map lacks are left out, and unnamed ids ignored."""
+    inst = np.zeros((h, w), np.uint16)
+    for i, ya, xa, yb, xb in rects:
+        inst[round(min(ya, yb) * h):round(max(ya, yb) * h),
+             round(min(xa, xb) * w):round(max(xa, xb) * w)] = i
+    on_map = [i for i, *_ in rects]
+    named = set(on_map[: len(on_map) // 2 + 1]) | missing
+    depth = np.random.default_rng(seed).uniform(1.0, 300.0, (h, w)).astype(np.float32)
+    sc = Scene(np.zeros((h, w, 1), np.float32), WavelengthGrid(550.0, 10.0, 1), 3.0,
+               depth, inst, {i: f"c{i}" for i in named}, SceneMeta())
+    assert scene_truth(sc).targets == _find_objects_truth(sc)

@@ -2,6 +2,8 @@ import csv
 import json
 import os
 import shlex
+import subprocess
+import sys
 import typing
 from dataclasses import is_dataclass, replace
 from pathlib import Path
@@ -829,3 +831,29 @@ def test_radiance_cube_freed_before_capture(tmp_path, monkeypatch, argv):
     monkeypatch.setattr(cli, "acquire", checked_acquire)
     assert main([argv[0], str(run_config(tmp_path)), *argv[1:]]) == EXIT_OK
     assert len(cubes) == 2 and freed and all(freed)
+
+
+_NO_SCIPY_PROBE = """
+import json, sys
+import camsim.cli
+from camsim import optics
+blur, sigmas = optics._gaussian_blur, []
+optics._gaussian_blur = lambda planes, sigma: sigmas.append(sigma) or blur(planes, sigma)
+rc = camsim.cli.main(["sweep-pixel", sys.argv[1], "--sizes", "1.5"])
+print(json.dumps({"rc": rc, "blurs": len(sigmas),
+                  "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}))
+"""
+
+
+def test_cli_runs_the_psf_without_scipy(tmp_path):
+    """A fresh interpreter imports the CLI and runs a sweep whose 0.75 µm
+    grid makes the 1.5 µm PSF blur, without loading any scipy module: its
+    import would cost a few tenths of a second on every call."""
+    path = run_config(tmp_path, scenes={"source": "synth", "count": 1, "spec": {
+        **SCENE_SPEC, "width": 64, "height": 64, "grid_pitch_um": 0.75}})
+    env = {**os.environ, "CAMSIM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join([str(Path(__file__).parents[1] / "src"),
+                                          os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", _NO_SCIPY_PROBE, str(path)], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    assert json.loads(done.stdout.splitlines()[-1]) == {"rc": EXIT_OK, "blurs": 1, "scipy": []}

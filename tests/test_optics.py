@@ -1,6 +1,12 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy import ndimage
 
+from camsim import optics
 from camsim.config import from_config
 from camsim.optics import FWHM_TO_SIGMA, LensSpec, project, psf_blur
 from camsim.scene import SceneSpec, synthesize
@@ -61,6 +67,28 @@ def test_psf_impulse_fwhm():
     fwhm_um = (f_hi - f_lo) * pitch
     assert abs(fwhm_um - 1.5) / 1.5 < 0.05
     assert out.sum() == pytest.approx(1.0, abs=1e-6)
+
+
+@settings(max_examples=120, deadline=None)
+@given(h=st.integers(1, 48), w=st.integers(1, 48), channels=st.integers(1, 11),
+       pitch=st.floats(0.1, 0.75), block_bytes=st.sampled_from([1, 4096, optics._BLOCK_BYTES]),
+       seed=st.integers(0, 2 ** 32 - 1))
+# σ = 0.85 px, the finest blur the skip rule lets through, on a 1x1 grid
+@example(h=1, w=1, channels=3, pitch=0.75, block_bytes=optics._BLOCK_BYTES, seed=0)
+# rows in many blocks, the inner ones read as views of the input
+@example(h=64, w=1500, channels=3, pitch=0.75, block_bytes=optics._BLOCK_BYTES, seed=1)
+def test_psf_blur_equals_gaussian_filter(h, w, channels, pitch, block_bytes, seed):
+    """The numpy blur is bit-identical to ndimage's reflect-mode Gaussian,
+    for sides shorter than the kernel radius (up to 39 at σ = 6.4 px) and
+    for any split of the rows into blocks."""
+    lens = LensSpec(psf_fwhm_um=1.5)
+    rng = np.random.default_rng(seed)
+    planes = rng.random((h, w, channels)) * 10.0 ** rng.uniform(-3, 12)
+    sigma = lens.psf_fwhm_um / FWHM_TO_SIGMA / pitch
+    expected = ndimage.gaussian_filter(planes, (sigma, sigma, 0.0), mode="reflect",
+                                       truncate=6.0)
+    with mock.patch.object(optics, "_BLOCK_BYTES", block_bytes):
+        assert np.array_equal(psf_blur(planes, pitch, lens), expected)
 
 
 def test_psf_skipped_when_grid_too_coarse():
