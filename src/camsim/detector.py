@@ -55,9 +55,11 @@ def detectability(image_values: np.ndarray, box, min_pixels: int,
     """d' = snr_scale · sqrt(pixels on target) · local contrast, where local
     contrast is |mean inside − mean surround| over the surround std (a noise
     estimate). Zero when the box covers fewer than min_pixels pixels.
-    image_values is an (H, W, 3) image or its (H, W) luma."""
-    luma = _luma(image_values)
-    h, w = luma.shape
+    image_values is an (H, W, 3) image or its (H, W) luma. Only the
+    surround window (the clipped box widened by a margin of half its larger
+    side, at least 2 px) is read, and its luma is taken per pixel, so the
+    result equals that of the whole frame's luma."""
+    h, w = image_values.shape[:2]
     x0, y0, x1, y1 = (int(v) for v in box.bbox)
     x0, y0 = max(0, x0), max(0, y0)
     x1, y1 = min(w, x1), min(h, y1)
@@ -65,16 +67,17 @@ def detectability(image_values: np.ndarray, box, min_pixels: int,
         return 0.0
     if box.pixel_count < min_pixels:
         return 0.0
-    inside = luma[y0:y1, x0:x1]
     margin = max(2, (x1 - x0) // 2, (y1 - y0) // 2)
     sx0, sy0 = max(0, x0 - margin), max(0, y0 - margin)
     sx1, sy1 = min(w, x1 + margin), min(h, y1 + margin)
-    ring = luma[sy0:sy1, sx0:sx1].copy()
-    ring[y0 - sy0:y1 - sy0, x0 - sx0:x1 - sx0] = np.nan
+    ring = np.array(_luma(image_values[sy0:sy1, sx0:sx1]))
+    inside = ring[y0 - sy0:y1 - sy0, x0 - sx0:x1 - sx0]
+    inside_mean = float(inside.mean())
+    inside[...] = np.nan
     ring = ring[np.isfinite(ring)]
     if ring.size < 8:
         return 0.0
-    contrast = abs(float(inside.mean()) - float(ring.mean())) / (float(ring.std()) + 1e-6)
+    contrast = abs(inside_mean - float(ring.mean())) / (float(ring.std()) + 1e-6)
     return snr_scale * math.sqrt(box.pixel_count) * contrast
 
 
@@ -84,11 +87,10 @@ def proxy_detect(image, truths: list, config: ProxyDetectorConfig,
     (an RGBImage or a plain 2-D/3-D array), plus Poisson false positives.
     Randomness is counter-based, keyed by (seed, instance id)."""
     values = image.values if hasattr(image, "values") else np.asarray(image)
-    luma = _luma(values)
-    h, w = luma.shape
+    h, w = values.shape[:2]
     dets = []
     for box in truths:
-        dprime = detectability(luma, box, config.min_pixels, config.snr_scale)
+        dprime = detectability(values, box, config.min_pixels, config.snr_scale)
         if dprime <= 0.0:
             continue
         prob = _phi(dprime - 1.0)

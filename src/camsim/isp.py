@@ -97,23 +97,37 @@ def demosaic_bilinear(frame: RawFrame) -> RGBImage:
     """Bilinear CFA interpolation on the DN-normalized mosaic (RGGB), or
     channel replication for MONO. Each neighbour average is computed only
     on the CFA phase that reads it."""
-    x = frame.dn.astype(np.float64) / frame.sensor.max_code()
     pattern = frame.sensor.cfa.pattern
     if pattern not in DEMOSAIC_PATTERNS:
         raise ValueError("no demosaic defined for this CFA (export raw instead)")
     if pattern == MONO.pattern:
+        x = frame.dn / frame.sensor.max_code()
         return RGBImage(np.repeat(x[:, :, None], 3, axis=2))
 
-    # 'reflect' padding (no edge repeat) keeps CFA parity at the borders
-    p = np.pad(x, 1, mode="reflect")
-    h, w = x.shape
+    # The normalized mosaic is written into the interior of its padding.
+    # 'reflect' padding (no edge repeat) keeps CFA parity at the borders; as
+    # in np.pad, a side one pixel long repeats its edge instead.
+    h, w = frame.dn.shape
+    p = np.empty((h + 2, w + 2))
+    np.divide(frame.dn, frame.sensor.max_code(), out=p[1:-1, 1:-1])
+    ry, rx = min(1, h - 1), min(1, w - 1)
+    p[0, 1:-1], p[-1, 1:-1] = p[1 + ry, 1:-1], p[h - ry, 1:-1]
+    p[:, 0], p[:, -1] = p[:, 1 + rx], p[:, w - rx]
     out = np.empty((h, w, 3))
+    total = np.empty(((h + 1) // 2, (w + 1) // 2))  # one phase's neighbour sum
     for (dy, dx), picks in _RGGB_PICKS.items():
+        phase = total[:(h - dy + 1) // 2, :(w - dx + 1) // 2]
         for c, pick in enumerate(picks):
-            offsets = _NEIGHBOURS[pick]
-            total = sum(p[1 + dy + oy:1 + h + oy:2, 1 + dx + ox:1 + w + ox:2]
-                        for oy, ox in offsets)
-            out[dy::2, dx::2, c] = total / len(offsets)
+            planes = [p[1 + dy + oy:1 + h + oy:2, 1 + dx + ox:1 + w + ox:2]
+                      for oy, ox in _NEIGHBOURS[pick]]
+            if len(planes) == 1:
+                out[dy::2, dx::2, c] = planes[0]
+                continue
+            np.add(planes[0], planes[1], out=phase)
+            for plane in planes[2:]:
+                np.add(phase, plane, out=phase)
+            np.divide(phase, len(planes), out=phase)
+            out[dy::2, dx::2, c] = phase
     return RGBImage(np.clip(out, 0.0, 1.0, out=out))
 
 
@@ -200,7 +214,7 @@ def apply_gamma(img: RGBImage, spec: GammaSpec) -> RGBImage:
 
 def raw_passthrough(frame: RawFrame) -> RGBImage:
     """DN-normalized untouched mosaic as a single sensor-linear plane."""
-    x = frame.dn.astype(np.float64) / frame.sensor.max_code()
+    x = frame.dn / frame.sensor.max_code()
     return RGBImage(x[:, :, None])
 
 
@@ -209,9 +223,11 @@ def _hdr_to_mosaic_frame(hdr: HDRFrame) -> RawFrame:
     so the demosaic/raw stages can treat it like a raw frame."""
     norm = float(np.percentile(hdr.rate_e_per_s, 99.9))
     norm = norm if norm > 0 else 1.0
-    v = np.clip(hdr.rate_e_per_s / norm, 0.0, 1.0)
     max_code = hdr.sensor.max_code()
-    dn = np.round(v * max_code).astype(np.uint16)
+    v = np.divide(hdr.rate_e_per_s, norm)
+    np.clip(v, 0.0, 1.0, out=v)
+    np.multiply(v, max_code, out=v)
+    dn = np.round(v, out=v).astype(np.uint16)
     return RawFrame(dn, dn == max_code, 0.0, hdr.sensor)
 
 

@@ -4,19 +4,24 @@ Noise sampling uses shot-noise Poisson draws (Knuth multiplication below
 NORMAL_CUTOFF expected electrons, a rounded normal approximation above)
 plus additive Gaussian read noise. Runs are bit-reproducible.
 
-The sampler walks the flattened raster in chunks of _CHUNK pixels, so its
-temporaries stay small. Inside a chunk the Knuth loop carries only the
-pixels that are still multiplying, and the normal-approximation Gaussians
-are drawn only for pixels at or above NORMAL_CUTOFF. Every pixel's streams
-are keyed by its flat index, so the output does not depend on the chunk
-size, and a subset of pixels can be sampled alone (`at=`) with exactly the
-bytes the whole raster would give them: exposure control samples each HDR
-bracket only on the pixels the fusion still reads.
+The sampler walks the flattened raster in chunks of _CHUNK pixels. Each call
+allocates one set of chunk-sized buffers and reuses it for every chunk: the
+index ramp, its golden-ratio hash (computed once and shared by the shot and
+read streams), the stream keys, the splitmix64 bits and the Box-Muller
+terms are all computed in place, so no temporary spans the whole raster.
+A chunk with no pixel below NORMAL_CUTOFF draws its shot Gaussians over the
+whole chunk. Otherwise the Knuth loop carries only the pixels that are
+still multiplying, and the normal-approximation Gaussians are drawn only for
+the pixels at or above NORMAL_CUTOFF. Every pixel's streams are keyed by its
+flat index, so the output does not depend on the chunk size, and a subset of
+pixels can be sampled alone (`at=`) with exactly the bytes the whole raster
+would give them: exposure control samples each HDR bracket only on the
+pixels the fusion still reads.
 """
 
 import numpy as np
 
-from .rng import mix64, stream_key, uniforms, _GOLDEN
+from .rng import _GOLDEN, _INV53, golden, mix64, mix64_into, stream_base
 
 NORMAL_CUTOFF = 50.0  # expected electrons above which the normal approx is used
 _LANE_SHOT = 101
@@ -38,55 +43,111 @@ def sample_sensor_noise(expected_e, read_sigma, well_e, seed, at=None):
     ``sample_sensor_noise(lam, ...).flat[at]`` byte for byte.
     """
     lam = np.ascontiguousarray(expected_e, dtype=np.float64)
-    seed_u = np.uint64(int(seed) & 0xFFFFFFFFFFFFFFFF)
     read_sigma, well_e = float(read_sigma), float(well_e)
     flat = lam.reshape(-1)
-    at = np.arange(flat.size, dtype=np.uint64) if at is None \
-        else np.asarray(at, dtype=np.uint64).reshape(-1)
-    if at.size != flat.size:
-        raise ValueError(f"{at.size} pixel indices for {flat.size} expected values")
+    if at is not None:
+        at = np.asarray(at, dtype=np.uint64).reshape(-1)
+        if at.size != flat.size:
+            raise ValueError(f"{at.size} pixel indices for {flat.size} expected values")
     out = np.empty_like(flat)
+    bufs = _Buffers(min(_CHUNK, flat.size))
+    bases = stream_base(int(seed), _LANE_SHOT), stream_base(int(seed), _LANE_READ)
     for start in range(0, flat.size, _CHUNK):
-        chunk = slice(start, start + _CHUNK)
-        out[chunk] = _noise_chunk(flat[chunk], at[chunk], read_sigma, well_e, seed_u)
+        stop = min(start + _CHUNK, flat.size)
+        hashed = bufs.hashed[:stop - start]
+        if at is None:
+            np.add(bufs.ramp[:stop - start], golden(start), out=hashed)
+        else:
+            np.multiply(at[start:stop], _GOLDEN, out=hashed)
+        _noise_chunk(flat[start:stop], hashed, bases, read_sigma, well_e, out[start:stop], bufs)
     return out.reshape(lam.shape)
 
 
-def _noise_chunk(lam, idx, read_sigma, well_e, seed_u):
-    """Noisy electrons for the pixels at flat raster indices idx."""
-    key_shot = stream_key(int(seed_u), _LANE_SHOT, idx)
-    key_read = stream_key(int(seed_u), _LANE_READ, idx)
+class _Buffers:
+    """One call's chunk-sized work arrays; `ramp` is _GOLDEN·(0, 1, ...)."""
 
-    counts = np.zeros(lam.size, dtype=np.float64)
+    def __init__(self, n):
+        self.ramp = np.arange(n, dtype=np.uint64)
+        np.multiply(self.ramp, _GOLDEN, out=self.ramp)
+        self.hashed, self.key, self.bits, self.shift = (np.empty(n, np.uint64) for _ in range(4))
+        self.counts, self.z, self.w = (np.empty(n) for _ in range(3))
+
+
+def _uniform_into(key, counter, out, bits, shift):
+    """out = rng.uniforms(key, counter)[..., counter - 1], computed in place."""
+    np.add(key, golden(counter), out=bits)
+    mix64_into(bits, shift)
+    np.right_shift(bits, np.uint64(11), out=bits)
+    np.multiply(bits, _INV53, out=out)
+
+
+def _normal_into(key, z, w, bits, shift):
+    """z = sqrt(-2·log(1 − u₀))·cos(2π·u₁) from the first two uniforms of
+    each stream in key; w, bits and shift are scratch."""
+    _uniform_into(key, 1, z, bits, shift)
+    np.subtract(1.0, z, out=z)
+    np.log(z, out=z)
+    np.multiply(z, -2.0, out=z)
+    np.sqrt(z, out=z)
+    _uniform_into(key, 2, w, bits, shift)
+    np.multiply(w, _TWO_PI, out=w)
+    np.cos(w, out=w)
+    np.multiply(z, w, out=z)
+
+
+def _shot_normal_into(lam, key, counts, z, w, bits, shift):
+    """counts = max(rint(λ + sqrt(max(λ, 0))·z), 0): the normal approximation."""
+    _normal_into(key, z, w, bits, shift)
+    np.maximum(lam, 0.0, out=w)
+    np.sqrt(w, out=w)
+    np.multiply(w, z, out=w)
+    np.add(lam, w, out=w)
+    np.rint(w, out=w)
+    np.maximum(w, 0.0, out=counts)
+
+
+def _noise_chunk(lam, hashed, bases, read_sigma, well_e, out, bufs):
+    """Noisy electrons into out for the pixels whose flat raster indices
+    hash to `hashed` (index·_GOLDEN)."""
+    n = lam.size
+    key, bits, shift = bufs.key[:n], bufs.bits[:n], bufs.shift[:n]
+    counts, z, w = bufs.counts[:n], bufs.z[:n], bufs.w[:n]
+    np.add(hashed, bases[0], out=key)
+    mix64_into(key, shift)
+
     small = lam < NORMAL_CUTOFF
-    # Knuth: multiply uniforms until the product drops below exp(-lam); the
-    # count is the number of factors that kept it at or above. Only the
-    # pixels still multiplying are carried in pos/key/p/thresh. Before they
-    # are compacted, every carried pixel gets count i: a pixel that stops
-    # now keeps it, one that goes on overwrites it later.
-    pos = np.flatnonzero(small)
-    key = key_shot[pos]
-    thresh = np.exp(-lam[pos])
-    p = np.ones(pos.size)
-    i = 0
-    while pos.size:
-        with np.errstate(over="ignore"):
-            bits = mix64(key + np.uint64(i + 1) * _GOLDEN)
-        p = p * ((bits >> np.uint64(11)).astype(np.float64) * (1.0 / (1 << 53)))
-        keep = np.flatnonzero(p >= thresh)
-        if keep.size < pos.size:
-            counts[pos] = i
-            pos, key, p, thresh = pos[keep], key[keep], p[keep], thresh[keep]
-        i += 1
-    big = np.flatnonzero(~small)
-    if big.size:
-        lam_b = lam[big]
-        u = uniforms(key_shot[big], 2)
-        z = np.sqrt(-2.0 * np.log(1.0 - u[..., 0])) * np.cos(_TWO_PI * u[..., 1])
-        approx = np.rint(lam_b + np.sqrt(np.maximum(lam_b, 0.0)) * z)
-        counts[big] = np.maximum(approx, 0.0)
+    if not small.any():
+        _shot_normal_into(lam, key, counts, z, w, bits, shift)
+    else:
+        counts.fill(0.0)
+        # Knuth: multiply uniforms until the product drops below exp(-lam);
+        # the count is the number of factors that kept it at or above. Only
+        # the pixels still multiplying are carried in pos/key_s/p/thresh.
+        # Before they are compacted, every carried pixel gets count i: a
+        # pixel that stops now keeps it, one that goes on overwrites it later.
+        pos = np.flatnonzero(small)
+        key_s = key[pos]
+        thresh = np.exp(-lam[pos])
+        p = np.ones(pos.size)
+        i = 0
+        while pos.size:
+            bits_s = mix64(key_s + golden(i + 1))
+            p = p * ((bits_s >> np.uint64(11)).astype(np.float64) * (1.0 / (1 << 53)))
+            keep = np.flatnonzero(p >= thresh)
+            if keep.size < pos.size:
+                counts[pos] = i
+                pos, key_s, p, thresh = pos[keep], key_s[keep], p[keep], thresh[keep]
+            i += 1
+        big = np.flatnonzero(~small)
+        if big.size:
+            m = big.size
+            approx = np.empty(m)
+            _shot_normal_into(lam[big], key[big], approx, z[:m], w[:m], bits[:m], shift[:m])
+            counts[big] = approx
 
-    ur = uniforms(key_read, 2)
-    z2 = np.sqrt(-2.0 * np.log(1.0 - ur[..., 0])) * np.cos(_TWO_PI * ur[..., 1])
-    e = counts + read_sigma * z2
-    return np.clip(e, 0.0, well_e)
+    np.add(hashed, bases[1], out=key)
+    mix64_into(key, shift)
+    _normal_into(key, z, w, bits, shift)
+    np.multiply(z, read_sigma, out=z)
+    np.add(counts, z, out=z)
+    np.clip(z, 0.0, well_e, out=out)

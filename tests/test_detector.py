@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -88,3 +90,56 @@ def test_false_positive_boxes_inside_image():
         x0, y0, x1, y1 = d.bbox
         assert 0 <= x0 < x1 <= 64 and 0 <= y0 < y1 <= 64
 
+
+
+def textured_image(h=40, w=56, channels=3, seed=0):
+    rng = np.random.default_rng(seed)
+    v = rng.uniform(0.1, 0.3, (h, w, channels))
+    v[10:30, 15:40] += 0.5
+    return v
+
+
+# boxes on every edge and corner, boxes clipped by the frame (W = 56, H = 40),
+# a box wider than the frame and one outside it
+WINDOW_BOXES = [(15, 10, 40, 30), (0, 12, 20, 28), (36, 12, 56, 28), (18, 0, 38, 14),
+                (18, 26, 38, 40), (0, 0, 18, 14), (38, 0, 56, 14), (0, 26, 18, 40),
+                (38, 26, 56, 40), (-6, -4, 14, 12), (44, 30, 63, 47), (-3, 8, 60, 30),
+                (60, 10, 70, 20)]
+
+
+def whole_frame_dprime(luma, box, min_pixels, snr_scale):
+    """detectability as it was when it read the whole frame's luma (the
+    oracle): clip the box, widen it by the margin, mask it out of the
+    surround."""
+    h, w = luma.shape
+    x0, y0, x1, y1 = (int(v) for v in box.bbox)
+    x0, y0, x1, y1 = max(0, x0), max(0, y0), min(w, x1), min(h, y1)
+    if x1 <= x0 or y1 <= y0 or box.pixel_count < min_pixels:
+        return 0.0
+    inside = luma[y0:y1, x0:x1]
+    margin = max(2, (x1 - x0) // 2, (y1 - y0) // 2)
+    sx0, sy0 = max(0, x0 - margin), max(0, y0 - margin)
+    sx1, sy1 = min(w, x1 + margin), min(h, y1 + margin)
+    ring = luma[sy0:sy1, sx0:sx1].copy()
+    ring[y0 - sy0:y1 - sy0, x0 - sx0:x1 - sx0] = np.nan
+    ring = ring[np.isfinite(ring)]
+    if ring.size < 8:
+        return 0.0
+    contrast = abs(float(inside.mean()) - float(ring.mean())) / (float(ring.std()) + 1e-6)
+    return snr_scale * math.sqrt(box.pixel_count) * contrast
+
+
+@pytest.mark.parametrize("channels", [3, 1])
+def test_windowed_luma_matches_the_whole_frame_luma(channels):
+    img = textured_image(channels=channels)
+    luma = img.mean(axis=2)
+    boxes = [gt_for(b, pixel_count=200, inst=k + 1) for k, b in enumerate(WINDOW_BOXES)]
+    for box in boxes:
+        want = whole_frame_dprime(luma, box, min_pixels=150, snr_scale=1.0)
+        assert detectability(luma, box, min_pixels=150, snr_scale=1.0) == want
+        assert detectability(img, box, min_pixels=150, snr_scale=1.0) == want
+    cfg = ProxyDetectorConfig(seed=4, jitter_px=1.5, fp_rate_per_image=1.0)
+    from_luma = proxy_detect(luma, boxes, cfg, image_id="i")
+    from_image = proxy_detect(img, boxes, cfg, image_id="i")
+    assert len(from_luma) > 1
+    assert [(d.bbox, d.score) for d in from_image] == [(d.bbox, d.score) for d in from_luma]

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from camsim.isp import (GammaSpec, IspConfig, RGBImage, apply_gamma, color_correct,
-                        demosaic_bilinear, fit_color_matrix, raw_passthrough,
-                        reflectance_patches, render, write_ppm)
+from camsim.exposure import HDRFrame
+from camsim.isp import (_NEIGHBOURS, _RGGB_PICKS, GammaSpec, IspConfig, RGBImage,
+                        _hdr_to_mosaic_frame, apply_gamma, color_correct, demosaic_bilinear,
+                        fit_color_matrix, raw_passthrough, reflectance_patches, render,
+                        write_ppm)
 from camsim.sensor import MONO, RCCC, RawFrame, SensorSpec, adc
 
 
@@ -205,3 +207,44 @@ def test_ppm_output(tmp_path):
     pixels = np.frombuffer(blob.split(b"255\n", 1)[1], dtype=np.uint8)
     assert list(pixels[:3]) == [255, 128, 0]
 
+
+
+def hdr_frame(rate, sensor=None):
+    sensor = sensor or SensorSpec()
+    rate = np.asarray(rate, dtype=np.float64)
+    return HDRFrame(rate, np.ones(rate.shape, bool), np.zeros(rate.shape, np.int64),
+                    (1e-3,), sensor)
+
+
+@pytest.mark.parametrize("rate", [
+    np.random.default_rng(1).lognormal(8.0, 2.0, (37, 53)),
+    np.random.default_rng(2).uniform(-5.0, 4e5, (16, 24)),
+    np.zeros((6, 8)),  # percentile 0: the norm = 1.0 fallback
+    np.full((4, 4), 7.5),
+], ids=["lognormal", "negative-and-bright", "all-zero", "flat"])
+def test_hdr_tone_map_matches_the_frozen_expression(rate):
+    frame = _hdr_to_mosaic_frame(hdr_frame(rate))
+    norm = float(np.percentile(rate, 99.9))
+    norm = norm if norm > 0 else 1.0
+    max_code = SensorSpec().max_code()
+    want = np.round(np.clip(rate / norm, 0, 1) * max_code).astype(np.uint16)
+    assert frame.dn.dtype == np.uint16 and frame.dn.tobytes() == want.tobytes()
+    assert np.array_equal(frame.saturated, want == max_code)
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 6), (5, 1), (2, 2), (3, 4), (9, 7)])
+def test_demosaic_matches_the_padded_expression(shape):
+    # the pre-padded mosaic the demosaic used to build with np.pad, whose
+    # 'reflect' repeats the edge of a side one pixel long
+    dn = np.random.default_rng(shape[0] * 13 + shape[1]).integers(0, 1024, shape)
+    p = np.pad(dn.astype(np.float64) / 1023, 1, mode="reflect")
+    h, w = shape
+    want = np.empty((h, w, 3))
+    for (dy, dx), picks in _RGGB_PICKS.items():
+        for c, pick in enumerate(picks):
+            offsets = _NEIGHBOURS[pick]
+            total = sum(p[1 + dy + oy:1 + h + oy:2, 1 + dx + ox:1 + w + ox:2]
+                        for oy, ox in offsets)
+            want[dy::2, dx::2, c] = total / len(offsets)
+    got = demosaic_bilinear(mosaic_frame(dn)).values
+    assert got.tobytes() == np.clip(want, 0.0, 1.0).tobytes()

@@ -1,4 +1,4 @@
-"""Smoke test: the noise micro-benchmark script runs and prints all three
+"""Smoke test: the noise micro-benchmark script runs and prints all four
 raster rows."""
 
 import os
@@ -18,5 +18,6 @@ def test_noise_bench_runs():
     proc = subprocess.run([sys.executable, str(SCRIPT), "--size", "16", "--repeats", "1"],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    for row in ("U(0,2000) 16x16", "flat 45 16x16", "short 1440x2560"):
+    for row in ("U(0,2000) 16x16", "flat 45 16x16", "short 1440x2560",
+                "hdr 12ms 1440x2560"):
         assert any(line.startswith(row) for line in proc.stdout.splitlines()), proc.stdout

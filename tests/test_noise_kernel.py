@@ -4,10 +4,15 @@ kernel it replaced.
 Both walk the same counter-based streams with the same arithmetic, so the
 outputs must be byte-identical: for λ edge values, for rasters that end
 exactly on, just before and just after a chunk boundary, for a short-bracket
-raster that keeps almost every pixel on the Knuth path, and for any chunk
-size. Sampling a subset of pixels by their flat indices (`at=`) must give
-the bytes the whole raster gives at those indices.
+raster that keeps almost every pixel on the Knuth path, for lit chunks that
+skip it and a lit chunk with one dark pixel, and for any chunk size.
+Sampling a subset of pixels by their flat indices (`at=`) must give the
+bytes the whole raster gives at those indices, and two threads sampling at
+once must each get the bytes of a serial call.
 """
+
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -189,3 +194,51 @@ def test_index_subset_keeps_the_shape_of_its_values():
 def test_index_count_must_match_values():
     with pytest.raises(ValueError, match="pixel indices"):
         kernels.sample_sensor_noise(np.ones(4), 1.0, 100.0, 0, at=np.arange(3))
+
+
+def test_all_lit_raster_takes_the_whole_chunk_path():
+    # every λ at or above the cutoff, over 2.5 chunks: each chunk draws its
+    # shot Gaussians over the whole chunk
+    rng = np.random.default_rng(21)
+    lam = rng.uniform(NORMAL_CUTOFF, 3000.0, 5 * CHUNK // 2)
+    lam[::97] = NORMAL_CUTOFF
+    assert_same_bytes(lam.reshape(5, CHUNK // 2), seed=8)
+
+
+def test_one_dark_pixel_in_a_lit_chunk():
+    # a single pixel below the cutoff sends its chunk through the Knuth
+    # loop, while its neighbouring chunks take the whole-chunk path
+    rng = np.random.default_rng(22)
+    lam = rng.uniform(NORMAL_CUTOFF, 3000.0, 3 * CHUNK)
+    lam[CHUNK + 1234] = 3.5
+    assert_same_bytes(lam.reshape(3, CHUNK), seed=9)
+
+
+def test_concurrent_calls_give_the_serial_bytes():
+    # two threads sampling different rasters at once, one by index, must not
+    # share work buffers; a short switch interval interleaves their chunks
+    lam_a = mixed_raster((301, 701), seed=31)
+    lam_b = mixed_raster((257, 509), seed=32)
+    idx_b = np.random.default_rng(33).permutation(lam_b.size)[:3 * CHUNK // 2]
+    calls = [lambda: kernels.sample_sensor_noise(lam_a, 24.0, 13500.0, 5),
+             lambda: kernels.sample_sensor_noise(lam_b.reshape(-1)[idx_b], 3.0, 9000.0, 6,
+                                                 at=idx_b)]
+    want = [call().tobytes() for call in calls]
+    got = [[] for _ in calls]
+
+    def worker(k):
+        for _ in range(4):
+            got[k].append(calls[k]().tobytes())
+
+    threads = [threading.Thread(target=worker, args=(k,)) for k in range(len(calls))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == [[w] * 4 for w in want]
