@@ -9,14 +9,13 @@ allocates one set of chunk-sized buffers and reuses it for every chunk: the
 index ramp, its golden-ratio hash (computed once and shared by the shot and
 read streams), the stream keys, the splitmix64 bits and the Box-Muller
 terms are all computed in place, so no temporary spans the whole raster.
-A chunk with no pixel below NORMAL_CUTOFF draws its shot Gaussians over the
-whole chunk. Otherwise the Knuth loop carries only the pixels that are
-still multiplying, and the normal-approximation Gaussians are drawn only for
-the pixels at or above NORMAL_CUTOFF. Every pixel's streams are keyed by its
-flat index, so the output does not depend on the chunk size, and a subset of
-pixels can be sampled alone (`at=`) with exactly the bytes the whole raster
-would give them: exposure control samples each HDR bracket only on the
-pixels the fusion still reads.
+Each chunk draws its shot Gaussians over the whole chunk; the Knuth loop
+then runs over the chunk's pixels below NORMAL_CUTOFF, carrying only the
+pixels still multiplying, and overwrites their counts. Every pixel's streams
+are keyed by its flat index, so the output does not depend on the chunk
+size, and a subset of pixels can be sampled alone (`at=`) with exactly the
+bytes the whole raster would give them: exposure control samples each HDR
+bracket only on the pixels the fusion still reads.
 """
 
 import numpy as np
@@ -51,12 +50,15 @@ def sample_sensor_noise(expected_e, read_sigma, well_e, seed, at=None):
             raise ValueError(f"{at.size} pixel indices for {flat.size} expected values")
     out = np.empty_like(flat)
     bufs = _Buffers(min(_CHUNK, flat.size))
+    if at is None:
+        ramp = np.arange(bufs.hashed.size, dtype=np.uint64)
+        np.multiply(ramp, _GOLDEN, out=ramp)  # _GOLDEN·(0, 1, ...)
     bases = stream_base(int(seed), _LANE_SHOT), stream_base(int(seed), _LANE_READ)
     for start in range(0, flat.size, _CHUNK):
         stop = min(start + _CHUNK, flat.size)
         hashed = bufs.hashed[:stop - start]
         if at is None:
-            np.add(bufs.ramp[:stop - start], golden(start), out=hashed)
+            np.add(ramp[:stop - start], golden(start), out=hashed)
         else:
             np.multiply(at[start:stop], _GOLDEN, out=hashed)
         _noise_chunk(flat[start:stop], hashed, bases, read_sigma, well_e, out[start:stop], bufs)
@@ -64,11 +66,9 @@ def sample_sensor_noise(expected_e, read_sigma, well_e, seed, at=None):
 
 
 class _Buffers:
-    """One call's chunk-sized work arrays; `ramp` is _GOLDEN·(0, 1, ...)."""
+    """One call's chunk-sized work arrays."""
 
     def __init__(self, n):
-        self.ramp = np.arange(n, dtype=np.uint64)
-        np.multiply(self.ramp, _GOLDEN, out=self.ramp)
         self.hashed, self.key, self.bits, self.shift = (np.empty(n, np.uint64) for _ in range(4))
         self.counts, self.z, self.w = (np.empty(n) for _ in range(3))
 
@@ -115,35 +115,25 @@ def _noise_chunk(lam, hashed, bases, read_sigma, well_e, out, bufs):
     np.add(hashed, bases[0], out=key)
     mix64_into(key, shift)
 
-    small = lam < NORMAL_CUTOFF
-    if not small.any():
-        _shot_normal_into(lam, key, counts, z, w, bits, shift)
-    else:
-        counts.fill(0.0)
-        # Knuth: multiply uniforms until the product drops below exp(-lam);
-        # the count is the number of factors that kept it at or above. Only
-        # the pixels still multiplying are carried in pos/key_s/p/thresh.
-        # Before they are compacted, every carried pixel gets count i: a
-        # pixel that stops now keeps it, one that goes on overwrites it later.
-        pos = np.flatnonzero(small)
-        key_s = key[pos]
-        thresh = np.exp(-lam[pos])
-        p = np.ones(pos.size)
-        i = 0
-        while pos.size:
-            bits_s = mix64(key_s + golden(i + 1))
-            p = p * ((bits_s >> np.uint64(11)).astype(np.float64) * (1.0 / (1 << 53)))
-            keep = np.flatnonzero(p >= thresh)
-            if keep.size < pos.size:
-                counts[pos] = i
-                pos, key_s, p, thresh = pos[keep], key_s[keep], p[keep], thresh[keep]
-            i += 1
-        big = np.flatnonzero(~small)
-        if big.size:
-            m = big.size
-            approx = np.empty(m)
-            _shot_normal_into(lam[big], key[big], approx, z[:m], w[:m], bits[:m], shift[:m])
-            counts[big] = approx
+    _shot_normal_into(lam, key, counts, z, w, bits, shift)
+    # Knuth below the cutoff: multiply uniforms until the product drops below
+    # exp(-lam); the count is the number of factors that kept it at or above.
+    # Only the pixels still multiplying are carried in pos/key_s/p/thresh.
+    # Before they are compacted, every carried pixel gets count i: a pixel
+    # that stops now keeps it, one that goes on overwrites it later.
+    pos = np.flatnonzero(lam < NORMAL_CUTOFF)
+    key_s = key[pos]
+    thresh = np.exp(-lam[pos])
+    p = np.ones(pos.size)
+    i = 0
+    while pos.size:
+        bits_s = mix64(key_s + golden(i + 1))
+        p = p * ((bits_s >> np.uint64(11)).astype(np.float64) * (1.0 / (1 << 53)))
+        keep = np.flatnonzero(p >= thresh)
+        if keep.size < pos.size:
+            counts[pos] = i
+            pos, key_s, p, thresh = pos[keep], key_s[keep], p[keep], thresh[keep]
+        i += 1
 
     np.add(hashed, bases[1], out=key)
     mix64_into(key, shift)

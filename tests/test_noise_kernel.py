@@ -5,7 +5,8 @@ Both walk the same counter-based streams with the same arithmetic, so the
 outputs must be byte-identical: for λ edge values, for rasters that end
 exactly on, just before and just after a chunk boundary, for a short-bracket
 raster that keeps almost every pixel on the Knuth path, for lit chunks that
-skip it and a lit chunk with one dark pixel, and for any chunk size.
+run no Knuth loop and a lit chunk with one dark pixel, and for any chunk
+size.
 Sampling a subset of pixels by their flat indices (`at=`) must give the
 bytes the whole raster gives at those indices, and two threads sampling at
 once must each get the bytes of a serial call.
@@ -196,9 +197,9 @@ def test_index_count_must_match_values():
         kernels.sample_sensor_noise(np.ones(4), 1.0, 100.0, 0, at=np.arange(3))
 
 
-def test_all_lit_raster_takes_the_whole_chunk_path():
-    # every λ at or above the cutoff, over 2.5 chunks: each chunk draws its
-    # shot Gaussians over the whole chunk
+def test_all_lit_raster():
+    # every λ at or above the cutoff, over 2.5 chunks: no chunk runs the
+    # Knuth loop, and every count comes from the whole-chunk Gaussians
     rng = np.random.default_rng(21)
     lam = rng.uniform(NORMAL_CUTOFF, 3000.0, 5 * CHUNK // 2)
     lam[::97] = NORMAL_CUTOFF
@@ -206,8 +207,8 @@ def test_all_lit_raster_takes_the_whole_chunk_path():
 
 
 def test_one_dark_pixel_in_a_lit_chunk():
-    # a single pixel below the cutoff sends its chunk through the Knuth
-    # loop, while its neighbouring chunks take the whole-chunk path
+    # a single pixel below the cutoff runs the Knuth loop, which must
+    # overwrite the Gaussian count drawn for it and no other
     rng = np.random.default_rng(22)
     lam = rng.uniform(NORMAL_CUTOFF, 3000.0, 3 * CHUNK)
     lam[CHUNK + 1234] = 3.5
