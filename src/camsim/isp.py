@@ -1,6 +1,19 @@
 """Post-acquisition processing: bilinear demosaic, color correction fit
 against built-in reflectance patches, gamma variants, raw passthrough, and
-8-bit PPM output."""
+8-bit PPM output.
+
+`render` writes one (H, W, C) image a band of rows at a time. A band is an
+even number of rows whose output fills about `_BAND_BYTES`, so the band, the
+mosaic rows it reads and its linear RGB stay in cache from one stage to the
+next. Each band runs the demosaic, the color correction and, in fixed or
+sRGB mode, the gamma, each clipped to [0, 1], in one pass. Adaptive gamma
+takes its exponent from the mean of the whole image, summed exactly as
+`ndarray.mean` sums it (pairwise, which has no band-wise equivalent with the
+same bits), so it runs in a second pass; so does gamma after raw, which has
+no band work of its own. An HDR frame's tone map writes straight into the
+normalized mosaic that the demosaic pads. The public stages
+(`demosaic_bilinear`, `color_correct`, `apply_gamma`, `raw_passthrough`)
+are the one-band case of the same band kernels."""
 
 from __future__ import annotations
 
@@ -92,33 +105,89 @@ _NEIGHBOURS = {"x": ((0, 0),), "h": ((0, 1), (0, -1)), "v": ((-1, 0), (1, 0)),
 # another must render raw
 DEMOSAIC_PATTERNS = (MONO.pattern, RGGB.pattern)
 
+# A band's output rows: 8 rows of 2560×3 float64, in L2 with the mosaic rows
+# and the linear band they are computed from
+_BAND_BYTES = 1 << 19
 
-def demosaic_bilinear(frame: RawFrame) -> RGBImage:
-    """Bilinear CFA interpolation on the DN-normalized mosaic (RGGB), or
-    channel replication for MONO. Each neighbour average is computed only
-    on the CFA phase that reads it."""
+
+def _band_rows(a: np.ndarray) -> int:
+    """Rows per band of `a`: an even count, at least 2, so that every band
+    starts on CFA row 0."""
+    row_bytes = a.itemsize * int(np.prod(a.shape[1:]))
+    return max(2, _BAND_BYTES // max(1, row_bytes) // 2 * 2)
+
+
+def _bands(a: np.ndarray):
+    """(first row, view) of each band of `a`."""
+    step = _band_rows(a)
+    for i0 in range(0, a.shape[0], step):
+        yield i0, a[i0:i0 + step]
+
+
+def _plane(frame) -> np.ndarray:
+    """The 2-D raster of a RawFrame (DN) or an HDRFrame (rate)."""
+    return frame.rate_e_per_s if isinstance(frame, HDRFrame) else frame.dn
+
+
+def _mosaic(frame, pad: int) -> np.ndarray:
+    """The frame as doubles in [0, 1], written into the interior of an array
+    `pad` pixels wider on each side; the caller fills the border. A RawFrame
+    reads DN / max_code. An HDRFrame's rate is tone-mapped by its 99.9th
+    percentile and requantized: round(clip(rate / norm, 0, 1)·max_code) /
+    max_code, the value a RawFrame holding those codes reads, since every
+    code is an integer that a double holds exactly."""
+    h, w = _plane(frame).shape
+    p = np.empty((h + 2 * pad, w + 2 * pad))
+    x = p[pad:pad + h, pad:pad + w]
+    max_code = frame.sensor.max_code()
+    if isinstance(frame, HDRFrame):
+        rate = frame.rate_e_per_s
+        norm = float(np.percentile(rate, 99.9))
+        norm = norm if norm > 0 else 1.0
+        for i0, band in _bands(x):
+            np.divide(rate[i0:i0 + len(band)], norm, out=band)
+            np.clip(band, 0.0, 1.0, out=band)
+            np.multiply(band, max_code, out=band)
+            np.round(band, out=band)
+            np.add(band, 0.0, out=band)  # a code is never -0.0
+            np.divide(band, max_code, out=band)
+    else:
+        np.divide(frame.dn, max_code, out=x)
+    return p
+
+
+def _cfa_mosaic(frame) -> tuple:
+    """(mosaic, mono) for the demosaic: a MONO frame's plane, or an RGGB
+    frame's plane in 'reflect' padding of one pixel (no edge repeat), which
+    keeps CFA parity at the borders; as in np.pad, a side one pixel long
+    repeats its edge instead."""
     pattern = frame.sensor.cfa.pattern
     if pattern not in DEMOSAIC_PATTERNS:
         raise ValueError("no demosaic defined for this CFA (export raw instead)")
     if pattern == MONO.pattern:
-        x = frame.dn / frame.sensor.max_code()
-        return RGBImage(np.repeat(x[:, :, None], 3, axis=2))
-
-    # The normalized mosaic is written into the interior of its padding.
-    # 'reflect' padding (no edge repeat) keeps CFA parity at the borders; as
-    # in np.pad, a side one pixel long repeats its edge instead.
-    h, w = frame.dn.shape
-    p = np.empty((h + 2, w + 2))
-    np.divide(frame.dn, frame.sensor.max_code(), out=p[1:-1, 1:-1])
+        return _mosaic(frame, 0), True
+    p = _mosaic(frame, 1)
+    h, w = p.shape[0] - 2, p.shape[1] - 2
     ry, rx = min(1, h - 1), min(1, w - 1)
     p[0, 1:-1], p[-1, 1:-1] = p[1 + ry, 1:-1], p[h - ry, 1:-1]
     p[:, 0], p[:, -1] = p[:, 1 + rx], p[:, w - rx]
-    out = np.empty((h, w, 3))
-    total = np.empty(((h + 1) // 2, (w + 1) // 2))  # one phase's neighbour sum
+    return p, False
+
+
+def _demosaic_band(mosaic: np.ndarray, mono: bool, i0: int, out: np.ndarray) -> None:
+    """Rows i0, i0 + 1, … (i0 even) of the demosaic of a `_cfa_mosaic`,
+    into `out`: bilinear RGGB clipped to [0, 1], each neighbour average
+    computed only on the CFA phase that reads it, or a MONO plane on all
+    three channels."""
+    b, w = out.shape[:2]
+    if mono:
+        out[...] = mosaic[i0:i0 + b, :, None]
+        return
+    total = np.empty(((b + 1) // 2, (w + 1) // 2))  # one phase's neighbour sum
     for (dy, dx), picks in _RGGB_PICKS.items():
-        phase = total[:(h - dy + 1) // 2, :(w - dx + 1) // 2]
+        phase = total[:(b - dy + 1) // 2, :(w - dx + 1) // 2]
         for c, pick in enumerate(picks):
-            planes = [p[1 + dy + oy:1 + h + oy:2, 1 + dx + ox:1 + w + ox:2]
+            planes = [mosaic[1 + i0 + dy + oy:1 + i0 + b + oy:2, 1 + dx + ox:1 + w + ox:2]
                       for oy, ox in _NEIGHBOURS[pick]]
             if len(planes) == 1:
                 out[dy::2, dx::2, c] = planes[0]
@@ -128,7 +197,16 @@ def demosaic_bilinear(frame: RawFrame) -> RGBImage:
                 np.add(phase, plane, out=phase)
             np.divide(phase, len(planes), out=phase)
             out[dy::2, dx::2, c] = phase
-    return RGBImage(np.clip(out, 0.0, 1.0, out=out))
+    np.clip(out, 0.0, 1.0, out=out)
+
+
+def demosaic_bilinear(frame: RawFrame) -> RGBImage:
+    """Bilinear CFA interpolation on the DN-normalized mosaic (RGGB), or
+    channel replication for MONO."""
+    mosaic, mono = _cfa_mosaic(frame)
+    out = np.empty(_plane(frame).shape + (3,))
+    _demosaic_band(mosaic, mono, 0, out)
+    return RGBImage(out)
 
 
 def reflectance_patches(grid: WavelengthGrid = DEFAULT_GRID) -> np.ndarray:
@@ -177,8 +255,9 @@ def fit_color_matrix(sensor: SensorSpec, grid: WavelengthGrid = DEFAULT_GRID) ->
 def color_correct(img: RGBImage, matrix) -> RGBImage:
     """Per-pixel 3x3 correction of a demosaiced sensor-RGB image into linear
     sRGB, clamped to [0, 1]."""
-    out = img.values @ _correction_matrix(matrix).T
-    return RGBImage(np.clip(out, 0.0, 1.0, out=out))
+    out = np.empty(img.values.shape[:2] + (3,))
+    _color_band(img.values, _correction_matrix(matrix), out)
+    return RGBImage(out)
 
 
 def _correction_matrix(matrix) -> np.ndarray:
@@ -188,66 +267,82 @@ def _correction_matrix(matrix) -> np.ndarray:
     return matrix
 
 
-def _srgb_encode(v: np.ndarray) -> np.ndarray:
-    lo = v <= 0.0031308
-    return np.where(lo, 12.92 * v, 1.055 * np.power(v, 1 / 2.4) - 0.055)
+def _color_band(v: np.ndarray, matrix: np.ndarray, out: np.ndarray) -> None:
+    np.matmul(v, matrix.T, out=out)
+    np.clip(out, 0.0, 1.0, out=out)
+
+
+def _gamma_exponent(spec: GammaSpec, v: np.ndarray | None) -> float | None:
+    """The power `spec` raises the image `v` to, or None for the sRGB curve.
+    Only adaptive mode reads `v`: mean^γ = target over the whole image."""
+    if spec.mode == "srgb":
+        return None
+    if spec.mode == "fixed":
+        return spec.gamma
+    m = float(v.mean())
+    if not 0.0 < m < 1.0:
+        warnings.warn(f"adaptive gamma undefined for mean {m}; using gamma=1")
+        return 1.0
+    return float(np.log(spec.target) / np.log(m))
+
+
+def _gamma_band(v: np.ndarray, exponent: float | None, out: np.ndarray) -> None:
+    """`v` raised to `exponent` (None: the sRGB curve), clipped to [0, 1],
+    into `out`, which may be `v`."""
+    if exponent is None:
+        enc = np.power(v, 1 / 2.4)
+        enc *= 1.055
+        enc -= 0.055
+        np.multiply(v, 12.92, out=enc, where=v <= 0.0031308)
+        np.clip(enc, 0.0, 1.0, out=out)
+    else:
+        np.power(v, exponent, out=out)
+        np.clip(out, 0.0, 1.0, out=out)
 
 
 def apply_gamma(img: RGBImage, spec: GammaSpec) -> RGBImage:
-    v = img.values
-    gamma_used: float | None = None
-    if spec.mode == "srgb":
-        out = _srgb_encode(v)
-    elif spec.mode == "fixed":
-        gamma_used = spec.gamma
-        out = np.power(v, spec.gamma)
-    else:  # adaptive: mean^γ = target
-        m = float(v.mean())
-        if not 0.0 < m < 1.0:
-            warnings.warn(f"adaptive gamma undefined for mean {m}; using gamma=1")
-            gamma_used = 1.0
-        else:
-            gamma_used = float(np.log(spec.target) / np.log(m))
-        out = np.power(v, gamma_used)
-    return RGBImage(np.clip(out, 0.0, 1.0, out=out), gamma_used)
+    exponent = _gamma_exponent(spec, img.values)
+    out = np.empty_like(img.values)
+    _gamma_band(img.values, exponent, out)
+    return RGBImage(out, exponent)
 
 
 def raw_passthrough(frame: RawFrame) -> RGBImage:
     """DN-normalized untouched mosaic as a single sensor-linear plane."""
-    x = frame.dn / frame.sensor.max_code()
-    return RGBImage(x[:, :, None])
-
-
-def _hdr_to_mosaic_frame(hdr: HDRFrame) -> RawFrame:
-    """Tone-normalize an HDR rate raster by its 99.9th percentile and requantize
-    so the demosaic/raw stages can treat it like a raw frame."""
-    norm = float(np.percentile(hdr.rate_e_per_s, 99.9))
-    norm = norm if norm > 0 else 1.0
-    max_code = hdr.sensor.max_code()
-    v = np.divide(hdr.rate_e_per_s, norm)
-    np.clip(v, 0.0, 1.0, out=v)
-    np.multiply(v, max_code, out=v)
-    dn = np.round(v, out=v).astype(np.uint16)
-    return RawFrame(dn, dn == max_code, 0.0, hdr.sensor)
+    return RGBImage(_mosaic(frame, 0)[:, :, None])
 
 
 def render(frame, isp: IspConfig = IspConfig()) -> RGBImage:
-    """The configured pipeline over a RawFrame or HDRFrame. The color stage
-    applies `isp.matrix`, or one fitted to the frame's sensor."""
-    if isinstance(frame, HDRFrame):
-        frame = _hdr_to_mosaic_frame(frame)
-    img: RGBImage | None = None
-    for stage in isp.stages:
-        if stage == "demosaic":
-            img = demosaic_bilinear(frame)
-        elif stage == "color":
-            matrix = fit_color_matrix(frame.sensor) if isp.matrix is None else isp.matrix
-            img = color_correct(img, matrix)
-        elif stage == "gamma":
-            img = apply_gamma(img, isp.gamma)
-        else:
-            img = raw_passthrough(frame)
-    return img
+    """The configured pipeline over a RawFrame or HDRFrame, a band of rows
+    at a time. The color stage applies `isp.matrix`, or one fitted to the
+    frame's sensor."""
+    gamma = isp.gamma if "gamma" in isp.stages else None
+    # fixed and sRGB gamma run in the demosaic's pass; adaptive gamma reads
+    # the mean of the whole image first, and raw has no pass of its own
+    fused = gamma is not None and gamma.mode != "adaptive" and isp.stages[0] == "demosaic"
+    exponent = _gamma_exponent(gamma, None) if fused else None
+    if isp.stages[0] == "raw":
+        out = _mosaic(frame, 0)[:, :, None]
+    else:
+        mosaic, mono = _cfa_mosaic(frame)
+        matrix = None
+        if "color" in isp.stages:
+            matrix = _correction_matrix(
+                fit_color_matrix(frame.sensor) if isp.matrix is None else isp.matrix)
+        out = np.empty(_plane(frame).shape + (3,))
+        linear = None if matrix is None else np.empty_like(out[:_band_rows(out)])
+        for i0, band in _bands(out):
+            lin = band if matrix is None else linear[:len(band)]
+            _demosaic_band(mosaic, mono, i0, lin)
+            if matrix is not None:
+                _color_band(lin, matrix, band)
+            if fused:
+                _gamma_band(band, exponent, band)
+    if gamma is not None and not fused:
+        exponent = _gamma_exponent(gamma, out)
+        for _, band in _bands(out):
+            _gamma_band(band, exponent, band)
+    return RGBImage(out, exponent)
 
 
 def write_ppm(img: RGBImage, path) -> None:

@@ -1,12 +1,16 @@
+import sys
+import threading
+import warnings
+
 import numpy as np
 import pytest
 
+from camsim import isp as isp_module
 from camsim.exposure import HDRFrame
-from camsim.isp import (_NEIGHBOURS, _RGGB_PICKS, GammaSpec, IspConfig, RGBImage,
-                        _hdr_to_mosaic_frame, apply_gamma, color_correct, demosaic_bilinear,
-                        fit_color_matrix, raw_passthrough, reflectance_patches, render,
-                        write_ppm)
-from camsim.sensor import MONO, RCCC, RawFrame, SensorSpec, adc
+from camsim.isp import (_NEIGHBOURS, _RGGB_PICKS, GammaSpec, IspConfig, RGBImage, _mosaic,
+                        apply_gamma, color_correct, demosaic_bilinear, fit_color_matrix,
+                        raw_passthrough, reflectance_patches, render, write_ppm)
+from camsim.sensor import MONO, RCCC, RGGB, RawFrame, SensorSpec, adc
 
 
 def mosaic_frame(dn: np.ndarray, sensor=None) -> RawFrame:
@@ -223,13 +227,12 @@ def hdr_frame(rate, sensor=None):
     np.full((4, 4), 7.5),
 ], ids=["lognormal", "negative-and-bright", "all-zero", "flat"])
 def test_hdr_tone_map_matches_the_frozen_expression(rate):
-    frame = _hdr_to_mosaic_frame(hdr_frame(rate))
+    mosaic = _mosaic(hdr_frame(rate), 0)
     norm = float(np.percentile(rate, 99.9))
     norm = norm if norm > 0 else 1.0
     max_code = SensorSpec().max_code()
     want = np.round(np.clip(rate / norm, 0, 1) * max_code).astype(np.uint16)
-    assert frame.dn.dtype == np.uint16 and frame.dn.tobytes() == want.tobytes()
-    assert np.array_equal(frame.saturated, want == max_code)
+    assert mosaic.tobytes() == (want / max_code).tobytes()
 
 
 @pytest.mark.parametrize("shape", [(1, 1), (1, 6), (5, 1), (2, 2), (3, 4), (9, 7)])
@@ -248,3 +251,188 @@ def test_demosaic_matches_the_padded_expression(shape):
             want[dy::2, dx::2, c] = total / len(offsets)
     got = demosaic_bilinear(mosaic_frame(dn)).values
     assert got.tobytes() == np.clip(want, 0.0, 1.0).tobytes()
+
+
+# The whole-frame ISP chain as it stood before render worked in bands, frozen
+# as the byte oracle for render and its stages.
+
+def frozen_hdr_to_mosaic_frame(hdr):
+    norm = float(np.percentile(hdr.rate_e_per_s, 99.9))
+    norm = norm if norm > 0 else 1.0
+    max_code = hdr.sensor.max_code()
+    v = np.divide(hdr.rate_e_per_s, norm)
+    np.clip(v, 0.0, 1.0, out=v)
+    np.multiply(v, max_code, out=v)
+    dn = np.round(v, out=v).astype(np.uint16)
+    return RawFrame(dn, dn == max_code, 0.0, hdr.sensor)
+
+
+def frozen_demosaic_bilinear(frame):
+    if frame.sensor.cfa.pattern == MONO.pattern:
+        x = frame.dn / frame.sensor.max_code()
+        return np.repeat(x[:, :, None], 3, axis=2)
+    h, w = frame.dn.shape
+    p = np.empty((h + 2, w + 2))
+    np.divide(frame.dn, frame.sensor.max_code(), out=p[1:-1, 1:-1])
+    ry, rx = min(1, h - 1), min(1, w - 1)
+    p[0, 1:-1], p[-1, 1:-1] = p[1 + ry, 1:-1], p[h - ry, 1:-1]
+    p[:, 0], p[:, -1] = p[:, 1 + rx], p[:, w - rx]
+    out = np.empty((h, w, 3))
+    total = np.empty(((h + 1) // 2, (w + 1) // 2))
+    for (dy, dx), picks in _RGGB_PICKS.items():
+        phase = total[:(h - dy + 1) // 2, :(w - dx + 1) // 2]
+        for c, pick in enumerate(picks):
+            planes = [p[1 + dy + oy:1 + h + oy:2, 1 + dx + ox:1 + w + ox:2]
+                      for oy, ox in _NEIGHBOURS[pick]]
+            if len(planes) == 1:
+                out[dy::2, dx::2, c] = planes[0]
+                continue
+            np.add(planes[0], planes[1], out=phase)
+            for plane in planes[2:]:
+                np.add(phase, plane, out=phase)
+            np.divide(phase, len(planes), out=phase)
+            out[dy::2, dx::2, c] = phase
+    return np.clip(out, 0.0, 1.0, out=out)
+
+
+def frozen_color_correct(v, matrix):
+    out = v @ np.asarray(matrix, dtype=np.float64).T
+    return np.clip(out, 0.0, 1.0, out=out)
+
+
+def frozen_apply_gamma(v, spec):
+    gamma_used = None
+    if spec.mode == "srgb":
+        lo = v <= 0.0031308
+        out = np.where(lo, 12.92 * v, 1.055 * np.power(v, 1 / 2.4) - 0.055)
+    elif spec.mode == "fixed":
+        gamma_used = spec.gamma
+        out = np.power(v, spec.gamma)
+    else:
+        m = float(v.mean())
+        if not 0.0 < m < 1.0:
+            gamma_used = 1.0
+        else:
+            gamma_used = float(np.log(spec.target) / np.log(m))
+        out = np.power(v, gamma_used)
+    return np.clip(out, 0.0, 1.0, out=out), gamma_used
+
+
+def frozen_render(frame, isp):
+    if isinstance(frame, HDRFrame):
+        frame = frozen_hdr_to_mosaic_frame(frame)
+    v, gamma_used = None, None
+    for stage in isp.stages:
+        if stage == "demosaic":
+            v = frozen_demosaic_bilinear(frame)
+        elif stage == "color":
+            matrix = fit_color_matrix(frame.sensor) if isp.matrix is None else isp.matrix
+            v = frozen_color_correct(v, matrix)
+        elif stage == "gamma":
+            v, gamma_used = frozen_apply_gamma(v, isp.gamma)
+        else:
+            v = (frame.dn / frame.sensor.max_code())[:, :, None]
+    return v, gamma_used
+
+
+MATRIX = ((1.6, -0.4, -0.2), (-0.3, 1.5, -0.2), (0.05, -0.5, 1.45))
+GAMMAS = [GammaSpec("adaptive", target=0.3), GammaSpec("fixed", gamma=0.45),
+          GammaSpec("srgb")]
+ISP_CONFIGS = ([IspConfig(stages=("demosaic",)), IspConfig(stages=("raw",))]
+               + [IspConfig(stages=("demosaic", "color"), matrix=m) for m in (None, MATRIX)]
+               + [IspConfig(stages=("demosaic", "color", "gamma"), gamma=g, matrix=m)
+                  for g in GAMMAS for m in (None, MATRIX)]
+               + [IspConfig(stages=(first, "gamma"), gamma=g)
+                  for first in ("demosaic", "raw") for g in GAMMAS])
+
+
+def isp_id(isp):
+    gamma = f"-{isp.gamma.mode}" if "gamma" in isp.stages else ""
+    matrix = ("-given" if isp.matrix else "-fitted") if "color" in isp.stages else ""
+    return ",".join(isp.stages) + gamma + matrix
+
+
+def oracle_frame(kind, cfa, shape, seed):
+    sensor = SensorSpec(cfa=cfa)
+    rng = np.random.default_rng(seed)
+    if kind == "raw":
+        return mosaic_frame(rng.integers(0, 1024, shape), sensor)
+    rate = rng.lognormal(6.0, 1.5, shape)
+    rate.flat[::7] = 0.0
+    return hdr_frame(rate, sensor)
+
+
+@pytest.mark.parametrize("cfa", [RGGB, MONO], ids=["RGGB", "MONO"])
+@pytest.mark.parametrize("kind", ["raw", "hdr"])
+@pytest.mark.parametrize("isp", ISP_CONFIGS, ids=isp_id)
+def test_render_matches_the_frozen_whole_frame_chain(isp, kind, cfa, monkeypatch):
+    # 2x2 in one band; 13 and 17 rows in bands of 2, 5 (rounded down to an
+    # even 4) and 6 rows, which do not divide them; 17x10 in the default band
+    cases = [((2, 2), None), ((13, 10), 2), ((13, 10), 5), ((13, 10), 6), ((17, 10), 6),
+             ((17, 10), None)]
+    for i, (shape, rows) in enumerate(cases):
+        if rows is not None:
+            monkeypatch.setattr(isp_module, "_BAND_BYTES", rows * 8 * shape[1] * 3)
+        frame = oracle_frame(kind, cfa, shape, seed=i)
+        want, want_gamma = frozen_render(frame, isp)
+        got = render(frame, isp)
+        assert got.values.shape == want.shape
+        assert got.values.tobytes() == want.tobytes(), (shape, rows)
+        assert got.gamma_used == want_gamma
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("cfa", [RGGB, MONO], ids=["RGGB", "MONO"])
+def test_stages_match_the_frozen_whole_frame_stages(cfa):
+    frame = oracle_frame("raw", cfa, (9, 12), seed=5)
+    linear = demosaic_bilinear(frame).values
+    assert linear.tobytes() == frozen_demosaic_bilinear(frame).tobytes()
+    assert (raw_passthrough(frame).values.tobytes()
+            == (frame.dn / frame.sensor.max_code())[:, :, None].tobytes())
+    corrected = color_correct(RGBImage(linear), MATRIX).values
+    assert corrected.tobytes() == frozen_color_correct(linear, MATRIX).tobytes()
+    for spec in GAMMAS:
+        out = apply_gamma(RGBImage(corrected), spec)
+        want, gamma_used = frozen_apply_gamma(corrected, spec)
+        assert out.values.tobytes() == want.tobytes() and out.gamma_used == gamma_used
+
+
+def test_hdr_tone_map_keeps_no_negative_zero():
+    # the frozen chain's uint16 codes have no sign; neither may the doubles
+    rate = np.array([[-0.0, 5e-324], [-5e-324, 1e3]])
+    assert not np.signbit(_mosaic(hdr_frame(rate), 0)).any()
+
+
+def test_two_threads_render_the_serial_bytes():
+    frames = [oracle_frame("hdr", RGGB, (64, 48), seed=1),
+              oracle_frame("raw", RGGB, (50, 70), seed=2)]
+    isp = IspConfig(stages=("demosaic", "color", "gamma"), matrix=MATRIX)
+    serial = [render(f, isp).values.tobytes() for f in frames]
+    seen = [set(), set()]
+
+    def work(i):
+        for _ in range(20):
+            seen[i].add(render(frames[i], isp).values.tobytes())
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert seen == [{serial[0]}, {serial[1]}]
+
+
+def test_render_warns_once_when_adaptive_gamma_is_undefined():
+    frame = mosaic_frame(np.zeros((6, 8)))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = render(frame, IspConfig(gamma=GammaSpec(mode="adaptive")))
+    assert [w.category for w in caught] == [UserWarning]
+    assert "adaptive gamma" in str(caught[0].message)
+    assert out.gamma_used == 1.0
