@@ -5,15 +5,14 @@ against built-in reflectance patches, gamma variants, raw passthrough, and
 `render` writes one (H, W, C) image a band of rows at a time. A band is an
 even number of rows whose output fills about `_BAND_BYTES`, so the band, the
 mosaic rows it reads and its linear RGB stay in cache from one stage to the
-next. Each band runs the demosaic, the color correction and, in fixed or
-sRGB mode, the gamma, each clipped to [0, 1], in one pass. Adaptive gamma
-takes its exponent from the mean of the whole image, summed exactly as
+next. Each band runs the demosaic and the color correction, each clipped to
+[0, 1], in one pass. Gamma runs in a second banded pass, in place: adaptive
+gamma takes its exponent from the mean of the whole image, summed exactly as
 `ndarray.mean` sums it (pairwise, which has no band-wise equivalent with the
-same bits), so it runs in a second pass; so does gamma after raw, which has
-no band work of its own. An HDR frame's tone map writes straight into the
-normalized mosaic that the demosaic pads. The public stages
-(`demosaic_bilinear`, `color_correct`, `apply_gamma`, `raw_passthrough`)
-are the one-band case of the same band kernels."""
+same bits), and fixed and sRGB gamma share that pass. An HDR frame's tone map
+writes straight into the normalized mosaic that the demosaic pads. The
+public stages (`demosaic_bilinear`, `color_correct`, `apply_gamma`,
+`raw_passthrough`) are the one-band case of the same band kernels."""
 
 from __future__ import annotations
 
@@ -272,9 +271,9 @@ def _color_band(v: np.ndarray, matrix: np.ndarray, out: np.ndarray) -> None:
     np.clip(out, 0.0, 1.0, out=out)
 
 
-def _gamma_exponent(spec: GammaSpec, v: np.ndarray | None) -> float | None:
+def _gamma_exponent(spec: GammaSpec, v: np.ndarray) -> float | None:
     """The power `spec` raises the image `v` to, or None for the sRGB curve.
-    Only adaptive mode reads `v`: mean^γ = target over the whole image."""
+    Adaptive mode solves mean^γ = target over the whole image."""
     if spec.mode == "srgb":
         return None
     if spec.mode == "fixed":
@@ -316,11 +315,6 @@ def render(frame, isp: IspConfig = IspConfig()) -> RGBImage:
     """The configured pipeline over a RawFrame or HDRFrame, a band of rows
     at a time. The color stage applies `isp.matrix`, or one fitted to the
     frame's sensor."""
-    gamma = isp.gamma if "gamma" in isp.stages else None
-    # fixed and sRGB gamma run in the demosaic's pass; adaptive gamma reads
-    # the mean of the whole image first, and raw has no pass of its own
-    fused = gamma is not None and gamma.mode != "adaptive" and isp.stages[0] == "demosaic"
-    exponent = _gamma_exponent(gamma, None) if fused else None
     if isp.stages[0] == "raw":
         out = _mosaic(frame, 0)[:, :, None]
     else:
@@ -336,10 +330,9 @@ def render(frame, isp: IspConfig = IspConfig()) -> RGBImage:
             _demosaic_band(mosaic, mono, i0, lin)
             if matrix is not None:
                 _color_band(lin, matrix, band)
-            if fused:
-                _gamma_band(band, exponent, band)
-    if gamma is not None and not fused:
-        exponent = _gamma_exponent(gamma, out)
+    exponent = None
+    if "gamma" in isp.stages:
+        exponent = _gamma_exponent(isp.gamma, out)
         for _, band in _bands(out):
             _gamma_band(band, exponent, band)
     return RGBImage(out, exponent)
