@@ -164,8 +164,8 @@ def _capture_and_detect(v: RunConfig, truth: SceneTruth, image: OpticalImage, se
 def _process_scene(args):
     """One scene, opened once and projected once per target_lux, through every
     variant; only its ground truth is kept past the projections, so the
-    radiance cube is freed before any variant runs. Returns (scene_id,
-    [result dict or exception, one per variant]).
+    scene's palette and label raster are freed before any variant runs.
+    Returns (scene_id, [result dict or exception, one per variant]).
     A spec that synthesis rejects raises and fails the run; a scene directory
     that does not load, or a scene that does not project, is an error of
     every variant, and the other scenes still run."""
@@ -197,8 +197,9 @@ def _process_scene(args):
 def run_pipeline(cfg: RunConfig, variants: list) -> list:
     """Full cmd_run over the configured scenes. Each variant is a config
     sharing cfg's scenes, lens, seed and sensor CFA/QE; every scene is
-    opened once, projected once per target_lux among the variants and
-    captured by each variant. Writes each variant's artifacts to its
+    opened once, projected once per target_lux among the variants (each
+    palette spectrum once, gathered onto the label raster) and captured by
+    each variant. Writes each variant's artifacts to its
     output_dir and returns its (summary, {scene_id: result dict}), in
     variant order."""
     workers = _n_workers()

@@ -28,6 +28,16 @@ class ConfigError(Exception):
     pass
 
 
+class FieldError(ValueError):
+    """A dataclass check that fails on one of its fields: `key` is that
+    field's path below the section (``shadows[0]``), which the ConfigError
+    names."""
+
+    def __init__(self, key: str, message: str):
+        super().__init__(message)
+        self.key = key
+
+
 def _join(path: str, key: str) -> str:
     return f"{path}.{key}" if path else key
 
@@ -105,8 +115,8 @@ def from_config(cls, section, path: str = "", keys: dict | None = None):
     """The dataclass `cls` read from one config section. Unknown keys, a
     missing required key, a non-finite number, any TypeError or ValueError
     the dataclass raises, and a key that its "when" excludes are a
-    ConfigError that names the dotted `path`. `keys` overrides the JSON keys of `cls`'s
-    fields."""
+    ConfigError that names the dotted `path` (and, for a FieldError, the
+    field below it). `keys` overrides the JSON keys of `cls`'s fields."""
     if not isinstance(section, dict):
         raise ConfigError(f"config section {path or '<top level>'} must be an object")
     known = _keys(cls, keys)
@@ -130,6 +140,8 @@ def from_config(cls, section, path: str = "", keys: dict | None = None):
             raise ConfigError(f"config missing key: {_join(path, key)}")
     try:
         return cls(**kwargs)
+    except FieldError as e:
+        raise ConfigError(f"{_join(path, e.key)}: {e}") from e
     except (TypeError, ValueError) as e:
         raise ConfigError(f"{path or 'config'}: {e}") from e
 

@@ -5,7 +5,9 @@ cos⁴ falloff and a wavelength-independent Gaussian PSF. Every step from
 radiance to photoelectrons is linear, and the falloff and the PSF do not
 depend on wavelength, so radiance is projected once onto a few weighted
 band sums (one per sensor channel, or luminance) and the falloff and the
-PSF act on those planes instead of on every spectral band.
+PSF act on those planes instead of on every spectral band. The projection
+takes each of the scene's palette spectra once and gathers the sums onto
+its label raster.
 
 The PSF is a separable Gaussian blur in numpy, done a block of rows at a
 time so that each block stays in cache. It reproduces, bit for bit,
@@ -63,14 +65,15 @@ class OpticalImage:
 
 def project(scene: Scene, lens: LensSpec, weights: np.ndarray) -> np.ndarray:
     """Sensor-plane irradiance E(λ) = π·T(λ)·L(λ) / (1 + 4N²), times the
-    cos⁴ falloff, projected onto K band weightings: (K, Nλ) weights give
-    (H, W, K) planes Σλ E(λ)·weights[k, λ]."""
+    cos⁴ falloff, projected onto C band weightings: (C, Nλ) weights give
+    (H, W, C) planes Σλ E(λ)·weights[c, λ]. Each palette spectrum is
+    projected once and the sums are gathered onto the label raster."""
     factor = np.pi / (1.0 + 4.0 * lens.f_number ** 2)
     if isinstance(lens.transmission, Spectrum):
         t = resample(lens.transmission, scene.grid).values
     else:
         t = float(lens.transmission)
-    planes = project_bands(scene.radiance, weights * (factor * t))
+    planes = scene.gather(project_bands(scene.palette, weights * (factor * t)))
     if lens.cos4_falloff:
         h, w = planes.shape[:2]
         pitch_mm = scene.grid_pitch_um * 1e-3

@@ -1,9 +1,12 @@
 """Desk-scale labeled spectral scenes.
 
-A Scene bundles a spectral radiance cube with per-pixel depth and instance
-maps. Scenes are synthesized procedurally: rectangular Lambertian targets
-projected through a pinhole model onto a sensor-conjugate grid, plus
-multiplicative shadow and specular regions.
+A Scene bundles its spectral radiance, as a palette of distinct spectra and
+a raster of indices into it, with per-pixel depth and instance maps. Scenes
+are synthesized procedurally: rectangular Lambertian targets projected
+through a pinhole model onto a sensor-conjugate grid, plus multiplicative
+shadow and specular regions. A synthesized scene holds a handful of
+distinct spectra, so it is built and projected without a (H, W, Nλ) cube;
+a loaded scene gives every pixel its own palette row.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import to_config
+from .config import FieldError, to_config
 from .spectral import (
     DIMENSIONLESS,
     IRRADIANCE,
@@ -33,6 +36,7 @@ from .spectral import (
 BACKGROUND_DEPTH_M = 10000.0  # sky/background sentinel
 MAX_DISTANCE_M = 300.0  # the farthest a target, or the label policy, may reach
 _MAGIC = b"SIC1"
+_GATHER_BYTES = 1 << 19  # the intp labels of one band of Scene.gather
 
 
 class SceneFormatError(ValueError):
@@ -66,6 +70,15 @@ class Region:
     rect: tuple  # (x0, y0, x1, y1) half-open pixel bounds
     factor: float  # attenuation in (0,1] for shadows, gain >= 1 for speculars
 
+    def __post_init__(self):
+        r = self.rect
+        if not (isinstance(r, (tuple, list)) and len(r) == 4
+                and all(isinstance(v, int) and not isinstance(v, bool) for v in r)):
+            raise ValueError(f"rect must be four integers (x0, y0, x1, y1), got {r!r}")
+        x0, y0, x1, y1 = r
+        if not (0 <= x0 < x1 and 0 <= y0 < y1):
+            raise ValueError(f"rect {list(r)} must have 0 <= x0 < x1 and 0 <= y0 < y1")
+
 
 @dataclass(frozen=True)
 class SceneSpec:
@@ -91,11 +104,18 @@ class SceneSpec:
         for s in self.speculars:
             if s.factor < 1:
                 raise ValueError("specular gain must be >= 1")
+        for name in ("shadows", "speculars"):
+            for i, s in enumerate(getattr(self, name)):
+                x0, y0, x1, y1 = s.rect
+                if x1 > self.width or y1 > self.height:
+                    raise FieldError(f"{name}[{i}]", f"rect {list(s.rect)} reaches beyond "
+                                     f"the {self.width}x{self.height} raster")
 
 
 @dataclass(frozen=True)
 class Scene:
-    radiance: np.ndarray  # (H, W, Nλ) float32, photons/(s m² nm sr)
+    palette: np.ndarray  # (K, Nλ) float32 spectra, photons/(s m² nm sr)
+    labels: np.ndarray  # (H, W) uint32, each pixel's palette row
     grid: WavelengthGrid
     grid_pitch_um: float
     depth: np.ndarray  # (H, W) float32 meters
@@ -104,9 +124,38 @@ class Scene:
     meta: SceneMeta
     spec_echo: dict = field(default_factory=dict)
 
+    @staticmethod
+    def from_radiance(radiance: np.ndarray, grid: WavelengthGrid, grid_pitch_um: float,
+                      depth: np.ndarray, instances: np.ndarray, classes: dict,
+                      meta: SceneMeta, spec_echo: dict | None = None) -> "Scene":
+        """A scene from a dense (H, W, Nλ) float32 radiance cube: every pixel
+        is its own palette row."""
+        h, w, nw = radiance.shape
+        labels = np.arange(h * w, dtype=np.uint32).reshape(h, w)
+        return Scene(radiance.reshape(h * w, nw), labels, grid, grid_pitch_um, depth,
+                     instances, classes, meta, spec_echo or {})
+
+    @property
+    def radiance(self) -> np.ndarray:
+        """The (H, W, Nλ) float32 radiance cube, built afresh on each access."""
+        return self.gather(self.palette)
+
+    def gather(self, rows: np.ndarray) -> np.ndarray:
+        """(H, W, …) raster of rows[labels], for (K, …) rows that hold one
+        entry per palette spectrum. Taken a band of raster rows at a time, so
+        the intp copy of the labels that np.take makes stays small; every
+        label is a palette row, so the "clip" mode clips nothing."""
+        h, w = self.labels.shape
+        out = np.empty((h, w, *rows.shape[1:]), rows.dtype)
+        band = max(1, _GATHER_BYTES // (8 * w))
+        for r0 in range(0, h, band):
+            np.take(rows, self.labels[r0:r0 + band], axis=0, out=out[r0:r0 + band],
+                    mode="clip")
+        return out
+
     def scaled(self, k: float) -> "Scene":
         """Same scene with radiance scaled by k."""
-        return replace(self, radiance=self.radiance * np.float32(k))
+        return replace(self, palette=self.palette * np.float32(k))
 
 
 def _reflectance_values(refl, grid: WavelengthGrid) -> np.ndarray:
@@ -144,8 +193,8 @@ def synthesize(spec: SceneSpec) -> Scene:
     h, w = spec.height, spec.width
 
     bg = _reflectance_values(spec.background_reflectance, grid)
-    bg_rad = (illum.values * bg / np.pi).astype(np.float32)
-    cube = np.broadcast_to(bg_rad, (h, w, grid.count)).copy()
+    palette = [(illum.values * bg / np.pi).astype(np.float32)]
+    labels = np.zeros((h, w), dtype=np.uint32)
     depth = np.full((h, w), BACKGROUND_DEPTH_M, dtype=np.float32)
     instances = np.zeros((h, w), dtype=np.uint16)
     classes: dict = {}
@@ -180,26 +229,36 @@ def synthesize(spec: SceneSpec) -> Scene:
             warnings.append(f"target {idx} ({tgt.class_name}) fell outside the raster; dropped")
             continue
         refl = _reflectance_values(tgt.reflectance, grid)
-        cube[y0:y1, x0:x1, :] = (illum.values * refl / np.pi).astype(np.float32)
+        labels[y0:y1, x0:x1] = len(palette)
+        palette.append((illum.values * refl / np.pi).astype(np.float32))
         depth[y0:y1, x0:x1] = tgt.distance_m
         instances[y0:y1, x0:x1] = idx
         classes[idx] = tgt.class_name
 
-    for region in spec.shadows:
+    # a region gives each spectrum under it a new row, that spectrum times
+    # its factor: the float32 product the cube took per pixel
+    palette = np.stack(palette)
+    for region in spec.shadows + spec.speculars:
         x0, y0, x1, y1 = region.rect
-        cube[y0:y1, x0:x1, :] *= np.float32(region.factor)
-    for region in spec.speculars:
-        x0, y0, x1, y1 = region.rect
-        cube[y0:y1, x0:x1, :] *= np.float32(region.factor)
+        window = labels[y0:y1, x0:x1]
+        k = len(palette)
+        seen = np.zeros(k, dtype=bool)
+        seen[window] = True
+        present = np.flatnonzero(seen)
+        lut = np.arange(k, dtype=np.uint32)
+        lut[present] = np.arange(k, k + present.size, dtype=np.uint32)
+        palette = np.concatenate([palette, palette[present] * np.float32(region.factor)])
+        labels[y0:y1, x0:x1] = lut[window]
 
-    return Scene(cube, grid, spec.grid_pitch_um, depth, instances, classes,
+    return Scene(palette, labels, grid, spec.grid_pitch_um, depth, instances, classes,
                  SceneMeta(spec.description, spec.seed, tuple(warnings)),
                  spec_echo=to_config(spec))
 
 
 def luminance_map(scene: Scene) -> np.ndarray:
-    """Per-pixel luminance (cd/m²) of the radiance cube."""
-    return project_bands(scene.radiance, luminance_weights(scene.grid)[None, :])[:, :, 0]
+    """Per-pixel luminance (cd/m²): each palette spectrum's, on the raster."""
+    lum = project_bands(scene.palette, luminance_weights(scene.grid)[None, :])
+    return scene.gather(lum[:, 0])
 
 
 def scene_statistics(scene: Scene) -> dict:
@@ -249,8 +308,8 @@ def save_scene(scene: Scene, path) -> dict:
     `scene_statistics` that meta.json records."""
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
-    h, w, nw = scene.radiance.shape
-    header = _MAGIC + struct.pack("<IIIdd", h, w, nw, scene.grid.start_nm,
+    h, w = scene.labels.shape
+    header = _MAGIC + struct.pack("<IIIdd", h, w, scene.grid.count, scene.grid.start_nm,
                                   scene.grid.step_nm)
     with open(path / "radiance.sic", "wb") as f:
         f.write(header)
@@ -292,7 +351,7 @@ def load_scene(path) -> Scene:
                                "depth/instance raster size does not match header")
     meta = json.loads((path / "meta.json").read_text())
     grid = WavelengthGrid(start_nm, step_nm, int(nw))
-    return Scene(
+    return Scene.from_radiance(
         cube, grid, meta["grid_pitch_um"], depth.reshape(h, w), inst.reshape(h, w),
         {int(k): v for k, v in meta["classes"].items()},
         SceneMeta(meta["description"], meta["seed"], tuple(meta["warnings"])),

@@ -121,18 +121,30 @@ def luminance_weights(grid: WavelengthGrid) -> np.ndarray:
     return cie_data.LUMENS_PER_WATT_555 * v * (cie_data.HC / lam_m) * grid.step_nm
 
 
-_STRIP_ROWS = 64  # rows per strip in project_bands
+_STRIP_ROWS = 2048  # spectra per strip in project_bands; a multiple of _BLOCK_ROWS
+_BLOCK_ROWS = 4  # rows per block of OpenBLAS's x86-64 dgemm and dgemv kernels
 
 
 def project_bands(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Weighted band sums of a spectral raster: (H, W, Nλ) values and
-    (K, Nλ) weights give (H, W, K) float64 sums Σλ values·weights. Works a
-    strip of rows at a time, so no float64 copy of the whole raster is made."""
+    """Weighted band sums of spectra: (K, Nλ) values and (C, Nλ) weights
+    give (K, C) float64 sums Σλ values·weights. Works a strip of rows at a
+    time, so no float64 copy of a long palette is made.
+
+    Every row is summed as one row of a full block of _BLOCK_ROWS, the last
+    block padded with zero rows: OpenBLAS sums the rows of a product's
+    partial last block (and a lone row) in another order, so without the
+    padding a spectrum's bits would depend on K and on where it sits."""
     wt = np.ascontiguousarray(np.asarray(weights, dtype=np.float64).T)
-    h, w = values.shape[:2]
-    out = np.empty((h, w, wt.shape[1]))
-    for r0 in range(0, h, _STRIP_ROWS):
-        np.matmul(values[r0:r0 + _STRIP_ROWS], wt, out=out[r0:r0 + _STRIP_ROWS])
+    k = values.shape[0]
+    full = k - k % _BLOCK_ROWS
+    out = np.empty((k, wt.shape[1]))
+    for r0 in range(0, full, _STRIP_ROWS):
+        r1 = min(r0 + _STRIP_ROWS, full)
+        np.matmul(values[r0:r1], wt, out=out[r0:r1])
+    if full < k:
+        block = np.zeros((_BLOCK_ROWS, values.shape[1]), values.dtype)
+        block[:k - full] = values[full:]
+        out[full:] = (block @ wt)[:k - full]
     return out
 
 

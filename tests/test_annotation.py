@@ -202,8 +202,8 @@ def instance_scenes(draw):
     depth = np.arange(h * w, dtype=np.float32).reshape(h, w) % 97 + 1
     # some ids on the map have no class; a class may name an absent id
     named = draw(st.sets(st.sampled_from([*ids, 10]), min_size=1))
-    sc = Scene(np.zeros((h, w, 1), np.float32), WavelengthGrid(550.0, 10.0, 1), 3.0,
-               depth, inst, {i: f"c{i}" for i in named}, SceneMeta())
+    sc = Scene.from_radiance(np.zeros((h, w, 1), np.float32), WavelengthGrid(550.0, 10.0, 1),
+                             3.0, depth, inst, {i: f"c{i}" for i in named}, SceneMeta())
     return sc, SensorGeometry(factor, rows, cols, y0, x0)
 
 
@@ -290,6 +290,6 @@ def test_scene_truth_matches_find_objects(h, w, rects, missing, seed):
     on_map = [i for i, *_ in rects]
     named = set(on_map[: len(on_map) // 2 + 1]) | missing
     depth = np.random.default_rng(seed).uniform(1.0, 300.0, (h, w)).astype(np.float32)
-    sc = Scene(np.zeros((h, w, 1), np.float32), WavelengthGrid(550.0, 10.0, 1), 3.0,
-               depth, inst, {i: f"c{i}" for i in named}, SceneMeta())
+    sc = Scene.from_radiance(np.zeros((h, w, 1), np.float32), WavelengthGrid(550.0, 10.0, 1),
+                             3.0, depth, inst, {i: f"c{i}" for i in named}, SceneMeta())
     assert scene_truth(sc).targets == _find_objects_truth(sc)

@@ -101,6 +101,19 @@ def scenes(**spec):
      "scenes.spec.targets[0].reflectence"),
     ({"scenes": scenes(shadows=[{"rect": [0, 0, 8, 8], "attenuaton": 0.5}])},
      "scenes.spec.shadows[0].attenuaton"),
+    # shadow and specular rects: four integers, 0 <= x0 < x1 <= width and
+    # 0 <= y0 < y1 <= height
+    ({"scenes": scenes(shadows=[{"rect": [-10, 0, 10, 10], "attenuation": 0.5}])},
+     "scenes.spec.shadows[0]: "),
+    ({"scenes": scenes(shadows=[{"rect": [10, 10, 5, 5], "attenuation": 0.5}])},
+     "scenes.spec.shadows[0]: "),
+    ({"scenes": scenes(speculars=[{"rect": [0, 0, 8.5, 8], "gain": 2.0}])},
+     "scenes.spec.speculars[0]: "),
+    ({"scenes": scenes(speculars=[{"rect": [0, 0, 8], "gain": 2.0}])},
+     "scenes.spec.speculars[0]: "),
+    ({"scenes": scenes(shadows=[{"rect": [0, 0, 8, 8], "attenuation": 0.5},
+                                {"rect": [0, 120, 8, 129], "attenuation": 0.5}])},
+     "scenes.spec.shadows[1]: "),
     ({"scenes": scenes(seed=4)}, "scenes.spec.seed"),  # the runner seeds every scene
     # the lens's focal length lays out every synth scene
     ({"scenes": scenes(focal_length_mm=12.0)}, "scenes.spec.focal_length_mm"),
@@ -171,7 +184,9 @@ def scenes(**spec):
     ({"isp": {"gamma": {"mode": "srgb", "target": 0.5}}}, "isp.gamma: target"),
 ], ids=["top", "lens", "exposure", "policy", "sensor.pixel", "detector.proxy",
         "scenes", "scenes.spec", "scenes.spec.grid", "scenes.spec.targets",
-        "scenes.spec.shadows", "scenes.spec.seed", "scenes.spec.focal_length_mm",
+        "scenes.spec.shadows", "shadows.rect=negative", "shadows.rect=inverted",
+        "speculars.rect=float", "speculars.rect=3-element", "shadows.rect=beyond-height",
+        "scenes.spec.seed", "scenes.spec.focal_length_mm",
         "scenes.path=synth", "scenes.count=dir",
         "scenes.spec=dir", "isp", "isp.gamma", "exposure.mode",
         "isp.gamma.mode=bogus", "isp.stages=sharpen", "scenes.count=two", "sensor.cfa=XYZ",
@@ -366,6 +381,15 @@ def test_synth_unknown_spec_key_is_config_error(tmp_path, capsys):
     assert not (tmp_path / "scenes").exists()
 
 
+def test_synth_rect_beyond_the_raster_is_config_error(tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({**SYNTH_SPEC,
+                                "speculars": [{"rect": [120, 0, 130, 8], "gain": 2.0}]}))
+    assert main(["synth", str(spec), str(tmp_path / "scenes")]) == EXIT_CONFIG
+    assert "speculars[0]: rect [120, 0, 130, 8] reaches beyond" in capsys.readouterr().err
+    assert not (tmp_path / "scenes").exists()
+
+
 def test_run_deterministic_across_thread_counts(tmp_path, monkeypatch):
     path = run_config(tmp_path, scenes={"source": "synth", "spec": SCENE_SPEC,
                                         "count": 4})
@@ -410,6 +434,28 @@ def test_synth_and_dir_run(tmp_path):
     path = run_config(tmp_path, scenes={"source": "dir",
                                         "path": str(tmp_path / "scenes")})
     assert main(["run", str(path)]) == EXIT_OK
+
+
+def test_dir_run_matches_the_synth_run(tmp_path):
+    """Saved scenes, whose every pixel is a palette row of its own, give the
+    same outputs as the synthesized scenes, whose palettes hold a few rows:
+    both project each row to the same bits."""
+    spec = {**SCENE_SPEC, "shadows": [{"rect": [0, 0, 64, 128], "attenuation": 0.2}],
+            "speculars": [{"rect": [40, 0, 100, 30], "gain": 20.0}]}
+    synth_run = run_config(tmp_path, scenes={"source": "synth", "spec": spec, "count": 2},
+                           output_dir=str(tmp_path / "synth_run"))
+    assert main(["run", str(synth_run)]) == EXIT_OK
+    seed = json.loads(synth_run.read_text())["seed"]
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps({**spec, "seed": seed}))
+    assert main(["synth", str(spec_path), str(tmp_path / "scenes"), "-n", "2"]) == EXIT_OK
+    dir_run = run_config(tmp_path, scenes={"source": "dir", "path": str(tmp_path / "scenes")},
+                         output_dir=str(tmp_path / "dir_run"))
+    assert main(["run", str(dir_run)]) == EXIT_OK
+    for name in ("summary.json", "detections.json", "exposures.json", "metrics.csv",
+                 "dataset.json"):
+        assert (tmp_path / "dir_run" / name).read_bytes() == \
+            (tmp_path / "synth_run" / name).read_bytes(), name
 
 
 def test_eval_command_round_trip(tmp_path):
@@ -807,8 +853,9 @@ def test_scene_truth_once_per_scene(tmp_path, monkeypatch, argv):
 @pytest.mark.parametrize("argv", [["run"], ["sweep-exposure", "--lux", "10", "500"]],
                          ids=["run", "sweep-exposure"])
 def test_radiance_cube_freed_before_capture(tmp_path, monkeypatch, argv):
-    """No variant holds the scene's radiance cube: it is gone by the time the
-    first acquisition of the scene runs."""
+    """No variant holds the scene's radiance: its label raster is gone by the
+    time the first acquisition of the scene runs. (`radiance` is built afresh
+    on each access, so a weak reference to it would die at once.)"""
     import gc
     import weakref
 
@@ -820,7 +867,7 @@ def test_radiance_cube_freed_before_capture(tmp_path, monkeypatch, argv):
 
     def tracked_synthesize(spec):
         sc = synthesize(spec)
-        cubes.append(weakref.ref(sc.radiance))
+        cubes.append(weakref.ref(sc.labels))
         return sc
 
     def checked_acquire(*args, **kwargs):

@@ -22,9 +22,9 @@ CFAS = {"RGGB": RGGB, "MONO": MONO, "RCCC": RCCC}
 
 def make_scene(radiance, pitch_um, grid=GRID):
     h, w = radiance.shape[:2]
-    return Scene(radiance.astype(np.float32), grid, pitch_um,
-                 np.full((h, w), 10.0, np.float32), np.zeros((h, w), np.uint16), {},
-                 SceneMeta())
+    return Scene.from_radiance(radiance.astype(np.float32), grid, pitch_um,
+                               np.full((h, w), 10.0, np.float32), np.zeros((h, w), np.uint16),
+                               {}, SceneMeta())
 
 
 def spectral_reference(sc, lens, sensor, exposure_s):
