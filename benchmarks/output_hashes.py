@@ -14,9 +14,9 @@ wrote, and ``workload/seed/threads/exit`` to its exit code, so the outputs
 of two trees compare with ``diff``.
 
 ``--command`` replaces the workload's arguments. In it, ``{config}`` is the
-run config, ``{out}`` an empty output directory and ``{spec}`` the config's
-``scenes.spec`` as a standalone scene spec, seeded with the config seed and
-laid out with the lens's focal length, as a run lays out its first scene:
+run config, ``{out}`` an empty output directory and ``{spec}`` the spec of
+the first scene that a run of the config synthesizes, as a standalone scene
+spec (so ``synth {spec} {out} -n N`` writes the run's first N scenes):
 
     --command sweep-exposure {config} --lux 10 500
     --command edge-case {config}
@@ -47,12 +47,11 @@ def _workloads() -> dict:
 
 
 def _scene_spec(cfg: dict) -> dict:
-    from camsim.config import from_config
-    from camsim.optics import LensSpec
+    """The spec of the first scene that a run of `cfg` synthesizes."""
+    from camsim.cli import RunConfig, _load_scenes
+    from camsim.config import to_config
 
-    lens = from_config(LensSpec, cfg.get("lens", {}))
-    return {**cfg["scenes"]["spec"], "seed": cfg["seed"],
-            "focal_length_mm": lens.focal_length_mm}
+    return to_config(_load_scenes(RunConfig.from_dict(cfg))[0][1])
 
 
 def _sha256(path: Path) -> str:

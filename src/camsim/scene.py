@@ -5,8 +5,9 @@ a raster of indices into it, with per-pixel depth and instance maps. Scenes
 are synthesized procedurally: rectangular Lambertian targets projected
 through a pinhole model onto a sensor-conjugate grid, plus multiplicative
 shadow and specular regions. A synthesized scene holds a handful of
-distinct spectra, so it is built and projected without a (H, W, Nλ) cube;
-a loaded scene gives every pixel its own palette row.
+distinct spectra, so it is built and projected without a (H, W, Nλ) cube.
+A loaded cube gives each run of bit-equal pixels in raster order one
+palette row, so a saved synthesized scene loads as a short palette too.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .spectral import (
 BACKGROUND_DEPTH_M = 10000.0  # sky/background sentinel
 MAX_DISTANCE_M = 300.0  # the farthest a target, or the label policy, may reach
 _MAGIC = b"SIC1"
-_GATHER_BYTES = 1 << 19  # the intp labels of one band of Scene.gather
+_BAND_BYTES = 1 << 19  # one band of Scene.gather's intp labels or _run_starts's compares
 
 
 class SceneFormatError(ValueError):
@@ -128,12 +129,17 @@ class Scene:
     def from_radiance(radiance: np.ndarray, grid: WavelengthGrid, grid_pitch_um: float,
                       depth: np.ndarray, instances: np.ndarray, classes: dict,
                       meta: SceneMeta, spec_echo: dict | None = None) -> "Scene":
-        """A scene from a dense (H, W, Nλ) float32 radiance cube: every pixel
-        is its own palette row."""
+        """A scene from a dense (H, W, Nλ) float32 radiance cube. A run of
+        pixels in raster order whose spectra are equal, bit for bit, shares
+        one palette row: a saved synthesized scene loads as a few rows per
+        raster row, and a cube without runs gives every pixel its own row."""
         h, w, nw = radiance.shape
-        labels = np.arange(h * w, dtype=np.uint32).reshape(h, w)
-        return Scene(radiance.reshape(h * w, nw), labels, grid, grid_pitch_um, depth,
-                     instances, classes, meta, spec_echo or {})
+        flat = radiance.reshape(h * w, nw)
+        starts = _run_starts(flat)
+        labels = np.cumsum(starts, dtype=np.uint32).reshape(h, w)
+        labels -= 1
+        return Scene(flat[starts], labels, grid, grid_pitch_um, depth, instances, classes, meta,
+                     spec_echo or {})
 
     @property
     def radiance(self) -> np.ndarray:
@@ -147,7 +153,7 @@ class Scene:
         label is a palette row, so the "clip" mode clips nothing."""
         h, w = self.labels.shape
         out = np.empty((h, w, *rows.shape[1:]), rows.dtype)
-        band = max(1, _GATHER_BYTES // (8 * w))
+        band = max(1, _BAND_BYTES // (8 * w))
         for r0 in range(0, h, band):
             np.take(rows, self.labels[r0:r0 + band], axis=0, out=out[r0:r0 + band],
                     mode="clip")
@@ -156,6 +162,29 @@ class Scene:
     def scaled(self, k: float) -> "Scene":
         """Same scene with radiance scaled by k."""
         return replace(self, palette=self.palette * np.float32(k))
+
+
+def _run_starts(flat: np.ndarray) -> np.ndarray:
+    """(N,) bool, True where a row of the (N, Nλ) float `flat` differs in
+    any bit from the row before it (and at row 0). Compared a band of rows
+    at a time, so the comparison's temporaries stay small. A band with few
+    differing values (a run-length cube's) marks their rows; a band with
+    many reduces each row's comparisons. Each way is about three times
+    faster than the other on its own kind of band."""
+    n, nw = flat.shape
+    bits = flat.view(f"u{flat.itemsize}")
+    starts = np.zeros(n, dtype=bool)
+    starts[:1] = True
+    band = max(1, _BAND_BYTES // (flat.itemsize * nw))
+    differ = np.empty((band, nw), dtype=bool)
+    for r0 in range(1, n, band):
+        r1 = min(r0 + band, n)
+        d = np.not_equal(bits[r0:r1], bits[r0 - 1:r1 - 1], out=differ[:r1 - r0])
+        if np.count_nonzero(d) <= r1 - r0:
+            starts[r0 + np.flatnonzero(d) // nw] = True
+        else:
+            np.any(d, axis=1, out=starts[r0:r1])
+    return starts
 
 
 def _reflectance_values(refl, grid: WavelengthGrid) -> np.ndarray:
@@ -338,7 +367,7 @@ def load_scene(path) -> Scene:
     if len(blob) < 4 + 28:
         raise SceneFormatError("truncated payload", "radiance.sic header truncated")
     h, w, nw, start_nm, step_nm = struct.unpack("<IIIdd", blob[4:4 + 28])
-    payload = np.frombuffer(blob[4 + 28:], dtype="<f4")
+    payload = np.frombuffer(blob, dtype="<f4", offset=4 + 28)  # a view, not a copy
     if payload.size != h * w * nw:
         raise SceneFormatError(
             "truncated payload",

@@ -122,7 +122,7 @@ def luminance_weights(grid: WavelengthGrid) -> np.ndarray:
 
 
 _STRIP_ROWS = 2048  # spectra per strip in project_bands; a multiple of _BLOCK_ROWS
-_BLOCK_ROWS = 4  # rows per block of OpenBLAS's x86-64 dgemm and dgemv kernels
+_BLOCK_ROWS = 8  # project_bands sums every spectrum in a product of whole blocks this long
 
 
 def project_bands(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -131,9 +131,14 @@ def project_bands(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
     time, so no float64 copy of a long palette is made.
 
     Every row is summed as one row of a full block of _BLOCK_ROWS, the last
-    block padded with zero rows: OpenBLAS sums the rows of a product's
-    partial last block (and a lone row) in another order, so without the
-    padding a spectrum's bits would depend on K and on where it sits."""
+    block padded with zero rows. OpenBLAS sums the rows of a short product,
+    or of a long one's partial last block, in another order than the rest,
+    so without the padding a spectrum's bits would depend on K and on where
+    it sits. Checked on OpenBLAS 0.3.31's SkylakeX kernel (the one numpy
+    picked on the AVX-512 machine measured) and, set with
+    OPENBLAS_CORETYPE, its Haswell, Sandybridge, Nehalem and Prescott
+    kernels: Nehalem still differed on rows padded to four, and none
+    differed on rows padded to eight. Other BLAS builds may sum otherwise."""
     wt = np.ascontiguousarray(np.asarray(weights, dtype=np.float64).T)
     k = values.shape[0]
     full = k - k % _BLOCK_ROWS
