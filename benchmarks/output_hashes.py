@@ -91,6 +91,13 @@ def main():
     p.add_argument("--command", nargs=argparse.REMAINDER,
                    help="camsim arguments in place of the workload's own (last option)")
     args = p.parse_args()
+    camsim = importlib.util.find_spec("camsim")
+    if camsim is None:
+        sys.exit("output_hashes.py: camsim is not importable; put its sources on "
+                 "PYTHONPATH (PYTHONPATH=src)")
+    # the commands run in temporary directories: give them this camsim by absolute path
+    src = str(Path(camsim.origin).resolve().parents[1])
+    os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     result = {}
     for name in args.workloads:
         for seed in args.seeds:

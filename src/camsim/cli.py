@@ -163,8 +163,9 @@ def _capture_and_detect(v: RunConfig, truth: SceneTruth, image: OpticalImage, se
 
 def _process_scene(args):
     """One scene, opened once and projected once per target_lux, through every
-    variant; only its ground truth is kept past the projections, so the
-    scene's palette and label raster are freed before any variant runs.
+    variant; only its ground truth and optical images are kept past the
+    projections, so the scene's palette is freed before any variant runs
+    (an optical image without PSF or falloff keeps the label raster).
     Returns (scene_id, [result dict or exception, one per variant]).
     A spec that synthesis rejects raises and fails the run; a scene directory
     that does not load, or a scene that does not project, is an error of
@@ -198,10 +199,9 @@ def run_pipeline(cfg: RunConfig, variants: list) -> list:
     """Full cmd_run over the configured scenes. Each variant is a config
     sharing cfg's scenes, lens, seed and sensor CFA/QE; every scene is
     opened once, projected once per target_lux among the variants (each
-    palette spectrum once, gathered onto the label raster) and captured by
-    each variant. Writes each variant's artifacts to its
-    output_dir and returns its (summary, {scene_id: result dict}), in
-    variant order."""
+    palette spectrum once) and captured by each variant. Writes each
+    variant's artifacts to its output_dir and returns its (summary,
+    {scene_id: result dict}), in variant order."""
     workers = _n_workers()
     jobs = [(cfg, variants, sid, i, source)
             for i, (sid, source) in enumerate(_load_scenes(cfg))]

@@ -83,7 +83,7 @@ def acquire(image: OpticalImage, sensor: SensorSpec, plan: ExposurePlan,
     pixels where the fusion reads it, so the HDR frame equals
     `hdr_combine` of the full brackets at a fraction of the noise work."""
     rate = expected_rate(image, sensor)
-    geometry = sensor_geometry(image.rates.shape, image.pitch_um, sensor)
+    geometry = sensor_geometry(image.shape, image.pitch_um, sensor)
     if plan.mode == "bracketed":
         flat = rate.reshape(-1)
 

@@ -5,7 +5,7 @@ NORMAL_CUTOFF expected electrons, a rounded normal approximation above)
 plus additive Gaussian read noise. Runs are bit-reproducible.
 
 The sampler walks the flattened raster in chunks of _CHUNK pixels. Each call
-allocates one set of chunk-sized buffers and reuses it for every chunk: the
+allocates one block of chunk-sized buffers and reuses it for every chunk: the
 index ramp, its golden-ratio hash (computed once and shared by the shot and
 read streams), the stream keys, the splitmix64 bits and the Box-Muller
 terms are all computed in place, so no temporary spans the whole raster.
@@ -66,11 +66,12 @@ def sample_sensor_noise(expected_e, read_sigma, well_e, seed, at=None):
 
 
 class _Buffers:
-    """One call's chunk-sized work arrays."""
+    """One call's chunk-sized work arrays, rows of one allocation."""
 
     def __init__(self, n):
-        self.hashed, self.key, self.bits, self.shift = (np.empty(n, np.uint64) for _ in range(4))
-        self.counts, self.z, self.w = (np.empty(n) for _ in range(3))
+        rows = np.empty((7, n))
+        self.hashed, self.key, self.bits, self.shift = (r.view(np.uint64) for r in rows[:4])
+        self.counts, self.z, self.w = rows[4:]
 
 
 def _uniform_into(key, counter, out, bits, shift):

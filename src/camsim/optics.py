@@ -6,8 +6,10 @@ radiance to photoelectrons is linear, and the falloff and the PSF do not
 depend on wavelength, so radiance is projected once onto a few weighted
 band sums (one per sensor channel, or luminance) and the falloff and the
 PSF act on those planes instead of on every spectral band. The projection
-takes each of the scene's palette spectra once and gathers the sums onto
-its label raster.
+takes each of the scene's palette spectra once. When neither the PSF nor
+the falloff acts, the optical image is those sums, one row per palette
+spectrum, over the scene's own label raster, and no (H, W, C) image is
+built; otherwise the sums are gathered onto (H, W, C) planes first.
 
 The PSF is a separable Gaussian blur in numpy, done a block of rows at a
 time so that each block stays in cache. It reproduces, bit for bit,
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .scene import Scene
+from .scene import Scene, gather
 from .spectral import Spectrum, WavelengthGrid, luminance_weights, project_bands, resample
 
 FWHM_TO_SIGMA = 2.0 * np.sqrt(2.0 * np.log(2.0))  # ≈ 2.3548
@@ -57,23 +59,52 @@ class IrradianceCube:
 @dataclass(frozen=True)
 class OpticalImage:
     """Sensor-plane photoelectron rate density per CFA channel, before
-    pixel sampling: Σλ E(λ)·QE_c(λ)·Δλ in electrons/(s m²)."""
-    rates: np.ndarray  # (H, W, C) float64, plane c for channels[c]
+    pixel sampling: Σλ E(λ)·QE_c(λ)·Δλ in electrons/(s m²), on an (H, W)
+    grid. Held either as `palette`, the C rates of each scene palette
+    spectrum, over the scene's own `labels` (shared with the scene, not
+    copied), or, where the PSF or the cos⁴ falloff acted, as dense `planes`."""
+    shape: tuple  # (H, W) grid cells
     channels: tuple  # channel tags, in the sensor's CFA channel order
     pitch_um: float
+    palette: np.ndarray | None = None  # (K, C) float64, row k for palette spectrum k
+    labels: np.ndarray | None = None  # (H, W) uint32, each cell's palette row
+    planes: np.ndarray | None = None  # (H, W, C) float64, plane c for channels[c]
+
+    @property
+    def rates(self) -> np.ndarray:
+        """The (H, W, C) float64 planes; from a palette image, built afresh
+        on each access. The pipeline never reads them: `expected_rate`
+        samples through `sampler`."""
+        return self.planes if self.planes is not None else gather(self.palette, self.labels)
+
+    def sampler(self, c: int):
+        """A function that gives channel c's rates on the grid cells that
+        `select`, a function of an (H, W) array that returns a view of it,
+        picks: a view of the dense plane, or a take from the channel's
+        palette column."""
+        if self.planes is not None:
+            plane = self.planes[:, :, c]
+            return lambda select: select(plane)
+        column, labels = np.ascontiguousarray(self.palette[:, c]), self.labels
+        return lambda select: column.take(select(labels), mode="clip")
 
 
-def project(scene: Scene, lens: LensSpec, weights: np.ndarray) -> np.ndarray:
-    """Sensor-plane irradiance E(λ) = π·T(λ)·L(λ) / (1 + 4N²), times the
-    cos⁴ falloff, projected onto C band weightings: (C, Nλ) weights give
-    (H, W, C) planes Σλ E(λ)·weights[c, λ]. Each palette spectrum is
-    projected once and the sums are gathered onto the label raster."""
+def project_palette(scene: Scene, lens: LensSpec, weights: np.ndarray) -> np.ndarray:
+    """Sensor-plane irradiance E(λ) = π·T(λ)·L(λ) / (1 + 4N²) of each
+    palette spectrum, before the cos⁴ falloff, projected onto C band
+    weightings: (C, Nλ) weights give (K, C) sums Σλ E(λ)·weights[c, λ]."""
     factor = np.pi / (1.0 + 4.0 * lens.f_number ** 2)
     if isinstance(lens.transmission, Spectrum):
         t = resample(lens.transmission, scene.grid).values
     else:
         t = float(lens.transmission)
-    planes = scene.gather(project_bands(scene.palette, weights * (factor * t)))
+    return project_bands(scene.palette, weights * (factor * t))
+
+
+def project(scene: Scene, lens: LensSpec, weights: np.ndarray) -> np.ndarray:
+    """`project_palette` gathered onto the label raster as (H, W, C)
+    planes, times the cos⁴ falloff."""
+    planes = gather(project_palette(scene, lens, weights), scene.labels)
     if lens.cos4_falloff:
         h, w = planes.shape[:2]
         pitch_mm = scene.grid_pitch_um * 1e-3
@@ -90,25 +121,32 @@ def mean_illuminance_lux(scene: Scene, lens: LensSpec) -> float:
     return float(project(scene, lens, luminance_weights(scene.grid)[None, :]).mean())
 
 
+def psf_sigma(pitch_um: float, lens: LensSpec) -> float | None:
+    """The PSF's σ = FWHM/2.3548 in grid cells of this pitch, or None when
+    no blur runs: at zero FWHM, and, with a warning, when the grid is too
+    coarse to sample the kernel."""
+    if lens.psf_fwhm_um == 0.0:
+        return None
+    if pitch_um > lens.psf_fwhm_um / 2.0:
+        warnings.warn(
+            f"grid pitch {pitch_um} µm too coarse for "
+            f"{lens.psf_fwhm_um} µm FWHM PSF; convolution skipped")
+        return None
+    return lens.psf_fwhm_um / FWHM_TO_SIGMA / pitch_um
+
+
 def psf_blur(planes: np.ndarray, pitch_um: float, lens: LensSpec) -> np.ndarray:
-    """Gaussian blur (σ = FWHM/2.3548) of float64 (H, W, C) planes, plane
-    by plane, with reflective edges so total flux is conserved. Returns
-    `planes` itself, with a warning, when the grid is too coarse to sample
-    the kernel.
+    """Gaussian blur (σ from `psf_sigma`) of float64 (H, W, C) planes,
+    plane by plane, with reflective edges so total flux is conserved.
+    Returns `planes` itself when `psf_sigma` gives None.
 
     Weights are exp(-x²/2σ²) normalised to sum 1 over x = -r..r, with
     r = int(6σ + 0.5). Axis 0 is blurred, then axis 1; each output is
     w₀·x[i] + Σ (x[i−k] + x[i+k])·w_k accumulated for k = r down to 1, the
     order in which `scipy.ndimage.gaussian_filter` sums, so the result is
     identical to it."""
-    if lens.psf_fwhm_um == 0.0:
-        return planes
-    if pitch_um > lens.psf_fwhm_um / 2.0:
-        warnings.warn(
-            f"grid pitch {pitch_um} µm too coarse for "
-            f"{lens.psf_fwhm_um} µm FWHM PSF; convolution skipped")
-        return planes
-    return _gaussian_blur(planes, lens.psf_fwhm_um / FWHM_TO_SIGMA / pitch_um)
+    sigma = psf_sigma(pitch_um, lens)
+    return planes if sigma is None else _gaussian_blur(planes, sigma)
 
 
 def _reflect(idx: np.ndarray, n: int) -> np.ndarray:
@@ -167,10 +205,18 @@ def channel_weights(sensor, grid: WavelengthGrid) -> np.ndarray:
 def optical_image(scene: Scene, lens: LensSpec, sensor) -> OpticalImage:
     """The scene's per-channel sensor-plane rates, computed once and shared
     by metering, every bracket and every pixel size of the same sensor
-    CFA and QE."""
-    rates = project(scene, lens, channel_weights(sensor, scene.grid))
-    return OpticalImage(psf_blur(rates, scene.grid_pitch_um, lens),
-                        sensor.cfa.channels, scene.grid_pitch_um)
+    CFA and QE. Without a PSF blur or cos⁴ falloff, the palette's rates
+    over the scene's label raster; with one, the (H, W, C) planes."""
+    weights = channel_weights(sensor, scene.grid)
+    pitch = scene.grid_pitch_um
+    sigma = psf_sigma(pitch, lens)
+    if sigma is None and not lens.cos4_falloff:
+        return OpticalImage(scene.labels.shape, sensor.cfa.channels, pitch,
+                            palette=project_palette(scene, lens, weights), labels=scene.labels)
+    planes = project(scene, lens, weights)
+    if sigma is not None:
+        planes = _gaussian_blur(planes, sigma)
+    return OpticalImage(planes.shape[:2], sensor.cfa.channels, pitch, planes=planes)
 
 
 def radiance_to_irradiance(scene: Scene, lens: LensSpec) -> IrradianceCube:

@@ -37,7 +37,7 @@ from .spectral import (
 BACKGROUND_DEPTH_M = 10000.0  # sky/background sentinel
 MAX_DISTANCE_M = 300.0  # the farthest a target, or the label policy, may reach
 _MAGIC = b"SIC1"
-_BAND_BYTES = 1 << 19  # one band of Scene.gather's intp labels or _run_starts's compares
+_BAND_BYTES = 1 << 19  # one band of gather's intp labels or _run_starts's compares
 
 
 class SceneFormatError(ValueError):
@@ -111,6 +111,10 @@ class SceneSpec:
                 if x1 > self.width or y1 > self.height:
                     raise FieldError(f"{name}[{i}]", f"rect {list(s.rect)} reaches beyond "
                                      f"the {self.width}x{self.height} raster")
+        if self.background_luminance_cd_m2 is not None and _calibration_overflows(self):
+            raise FieldError("background_reflectance", "the illuminant scaled to "
+                             f"{self.background_luminance_cd_m2:g} cd/m² on this background "
+                             "gives spectra beyond float32's range")
 
 
 @dataclass(frozen=True)
@@ -144,24 +148,24 @@ class Scene:
     @property
     def radiance(self) -> np.ndarray:
         """The (H, W, Nλ) float32 radiance cube, built afresh on each access."""
-        return self.gather(self.palette)
-
-    def gather(self, rows: np.ndarray) -> np.ndarray:
-        """(H, W, …) raster of rows[labels], for (K, …) rows that hold one
-        entry per palette spectrum. Taken a band of raster rows at a time, so
-        the intp copy of the labels that np.take makes stays small; every
-        label is a palette row, so the "clip" mode clips nothing."""
-        h, w = self.labels.shape
-        out = np.empty((h, w, *rows.shape[1:]), rows.dtype)
-        band = max(1, _BAND_BYTES // (8 * w))
-        for r0 in range(0, h, band):
-            np.take(rows, self.labels[r0:r0 + band], axis=0, out=out[r0:r0 + band],
-                    mode="clip")
-        return out
+        return gather(self.palette, self.labels)
 
     def scaled(self, k: float) -> "Scene":
         """Same scene with radiance scaled by k."""
         return replace(self, palette=self.palette * np.float32(k))
+
+
+def gather(rows: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """(H, W, …) raster of rows[labels] for an (H, W) label raster into the
+    (K, …) rows. Taken a band of raster rows at a time, so the intp copy of
+    the labels that np.take makes stays small; every label is a row, so the
+    "clip" mode clips nothing."""
+    h, w = labels.shape
+    out = np.empty((h, w, *rows.shape[1:]), rows.dtype)
+    band = max(1, _BAND_BYTES // (8 * w))
+    for r0 in range(0, h, band):
+        np.take(rows, labels[r0:r0 + band], axis=0, out=out[r0:r0 + band], mode="clip")
+    return out
 
 
 def _run_starts(flat: np.ndarray) -> np.ndarray:
@@ -207,6 +211,26 @@ def _default_illuminant(spec: SceneSpec) -> Spectrum:
         if lum > 0:
             ill = ill.scaled(spec.background_luminance_cd_m2 / lum)
     return ill
+
+
+def _calibration_overflows(spec: SceneSpec) -> bool:
+    """Whether the background's or a target's spectrum under the illuminant
+    calibrated to `background_luminance_cd_m2` leaves float32's finite
+    range: a near-black background scales the illuminant up without bound.
+    A reflectance that synthesis rejects is left for synthesis to reject."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            ill = _default_illuminant(spec).values
+        except ValueError:
+            return False
+        for refl in (spec.background_reflectance, *(t.reflectance for t in spec.targets)):
+            try:
+                row = (ill * _reflectance_values(refl, spec.grid) / np.pi).astype(np.float32)
+            except ValueError:
+                continue
+            if not np.isfinite(row).all():
+                return True
+    return False
 
 
 def project_extent_px(size_m: float, distance_m: float, focal_length_mm: float,
@@ -287,7 +311,7 @@ def synthesize(spec: SceneSpec) -> Scene:
 def luminance_map(scene: Scene) -> np.ndarray:
     """Per-pixel luminance (cd/m²): each palette spectrum's, on the raster."""
     lum = project_bands(scene.palette, luminance_weights(scene.grid)[None, :])
-    return scene.gather(lum[:, 0])
+    return gather(lum[:, 0], scene.labels)
 
 
 def scene_statistics(scene: Scene) -> dict:

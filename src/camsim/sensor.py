@@ -13,6 +13,7 @@ from .optics import radiance_to_irradiance  # noqa: F401  (perfbench/selftest.py
 from .spectral import DIMENSIONLESS, DEFAULT_GRID, Spectrum, WavelengthGrid
 
 REFERENCE_PIXEL_UM = 3.0  # well capacity is quoted at this pitch
+_BAND_PIXELS = 1 << 16  # sensor pixels in one band of expected_rate's rows
 
 
 @dataclass(frozen=True)
@@ -182,22 +183,57 @@ def expected_rate(image: OpticalImage, sensor: SensorSpec) -> np.ndarray:
     """Expected photoelectrons per second per sensor pixel (noise-free,
     unclamped): the optical image averaged over each pixel's footprint in
     the pixel's CFA channel, times pixel area and fill factor, on the grid
-    `sensor_geometry` places."""
-    g = sensor_geometry(image.rates.shape, image.pitch_um, sensor)
+    `sensor_geometry` places.
+
+    Each CFA phase reads only its own channel, a band of pixel rows at a
+    time, through `image.sampler`: views of a dense image's plane, or takes
+    from the channel's palette column of a palette image. The f×f cells
+    of a pixel are summed one row of cells after another, each row as
+    `_cell_row_sum` sums it. That is the order in which numpy's
+    `mean(axis=(1, 3))` sums each pixel's block when each phase has at
+    least two pixel columns, so a palette and a dense image of the same
+    rates give the same bytes."""
+    g = sensor_geometry(image.shape, image.pitch_um, sensor)
     if tuple(image.channels) != tuple(sensor.cfa.channels):
         raise ValueError(f"optical image channels {image.channels} do not match "
                          f"the sensor CFA channels {sensor.cfa.channels}")
     f = g.factor
-    cells = image.rates[g.y0:g.y0 + g.rows * f, g.x0:g.x0 + g.cols * f]
-    blocks = cells.reshape(g.rows, f, g.cols, f, -1)
-    # Each cell of one CFA period bins only its own channel plane: one plane
-    # of work, not C, summed in the same order as a single-channel image.
     period = channel_index_map(sensor, len(sensor.cfa.pattern), len(sensor.cfa.pattern[0]))
     ph, pw = period.shape
-    binned = np.empty((g.rows, g.cols))
+    area = (sensor.pixel.size_um * 1e-6) ** 2 * sensor.pixel.fill_factor
+    out = np.empty((g.rows, g.cols))
+    band = max(ph, _BAND_PIXELS // g.cols // ph * ph)  # pixel rows per band
     for (dy, dx), c in np.ndenumerate(period):
-        binned[dy::ph, dx::pw] = blocks[dy::ph, :, dx::pw, :, c].mean(axis=(1, 3))
-    return binned * ((sensor.pixel.size_um * 1e-6) ** 2 * sensor.pixel.fill_factor)
+        sample = image.sampler(c)
+        m = len(range(dx, g.cols, pw))
+        for r0 in range(0, g.rows, band):
+            r1 = min(r0 + band, g.rows)
+            n = len(range(r0 + dy, r1, ph))
+            acc = None
+            for i in range(f):
+                y = g.y0 + (r0 + dy) * f + i
+                row = _cell_row_sum(sample, slice(y, y + (n - 1) * ph * f + 1, ph * f),
+                                    g.x0 + dx * f, m, pw * f, f)
+                acc = row if acc is None else np.add(acc, row, out=acc)
+            if f > 1:  # x / 1 is x: no pass needed
+                acc /= f * f
+            np.multiply(acc, area, out=out[r0 + dy:r1:ph, dx::pw])
+    return out
+
+
+def _cell_row_sum(sample, rows: slice, x: int, m: int, step: int, f: int) -> np.ndarray:
+    """0 + Σ of the f cells of grid rows `rows` from column x + k·step on,
+    for k < m (one row of cells inside m pixels), as numpy's add.reduce sums
+    f values: in order below 8 (one strided cell plane after another),
+    pairwise from 8 on (`np.add.reduce` itself, on an (n, m, f) array)."""
+    if f >= 8:
+        cells = sample(lambda grid: grid[rows, x:x + (m - 1) * step + f]
+                       .reshape(-1, (m - 1) * step // f + 1, f)[:, ::step // f])
+        return np.add.reduce(cells, axis=2)
+    acc = np.add(sample(lambda grid: grid[rows, x:x + (m - 1) * step + 1:step]), 0.0)
+    for j in range(1, f):
+        acc += sample(lambda grid: grid[rows, x + j:x + j + (m - 1) * step + 1:step])
+    return acc
 
 
 def apply_noise(expected_e: np.ndarray, sensor: SensorSpec, exposure_s: float,

@@ -390,6 +390,22 @@ def test_synth_rect_beyond_the_raster_is_config_error(tmp_path, capsys):
     assert not (tmp_path / "scenes").exists()
 
 
+@pytest.mark.parametrize("reflectance", [1e-160, 2e-313])
+def test_near_black_background_is_config_error(tmp_path, capsys, reflectance):
+    """Scaled to 500 cd/m², a background this dark would put the target's
+    spectrum (1e-160) or every spectrum (2e-313) beyond float32's range."""
+    spec = {**SCENE_SPEC, "background_reflectance": reflectance}
+    path = run_config(tmp_path, scenes={"source": "synth", "spec": spec, "count": 2})
+    assert main(["run", str(path)]) == EXIT_CONFIG
+    assert "scenes.spec.background_reflectance" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    synth_spec = tmp_path / "spec.json"
+    synth_spec.write_text(json.dumps({**SYNTH_SPEC, "background_reflectance": reflectance}))
+    assert main(["synth", str(synth_spec), str(tmp_path / "scenes")]) == EXIT_CONFIG
+    assert "background_reflectance" in capsys.readouterr().err
+    assert not (tmp_path / "scenes").exists()
+
+
 def test_run_deterministic_across_thread_counts(tmp_path, monkeypatch):
     path = run_config(tmp_path, scenes={"source": "synth", "spec": SCENE_SPEC,
                                         "count": 4})
@@ -816,27 +832,30 @@ def _count_calls(monkeypatch, module, name, counts):
     monkeypatch.setattr(module, name, counted)
 
 
-@pytest.mark.parametrize("argv, mode, images", [
-    (["sweep-pixel", "--sizes", "3", "6"], "fixed", 1),
-    (["run"], "center_weighted", 1),
-    (["run"], "bracketed", 1),
-    (["sweep-exposure", "--lux", "10", "500"], "fixed", 2),  # one image per lux level
+@pytest.mark.parametrize("argv, mode, images, lens", [
+    (["sweep-pixel", "--sizes", "3", "6"], "fixed", 1, {}),
+    (["run"], "center_weighted", 1, {}),
+    (["run"], "bracketed", 1, {}),
+    (["sweep-exposure", "--lux", "10", "500"], "fixed", 2, {}),  # one image per lux level
+    (["run"], "fixed", 1, {"cos4_falloff": True}),
 ])
-def test_scene_synthesized_and_projected_once(tmp_path, monkeypatch, argv, mode, images):
+def test_scene_synthesized_and_projected_once(tmp_path, monkeypatch, argv, mode, images, lens):
     from camsim import cli, optics, scene
 
     counts = {}
     _count_calls(monkeypatch, cli, "synthesize", counts)
     _count_calls(monkeypatch, cli, "optical_image", counts)
-    _count_calls(monkeypatch, optics, "psf_blur", counts)
+    _count_calls(monkeypatch, optics, "psf_sigma", counts)
     _count_calls(monkeypatch, optics, "project", counts)
     _count_calls(monkeypatch, scene, "project_bands", counts)  # the luminance pass
-    path = run_config(tmp_path, exposure={"mode": mode})
+    path = run_config(tmp_path, exposure={"mode": mode}, lens=lens)
     assert main([argv[0], str(path), *argv[1:]]) == EXIT_OK
     n = 2  # run_config has two scenes
-    # sweep-exposure also projects onto luminance to scale each scene to its lux level
-    projections = 2 * images if argv[0] == "sweep-exposure" else images
-    assert counts == {"synthesize": n, "optical_image": n * images, "psf_blur": n * images,
+    # the PSF never blurs on run_config's 3 µm grid, so an optical image is
+    # projected onto (H, W, C) planes only under the cos⁴ falloff; sweep-exposure
+    # also projects onto luminance to scale each scene to its lux level
+    projections = images * (("cos4_falloff" in lens) + (argv[0] == "sweep-exposure"))
+    assert counts == {"synthesize": n, "optical_image": n * images, "psf_sigma": n * images,
                       "project": n * projections, "project_bands": 0}
 
 
@@ -857,9 +876,10 @@ def test_scene_truth_once_per_scene(tmp_path, monkeypatch, argv):
 @pytest.mark.parametrize("argv", [["run"], ["sweep-exposure", "--lux", "10", "500"]],
                          ids=["run", "sweep-exposure"])
 def test_radiance_cube_freed_before_capture(tmp_path, monkeypatch, argv):
-    """No variant holds the scene's radiance: its label raster is gone by the
-    time the first acquisition of the scene runs. (`radiance` is built afresh
-    on each access, so a weak reference to it would die at once.)"""
+    """No variant holds the scene's radiance: its palette is gone by the time
+    the first acquisition of the scene runs. (`radiance` is built afresh on
+    each access, so a weak reference to it would die at once; the label
+    raster lives on in the optical image.)"""
     import gc
     import weakref
 
@@ -871,7 +891,7 @@ def test_radiance_cube_freed_before_capture(tmp_path, monkeypatch, argv):
 
     def tracked_synthesize(spec):
         sc = synthesize(spec)
-        cubes.append(weakref.ref(sc.labels))
+        cubes.append(weakref.ref(sc.palette))
         return sc
 
     def checked_acquire(*args, **kwargs):

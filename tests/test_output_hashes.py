@@ -30,3 +30,12 @@ def test_output_hashes_are_stable():
                  "dataset.json"):
         assert len(first[f"readme_run/0/1/{name}"]) == 64, name
     assert _hashes() == first
+
+
+def test_output_hashes_without_camsim_says_so():
+    """Without site-packages and PYTHONPATH (-S -E), camsim cannot be
+    imported, and the tool says so in one line instead of a traceback."""
+    proc = subprocess.run([sys.executable, "-S", "-E", str(SCRIPT), "--workloads", "readme_run"],
+                          capture_output=True, text=True, cwd=SCRIPT.parent, timeout=60)
+    assert proc.returncode == 1
+    assert proc.stderr.strip().count("\n") == 0 and "PYTHONPATH" in proc.stderr

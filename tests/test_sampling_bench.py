@@ -1,0 +1,32 @@
+"""Smoke test: the sampling micro-benchmark script runs and prints a row
+per workload."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import camsim
+
+SCRIPT = Path(__file__).resolve().parents[1] / "benchmarks" / "sampling_bench.py"
+
+
+def test_sampling_bench_runs():
+    src = str(Path(camsim.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, str(SCRIPT), "--repeats", "1"],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    for row in ("readme_run", "pixel_sweep", "hdr_fulldye"):
+        assert any(line.startswith(row) for line in lines), proc.stdout
+
+
+def test_sampling_bench_without_camsim_says_so():
+    """Without site-packages and PYTHONPATH (-S -E), camsim cannot be
+    imported, and the script says so in one line."""
+    proc = subprocess.run([sys.executable, "-S", "-E", str(SCRIPT)], capture_output=True,
+                          text=True, cwd=SCRIPT.parent, timeout=60)
+    assert proc.returncode == 1
+    assert proc.stderr.strip().count("\n") == 0 and "PYTHONPATH" in proc.stderr
