@@ -25,8 +25,7 @@ from .exposure import (  # noqa: F401
     ExposurePlan, HDRFrame, Acquisition, acquire, hdr_combine, effective_dynamic_range,
 )
 from .isp import (  # noqa: F401
-    RGBImage, GammaSpec, demosaic_bilinear, color_correct, apply_gamma,
-    raw_passthrough, render, fit_color_matrix, write_ppm,
+    RGBImage, GammaSpec, IspConfig, render, fit_color_matrix, write_ppm,
 )
 from .annotation import (  # noqa: F401
     GroundTruthBox, LabelPolicy, SceneTruth, scene_truth, project_truth, apply_policy,

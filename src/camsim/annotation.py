@@ -13,8 +13,9 @@ import numpy as np
 from .scene import MAX_DISTANCE_M, Scene
 from .sensor import SensorGeometry
 
-# Train/val/test proportions (normalized 3000:700:750).
-DEFAULT_SPLIT = (3000 / 4450, 700 / 4450, 750 / 4450)
+# Train/val/test proportions (normalized 3000:700:750), and the dataset's one category
+SPLIT = (3000 / 4450, 700 / 4450, 750 / 4450)
+CATEGORY = "car"
 
 
 @dataclass(frozen=True)
@@ -152,8 +153,7 @@ def apply_policy(boxes: list, policy: LabelPolicy) -> list:
             and b.distance_m <= policy.max_distance_m]
 
 
-def export_dataset(images: list, truths: dict, path, seed: int = 0,
-                   split=DEFAULT_SPLIT, category: str = "car") -> dict:
+def export_dataset(images: list, truths: dict, path, seed: int = 0) -> dict:
     """COCO-style dataset JSON with a nonstandard per-annotation
     `distance_m` field and a seeded train/val/test split.
 
@@ -180,8 +180,8 @@ def export_dataset(images: list, truths: dict, path, seed: int = 0,
     shuffled = list(ids)
     random.Random(seed).shuffle(shuffled)
     n = len(shuffled)
-    n_train = round(n * split[0])
-    n_val = round(n * split[1])
+    n_train = round(n * SPLIT[0])
+    n_val = round(n * SPLIT[1])
     splits = {
         "train": sorted(shuffled[:n_train]),
         "val": sorted(shuffled[n_train:n_train + n_val]),
@@ -190,7 +190,7 @@ def export_dataset(images: list, truths: dict, path, seed: int = 0,
     doc = {
         "images": images,
         "annotations": annotations,
-        "categories": [{"id": 1, "name": category}],
+        "categories": [{"id": 1, "name": CATEGORY}],
         "splits": splits,
     }
     path = Path(path)

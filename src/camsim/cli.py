@@ -150,15 +150,17 @@ def _scale_to_lux(sc: Scene, lens: LensSpec, target_lux: float | None) -> Scene:
 
 
 def _capture_and_detect(v: RunConfig, truth: SceneTruth, image: OpticalImage, seed: int,
-                        image_id) -> tuple:
+                        image_id) -> dict:
     """One variant of a scene: acquire -> ISP -> annotate -> proxy-detect.
-    Returns (acquisition, rendered image, boxes, detections)."""
+    Returns its result dict: detections, duration, frame size, rendered
+    image and labeled boxes."""
     acq = acquire(image, v.sensor, v.exposure, seed)
     rendered = render(acq.source, v.isp)
     boxes = apply_policy(project_truth(truth, acq.geometry), v.policy)
     dets = proxy_detect(rendered, boxes, replace(v.detector.proxy, seed=seed),
                         image_id=image_id)
-    return acq, rendered, boxes, dets
+    return {"dets": dets, "duration_s": acq.duration_s, "rows": acq.geometry.rows,
+            "cols": acq.geometry.cols, "image": rendered, "boxes": boxes}
 
 
 def _process_scene(args):
@@ -184,14 +186,13 @@ def _process_scene(args):
     out = []
     for v in variants:
         try:
-            acq, rendered, boxes, dets = _capture_and_detect(
-                v, truth, images[v.target_lux], seed, scene_id)
+            r = _capture_and_detect(v, truth, images[v.target_lux], seed, scene_id)
         except Exception as e:  # this variant failed; the others still run
             out.append(e)
             continue
-        out.append({"dets": dets, "duration_s": acq.duration_s,
-                    "rows": acq.geometry.rows, "cols": acq.geometry.cols,
-                    "image": rendered if v.save_images else None, "boxes": boxes})
+        if not v.save_images:
+            r["image"] = None  # freed before the next variant renders its own
+        out.append(r)
     return scene_id, out
 
 
@@ -385,19 +386,19 @@ def edge_case_report(cfg: RunConfig) -> dict:
     proxy = cfg.detector.proxy
     report = {"algorithms": {}}
     for name, plan in plans.items():
-        acq, rendered, boxes, dets = _capture_and_detect(
-            replace(cfg, exposure=plan), truth, image, cfg.seed, name)
-        duration = list(plan.durations_s) if plan.mode == "bracketed" else acq.duration_s
-        labeled = {b.instance_id: b for b in boxes}
+        r = _capture_and_detect(replace(cfg, exposure=plan), truth, image, cfg.seed, name)
+        duration = list(plan.durations_s) if plan.mode == "bracketed" else r["duration_s"]
+        labeled = {b.instance_id: b for b in r["boxes"]}
         targets = {}
         for inst_id, (class_name, _, depth) in truth.targets.items():
             b = labeled.get(inst_id)
             entry = {"class": class_name, "distance_m": depth, "labeled": b is not None,
                      "dprime": None, "detected": False}
             if b is not None:
-                entry["dprime"] = detectability(rendered.values, b, proxy.min_pixels,
+                entry["dprime"] = detectability(r["image"].values, b, proxy.min_pixels,
                                                 proxy.snr_scale)
-                entry["detected"] = any(ev.iou(det, b) >= ev.IOU_THRESHOLD for det in dets)
+                entry["detected"] = any(ev.iou(det, b) >= ev.IOU_THRESHOLD
+                                        for det in r["dets"])
             targets[str(inst_id)] = entry
         report["algorithms"][name] = {"duration_s": duration, "targets": targets}
     return report

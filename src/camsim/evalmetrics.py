@@ -10,6 +10,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 IOU_THRESHOLD = 0.5  # a detection matches ground truth at IoU >= 0.5 (PASCAL)
+BIN_M = 10.0  # the width of an AP-vs-distance bin
 
 
 @dataclass(frozen=True)
@@ -137,8 +138,7 @@ def average_precision(dets: list, gts: list) -> float | None:
     return _ap_from_flags(_pooled_flags(dets, gts), len(gts))
 
 
-def ap_vs_distance(dets: list, gts: list, bin_m: float = 10.0,
-                   max_distance_m: float | None = None) -> tuple:
+def ap_vs_distance(dets: list, gts: list, max_distance_m: float | None = None) -> tuple:
     """A tuple of APBin, one per 10 m distance bin. Matched detections land
     in their GT's bin; unmatched ones go to the nearest-by-IoU GT's bin, or
     are excluded when they overlap no GT at all (their distance is unknowable)."""
@@ -147,12 +147,12 @@ def ap_vs_distance(dets: list, gts: list, bin_m: float = 10.0,
     top = max((g.distance_m for g in gts), default=0.0)
     if max_distance_m is not None:
         top = max(top, max_distance_m)
-    n_bins = max(1, int(math.ceil(top / bin_m + 1e-9)))
+    n_bins = max(1, int(math.ceil(top / BIN_M + 1e-9)))
 
     bin_pairs: list = [[] for _ in range(n_bins)]
     bin_gt = [0] * n_bins
     for g in gts:
-        b = min(n_bins - 1, int(g.distance_m / bin_m))
+        b = min(n_bins - 1, int(g.distance_m / BIN_M))
         bin_gt[b] += 1
     for image_id, ggroup in gt_groups.items():
         dgroup = det_groups.get(image_id, [])
@@ -165,11 +165,11 @@ def ap_vs_distance(dets: list, gts: list, bin_m: float = 10.0,
                 if best is None or iou(d, best) <= 0.0:
                     continue
                 ref = best
-            b = min(n_bins - 1, int(ref.distance_m / bin_m))
+            b = min(n_bins - 1, int(ref.distance_m / BIN_M))
             bin_pairs[b].append((d.score, tp[i]))
     # detections in images with no GT at all have no distance anchor; excluded
     return tuple(
-        APBin(i * bin_m, (i + 1) * bin_m,
+        APBin(i * BIN_M, (i + 1) * BIN_M,
               _ap_from_flags(bin_pairs[i], bin_gt[i]) if bin_gt[i] else None,
               bin_gt[i])
         for i in range(n_bins)

@@ -52,7 +52,7 @@ class ExposurePlan:
 class HDRFrame:
     rate_e_per_s: np.ndarray  # float64 (rows, cols) linear electron-rate estimate
     valid: np.ndarray  # bool; False where every bracket saturated
-    chosen: np.ndarray  # int index of the contributing exposure
+    chosen: np.ndarray  # index of the contributing exposure, in the smallest unsigned type
     durations_s: tuple
     sensor: SensorSpec
 
@@ -69,10 +69,11 @@ def metering_window(rows: int, cols: int, window_fraction: float) -> tuple:
 
 @dataclass(frozen=True)
 class Acquisition:
+    """The frame to render and where its pixels sit; the expected-rate raster
+    it was exposed from is not kept (`expected_rate` gives it again)."""
     source: object  # what the ISP renders: the RawFrame, or the HDRFrame of brackets
     duration_s: float  # fixed or metered duration; the longest bracket when bracketed
-    rate_e_per_s: np.ndarray  # noise-free electrons/s per pixel that every frame exposes
-    geometry: SensorGeometry  # where those pixels sit on the scene grid
+    geometry: SensorGeometry  # where the frame's pixels sit on the scene grid
 
 
 def acquire(image: OpticalImage, sensor: SensorSpec, plan: ExposurePlan,
@@ -92,9 +93,9 @@ def acquire(image: OpticalImage, sensor: SensorSpec, plan: ExposurePlan,
                           _bracket_seed(seed, i), at=at)
 
         hdr = _fuse(rate.shape, tuple(plan.durations_s), sensor, bracket)
-        return Acquisition(hdr, plan.durations_s[0], rate, geometry)
+        return Acquisition(hdr, plan.durations_s[0], geometry)
     t = plan.t_s if plan.mode == "fixed" else metered_duration(rate, sensor, plan)
-    return Acquisition(expose(rate, sensor, t, seed), t, rate, geometry)
+    return Acquisition(expose(rate, sensor, t, seed), t, geometry)
 
 
 def metered_duration(rate: np.ndarray, sensor: SensorSpec, plan: ExposurePlan) -> float:
@@ -147,7 +148,7 @@ def _fuse(shape: tuple, durations: tuple, sensor: SensorSpec, bracket) -> HDRFra
     in every bracket reads the last one and is flagged invalid."""
     f = bracket(0, None)
     rate = (dn_to_electrons(f) / f.exposure_s).reshape(-1)
-    chosen = np.zeros(rate.size, dtype=np.int64)
+    chosen = np.zeros(rate.size, dtype=np.min_scalar_type(len(durations) - 1))
     undecided = np.flatnonzero(f.saturated)
     for i in range(1, len(durations)):
         if not undecided.size:

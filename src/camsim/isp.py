@@ -10,9 +10,8 @@ next. Each band runs the demosaic and the color correction, each clipped to
 gamma takes its exponent from the mean of the whole image, summed exactly as
 `ndarray.mean` sums it (pairwise, which has no band-wise equivalent with the
 same bits), and fixed and sRGB gamma share that pass. An HDR frame's tone map
-writes straight into the normalized mosaic that the demosaic pads. The
-public stages (`demosaic_bilinear`, `color_correct`, `apply_gamma`,
-`raw_passthrough`) are the one-band case of the same band kernels."""
+writes straight into the normalized mosaic that the demosaic pads. `render`,
+configured by `IspConfig.stages`, is the one entry point to these stages."""
 
 from __future__ import annotations
 
@@ -23,7 +22,7 @@ import numpy as np
 
 from . import cie_data
 from .exposure import HDRFrame
-from .sensor import MONO, RGGB, RawFrame, SensorSpec
+from .sensor import MONO, RGGB, SensorSpec
 from .spectral import DEFAULT_GRID, IRRADIANCE, WavelengthGrid, d65_spectrum, resample
 
 
@@ -100,7 +99,7 @@ _NEIGHBOURS = {"x": ((0, 0),), "h": ((0, 1), (0, -1)), "v": ((-1, 0), (1, 0)),
                "d": ((-1, -1), (-1, 1), (1, -1), (1, 1))}
 
 
-# The CFA patterns demosaic_bilinear interpolates; a config whose sensor has
+# The CFA patterns the demosaic interpolates; a config whose sensor has
 # another must render raw
 DEMOSAIC_PATTERNS = (MONO.pattern, RGGB.pattern)
 
@@ -199,19 +198,10 @@ def _demosaic_band(mosaic: np.ndarray, mono: bool, i0: int, out: np.ndarray) -> 
     np.clip(out, 0.0, 1.0, out=out)
 
 
-def demosaic_bilinear(frame: RawFrame) -> RGBImage:
-    """Bilinear CFA interpolation on the DN-normalized mosaic (RGGB), or
-    channel replication for MONO."""
-    mosaic, mono = _cfa_mosaic(frame)
-    out = np.empty(_plane(frame).shape + (3,))
-    _demosaic_band(mosaic, mono, 0, out)
-    return RGBImage(out)
-
-
-def reflectance_patches(grid: WavelengthGrid = DEFAULT_GRID) -> np.ndarray:
-    """24 built-in smooth reflectances (rows) on `grid`: 18 chromatic
-    Gaussian bumps plus 6 neutral grays."""
-    lam = grid.wavelengths_nm
+def reflectance_patches() -> np.ndarray:
+    """24 built-in smooth reflectances (rows) on the default grid: 18
+    chromatic Gaussian bumps plus 6 neutral grays."""
+    lam = DEFAULT_GRID.wavelengths_nm
     patches = []
     for i in range(18):
         center = 410.0 + 17.0 * i
@@ -220,23 +210,23 @@ def reflectance_patches(grid: WavelengthGrid = DEFAULT_GRID) -> np.ndarray:
         base = 0.06 + 0.01 * (i % 4)
         patches.append(base + amp * np.exp(-0.5 * ((lam - center) / sigma) ** 2))
     for g in (0.031, 0.09, 0.19, 0.36, 0.59, 0.90):
-        patches.append(np.full(grid.count, g))
+        patches.append(np.full(DEFAULT_GRID.count, g))
     return np.clip(np.array(patches), 0.0, 1.0)
 
 
-def fit_color_matrix(sensor: SensorSpec, grid: WavelengthGrid = DEFAULT_GRID) -> np.ndarray:
+def fit_color_matrix(sensor: SensorSpec) -> np.ndarray:
     """Least-squares 3x3 mapping sensor RGB responses of the built-in
-    patches under D65 to their linear-sRGB values."""
-    patches = reflectance_patches(grid)
-    illum = d65_spectrum(grid, IRRADIANCE)  # photon rate, relative scale
+    patches, on the default grid, under D65 to their linear-sRGB values."""
+    patches = reflectance_patches()
+    illum = d65_spectrum(DEFAULT_GRID, IRRADIANCE)  # photon rate, relative scale
 
-    qe = np.stack([resample(sensor.qe[ch], grid).values for ch in ("R", "G", "B")])
+    qe = np.stack([resample(sensor.qe[ch], DEFAULT_GRID).values for ch in ("R", "G", "B")])
     sensor_rgb = patches * illum.values @ qe.T  # (24, 3), photon-weighted
 
     illum_w = illum.to_energy()
     cmf = np.stack([cie_data.CMF_XBAR, cie_data.CMF_YBAR, cie_data.CMF_ZBAR])
     cmf_grid = WavelengthGrid(cie_data.CMF_START, cie_data.CMF_STEP, cmf.shape[1])
-    lam = grid.wavelengths_nm
+    lam = DEFAULT_GRID.wavelengths_nm
     cmf_rs = np.stack([
         np.interp(lam, cmf_grid.wavelengths_nm, cmf[k], left=0.0, right=0.0)
         for k in range(3)
@@ -249,14 +239,6 @@ def fit_color_matrix(sensor: SensorSpec, grid: WavelengthGrid = DEFAULT_GRID) ->
     sensor_rgb = sensor_rgb / white_rgb[1]
     coeffs, *_ = np.linalg.lstsq(sensor_rgb, srgb, rcond=None)
     return coeffs.T
-
-
-def color_correct(img: RGBImage, matrix) -> RGBImage:
-    """Per-pixel 3x3 correction of a demosaiced sensor-RGB image into linear
-    sRGB, clamped to [0, 1]."""
-    out = np.empty(img.values.shape[:2] + (3,))
-    _color_band(img.values, _correction_matrix(matrix), out)
-    return RGBImage(out)
 
 
 def _correction_matrix(matrix) -> np.ndarray:
@@ -297,18 +279,6 @@ def _gamma_band(v: np.ndarray, exponent: float | None, out: np.ndarray) -> None:
     else:
         np.power(v, exponent, out=out)
         np.clip(out, 0.0, 1.0, out=out)
-
-
-def apply_gamma(img: RGBImage, spec: GammaSpec) -> RGBImage:
-    exponent = _gamma_exponent(spec, img.values)
-    out = np.empty_like(img.values)
-    _gamma_band(img.values, exponent, out)
-    return RGBImage(out, exponent)
-
-
-def raw_passthrough(frame: RawFrame) -> RGBImage:
-    """DN-normalized untouched mosaic as a single sensor-linear plane."""
-    return RGBImage(_mosaic(frame, 0)[:, :, None])
 
 
 def render(frame, isp: IspConfig = IspConfig()) -> RGBImage:

@@ -62,20 +62,14 @@ class OpticalImage:
     pixel sampling: Σλ E(λ)·QE_c(λ)·Δλ in electrons/(s m²), on an (H, W)
     grid. Held either as `palette`, the C rates of each scene palette
     spectrum, over the scene's own `labels` (shared with the scene, not
-    copied), or, where the PSF or the cos⁴ falloff acted, as dense `planes`."""
+    copied), or, where the PSF or the cos⁴ falloff acted, as dense `planes`;
+    `expected_rate` reads either through `sampler`."""
     shape: tuple  # (H, W) grid cells
     channels: tuple  # channel tags, in the sensor's CFA channel order
     pitch_um: float
     palette: np.ndarray | None = None  # (K, C) float64, row k for palette spectrum k
     labels: np.ndarray | None = None  # (H, W) uint32, each cell's palette row
     planes: np.ndarray | None = None  # (H, W, C) float64, plane c for channels[c]
-
-    @property
-    def rates(self) -> np.ndarray:
-        """The (H, W, C) float64 planes; from a palette image, built afresh
-        on each access. The pipeline never reads them: `expected_rate`
-        samples through `sampler`."""
-        return self.planes if self.planes is not None else gather(self.palette, self.labels)
 
     def sampler(self, c: int):
         """A function that gives channel c's rates on the grid cells that
@@ -122,9 +116,10 @@ def mean_illuminance_lux(scene: Scene, lens: LensSpec) -> float:
 
 
 def psf_sigma(pitch_um: float, lens: LensSpec) -> float | None:
-    """The PSF's σ = FWHM/2.3548 in grid cells of this pitch, or None when
-    no blur runs: at zero FWHM, and, with a warning, when the grid is too
-    coarse to sample the kernel."""
+    """The PSF's σ = FWHM/2.3548 in grid cells of this pitch, for
+    `psf_blur`, or None when no blur runs: at zero FWHM, and, with a
+    warning, when the grid is too coarse to sample the kernel. The one place
+    that decides to skip the blur."""
     if lens.psf_fwhm_um == 0.0:
         return None
     if pitch_um > lens.psf_fwhm_um / 2.0:
@@ -135,20 +130,6 @@ def psf_sigma(pitch_um: float, lens: LensSpec) -> float | None:
     return lens.psf_fwhm_um / FWHM_TO_SIGMA / pitch_um
 
 
-def psf_blur(planes: np.ndarray, pitch_um: float, lens: LensSpec) -> np.ndarray:
-    """Gaussian blur (σ from `psf_sigma`) of float64 (H, W, C) planes,
-    plane by plane, with reflective edges so total flux is conserved.
-    Returns `planes` itself when `psf_sigma` gives None.
-
-    Weights are exp(-x²/2σ²) normalised to sum 1 over x = -r..r, with
-    r = int(6σ + 0.5). Axis 0 is blurred, then axis 1; each output is
-    w₀·x[i] + Σ (x[i−k] + x[i+k])·w_k accumulated for k = r down to 1, the
-    order in which `scipy.ndimage.gaussian_filter` sums, so the result is
-    identical to it."""
-    sigma = psf_sigma(pitch_um, lens)
-    return planes if sigma is None else _gaussian_blur(planes, sigma)
-
-
 def _reflect(idx: np.ndarray, n: int) -> np.ndarray:
     """Half-sample reflection of indices into 0..n-1, with period 2n, so
     sides shorter than the kernel radius reflect again."""
@@ -156,11 +137,18 @@ def _reflect(idx: np.ndarray, n: int) -> np.ndarray:
     return np.where(m < n, m, 2 * n - 1 - m)
 
 
-def _gaussian_blur(planes: np.ndarray, sigma: float) -> np.ndarray:
-    """`psf_blur`'s separable blur at σ grid cells. Each block of rows takes
-    its axis-0 pass from a slab of input rows (a view, unless the slab
-    crosses the top or bottom edge), writes it between reflected column
-    margins in a per-block buffer and takes its axis-1 pass from there."""
+def psf_blur(planes: np.ndarray, sigma: float) -> np.ndarray:
+    """Gaussian blur at σ grid cells (from `psf_sigma`) of float64 (H, W, C)
+    planes, plane by plane, with reflective edges so total flux is conserved.
+
+    Weights are exp(-x²/2σ²) normalised to sum 1 over x = -r..r, with
+    r = int(6σ + 0.5). Axis 0 is blurred, then axis 1; each output is
+    w₀·x[i] + Σ (x[i−k] + x[i+k])·w_k accumulated for k = r down to 1, the
+    order in which `scipy.ndimage.gaussian_filter` sums, so the result is
+    identical to it. Each block of rows takes its axis-0 pass from a slab of
+    input rows (a view, unless the slab crosses the top or bottom edge),
+    writes it between reflected column margins in a per-block buffer and
+    takes its axis-1 pass from there."""
     r = int(6.0 * sigma + 0.5)
     x = np.arange(-r, r + 1)
     phi = np.exp(-0.5 / (sigma * sigma) * x ** 2)
@@ -215,7 +203,7 @@ def optical_image(scene: Scene, lens: LensSpec, sensor) -> OpticalImage:
                             palette=project_palette(scene, lens, weights), labels=scene.labels)
     planes = project(scene, lens, weights)
     if sigma is not None:
-        planes = _gaussian_blur(planes, sigma)
+        planes = psf_blur(planes, sigma)
     return OpticalImage(planes.shape[:2], sensor.cfa.channels, pitch, planes=planes)
 
 

@@ -1,9 +1,11 @@
 """Frames built from an expected-rate raster the way `acquire` builds them,
-for tests that need every bracket in full or a frame without noise."""
+for tests that need every bracket in full or a frame without noise, and the
+dense rates of an optical image, which the pipeline never builds."""
 
 import numpy as np
 
 from camsim.exposure import _bracket_seed
+from camsim.scene import gather
 from camsim.sensor import adc, expose
 
 
@@ -17,3 +19,9 @@ def noise_free(rate, sensor, exposure_s):
     """The frame of `rate` exposed for `exposure_s` with no shot, dark or
     read noise: electrons clamped to the well, then the ADC."""
     return adc(np.clip(rate * exposure_s, 0.0, sensor.effective_well_e()), sensor, exposure_s)
+
+
+def dense_rates(image):
+    """An optical image's (H, W, C) float64 rates: its planes, or its
+    palette gathered over its labels."""
+    return image.planes if image.planes is not None else gather(image.palette, image.labels)

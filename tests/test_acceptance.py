@@ -15,9 +15,8 @@ from camsim.detector import ProxyDetectorConfig, detectability, proxy_detect
 from camsim.exposure import (DEFAULT_BRACKET_S, DEFAULT_CAP_S, ExposurePlan, acquire,
                              effective_dynamic_range, hdr_combine, metered_duration,
                              metering_window)
-from camsim.isp import (GammaSpec, IspConfig, RGBImage, apply_gamma,
-                        demosaic_bilinear, render)
-from camsim.optics import LensSpec, optical_image, psf_blur
+from camsim.isp import GammaSpec, IspConfig, render
+from camsim.optics import LensSpec, optical_image, psf_blur, psf_sigma
 from camsim.scene import (Region, SceneSpec, TargetSpec, edge_case_scene,
                           synthesize)
 from camsim.sensor import (RawFrame, SensorSpec, derive_geometry, dynamic_range_db,
@@ -82,7 +81,7 @@ def test_criterion_05_psf():
     pitch = 0.375
     values = np.zeros((129, 129, 1))
     values[64, 64, 0] = 1.0
-    out = psf_blur(values, pitch, LensSpec(psf_fwhm_um=1.5))[:, :, 0]
+    out = psf_blur(values, psf_sigma(pitch, LensSpec(psf_fwhm_um=1.5)))[:, :, 0]
     profile = out[64, :]
     half = profile.max() / 2.0
     above = np.nonzero(profile >= half)[0]
@@ -142,10 +141,10 @@ def test_criterion_08_adaptive_gamma():
         frame = acquire(optical_image(sc, LENS, sensor), sensor,
                         ExposurePlan("fixed", t_s=5e-3), seed=1).source
     linear = render(frame, IspConfig(stages=("demosaic", "color")))
-    out = apply_gamma(linear, GammaSpec(mode="adaptive", target=0.2))
+    out = render(frame, IspConfig(gamma=GammaSpec(mode="adaptive", target=0.2)))
     m = float(linear.values.mean())
     adaptive_err = abs(m ** out.gamma_used - 0.2)
-    fixed = apply_gamma(linear, GammaSpec(mode="fixed", gamma=0.1))
+    fixed = render(frame, IspConfig(gamma=GammaSpec(mode="fixed", gamma=0.1)))
     fixed_err = float(np.abs(fixed.values - np.power(linear.values, 0.1)).max())
     ok = 0 < m < 1 and adaptive_err <= 1e-9 and fixed_err <= 1e-12
     report(8, "adaptive gamma", ok,
@@ -156,13 +155,13 @@ def test_criterion_09_demosaic():
     sensor = SensorSpec()
     flat = RawFrame(np.full((8, 8), 600, dtype=np.uint16),
                     np.zeros((8, 8), bool), 1e-3, sensor)
-    img = demosaic_bilinear(flat)
-    interior = img.values[1:-1, 1:-1]
+    demosaic = IspConfig(stages=("demosaic",))
+    interior = render(flat, demosaic).values[1:-1, 1:-1]
     flat_ok = np.allclose(interior, 600.0 / 1023.0, atol=1e-12)
     red = RawFrame(np.array([[1023, 0, 1023], [0, 0, 0], [1023, 0, 1023]],
                             dtype=np.uint16),
                    np.zeros((3, 3), bool), 1e-3, sensor)
-    rgb = demosaic_bilinear(red).values
+    rgb = render(red, demosaic).values
     red_ok = (np.allclose(rgb[:, :, 0], 1.0, atol=1e-12)
               and np.allclose(rgb[:, :, 1:], 0.0, atol=1e-12))
     report(9, "demosaic", flat_ok and red_ok,

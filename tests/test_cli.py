@@ -904,12 +904,46 @@ def test_radiance_cube_freed_before_capture(tmp_path, monkeypatch, argv):
     assert len(cubes) == 2 and freed and all(freed)
 
 
+@pytest.mark.parametrize("argv", [["run"], ["sweep-exposure", "--lux", "10", "500"]],
+                         ids=["run", "sweep-exposure"])
+def test_rate_and_earlier_images_freed_before_render(tmp_path, monkeypatch, argv):
+    """When a variant's frame is rendered, the expected-rate raster it was
+    exposed from is gone, and so is every image rendered before it (none is
+    saved): a scene worker holds one variant's arrays at a time."""
+    import gc
+    import weakref
+
+    from camsim import cli, exposure
+
+    monkeypatch.setenv("CAMSIM_THREADS", "1")  # one scene at a time, in order
+    rates, images, checks = [], [], []
+    expected_rate, render = exposure.expected_rate, cli.render
+
+    def tracked_rate(*args, **kwargs):
+        rate = expected_rate(*args, **kwargs)
+        rates.append(weakref.ref(rate))
+        return rate
+
+    def checked_render(*args, **kwargs):
+        gc.collect()
+        checks.append((rates[-1]() is None, [ref() is None for ref in images]))
+        img = render(*args, **kwargs)
+        images.append(weakref.ref(img.values))
+        return img
+    monkeypatch.setattr(exposure, "expected_rate", tracked_rate)
+    monkeypatch.setattr(cli, "render", checked_render)
+    assert main([argv[0], str(run_config(tmp_path)), *argv[1:]]) == EXIT_OK
+    variants = len(cli.PLANS) * 2 if argv[0] == "sweep-exposure" else 1
+    assert len(checks) == len(rates) == 2 * variants  # run_config has two scenes
+    assert checks == [(True, [True] * i) for i in range(len(checks))]
+
+
 _NO_SCIPY_PROBE = """
 import json, sys
 import camsim.cli
 from camsim import optics
-blur, sigmas = optics._gaussian_blur, []
-optics._gaussian_blur = lambda planes, sigma: sigmas.append(sigma) or blur(planes, sigma)
+blur, sigmas = optics.psf_blur, []
+optics.psf_blur = lambda planes, sigma: sigmas.append(sigma) or blur(planes, sigma)
 rc = camsim.cli.main(["sweep-pixel", sys.argv[1], "--sizes", "1.5"])
 print(json.dumps({"rc": rc, "blurs": len(sigmas),
                   "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}))

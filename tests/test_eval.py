@@ -171,7 +171,7 @@ def test_od50_monotone_raising_property(aps, idx):
 def test_ap_vs_distance_bins_by_gt_distance():
     g = [gt((0, 0, 10, 10), dist=12.0), gt((20, 0, 30, 10), dist=37.0)]
     d = [det((0, 0, 10, 10), 0.9), det((50, 50, 60, 60), 0.5)]
-    c = ap_vs_distance(d, g, bin_m=10.0)
+    c = ap_vs_distance(d, g)
     assert c[1].gt_count == 1 and c[1].ap == pytest.approx(1.0)
     assert c[3].gt_count == 1 and c[3].ap == pytest.approx(0.0)
     assert c[0].ap is None  # no GT there
@@ -184,7 +184,7 @@ def test_ap_vs_distance_unmatched_goes_to_nearest_gt_bin():
     # the near miss (IoU 0.18) outscores the true hit, so it is a leading FP
     # anchored to its best-overlap GT's bin
     d = [det((0, 0, 10, 10), 0.8), det((7, 0, 17, 10), 0.9)]
-    c = ap_vs_distance(d, g, bin_m=10.0)
+    c = ap_vs_distance(d, g)
     assert c[1].ap == pytest.approx(0.5)
 
 

@@ -8,7 +8,7 @@ from scipy import ndimage
 
 from camsim import optics
 from camsim.config import from_config
-from camsim.optics import FWHM_TO_SIGMA, LensSpec, project, psf_blur
+from camsim.optics import FWHM_TO_SIGMA, LensSpec, project, psf_blur, psf_sigma
 from camsim.scene import SceneSpec, synthesize
 from camsim.spectral import WavelengthGrid
 
@@ -45,7 +45,7 @@ def test_psf_flux_conservation():
                               speculars=()))
     lens = LensSpec(psf_fwhm_um=1.5)
     cube = project(sc, lens, np.eye(sc.grid.count))
-    blurred = psf_blur(cube, sc.grid_pitch_um, lens)
+    blurred = psf_blur(cube, psf_sigma(sc.grid_pitch_um, lens))
     assert blurred.sum() == pytest.approx(cube.sum(), rel=1e-9)
 
 
@@ -56,7 +56,7 @@ def test_psf_impulse_fwhm():
     values = np.zeros((129, 129, 1))
     values[64, 64, 0] = 1.0
     lens = LensSpec(psf_fwhm_um=1.5)
-    out = psf_blur(values, pitch, lens)[:, :, 0]
+    out = psf_blur(values, psf_sigma(pitch, lens))[:, :, 0]
     profile = out[64, :]
     half = profile.max() / 2.0
     above = np.nonzero(profile >= half)[0]
@@ -88,15 +88,13 @@ def test_psf_blur_equals_gaussian_filter(h, w, channels, pitch, block_bytes, see
     expected = ndimage.gaussian_filter(planes, (sigma, sigma, 0.0), mode="reflect",
                                        truncate=6.0)
     with mock.patch.object(optics, "_BLOCK_BYTES", block_bytes):
-        assert np.array_equal(psf_blur(planes, pitch, lens), expected)
+        assert np.array_equal(psf_blur(planes, psf_sigma(pitch, lens)), expected)
 
 
 def test_psf_skipped_when_grid_too_coarse():
-    values = np.ones((16, 16, 1))
     lens = LensSpec(psf_fwhm_um=1.5)
     with pytest.warns(UserWarning, match="too coarse"):
-        out = psf_blur(values, 3.0, lens)
-    assert out is values
+        assert psf_sigma(3.0, lens) is None
 
 
 def test_fwhm_sigma_constant():

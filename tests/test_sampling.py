@@ -15,6 +15,7 @@ from camsim.scene import SceneSpec, TargetSpec, synthesize
 from camsim.sensor import (MONO, RCCC, RGGB, PixelSpec, SensorSpec, channel_index_map,
                            expected_rate, sensor_geometry)
 from camsim.spectral import WavelengthGrid
+from frames import dense_rates
 
 CFAS = {"RGGB": RGGB, "MONO": MONO, "RCCC": RCCC}
 
@@ -24,7 +25,7 @@ def reference_rate(image: OpticalImage, sensor: SensorSpec) -> np.ndarray:
     f×f blocks of the dense rates averaged by numpy, times the pixel area."""
     g = sensor_geometry(image.shape, image.pitch_um, sensor)
     f = g.factor
-    cells = image.rates[g.y0:g.y0 + g.rows * f, g.x0:g.x0 + g.cols * f]
+    cells = dense_rates(image)[g.y0:g.y0 + g.rows * f, g.x0:g.x0 + g.cols * f]
     blocks = cells.reshape(g.rows, f, g.cols, f, -1)
     period = channel_index_map(sensor, len(sensor.cfa.pattern), len(sensor.cfa.pattern[0]))
     ph, pw = period.shape
@@ -59,7 +60,7 @@ def test_sampler_equals_the_block_mean(f, cfa, rows, cols, extra, k, exponent, d
     labels = rng.integers(0, k, (h, w)).astype(np.uint32)
     image = OpticalImage((h, w), channels, 3.0 / f, palette=palette, labels=labels)
     if dense:
-        image = OpticalImage((h, w), channels, 3.0 / f, planes=image.rates)
+        image = OpticalImage((h, w), channels, 3.0 / f, planes=dense_rates(image))
     got, want = expected_rate(image, sensor), reference_rate(image, sensor)
     assert got.shape == want.shape == (2 * rows, 2 * cols)
     if 2 * cols // len(sensor.cfa.pattern[0]) >= 2:
@@ -95,12 +96,13 @@ def test_no_dense_optical_image_without_a_psf():
 
 
 def test_cli_run_never_builds_the_dense_rates(tmp_path, monkeypatch):
-    """A run whose grid is too coarse for the PSF never reads
-    `OpticalImage.rates`, the dense raster that tests alone build."""
+    """A run whose grid is too coarse for the PSF never projects a scene
+    onto the dense (H, W, C) planes that only the PSF or falloff needs."""
+    from camsim import optics
     from test_cli import run_config
 
-    def refuse(self):
+    def refuse(*args, **kwargs):
         raise AssertionError("the dense optical image was built")
-    monkeypatch.setattr(OpticalImage, "rates", property(refuse))
+    monkeypatch.setattr(optics, "project", refuse)
     with pytest.warns(UserWarning, match="too coarse"):
         assert main(["run", str(run_config(tmp_path))]) == 0
