@@ -1,15 +1,18 @@
+import math
 import sys
 import threading
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from camsim import isp as isp_module
 from camsim.exposure import HDRFrame
 from camsim.isp import (_NEIGHBOURS, _RGGB_PICKS, GammaSpec, IspConfig, RGBImage, _gamma_band,
                         _gamma_exponent, _mosaic, fit_color_matrix, reflectance_patches, render,
-                        write_ppm)
+                        top_percentile, write_ppm)
 from camsim.sensor import MONO, RCCC, RGGB, RawFrame, SensorSpec, adc
 
 
@@ -243,6 +246,45 @@ def test_hdr_tone_map_matches_the_frozen_expression(rate):
     max_code = SensorSpec().max_code()
     want = np.round(np.clip(rate / norm, 0, 1) * max_code).astype(np.uint16)
     assert mosaic.tobytes() == (want / max_code).tobytes()
+
+
+# rasters of tied codes over bracket durations, as HDR fusion makes them, or
+# of distinct finite values; -0.0 compares equal to 0.0, so a partition may
+# return either and no rate is ever -0.0
+_TIED = st.builds(lambda codes, durations: np.array(codes, float) / np.array(durations),
+                  st.lists(st.integers(0, 1023), min_size=1, max_size=400),
+                  st.sampled_from([1.0, 1e-3, 12e-3]))
+_DISTINCT = st.lists(st.floats(-1e300, 1e300, allow_nan=False, allow_subnormal=True)
+                     .filter(lambda x: not (x == 0.0 and math.copysign(1.0, x) < 0)),
+                     min_size=1, max_size=400).map(np.array)
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=st.one_of(_TIED, _DISTINCT),
+       q=st.sampled_from([99.9, 99.0, 50.0, 100.0, 0.0]) | st.floats(0.0, 100.0),
+       stride=st.sampled_from([1, 3, 64, 1000]),
+       sample_q=st.sampled_from([99.5, 0.0, 100.0]))
+@example(values=np.zeros(70), q=99.9, stride=64, sample_q=99.5)  # all zero
+@example(values=np.full(9, 3.25), q=99.9, stride=64, sample_q=99.5)  # constant, < stride
+@example(values=np.arange(5000.0), q=99.9, stride=64, sample_q=100.0)  # forced fallback
+def test_top_percentile_is_np_percentile_bit_for_bit(values, q, stride, sample_q):
+    want = np.percentile(values, q)
+    got = top_percentile(values, q, stride=stride, sample_q=sample_q)
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+def test_top_percentile_falls_back_when_too_few_reach_the_bound(monkeypatch):
+    # the maximum of every 64th value, 199936, leaves 64 of 200000 values,
+    # fewer than the 201 from the 99.9th percentile's floor rank up, so every
+    # value is partitioned; the 99.5th percentile of the sample leaves more
+    values = np.arange(200_000.0)
+    sizes = []
+    partition = np.partition
+    monkeypatch.setattr(np, "partition", lambda a, kth: sizes.append(a.size) or partition(a, kth))
+    got = top_percentile(values, 99.9, sample_q=100.0)
+    assert sizes == [values.size] and got == np.percentile(values, 99.9)
+    sizes.clear()
+    assert top_percentile(values, 99.9) == got and 201 <= sizes[0] < values.size
 
 
 @pytest.mark.parametrize("shape", [(1, 1), (1, 6), (5, 1), (2, 2), (3, 4), (9, 7)])
