@@ -4,18 +4,30 @@ Noise sampling uses shot-noise Poisson draws (Knuth multiplication below
 NORMAL_CUTOFF expected electrons, a rounded normal approximation above)
 plus additive Gaussian read noise. Runs are bit-reproducible.
 
+Each pixel draws from two lanes, keyed by its flat index. Its "normal"
+stream gives one Box–Muller pair (Box & Muller, Ann. Math. Stat. 1958):
+r = sqrt(-2·log(1 − u₁)) from counter 1, and an angle from counter 2's
+64-bit word. The word's top 50 bits give φ in [0, π/4), one octant, whose
+cosine and sine are cheaper than those of a full turn. Its low 3 bits pick
+one of the 8 symmetries of the square: bit 0 swaps (cos φ, sin φ), then
+bits 1 and 2 negate the first and the second, which spreads the angle
+uniformly over the circle. The swap and the signs are XORs on the doubles'
+bit patterns. Shot noise takes the pair's first normal, read noise the
+second. Pixels below NORMAL_CUTOFF replace the shot normal by Knuth's
+product of uniforms from the "knuth" lane, so no uniform feeds both a
+pixel's Poisson count and its read noise.
+
 The sampler walks the flattened raster in chunks of _CHUNK pixels. Each call
 allocates one block of chunk-sized buffers and reuses it for every chunk: the
-index ramp, its golden-ratio hash (computed once and shared by the shot and
-read streams), the stream keys, the splitmix64 bits and the Box-Muller
-terms are all computed in place, so no temporary spans the whole raster.
-Each chunk draws its shot Gaussians over the whole chunk; the Knuth loop
-then runs over the chunk's pixels below NORMAL_CUTOFF, carrying only the
-pixels still multiplying, and overwrites their counts. Every pixel's streams
-are keyed by its flat index, so the output does not depend on the chunk
-size, and a subset of pixels can be sampled alone (`at=`) with exactly the
-bytes the whole raster would give them: exposure control samples each HDR
-bracket only on the pixels the fusion still reads.
+index ramp, its golden-ratio hash, the stream keys, the splitmix64 bits and
+the Box–Muller terms are all computed in place, so no temporary spans the
+whole raster. The Knuth loop runs over the chunk's pixels below
+NORMAL_CUTOFF only, keyed on their own, carrying only the pixels still
+multiplying, and overwrites their counts. Every pixel's streams are keyed by
+its flat index, so the output does not depend on the chunk size, and a
+subset of pixels can be sampled alone (`at=`) with exactly the bytes the
+whole raster would give them: exposure control samples each HDR bracket
+only on the pixels the fusion still reads.
 """
 
 import numpy as np
@@ -23,9 +35,10 @@ import numpy as np
 from .rng import _GOLDEN, _INV53, golden, mix64, mix64_into, stream_base
 
 NORMAL_CUTOFF = 50.0  # expected electrons above which the normal approx is used
-_LANE_SHOT = 101
-_LANE_READ = 102
-_TWO_PI = 2.0 * np.pi
+_LANE_NORMAL = 101
+_LANE_KNUTH = 102
+_PHI_STEP = np.pi / 4 / 2**50  # φ per unit of the top 50 bits of a 64-bit word
+_SIGN = np.uint64(1 << 63)
 _CHUNK = 1 << 16  # pixels per numpy chunk: the working set stays in cache
 
 
@@ -53,7 +66,7 @@ def sample_sensor_noise(expected_e, read_sigma, well_e, seed, at=None):
     if at is None:
         ramp = np.arange(bufs.hashed.size, dtype=np.uint64)
         np.multiply(ramp, _GOLDEN, out=ramp)  # _GOLDEN·(0, 1, ...)
-    bases = stream_base(int(seed), _LANE_SHOT), stream_base(int(seed), _LANE_READ)
+    bases = stream_base(int(seed), _LANE_NORMAL), stream_base(int(seed), _LANE_KNUTH)
     for start in range(0, flat.size, _CHUNK):
         stop = min(start + _CHUNK, flat.size)
         hashed = bufs.hashed[:stop - start]
@@ -71,7 +84,7 @@ class _Buffers:
     def __init__(self, n):
         rows = np.empty((7, n))
         self.hashed, self.key, self.bits, self.shift = (r.view(np.uint64) for r in rows[:4])
-        self.counts, self.z, self.w = rows[4:]
+        self.r, self.counts, self.read = rows[4:]
 
 
 def _uniform_into(key, counter, out, bits, shift):
@@ -82,29 +95,34 @@ def _uniform_into(key, counter, out, bits, shift):
     np.multiply(bits, _INV53, out=out)
 
 
-def _normal_into(key, z, w, bits, shift):
-    """z = sqrt(-2·log(1 − u₀))·cos(2π·u₁) from the first two uniforms of
-    each stream in key; w, bits and shift are scratch."""
-    _uniform_into(key, 1, z, bits, shift)
-    np.subtract(1.0, z, out=z)
-    np.log(z, out=z)
-    np.multiply(z, -2.0, out=z)
-    np.sqrt(z, out=z)
-    _uniform_into(key, 2, w, bits, shift)
-    np.multiply(w, _TWO_PI, out=w)
-    np.cos(w, out=w)
-    np.multiply(z, w, out=z)
-
-
-def _shot_normal_into(lam, key, counts, z, w, bits, shift):
-    """counts = max(rint(λ + sqrt(max(λ, 0))·z), 0): the normal approximation."""
-    _normal_into(key, z, w, bits, shift)
-    np.maximum(lam, 0.0, out=w)
-    np.sqrt(w, out=w)
-    np.multiply(w, z, out=w)
-    np.add(lam, w, out=w)
-    np.rint(w, out=w)
-    np.maximum(w, 0.0, out=counts)
+def _normal_pair_into(key, r, x, y, bits, shift):
+    """x, y = r·(the octant symmetry of (cos φ, sin φ)): the Box–Muller pair
+    of each stream in key, as the module docstring defines it; key, bits
+    and shift are scratch."""
+    _uniform_into(key, 1, r, bits, shift)
+    np.subtract(1.0, r, out=r)
+    np.log(r, out=r)
+    np.multiply(r, -2.0, out=r)
+    np.sqrt(r, out=r)
+    np.add(key, golden(2), out=bits)
+    mix64_into(bits, shift)
+    np.right_shift(bits, np.uint64(14), out=shift)
+    np.multiply(shift, _PHI_STEP, out=y)
+    np.cos(y, out=x)
+    np.sin(y, out=y)
+    xb, yb = x.view(np.uint64), y.view(np.uint64)
+    np.bitwise_and(bits, np.uint64(1), out=key)
+    np.negative(key, out=key)  # all ones where bit 0 asks for the swap
+    np.bitwise_xor(xb, yb, out=shift)
+    np.bitwise_and(shift, key, out=shift)
+    np.bitwise_xor(xb, shift, out=xb)
+    np.bitwise_xor(yb, shift, out=yb)
+    for bit, half in ((1, xb), (2, yb)):
+        np.left_shift(bits, np.uint64(63 - bit), out=key)
+        np.bitwise_and(key, _SIGN, out=key)
+        np.bitwise_xor(half, key, out=half)
+    np.multiply(x, r, out=x)
+    np.multiply(y, r, out=y)
 
 
 def _noise_chunk(lam, hashed, bases, read_sigma, well_e, out, bufs):
@@ -112,18 +130,26 @@ def _noise_chunk(lam, hashed, bases, read_sigma, well_e, out, bufs):
     hash to `hashed` (index·_GOLDEN)."""
     n = lam.size
     key, bits, shift = bufs.key[:n], bufs.bits[:n], bufs.shift[:n]
-    counts, z, w = bufs.counts[:n], bufs.z[:n], bufs.w[:n]
+    r, counts, read = bufs.r[:n], bufs.counts[:n], bufs.read[:n]
     np.add(hashed, bases[0], out=key)
     mix64_into(key, shift)
+    _normal_pair_into(key, r, counts, read, bits, shift)
 
-    _shot_normal_into(lam, key, counts, z, w, bits, shift)
+    # counts holds the shot normal x: the normal approximation is
+    # max(rint(λ + sqrt(max(λ, 0))·x), 0)
+    np.maximum(lam, 0.0, out=r)
+    np.sqrt(r, out=r)
+    np.multiply(r, counts, out=r)
+    np.add(lam, r, out=r)
+    np.rint(r, out=r)
+    np.maximum(r, 0.0, out=counts)
     # Knuth below the cutoff: multiply uniforms until the product drops below
     # exp(-lam); the count is the number of factors that kept it at or above.
     # Only the pixels still multiplying are carried in pos/key_s/p/thresh.
     # Before they are compacted, every carried pixel gets count i: a pixel
     # that stops now keeps it, one that goes on overwrites it later.
     pos = np.flatnonzero(lam < NORMAL_CUTOFF)
-    key_s = key[pos]
+    key_s = mix64(hashed[pos] + bases[1])
     thresh = np.exp(-lam[pos])
     p = np.ones(pos.size)
     i = 0
@@ -136,9 +162,6 @@ def _noise_chunk(lam, hashed, bases, read_sigma, well_e, out, bufs):
             pos, key_s, p, thresh = pos[keep], key_s[keep], p[keep], thresh[keep]
         i += 1
 
-    np.add(hashed, bases[1], out=key)
-    mix64_into(key, shift)
-    _normal_into(key, z, w, bits, shift)
-    np.multiply(z, read_sigma, out=z)
-    np.add(counts, z, out=z)
-    np.clip(z, 0.0, well_e, out=out)
+    np.multiply(read, read_sigma, out=read)
+    np.add(counts, read, out=read)
+    np.clip(read, 0.0, well_e, out=out)

@@ -1,15 +1,17 @@
-"""The chunked, active-set numpy noise sampler against the whole-raster
-kernel it replaced.
+"""The chunked, active-set numpy noise sampler against a whole-raster
+oracle written from the stream definition, and against the statistics of
+Poisson plus Gaussian noise.
 
-Both walk the same counter-based streams with the same arithmetic, so the
-outputs must be byte-identical: for λ edge values, for rasters that end
+The oracle draws each pixel's Box–Muller pair from `rng.uniforms` and
+numpy's cos and sin, with an explicit table for the octant symmetries, and
+runs the Knuth loop over every pixel until the slowest finishes. The kernel
+must match it byte for byte: for λ edge values, for rasters that end
 exactly on, just before and just after a chunk boundary, for a short-bracket
 raster that keeps almost every pixel on the Knuth path, for lit chunks that
 run no Knuth loop and a lit chunk with one dark pixel, and for any chunk
-size.
-Sampling a subset of pixels by their flat indices (`at=`) must give the
-bytes the whole raster gives at those indices, and two threads sampling at
-once must each get the bytes of a serial call.
+size. Sampling a subset of pixels by their flat indices (`at=`) must give
+the bytes the whole raster gives at those indices, and two threads sampling
+at once must each get the bytes of a serial call.
 """
 
 import sys
@@ -17,24 +19,53 @@ import threading
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from camsim import kernels
 from camsim.kernels import NORMAL_CUTOFF
-from camsim.rng import _GOLDEN, mix64, stream_key, uniforms
+from camsim.rng import golden, mix64, stream_key, uniforms
 
 CHUNK = kernels._CHUNK
 EDGES = np.array([0.0, 1e-300, np.nextafter(NORMAL_CUTOFF, 0.0), NORMAL_CUTOFF,
                   1e4, -1e-300, -3.0])
 
+# The 8 symmetries of the square, by the low 3 bits of counter 2's word:
+# (shot, read) normals from (c, s) = (cos φ, sin φ) before the radius.
+# Bit 0 swaps c and s, then bit 1 negates the first and bit 2 the second.
+OCTANT_PAIRS = {
+    0: lambda c, s: (c, s),
+    1: lambda c, s: (s, c),
+    2: lambda c, s: (-c, s),
+    3: lambda c, s: (-s, c),
+    4: lambda c, s: (c, -s),
+    5: lambda c, s: (s, -c),
+    6: lambda c, s: (-c, -s),
+    7: lambda c, s: (-s, -c),
+}
+
+
+def normal_pairs(key):
+    """(shot, read) standard normals of the normal streams under `key`."""
+    u1 = uniforms(key, 1)[..., 0]
+    word = mix64(key + golden(2))  # uniforms(key, 2)[..., 1] is its top 53 bits
+    r = np.sqrt(-2.0 * np.log(1.0 - u1))
+    phi = (word >> np.uint64(14)).astype(np.float64) * (np.pi / 4 / 2**50)  # [0, π/4)
+    c, s = np.cos(phi), np.sin(phi)
+    octant = word & np.uint64(7)
+    x, y = np.empty_like(c), np.empty_like(s)
+    for b, pair in OCTANT_PAIRS.items():
+        at = octant == b
+        x[at], y[at] = pair(c[at], s[at])
+    return r * x, r * y
+
 
 def whole_raster_noise(lam, read_sigma, well_e, seed_u):
-    """The whole-raster numpy kernel as it was before chunking (the oracle):
-    every Knuth iteration runs over all pixels until the slowest finishes,
-    and the normal-approximation Gaussians are drawn for every pixel."""
+    """The oracle: every Knuth iteration runs over all pixels until the
+    slowest finishes, and every pixel's pair is drawn."""
     h, w = lam.shape
     idx = np.arange(h * w, dtype=np.uint64).reshape(h, w)
-    key_shot = stream_key(int(seed_u), kernels._LANE_SHOT, idx)
-    key_read = stream_key(int(seed_u), kernels._LANE_READ, idx)
+    shot, read = normal_pairs(stream_key(int(seed_u), kernels._LANE_NORMAL, idx))
+    key_knuth = stream_key(int(seed_u), kernels._LANE_KNUTH, idx)
 
     counts = np.zeros((h, w), dtype=np.float64)
     small = lam < NORMAL_CUTOFF
@@ -44,8 +75,7 @@ def whole_raster_noise(lam, read_sigma, well_e, seed_u):
         active = small.copy()
         i = 0
         while active.any():
-            with np.errstate(over="ignore"):
-                bits = mix64(key_shot + np.uint64(i + 1) * _GOLDEN)
+            bits = mix64(key_knuth + golden(i + 1))
             u = (bits >> np.uint64(11)).astype(np.float64) * (1.0 / (1 << 53))
             p = np.where(active, p * u, p)
             cont = active & (p >= thresh)
@@ -54,14 +84,10 @@ def whole_raster_noise(lam, read_sigma, well_e, seed_u):
             i += 1
     big = ~small
     if big.any():
-        u = uniforms(key_shot, 2)
-        z = np.sqrt(-2.0 * np.log(1.0 - u[..., 0])) * np.cos(2.0 * np.pi * u[..., 1])
-        approx = np.rint(lam + np.sqrt(np.maximum(lam, 0.0)) * z)
+        approx = np.rint(lam + np.sqrt(np.maximum(lam, 0.0)) * shot)
         counts = np.where(big, np.maximum(approx, 0.0), counts)
 
-    ur = uniforms(key_read, 2)
-    z2 = np.sqrt(-2.0 * np.log(1.0 - ur[..., 0])) * np.cos(2.0 * np.pi * ur[..., 1])
-    e = counts + read_sigma * z2
+    e = counts + read_sigma * read
     return np.clip(e, 0.0, well_e)
 
 
@@ -115,11 +141,11 @@ def test_short_bracket_raster():
 
 
 def test_product_equal_to_threshold_continues():
-    # λ = -log(u1) of pixel 0's first shot uniform, for a seed where
+    # λ = -log(u1) of pixel 0's first Knuth uniform, for a seed where
     # exp(-λ) rounds back to u1 exactly: the first product ties the
     # threshold, and a tie keeps the pixel multiplying.
     for seed in range(100):
-        u1 = uniforms(stream_key(seed, kernels._LANE_SHOT, 0), 1)[0]
+        u1 = uniforms(stream_key(seed, kernels._LANE_KNUTH, 0), 1)[0]
         lam = -np.log(u1)
         if np.exp(-lam) == u1:
             break
@@ -243,3 +269,68 @@ def test_concurrent_calls_give_the_serial_bytes():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert got == [[w] * 4 for w in want]
+
+
+# ------------------------------------------------- statistical oracles ----
+# Analytic expectations of Poisson(λ) + N(0, σ²); the streams are keyed by
+# seed and pixel only, so a run at σ = 0 gives the same counts as one at σ,
+# and their difference is the read part alone.
+
+N_STAT = 1 << 18
+
+
+def parts(lam, read_sigma, seed, n=N_STAT):
+    """(shot, read) parts of n pixels at flat λ: counts − λ, and the read
+    noise added to them. The well is 1e12, and λ must be large enough
+    against σ that no pixel clips at 0."""
+    raster = np.full(n, float(lam))
+    counts = kernels.sample_sensor_noise(raster, 0.0, 1e12, seed)
+    noisy = kernels.sample_sensor_noise(raster, read_sigma, 1e12, seed)
+    assert noisy.min() > 0.0
+    return counts - lam, noisy - counts
+
+
+@pytest.mark.parametrize("lam, read_sigma", [
+    (0.0, 0.0), (3.5, 0.0), (20.0, 2.0), (np.nextafter(NORMAL_CUTOFF, 0.0), 2.0),
+    (NORMAL_CUTOFF, 2.0), (60.0, 2.0), (1000.0, 24.0),
+], ids=["0", "3.5", "20", "below-cutoff", "cutoff", "60", "1000"])
+def test_mean_and_variance_match_poisson_plus_read_noise(lam, read_sigma):
+    # the count is Poisson below the cutoff and a normal rounded to an
+    # integer above it, which adds the rounding's 1/12 to the variance; a
+    # dark pixel at σ > 0 could clip at 0, so only λ ≥ 20 adds read noise
+    e = kernels.sample_sensor_noise(np.full(N_STAT, lam), read_sigma, 1e12, seed=2)
+    var = lam + read_sigma ** 2 + (1 / 12 if lam >= NORMAL_CUTOFF else 0.0)
+    if var == 0.0:
+        assert not e.any()
+        return
+    excess_kurtosis = lam / var ** 2  # Poisson's 1/λ, diluted by the read noise
+    assert abs(e.mean() - lam) < 5.0 * np.sqrt(var / N_STAT)
+    assert abs(e.var() - var) < 5.0 * var * np.sqrt((2.0 + excess_kurtosis) / N_STAT)
+
+
+@pytest.mark.parametrize("lam, read_sigma", [(45.0, 2.0), (1000.0, 24.0)],
+                         ids=["knuth", "normal"])
+def test_shot_and_read_parts_are_uncorrelated(lam, read_sigma):
+    shot, read = parts(lam, read_sigma, seed=3)
+    assert abs(np.corrcoef(shot, read)[0, 1]) < 4.0 / np.sqrt(N_STAT)
+
+
+def test_standardized_output_is_normal_at_lambda_1000():
+    lam, read_sigma = 1000.0, 24.0
+    e = kernels.sample_sensor_noise(np.full(50_000, lam), read_sigma, 1e12, seed=4)
+    z = (e - lam) / np.sqrt(lam + 1 / 12 + read_sigma ** 2)
+    assert stats.kstest(z, "norm").pvalue > 1e-3
+    _, read = parts(lam, read_sigma, seed=4, n=50_000)
+    assert stats.kstest(read / read_sigma, "norm").pvalue > 1e-3
+
+
+def test_pair_angle_is_uniform_over_the_octants():
+    # at λ = 1e6 and σ = 1000 both parts have scale 1000, so rounding the
+    # count moves θ = atan2(read, shot) by about 1e-3 rad at most
+    lam, read_sigma = 1e6, 1000.0
+    shot, read = parts(lam, read_sigma, seed=5)
+    theta = np.arctan2(read / read_sigma, shot / np.sqrt(lam))
+    octant = np.floor(theta / (np.pi / 4)).astype(int) % 8
+    counts = np.bincount(octant, minlength=8)
+    assert stats.chisquare(counts).pvalue > 1e-3
+    assert np.all(np.abs(counts - N_STAT / 8) < 5.0 * np.sqrt(N_STAT / 8))
