@@ -163,6 +163,14 @@ def _capture_and_detect(v: RunConfig, truth: SceneTruth, image: OpticalImage, se
             "cols": acq.geometry.cols, "image": rendered, "boxes": boxes}
 
 
+def _bare(e: Exception) -> Exception:
+    """`e` without its traceback or chained exceptions, whose frames would
+    keep a failed scene's or variant's arrays alive until the run is
+    written; errors.log prints only str(e)."""
+    e.__traceback__ = e.__context__ = e.__cause__ = None
+    return e
+
+
 def _process_scene(args):
     """One scene, opened once and projected once per target_lux, through every
     variant; only its ground truth and optical images are kept past the
@@ -180,7 +188,7 @@ def _process_scene(args):
                   for lux in dict.fromkeys(v.target_lux for v in variants)}
         truth = scene_truth(sc)
     except Exception as e:  # skip the broken scene, keep the rest
-        return scene_id, [e] * len(variants)
+        return scene_id, [_bare(e)] * len(variants)
     del sc
     seed = int(stream_key(cfg.seed, 3, index) & np.uint64(0x7FFFFFFF))
     out = []
@@ -188,7 +196,7 @@ def _process_scene(args):
         try:
             r = _capture_and_detect(v, truth, images[v.target_lux], seed, scene_id)
         except Exception as e:  # this variant failed; the others still run
-            out.append(e)
+            out.append(_bare(e))
             continue
         if not v.save_images:
             r["image"] = None  # freed before the next variant renders its own

@@ -938,6 +938,43 @@ def test_rate_and_earlier_images_freed_before_render(tmp_path, monkeypatch, argv
     assert checks == [(True, [True] * i) for i in range(len(checks))]
 
 
+def test_failed_variants_free_their_frames(tmp_path, monkeypatch):
+    """A variant whose detector raises is recorded as an error without its
+    traceback, so its acquisition and rendered image are gone before the
+    run is written, and errors.log still names each failure."""
+    import gc
+    import weakref
+
+    from camsim import cli
+
+    monkeypatch.setenv("CAMSIM_THREADS", "1")
+    images, alive = [], []
+    render, write_run = cli.render, cli._write_run
+
+    def tracked_render(*args, **kwargs):
+        img = render(*args, **kwargs)
+        images.append(weakref.ref(img.values))
+        return img
+
+    def failing_detect(*args, **kwargs):
+        raise RuntimeError("detector down")
+
+    def checked_write_run(*args, **kwargs):
+        gc.collect()
+        alive.append(sum(ref() is not None for ref in images))
+        return write_run(*args, **kwargs)
+    monkeypatch.setattr(cli, "render", tracked_render)
+    monkeypatch.setattr(cli, "proxy_detect", failing_detect)
+    monkeypatch.setattr(cli, "_write_run", checked_write_run)
+    cfg = run_config(tmp_path)
+    assert main(["sweep-exposure", str(cfg), "--lux", "10", "500"]) == EXIT_RUNTIME
+    variants = len(cli.PLANS) * 2
+    assert len(images) == 2 * variants  # run_config has two scenes
+    assert alive == [0] * variants
+    log = (tmp_path / "out" / "lux10_fixed_12ms" / "errors.log").read_text()
+    assert log.splitlines() == ["scene_0000: detector down", "scene_0001: detector down"]
+
+
 _NO_SCIPY_PROBE = """
 import json, sys
 import camsim.cli
