@@ -100,19 +100,36 @@ def project(scene: Scene, lens: LensSpec, weights: np.ndarray) -> np.ndarray:
     planes, times the cos⁴ falloff."""
     planes = gather(project_palette(scene, lens, weights), scene.labels)
     if lens.cos4_falloff:
-        h, w = planes.shape[:2]
-        pitch_mm = scene.grid_pitch_um * 1e-3
-        y = (np.arange(h) - (h - 1) / 2.0) * pitch_mm
-        x = (np.arange(w) - (w - 1) / 2.0) * pitch_mm
-        r2 = x[None, :] ** 2 + y[:, None] ** 2
-        cos2 = lens.focal_length_mm ** 2 / (lens.focal_length_mm ** 2 + r2)
-        planes *= (cos2 ** 2)[:, :, None]
+        planes *= _cos4(scene, lens)[:, :, None]
     return planes
 
 
+def _cos4(scene: Scene, lens: LensSpec) -> np.ndarray:
+    """The (H, W) cos⁴ falloff over the scene's grid, centred on the
+    optical axis."""
+    h, w = scene.labels.shape
+    pitch_mm = scene.grid_pitch_um * 1e-3
+    y = (np.arange(h) - (h - 1) / 2.0) * pitch_mm
+    x = (np.arange(w) - (w - 1) / 2.0) * pitch_mm
+    r2 = x[None, :] ** 2 + y[:, None] ** 2
+    cos2 = lens.focal_length_mm ** 2 / (lens.focal_length_mm ** 2 + r2)
+    return cos2 ** 2
+
+
 def mean_illuminance_lux(scene: Scene, lens: LensSpec) -> float:
-    """Mean sensor-plane illuminance, before the PSF (which conserves flux)."""
-    return float(project(scene, lens, luminance_weights(scene.grid)[None, :]).mean())
+    """Mean sensor-plane illuminance, before the PSF (which conserves flux):
+    each palette spectrum's illuminance times the area its label covers,
+    weighted by the cos⁴ falloff when it acts, counted a band of rows at a
+    time so that bincount's intp copy of the labels stays small."""
+    lux = project_palette(scene, lens, luminance_weights(scene.grid)[None, :])[:, 0]
+    labels = scene.labels
+    falloff = _cos4(scene, lens) if lens.cos4_falloff else None
+    area = np.zeros(lux.size)
+    band = max(1, _BLOCK_BYTES // (8 * labels.shape[1]))
+    for r0 in range(0, labels.shape[0], band):
+        weights = None if falloff is None else falloff[r0:r0 + band].reshape(-1)
+        area += np.bincount(labels[r0:r0 + band].reshape(-1), weights, minlength=lux.size)
+    return float(area @ lux) / labels.size
 
 
 def psf_sigma(pitch_um: float, lens: LensSpec) -> float | None:

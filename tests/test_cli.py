@@ -852,9 +852,9 @@ def test_scene_synthesized_and_projected_once(tmp_path, monkeypatch, argv, mode,
     assert main([argv[0], str(path), *argv[1:]]) == EXIT_OK
     n = 2  # run_config has two scenes
     # the PSF never blurs on run_config's 3 µm grid, so an optical image is
-    # projected onto (H, W, C) planes only under the cos⁴ falloff; sweep-exposure
-    # also projects onto luminance to scale each scene to its lux level
-    projections = images * (("cos4_falloff" in lens) + (argv[0] == "sweep-exposure"))
+    # projected onto (H, W, C) planes only under the cos⁴ falloff; scaling a
+    # scene to a lux level weighs its palette by label areas, with no planes
+    projections = images * ("cos4_falloff" in lens)
     assert counts == {"synthesize": n, "optical_image": n * images, "psf_sigma": n * images,
                       "project": n * projections, "project_bands": 0}
 

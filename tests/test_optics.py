@@ -8,9 +8,10 @@ from scipy import ndimage
 
 from camsim import optics
 from camsim.config import from_config
-from camsim.optics import FWHM_TO_SIGMA, LensSpec, project, psf_blur, psf_sigma
-from camsim.scene import SceneSpec, synthesize
-from camsim.spectral import WavelengthGrid
+from camsim.optics import (FWHM_TO_SIGMA, LensSpec, mean_illuminance_lux, project, psf_blur,
+                           psf_sigma)
+from camsim.scene import Region, SceneSpec, TargetSpec, synthesize
+from camsim.spectral import WavelengthGrid, luminance_weights
 
 GRID = WavelengthGrid(400.0, 30.0, 11)
 
@@ -37,6 +38,23 @@ def test_cos4_falloff_darkens_corners():
     center = cube[32, 32].sum()
     corner = cube[0, 0].sum()
     assert corner < center
+
+
+@pytest.mark.parametrize("lens", [
+    LensSpec(), LensSpec(f_number=2.0, transmission=0.8, cos4_falloff=True),
+], ids=["flat", "cos4"])
+@pytest.mark.parametrize("shape", [(1, 7), (48, 1), (97, 131), (300, 260)])
+def test_mean_illuminance_is_the_dense_mean(lens, shape):
+    """The palette's illuminance weighted by the area (and falloff) of each
+    label equals the mean of the dense luminance plane."""
+    h, w = shape
+    spec = SceneSpec(width=w, height=h, grid=GRID, seed=4,
+                     targets=(TargetSpec("car", 15.0, (0.4, 0.35), 0.2),
+                              TargetSpec("car", 30.0, (0.4, 0.35), 0.7)),
+                     shadows=(Region((0, 0, (w + 1) // 2, (h + 1) // 2), 0.3),))
+    sc = synthesize(spec)
+    dense = project(sc, lens, luminance_weights(sc.grid)[None, :]).mean()
+    assert mean_illuminance_lux(sc, lens) == pytest.approx(dense, rel=1e-12, abs=0.0)
 
 
 def test_psf_flux_conservation():
