@@ -123,41 +123,35 @@ def _bands(a: np.ndarray):
         yield i0, a[i0:i0 + step]
 
 
-# The HDR tone map's white point, and the strided sample that bounds it
-_TONE_PERCENTILE = 99.9
+# The strided sample whose percentile bounds the top_percentile tail
 _SAMPLE_STRIDE = 64
 _SAMPLE_PERCENTILE = 99.5
 
 
-def top_percentile(values: np.ndarray, q: float, stride: int = _SAMPLE_STRIDE,
-                   sample_q: float = _SAMPLE_PERCENTILE) -> float:
+def top_percentile(values: np.ndarray, q: float) -> float:
     """np.percentile(values, q) with the linear method, bit for bit, for
     finite values without -0.0, reading an upper-tail q without a
     partition of every value.
 
     The linear method interpolates between the order statistics at the
     floor and the ceiling of the virtual index (n − 1)·q/100. A lower bound
-    for both is the `sample_q` percentile of every `stride`-th value: only
-    the values at or above it are partitioned, and the ranks below it are
-    skipped. If the bound is too high for the floor's rank, every value is
-    partitioned. The two order statistics are then combined with numpy's
-    `_lerp`."""
+    for both is the `_SAMPLE_PERCENTILE` percentile of every
+    `_SAMPLE_STRIDE`-th value: only the values at or above it are
+    partitioned, and the ranks below it are skipped. If the bound is too
+    high for the floor's rank, every value is partitioned. The two order
+    statistics are then combined as numpy's `_lerp` combines them."""
     flat = values.reshape(-1)
     n = flat.size
     v = (n - 1) * (q / 100)
-    if v < n - 1:
-        lo = math.floor(v)
-        hi, t = lo + 1, v - lo
-    else:  # numpy reads the last value twice
-        lo = hi = n - 1
-        t = v + 1
-    bound = np.percentile(flat[::stride], sample_q)
+    lo = math.floor(v)
+    hi = min(lo + 1, n - 1)
+    bound = np.percentile(flat[::_SAMPLE_STRIDE], _SAMPLE_PERCENTILE)
     tail = flat[flat >= bound]
     skip = n - tail.size  # ranks below the bound
     if skip > lo:
         tail, skip = flat, 0
     tail = np.partition(tail, sorted({lo - skip, hi - skip}))
-    a, b = float(tail[lo - skip]), float(tail[hi - skip])
+    a, b, t = float(tail[lo - skip]), float(tail[hi - skip]), v - lo
     d = b - a
     return b - d * (1 - t) if t >= 0.5 else a + d * t
 
@@ -180,7 +174,7 @@ def _mosaic(frame, pad: int) -> np.ndarray:
     max_code = frame.sensor.max_code()
     if isinstance(frame, HDRFrame):
         rate = frame.rate_e_per_s
-        norm = top_percentile(rate, _TONE_PERCENTILE)
+        norm = top_percentile(rate, 99.9)
         norm = norm if norm > 0 else 1.0
         for i0, band in _bands(x):
             np.divide(rate[i0:i0 + len(band)], norm, out=band)

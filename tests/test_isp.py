@@ -2,6 +2,7 @@ import math
 import sys
 import threading
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -269,7 +270,8 @@ _DISTINCT = st.lists(st.floats(-1e300, 1e300, allow_nan=False, allow_subnormal=T
 @example(values=np.arange(5000.0), q=99.9, stride=64, sample_q=100.0)  # forced fallback
 def test_top_percentile_is_np_percentile_bit_for_bit(values, q, stride, sample_q):
     want = np.percentile(values, q)
-    got = top_percentile(values, q, stride=stride, sample_q=sample_q)
+    with mock.patch.multiple(isp_module, _SAMPLE_STRIDE=stride, _SAMPLE_PERCENTILE=sample_q):
+        got = top_percentile(values, q)
     assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
@@ -281,10 +283,10 @@ def test_top_percentile_falls_back_when_too_few_reach_the_bound(monkeypatch):
     sizes = []
     partition = np.partition
     monkeypatch.setattr(np, "partition", lambda a, kth: sizes.append(a.size) or partition(a, kth))
-    got = top_percentile(values, 99.9, sample_q=100.0)
-    assert sizes == [values.size] and got == np.percentile(values, 99.9)
-    sizes.clear()
-    assert top_percentile(values, 99.9) == got and 201 <= sizes[0] < values.size
+    want = np.percentile(values, 99.9)
+    assert top_percentile(values, 99.9) == want and 201 <= sizes[-1] < values.size
+    monkeypatch.setattr(isp_module, "_SAMPLE_PERCENTILE", 100.0)
+    assert top_percentile(values, 99.9) == want and sizes[-1] == values.size
 
 
 @pytest.mark.parametrize("shape", [(1, 1), (1, 6), (5, 1), (2, 2), (3, 4), (9, 7)])
