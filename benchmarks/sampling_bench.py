@@ -8,14 +8,18 @@ For the first scene of each workload of perfbench/workloads.py, synthesized
 once, times ``optics.optical_image`` followed by ``sensor.expected_rate`` at
 each of the workload's pixel sizes (one for a ``run`` workload, each
 ``--sizes`` value for ``sweep-pixel``), as the pipeline runs them on one
-scene. Prints the median time over the repeats and the tracemalloc peak of
-one call above what was allocated before it. The scene's own arrays are
-not counted. The PSF-skip warning is silenced.
+scene. The ``pixel_sweep:loaded`` row times ``pixel_sweep``'s scene saved
+with ``save_scene`` and loaded back with ``load_scene``, whose palette has
+one row per run of equal pixels, so its PSF blur reads a label raster of
+many short runs. Prints the median time over the repeats and the
+tracemalloc peak of one call above what was allocated before it. The
+scene's own arrays are not counted. The PSF-skip warning is silenced.
 """
 
 import argparse
 import statistics
 import sys
+import tempfile
 import time
 import tracemalloc
 import warnings
@@ -25,7 +29,7 @@ from output_hashes import _workloads
 try:
     from camsim.cli import RunConfig, _load_scenes
     from camsim.optics import optical_image
-    from camsim.scene import synthesize
+    from camsim.scene import load_scene, save_scene, synthesize
     from camsim.sensor import expected_rate
 except ModuleNotFoundError as e:
     if e.name != "camsim":
@@ -34,12 +38,18 @@ except ModuleNotFoundError as e:
              "PYTHONPATH (PYTHONPATH=src)")
 
 
-def _case(workload):
-    """(scene, lens, [sensor per pixel size]) of the workload's first scene."""
+def _cases(workload):
+    """[(row name, scene, lens, [sensor per pixel size])] of the workload's
+    first scene, and for pixel_sweep of that scene saved and loaded back."""
     cfg = RunConfig.from_dict(workload.config(0, "out"))
     scene = synthesize(_load_scenes(cfg)[0][1])
     sensors = [cfg.sensor.with_pixel_size(s) for s in workload.pixel_sizes] or [cfg.sensor]
-    return scene, cfg.lens, sensors
+    cases = [(workload.name, scene, cfg.lens, sensors)]
+    if workload.name == "pixel_sweep":
+        with tempfile.TemporaryDirectory() as tmp:
+            save_scene(scene, tmp)
+            cases.append((f"{workload.name}:loaded", load_scene(tmp), cfg.lens, sensors))
+    return cases
 
 
 def _sample(scene, lens, sensors):
@@ -61,10 +71,9 @@ def _peak_mib(fn):
 def bench(names, repeats):
     workloads = _workloads()
     print(f"\noptical_image + expected_rate per scene, median of {repeats}:")
-    print(f"{'workload':<14} {'grid':>10} {'pixels [um]':>12} {'time [ms]':>10} "
+    print(f"{'workload':<20} {'grid':>10} {'pixels [um]':>12} {'time [ms]':>10} "
           f"{'peak [MiB]':>11}")
-    for name in names:
-        scene, lens, sensors = _case(workloads[name])
+    for row, scene, lens, sensors in (case for name in names for case in _cases(workloads[name])):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             _sample(scene, lens, sensors)  # warm up
@@ -76,7 +85,7 @@ def bench(names, repeats):
             peak = _peak_mib(lambda: _sample(scene, lens, sensors))
         h, w = scene.labels.shape
         sizes = ",".join(f"{s.pixel.size_um:g}" for s in sensors)
-        print(f"{name:<14} {f'{h}x{w}':>10} {sizes:>12} "
+        print(f"{row:<20} {f'{h}x{w}':>10} {sizes:>12} "
               f"{statistics.median(times) * 1e3:>10.2f} {peak:>11.1f}")
 
 

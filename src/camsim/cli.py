@@ -27,7 +27,7 @@ from .annotation import (LabelPolicy, SceneTruth, apply_policy, export_dataset, 
 from .config import ConfigError, from_config
 from .detector import DetectorConfig, detectability, proxy_detect
 from .exposure import ExposurePlan, acquire
-from .isp import DEMOSAIC_PATTERNS, IspConfig, render, write_ppm
+from .isp import DEMOSAIC_PATTERNS, IspConfig, fit_color_matrix, render, write_ppm
 from .optics import LensSpec, OpticalImage, mean_illuminance_lux, optical_image
 from .optics import radiance_to_irradiance  # noqa: F401  (perfbench/selftest.py wraps this binding)
 from .plotting import curve_svg
@@ -144,9 +144,27 @@ def _load_scenes(cfg: RunConfig) -> list:
 
 def _scale_to_lux(sc: Scene, lens: LensSpec, target_lux: float | None) -> Scene:
     """Scalar radiance scale so mean sensor-plane illuminance hits the target
-    (None: the scene as it is)."""
+    (None: the scene as it is); a target that takes the float32 palette
+    beyond its finite range is a ValueError."""
     current = 0.0 if target_lux is None else mean_illuminance_lux(sc, lens)
-    return sc.scaled(target_lux / current) if current > 0 else sc
+    if current <= 0:
+        return sc
+    with np.errstate(over="ignore", invalid="ignore"):
+        scaled = sc.scaled(target_lux / current)
+    if not np.isfinite(scaled.palette).all():
+        raise ValueError(f"target_lux {target_lux:g} scales the scene's radiance beyond "
+                         "float32's range")
+    return scaled
+
+
+def _with_color_matrix(v: RunConfig) -> RunConfig:
+    """`v` with its colour matrix fitted to its sensor once, when its ISP
+    has a color stage and no matrix; `render` would fit the same matrix
+    again for every frame."""
+    if "color" not in v.isp.stages or v.isp.matrix is not None:
+        return v
+    matrix = tuple(map(tuple, fit_color_matrix(v.sensor).tolist()))
+    return replace(v, isp=replace(v.isp, matrix=matrix))
 
 
 def _capture_and_detect(v: RunConfig, truth: SceneTruth, image: OpticalImage, seed: int,
@@ -212,6 +230,7 @@ def run_pipeline(cfg: RunConfig, variants: list) -> list:
     variant's artifacts to its output_dir and returns its (summary,
     {scene_id: result dict}), in variant order."""
     workers = _n_workers()
+    variants = [_with_color_matrix(v) for v in variants]
     jobs = [(cfg, variants, sid, i, source)
             for i, (sid, source) in enumerate(_load_scenes(cfg))]
     results = [{} for _ in variants]
@@ -387,6 +406,7 @@ def edge_case_report(cfg: RunConfig) -> dict:
     at the largest grid pitch up to 3 µm that divides the pixel pitch, with
     the lens's focal length."""
     plans = _plans(cfg, ("center_weighted", "bracketed"))
+    cfg = _with_color_matrix(cfg)
     p = cfg.sensor.pixel.size_um
     sc = edge_case_scene(p / math.ceil(p / 3.0), cfg.lens.focal_length_mm)
     image = optical_image(sc, cfg.lens, cfg.sensor)

@@ -9,14 +9,20 @@ PSF act on those planes instead of on every spectral band. The projection
 takes each of the scene's palette spectra once. When neither the PSF nor
 the falloff acts, the optical image is those sums, one row per palette
 spectrum, over the scene's own label raster, and no (H, W, C) image is
-built; otherwise the sums are gathered onto (H, W, C) planes first.
+built. The falloff alone gathers the sums onto (H, W, C) planes; the PSF
+writes its blurred (H, W, C) planes straight from the sums and the label
+raster.
 
 The PSF is a separable Gaussian blur in numpy, done a block of rows at a
 time so that each block stays in cache. It reproduces, bit for bit,
 `scipy.ndimage.gaussian_filter(planes, (σ, σ, 0), mode="reflect",
-truncate=6.0)`: the same weights, half-sample reflected edges, axis 0
-before axis 1, and the same accumulation order for every output (centre
-tap first, then the symmetric pairs from the outermost tap inwards).
+truncate=6.0)` of the gathered planes: the same weights, half-sample
+reflected edges, axis 0 before axis 1, and the same accumulation order for
+every output (centre tap first, then the symmetric pairs from the
+outermost tap inwards). A block whose input rows hold one label is that
+label's blurred constant, so only blocks near a label edge are blurred:
+numpy adds and multiplies with IEEE rounding and does not fuse them, so
+every cell of a constant block takes the constant's own bits.
 """
 
 from __future__ import annotations
@@ -154,35 +160,61 @@ def _reflect(idx: np.ndarray, n: int) -> np.ndarray:
     return np.where(m < n, m, 2 * n - 1 - m)
 
 
-def psf_blur(planes: np.ndarray, sigma: float) -> np.ndarray:
-    """Gaussian blur at σ grid cells (from `psf_sigma`) of float64 (H, W, C)
-    planes, plane by plane, with reflective edges so total flux is conserved.
+def psf_blur(rates: np.ndarray, labels: np.ndarray, sigma: float,
+             falloff: np.ndarray | None = None) -> np.ndarray:
+    """Gaussian blur at σ grid cells (from `psf_sigma`) of the (H, W, C)
+    planes rates[labels], for (K, C) float64 rates over an (H, W) label
+    raster, times the (H, W) `falloff` when one is given; plane by plane,
+    with reflective edges so total flux is conserved. Dense planes blur as
+    their cells' rows over identity labels.
 
     Weights are exp(-x²/2σ²) normalised to sum 1 over x = -r..r, with
     r = int(6σ + 0.5). Axis 0 is blurred, then axis 1; each output is
     w₀·x[i] + Σ (x[i−k] + x[i+k])·w_k accumulated for k = r down to 1, the
     order in which `scipy.ndimage.gaussian_filter` sums, so the result is
-    identical to it. Each block of rows takes its axis-0 pass from a slab of
-    input rows (a view, unless the slab crosses the top or bottom edge),
-    writes it between reflected column margins in a per-block buffer and
-    takes its axis-1 pass from there."""
+    identical to it. Each block of b rows reads a slab of input rows
+    i0−r … i0+b+r−1, reflected at the top and bottom edges. Without a
+    falloff, a slab that holds one label k is that palette row everywhere,
+    so its block is filled with row k of the blurred constants: the rates
+    blurred as a 1×1×(K·C) image by this same loop, whose every output
+    takes the same adds and multiplies. Any other slab is gathered from
+    the rates (and multiplied by its rows of the falloff); its axis-0 pass
+    is written between reflected column margins in a per-block buffer and
+    its axis-1 pass is taken from there."""
     r = int(6.0 * sigma + 0.5)
     x = np.arange(-r, r + 1)
     phi = np.exp(-0.5 / (sigma * sigma) * x ** 2)
     w = (phi / phi.sum())[r:]  # w[k] weighs the taps at distance k
-    h, width, c = planes.shape
+    h, width = labels.shape
+    c = rates.shape[1]
     out = np.empty((h, width, c))
     block = max(1, _BLOCK_BYTES // (8 * (width + 2 * r) * c))
+    slab_buf = np.empty((block + 2 * r, width, c))
     buf = np.empty((block, width + 2 * r, c))
     pair = np.empty((block, width, c))
     left = r + _reflect(np.arange(-r, 0), width)
     right = r + _reflect(np.arange(width, width + r), width)
+    constants = None
     for i0 in range(0, h, block):
         b = min(block, h - i0)
         if r <= i0 and i0 + b + r <= h:
-            slab = planes[i0 - r:i0 + b + r]
+            src = slice(i0 - r, i0 + b + r)
         else:
-            slab = planes[_reflect(np.arange(i0 - r, i0 + b + r), h)]
+            src = _reflect(np.arange(i0 - r, i0 + b + r), h)
+        slab_labels = labels[src]
+        # a 1×1 raster is the constants' own blur, so it is always blurred
+        if falloff is None and h * width > 1 and slab_labels.min() == slab_labels.max():
+            if constants is None:
+                constants = psf_blur(rates.reshape(1, -1), np.zeros((1, 1), np.intp),
+                                     sigma).reshape(rates.shape)
+            out[i0:i0 + b] = constants[slab_labels[0, 0]]
+            continue
+        slab = slab_buf[:b + 2 * r]
+        np.take(rates, slab_labels, axis=0, out=slab, mode="clip")
+        if falloff is not None:  # one long multiply per plane: twice a broadcast's speed
+            rows_falloff = falloff[src]
+            for plane in np.moveaxis(slab, 2, 0):
+                plane *= rows_falloff
         rows, t = buf[:b], pair[:b]
         mid = rows[:, r:r + width]
         np.multiply(slab[r:r + b], w[0], out=mid)
@@ -211,16 +243,19 @@ def optical_image(scene: Scene, lens: LensSpec, sensor) -> OpticalImage:
     """The scene's per-channel sensor-plane rates, computed once and shared
     by metering, every bracket and every pixel size of the same sensor
     CFA and QE. Without a PSF blur or cos⁴ falloff, the palette's rates
-    over the scene's label raster; with one, the (H, W, C) planes."""
+    over the scene's label raster; with one, the (H, W, C) planes, which
+    the PSF blurs from the palette's rates and label raster."""
     weights = channel_weights(sensor, scene.grid)
     pitch = scene.grid_pitch_um
     sigma = psf_sigma(pitch, lens)
     if sigma is None and not lens.cos4_falloff:
         return OpticalImage(scene.labels.shape, sensor.cfa.channels, pitch,
                             palette=project_palette(scene, lens, weights), labels=scene.labels)
-    planes = project(scene, lens, weights)
-    if sigma is not None:
-        planes = psf_blur(planes, sigma)
+    if sigma is None:
+        planes = project(scene, lens, weights)
+    else:
+        planes = psf_blur(project_palette(scene, lens, weights), scene.labels, sigma,
+                          _cos4(scene, lens) if lens.cos4_falloff else None)
     return OpticalImage(planes.shape[:2], sensor.cfa.channels, pitch, planes=planes)
 
 

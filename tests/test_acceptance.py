@@ -79,9 +79,10 @@ def test_criterion_04_poisson_validity():
 
 def test_criterion_05_psf():
     pitch = 0.375
-    values = np.zeros((129, 129, 1))
-    values[64, 64, 0] = 1.0
-    out = psf_blur(values, psf_sigma(pitch, LensSpec(psf_fwhm_um=1.5)))[:, :, 0]
+    labels = np.zeros((129, 129), dtype=np.uint32)
+    labels[64, 64] = 1  # the one lit cell
+    out = psf_blur(np.array([[0.0], [1.0]]), labels,
+                   psf_sigma(pitch, LensSpec(psf_fwhm_um=1.5)))[:, :, 0]
     profile = out[64, :]
     half = profile.max() / 2.0
     above = np.nonzero(profile >= half)[0]

@@ -832,31 +832,84 @@ def _count_calls(monkeypatch, module, name, counts):
     monkeypatch.setattr(module, name, counted)
 
 
-@pytest.mark.parametrize("argv, mode, images, lens", [
+# run_config's scenes on a 0.75 µm grid, where the 1.5 µm PSF blurs
+FINE_GRID = {"scenes": {"source": "synth", "count": 2, "spec": {
+    **SCENE_SPEC, "width": 256, "height": 256, "grid_pitch_um": 0.75}},
+    "sensor": {"dye_width_mm": 0.192, "dye_height_mm": 0.192}}
+
+
+@pytest.mark.parametrize("argv, mode, images, overrides", [
     (["sweep-pixel", "--sizes", "3", "6"], "fixed", 1, {}),
     (["run"], "center_weighted", 1, {}),
     (["run"], "bracketed", 1, {}),
     (["sweep-exposure", "--lux", "10", "500"], "fixed", 2, {}),  # one image per lux level
-    (["run"], "fixed", 1, {"cos4_falloff": True}),
-])
-def test_scene_synthesized_and_projected_once(tmp_path, monkeypatch, argv, mode, images, lens):
+    (["run"], "fixed", 1, {"lens": {"cos4_falloff": True}}),
+    (["sweep-pixel", "--sizes", "3", "6"], "fixed", 1, FINE_GRID),
+], ids=["sweep-pixel", "run-center_weighted", "run-bracketed", "sweep-exposure", "run-cos4",
+        "sweep-pixel-psf"])
+def test_scene_synthesized_and_projected_once(tmp_path, monkeypatch, argv, mode, images,
+                                              overrides):
     from camsim import cli, optics, scene
 
     counts = {}
     _count_calls(monkeypatch, cli, "synthesize", counts)
     _count_calls(monkeypatch, cli, "optical_image", counts)
     _count_calls(monkeypatch, optics, "psf_sigma", counts)
+    _count_calls(monkeypatch, optics, "psf_blur", counts)
     _count_calls(monkeypatch, optics, "project", counts)
     _count_calls(monkeypatch, scene, "project_bands", counts)  # the luminance pass
-    path = run_config(tmp_path, exposure={"mode": mode}, lens=lens)
+    path = run_config(tmp_path, exposure={"mode": mode}, **overrides)
     assert main([argv[0], str(path), *argv[1:]]) == EXIT_OK
     n = 2  # run_config has two scenes
     # the PSF never blurs on run_config's 3 µm grid, so an optical image is
     # projected onto (H, W, C) planes only under the cos⁴ falloff; scaling a
-    # scene to a lux level weighs its palette by label areas, with no planes
-    projections = images * ("cos4_falloff" in lens)
+    # scene to a lux level weighs its palette by label areas, with no planes.
+    # On the fine grid each scene's blur reads its palette, never the planes,
+    # and calls itself once more for the blurred palette that fills its
+    # one-label row blocks
+    projections = images * ("lens" in overrides)
+    blurs = 2 * ("sensor" in overrides)
     assert counts == {"synthesize": n, "optical_image": n * images, "psf_sigma": n * images,
-                      "project": n * projections, "project_bands": 0}
+                      "psf_blur": n * blurs, "project": n * projections, "project_bands": 0}
+
+
+@pytest.mark.parametrize("argv, variants", [
+    (["run"], 1),
+    (["sweep-pixel", "--sizes", "3", "6"], 2),
+    (["sweep-exposure", "--lux", "10", "500"], 10),  # five plans per lux level
+    (["edge-case"], 1),  # both exposure plans share the variant's ISP
+], ids=["run", "sweep-pixel", "sweep-exposure", "edge-case"])
+def test_color_matrix_fitted_once_per_variant(tmp_path, monkeypatch, argv, variants):
+    """Each variant fits its colour matrix once, not once per rendered frame."""
+    from camsim import cli, isp
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("render fitted a colour matrix")
+    counts = {}
+    _count_calls(monkeypatch, cli, "fit_color_matrix", counts)
+    monkeypatch.setattr(isp, "fit_color_matrix", refuse)
+    path = run_config(tmp_path, exposure={"mode": "fixed"})
+    assert main([argv[0], str(path), *argv[1:]]) == EXIT_OK
+    assert counts == {"fit_color_matrix": variants}
+
+
+@pytest.mark.parametrize("argv, target_lux", [
+    (["run"], 1e30),
+    (["sweep-exposure", "--lux", "1e30"], None),
+], ids=["run", "sweep-exposure"])
+def test_target_lux_beyond_float32_is_a_scene_error(tmp_path, argv, target_lux):
+    """A target_lux that scales the float32 palette past its finite range
+    fails each scene with a message naming target_lux, not with overflow
+    warnings and empty scores."""
+    from camsim import cli
+
+    path = run_config(tmp_path, target_lux=target_lux)
+    assert main([argv[0], str(path), *argv[1:]]) == EXIT_RUNTIME
+    out = tmp_path / "out"
+    runs = [out] if target_lux else [out / f"lux1e+30_{name}" for name in cli.PLANS]
+    for run in runs:
+        lines = (run / "errors.log").read_text().splitlines()
+        assert len(lines) == 2 and all("target_lux 1e+30" in line for line in lines), lines
 
 
 @pytest.mark.parametrize("argv", [
@@ -980,7 +1033,8 @@ import json, sys
 import camsim.cli
 from camsim import optics
 blur, sigmas = optics.psf_blur, []
-optics.psf_blur = lambda planes, sigma: sigmas.append(sigma) or blur(planes, sigma)
+optics.psf_blur = lambda rates, labels, sigma, *falloff: (sigmas.append(sigma)
+                                                          or blur(rates, labels, sigma, *falloff))
 rc = camsim.cli.main(["sweep-pixel", sys.argv[1], "--sizes", "1.5"])
 print(json.dumps({"rc": rc, "blurs": len(sigmas),
                   "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}))

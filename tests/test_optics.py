@@ -8,10 +8,11 @@ from scipy import ndimage
 
 from camsim import optics
 from camsim.config import from_config
-from camsim.optics import (FWHM_TO_SIGMA, LensSpec, mean_illuminance_lux, project, psf_blur,
-                           psf_sigma)
-from camsim.scene import Region, SceneSpec, TargetSpec, synthesize
+from camsim.optics import (FWHM_TO_SIGMA, LensSpec, mean_illuminance_lux, project,
+                           project_palette, psf_blur, psf_sigma)
+from camsim.scene import Region, SceneSpec, TargetSpec, gather, synthesize
 from camsim.spectral import WavelengthGrid, luminance_weights
+from frames import dense_blur
 
 GRID = WavelengthGrid(400.0, 30.0, 11)
 
@@ -62,19 +63,20 @@ def test_psf_flux_conservation():
                               grid=GRID, seed=0,
                               speculars=()))
     lens = LensSpec(psf_fwhm_um=1.5)
-    cube = project(sc, lens, np.eye(sc.grid.count))
-    blurred = psf_blur(cube, psf_sigma(sc.grid_pitch_um, lens))
-    assert blurred.sum() == pytest.approx(cube.sum(), rel=1e-9)
+    weights = np.eye(sc.grid.count)
+    blurred = psf_blur(project_palette(sc, lens, weights), sc.labels,
+                       psf_sigma(sc.grid_pitch_um, lens))
+    assert blurred.sum() == pytest.approx(project(sc, lens, weights).sum(), rel=1e-9)
 
 
 def test_psf_impulse_fwhm():
     """Gaussian blur of an impulse: measured FWHM within 5% of the spec'd
     1.5 µm at a 0.375 µm grid pitch."""
     pitch = 0.375
-    values = np.zeros((129, 129, 1))
-    values[64, 64, 0] = 1.0
+    labels = np.zeros((129, 129), dtype=np.uint32)
+    labels[64, 64] = 1  # the one lit cell
     lens = LensSpec(psf_fwhm_um=1.5)
-    out = psf_blur(values, psf_sigma(pitch, lens))[:, :, 0]
+    out = psf_blur(np.array([[0.0], [1.0]]), labels, psf_sigma(pitch, lens))[:, :, 0]
     profile = out[64, :]
     half = profile.max() / 2.0
     above = np.nonzero(profile >= half)[0]
@@ -106,7 +108,98 @@ def test_psf_blur_equals_gaussian_filter(h, w, channels, pitch, block_bytes, see
     expected = ndimage.gaussian_filter(planes, (sigma, sigma, 0.0), mode="reflect",
                                        truncate=6.0)
     with mock.patch.object(optics, "_BLOCK_BYTES", block_bytes):
-        assert np.array_equal(psf_blur(planes, psf_sigma(pitch, lens)), expected)
+        assert np.array_equal(dense_blur(planes, psf_sigma(pitch, lens)), expected)
+
+
+def frozen_psf_blur(planes, sigma):
+    """The dense blur as it was before it read a palette: every block's
+    slab of rows a view of (or reflected gather from) the whole planes."""
+    def reflect(idx, n):
+        m = np.mod(idx, 2 * n)
+        return np.where(m < n, m, 2 * n - 1 - m)
+
+    r = int(6.0 * sigma + 0.5)
+    x = np.arange(-r, r + 1)
+    phi = np.exp(-0.5 / (sigma * sigma) * x ** 2)
+    w = (phi / phi.sum())[r:]
+    h, width, c = planes.shape
+    out = np.empty((h, width, c))
+    block = max(1, (1 << 19) // (8 * (width + 2 * r) * c))
+    buf = np.empty((block, width + 2 * r, c))
+    pair = np.empty((block, width, c))
+    left = r + reflect(np.arange(-r, 0), width)
+    right = r + reflect(np.arange(width, width + r), width)
+    for i0 in range(0, h, block):
+        b = min(block, h - i0)
+        if r <= i0 and i0 + b + r <= h:
+            slab = planes[i0 - r:i0 + b + r]
+        else:
+            slab = planes[reflect(np.arange(i0 - r, i0 + b + r), h)]
+        rows, t = buf[:b], pair[:b]
+        mid = rows[:, r:r + width]
+        np.multiply(slab[r:r + b], w[0], out=mid)
+        for k in range(r, 0, -1):
+            np.add(slab[r - k:r - k + b], slab[r + k:r + k + b], out=t)
+            t *= w[k]
+            mid += t
+        rows[:, :r] = rows[:, left]
+        rows[:, r + width:] = rows[:, right]
+        dst = out[i0:i0 + b]
+        np.multiply(mid, w[0], out=dst)
+        for k in range(r, 0, -1):
+            np.add(rows[:, r - k:r - k + width], rows[:, r + k:r + k + width], out=t)
+            t *= w[k]
+            dst += t
+    return out
+
+
+_RECT = st.tuples(st.integers(0, 40), st.integers(0, 60), st.integers(1, 40), st.integers(1, 60),
+                  st.integers(0, 4))  # (x0, y0, width, height, label)
+
+
+@settings(max_examples=150, deadline=None)
+@given(h=st.integers(1, 60), w=st.integers(1, 40), channels=st.integers(1, 3),
+       k=st.integers(1, 5), rects=st.lists(_RECT, max_size=4),
+       pitch=st.sampled_from([0.75, 0.5, 0.3, 0.1]), block_rows=st.sampled_from([None, 1, 2, 3]),
+       cos4=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+# r = 5 and 10-row blocks: a label on rows 6..33 has its edges one row
+# inside the slabs of blocks 10 and 20, r rows above and below a block
+# boundary, so a slab one row short would call either block uniform; a
+# label on rows 5..34 fills both slabs exactly
+@example(h=48, w=6, channels=3, k=2, rects=[(0, 6, 6, 28, 1)], pitch=0.75, block_rows=10,
+         cos4=False, seed=0)
+@example(h=48, w=6, channels=3, k=2, rects=[(0, 5, 6, 30, 1)], pitch=0.75, block_rows=10,
+         cos4=False, seed=0)
+# a raster shorter and narrower than r = 38 reflects twice on each side
+@example(h=3, w=2, channels=2, k=3, rects=[(1, 1, 2, 2, 2)], pitch=0.1, block_rows=None,
+         cos4=False, seed=1)
+# one palette row: every block is uniform
+@example(h=40, w=9, channels=3, k=1, rects=[], pitch=0.75, block_rows=2, cos4=False, seed=2)
+# the falloff makes no slab uniform
+@example(h=40, w=9, channels=3, k=1, rects=[], pitch=0.75, block_rows=3, cos4=True, seed=3)
+def test_palette_blur_equals_the_frozen_dense_blur(h, w, channels, k, rects, pitch, block_rows,
+                                                   cos4, seed):
+    """Blurring rates over labels, with one-label row blocks filled from the
+    blurred palette, gives the bytes of the dense blur of the gathered
+    planes (times the cos⁴ falloff), for rectangles of labels, any split of
+    the rows into blocks and rasters shorter than the kernel radius."""
+    rng = np.random.default_rng(seed)
+    labels = np.zeros((h, w), dtype=np.uint32)
+    for x0, y0, width, height, label in rects:
+        labels[y0:y0 + height, x0:x0 + width] = label % k
+    rates = rng.random((k, channels)) * 10.0 ** rng.uniform(-3, 12)
+    sigma = psf_sigma(pitch, LensSpec(psf_fwhm_um=1.5))
+    planes = gather(rates, labels)
+    falloff = None
+    if cos4:
+        sc = synthesize(SceneSpec(width=w, height=h, grid_pitch_um=pitch, grid=GRID))
+        falloff = optics._cos4(sc, LensSpec(focal_length_mm=0.05, cos4_falloff=True))
+        planes *= falloff[:, :, None]
+    r = int(6.0 * sigma + 0.5)
+    block_bytes = block_rows and block_rows * 8 * (w + 2 * r) * channels
+    with mock.patch.object(optics, "_BLOCK_BYTES", block_bytes or optics._BLOCK_BYTES):
+        got = psf_blur(rates, labels, sigma, falloff)
+    assert got.tobytes() == frozen_psf_blur(planes, sigma).tobytes()
 
 
 def test_psf_skipped_when_grid_too_coarse():

@@ -1,5 +1,5 @@
 """Smoke test: the sampling micro-benchmark script runs and prints a row
-per workload."""
+per workload, and one for pixel_sweep's scene saved and loaded back."""
 
 import os
 import subprocess
@@ -18,9 +18,9 @@ def test_sampling_bench_runs():
     proc = subprocess.run([sys.executable, str(SCRIPT), "--repeats", "1"],
                           capture_output=True, text=True, env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    lines = proc.stdout.splitlines()
-    for row in ("readme_run", "pixel_sweep", "hdr_fulldye"):
-        assert any(line.startswith(row) for line in lines), proc.stdout
+    rows = {line.split()[0] for line in proc.stdout.splitlines() if line.strip()}
+    for row in ("readme_run", "pixel_sweep", "pixel_sweep:loaded", "hdr_fulldye"):
+        assert row in rows, proc.stdout
 
 
 def test_sampling_bench_without_camsim_says_so():

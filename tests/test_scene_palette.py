@@ -10,12 +10,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from camsim import scene
-from camsim.optics import LensSpec, channel_weights, optical_image, project, psf_blur, psf_sigma
+from camsim.optics import LensSpec, channel_weights, optical_image, project, psf_sigma
 from camsim.scene import (Region, Scene, SceneMeta, SceneSpec, TargetSpec, _default_illuminant,
                           _reflectance_values, luminance_map, project_extent_px, synthesize)
 from camsim.sensor import SensorSpec
 from camsim.spectral import Spectrum, WavelengthGrid, luminance_weights, resample
-from frames import dense_rates
+from frames import dense_blur, dense_rates
 
 GRIDS = (WavelengthGrid(400.0, 30.0, 11), WavelengthGrid(400.0, 10.0, 31))
 SENSOR = SensorSpec()
@@ -170,7 +170,7 @@ def test_palette_scene_matches_the_frozen_cube(spec, lens, k):
     assert_same_sums(project(sc, lens, weights), planes)
     rates = dense_rates(optical_image(sc, lens, SENSOR))
     sigma = psf_sigma(spec.grid_pitch_um, lens)
-    want = planes if sigma is None else psf_blur(planes, sigma)
+    want = planes if sigma is None else dense_blur(planes, sigma)
     if spec.width % 4 == 0:
         assert rates.tobytes() == want.tobytes()
     else:  # the blur spreads the last columns' rounding into their neighbours
