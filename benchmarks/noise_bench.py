@@ -3,8 +3,9 @@
 Usage:
     python3 benchmarks/noise_bench.py [--size 1024] [--repeats 5]
 
-Times the sensor-noise sampler on four expected-electron rasters and
-prints a timing table:
+Times the sensor-noise sampler on four expected-electron rasters, and
+one frame's exposure, and prints for each the best-of-N time and the
+tracemalloc peak of one call above what was allocated before it:
 
 * λ ~ U(0, 2000), size x size: almost every pixel takes the normal
   approximation;
@@ -15,17 +16,24 @@ prints a timing table:
   (25,600 of 3,686,400 on the full-dye benchmark scene at config seed 5);
 * hdr 12ms 1440 x 2560: the raster the full-dye scene's 12 ms bracket
   feeds the sampler, λ ≈ 3-4 on the 800 x 800 block under a 0.01 shadow
-  (17% of pixels) and λ ≥ 50 everywhere else.
+  (17% of pixels) and λ ≥ 50 everywhere else;
+* expose hdr 12ms 1440 x 2560: ``sensor.expose`` of that raster as a
+  rate over 12 ms on the default sensor: the noise sampler with its
+  input, then the ADC.
 
 Pixel integration is plain numpy and is timed end to end by perfbench/.
 """
 
 import argparse
 import time
+import tracemalloc
 
 import numpy as np
 
 from camsim.kernels import sample_sensor_noise
+from camsim.sensor import SensorSpec, expose
+
+_HDR_T = 12e-3  # the duration of the hdr 12ms raster's bracket
 
 
 def _time(fn, repeats):
@@ -53,16 +61,32 @@ def _rasters(size):
     return rasters
 
 
-def _noise(lam):
-    return sample_sensor_noise(lam, 24.0, 13500.0, seed=7)
+def _peak_mib(fn):
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return (tracemalloc.get_traced_memory()[1] - base) / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def _cases(size):
+    """{row name: the call it times}"""
+    rasters = _rasters(size)
+    cases = {name: (lambda lam=lam: sample_sensor_noise(lam, 24.0, 13500.0, seed=7))
+             for name, lam in rasters.items()}
+    rate = rasters["hdr 12ms 1440x2560"] / _HDR_T
+    cases["expose hdr 12ms 1440x2560"] = lambda: expose(rate, SensorSpec(), _HDR_T, seed=7)
+    return cases
 
 
 def bench(size, repeats):
     print(f"\nsensor noise, best of {repeats}:")
-    print(f"{'raster':<24} {'time [ms]':>12}")
-    for name, lam in _rasters(size).items():
-        _noise(lam)  # warm up
-        print(f"{name:<24} {_time(lambda: _noise(lam), repeats) * 1e3:>12.2f}")
+    print(f"{'raster':<26} {'time [ms]':>12} {'peak [MiB]':>12}")
+    for name, fn in _cases(size).items():
+        fn()  # warm up
+        print(f"{name:<26} {_time(fn, repeats) * 1e3:>12.2f} {_peak_mib(fn):>12.1f}")
 
 
 def main():

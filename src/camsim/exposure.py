@@ -147,7 +147,8 @@ def _fuse(shape: tuple, durations: tuple, sensor: SensorSpec, bracket) -> HDRFra
     (longest) unsaturated bracket divided by its duration; a pixel saturated
     in every bracket reads the last one and is flagged invalid."""
     f = bracket(0, None)
-    rate = (dn_to_electrons(f) / f.exposure_s).reshape(-1)
+    rate = dn_to_electrons(f).reshape(-1)
+    rate /= f.exposure_s
     chosen = np.zeros(rate.size, dtype=np.min_scalar_type(len(durations) - 1))
     undecided = np.flatnonzero(f.saturated)
     for i in range(1, len(durations)):
@@ -156,7 +157,9 @@ def _fuse(shape: tuple, durations: tuple, sensor: SensorSpec, bracket) -> HDRFra
         f = bracket(i, undecided)
         take = ~f.saturated | (i == len(durations) - 1)
         at = undecided[take]
-        rate[at] = (dn_to_electrons(f) / f.exposure_s)[take]
+        e = dn_to_electrons(f)
+        e /= f.exposure_s
+        rate[at] = e[take]
         chosen[at] = i
         undecided = undecided[f.saturated]
     valid = np.ones(rate.size, dtype=bool)

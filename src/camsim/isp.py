@@ -9,9 +9,11 @@ next. Each band runs the demosaic and the color correction, each clipped to
 [0, 1], in one pass. Gamma runs in a second banded pass, in place: adaptive
 gamma takes its exponent from the mean of the whole image, summed exactly as
 `ndarray.mean` sums it (pairwise, which has no band-wise equivalent with the
-same bits), and fixed and sRGB gamma share that pass. An HDR frame's tone map
-writes straight into the normalized mosaic that the demosaic pads. `render`,
-configured by `IspConfig.stages`, is the one entry point to these stages."""
+same bits), and fixed and sRGB gamma share that pass. No whole-frame mosaic
+is built: each band's frame rows, normalized to [0, 1] (an HDR frame's tone
+map included), are written into one reused buffer with the one-row halo and
+the reflected border that the demosaic reads. `render`, configured by
+`IspConfig.stages`, is the one entry point to these stages."""
 
 from __future__ import annotations
 
@@ -161,65 +163,68 @@ def _plane(frame) -> np.ndarray:
     return frame.rate_e_per_s if isinstance(frame, HDRFrame) else frame.dn
 
 
-def _mosaic(frame, pad: int) -> np.ndarray:
-    """The frame as doubles in [0, 1], written into the interior of an array
-    `pad` pixels wider on each side; the caller fills the border. A RawFrame
-    reads DN / max_code. An HDRFrame's rate is tone-mapped by its 99.9th
-    percentile and requantized: round(clip(rate / norm, 0, 1)·max_code) /
-    max_code, the value a RawFrame holding those codes reads, since every
-    code is an integer that a double holds exactly."""
-    h, w = _plane(frame).shape
-    p = np.empty((h + 2 * pad, w + 2 * pad))
-    x = p[pad:pad + h, pad:pad + w]
+def _row_filler(frame):
+    """fill(r0, r1, out): rows r0:r1 of the frame as doubles in [0, 1],
+    written into `out`. A RawFrame reads DN / max_code. An HDRFrame's rate
+    is tone-mapped by its 99.9th percentile, computed here once, and
+    requantized: round(clip(rate / norm, 0, 1)·max_code) / max_code, the
+    value a RawFrame holding those codes reads, since every code is an
+    integer that a double holds exactly. Every step is elementwise, so a
+    row's bits do not depend on the rows filled with it."""
     max_code = frame.sensor.max_code()
-    if isinstance(frame, HDRFrame):
-        rate = frame.rate_e_per_s
-        norm = top_percentile(rate, 99.9)
-        norm = norm if norm > 0 else 1.0
-        for i0, band in _bands(x):
-            np.divide(rate[i0:i0 + len(band)], norm, out=band)
-            np.clip(band, 0.0, 1.0, out=band)
-            np.multiply(band, max_code, out=band)
-            np.round(band, out=band)
-            np.add(band, 0.0, out=band)  # a code is never -0.0
-            np.divide(band, max_code, out=band)
-    else:
-        np.divide(frame.dn, max_code, out=x)
-    return p
+    if not isinstance(frame, HDRFrame):
+        dn = frame.dn
+        return lambda r0, r1, out: np.divide(dn[r0:r1], max_code, out=out)
+    rate = frame.rate_e_per_s
+    norm = top_percentile(rate, 99.9)
+    norm = norm if norm > 0 else 1.0
+
+    def fill(r0, r1, out):
+        np.divide(rate[r0:r1], norm, out=out)
+        np.clip(out, 0.0, 1.0, out=out)
+        np.multiply(out, max_code, out=out)
+        np.round(out, out=out)
+        np.add(out, 0.0, out=out)  # a code is never -0.0
+        np.divide(out, max_code, out=out)
+    return fill
 
 
-def _cfa_mosaic(frame) -> tuple:
-    """(mosaic, mono) for the demosaic: a MONO frame's plane, or an RGGB
-    frame's plane in 'reflect' padding of one pixel (no edge repeat), which
-    keeps CFA parity at the borders; as in np.pad, a side one pixel long
-    repeats its edge instead."""
-    pattern = frame.sensor.cfa.pattern
-    if pattern not in DEMOSAIC_PATTERNS:
-        raise ValueError("no demosaic defined for this CFA (export raw instead)")
-    if pattern == MONO.pattern:
-        return _mosaic(frame, 0), True
-    p = _mosaic(frame, 1)
-    h, w = p.shape[0] - 2, p.shape[1] - 2
+def _fill_padded_band(fill, h: int, i0: int, b: int, step: int, p: np.ndarray) -> None:
+    """Rows p[:b + 2] of a band buffer one pixel wider than the frame on
+    each side: frame rows i0 - 1 … i0 + b, the band's rows with a one-row
+    halo, padded in 'reflect' mode (no edge repeat), which keeps CFA parity
+    at the borders; as in np.pad, a side one pixel long repeats its edge
+    instead. After the first band (i0 > 0), rows i0 - 1 and i0 are the
+    previous band's last two rows, p[step:step + 2], so each frame row is
+    filled once."""
+    w = p.shape[1] - 2
+    x = p[:, 1:w + 1]
     ry, rx = min(1, h - 1), min(1, w - 1)
-    p[0, 1:-1], p[-1, 1:-1] = p[1 + ry, 1:-1], p[h - ry, 1:-1]
-    p[:, 0], p[:, -1] = p[:, 1 + rx], p[:, w - rx]
-    return p, False
+    if i0 == 0:
+        fill(ry, ry + 1, x[:1])
+        fill(0, 1, x[1:2])
+    else:
+        x[:2] = x[step:step + 2]
+    fill(i0 + 1, i0 + b, x[2:b + 1])
+    last = i0 + b if i0 + b < h else h - 1 - ry
+    fill(last, last + 1, x[b + 1:b + 2])
+    p[:b + 2, 0], p[:b + 2, w + 1] = p[:b + 2, 1 + rx], p[:b + 2, w - rx]
 
 
-def _demosaic_band(mosaic: np.ndarray, mono: bool, i0: int, out: np.ndarray) -> None:
-    """Rows i0, i0 + 1, … (i0 even) of the demosaic of a `_cfa_mosaic`,
-    into `out`: bilinear RGGB clipped to [0, 1], each neighbour average
-    computed only on the CFA phase that reads it, or a MONO plane on all
-    three channels."""
+def _demosaic_band(mosaic: np.ndarray, mono: bool, out: np.ndarray) -> None:
+    """The demosaic of a band, into `out`: bilinear RGGB over a
+    `_fill_padded_band` buffer (its first row is the halo above the band),
+    clipped to [0, 1], each neighbour average computed only on the CFA
+    phase that reads it, or a MONO band's rows on all three channels."""
     b, w = out.shape[:2]
     if mono:
-        out[...] = mosaic[i0:i0 + b, :, None]
+        out[...] = mosaic[:b, :, None]
         return
     total = np.empty(((b + 1) // 2, (w + 1) // 2))  # one phase's neighbour sum
     for (dy, dx), picks in _RGGB_PICKS.items():
         phase = total[:(b - dy + 1) // 2, :(w - dx + 1) // 2]
         for c, pick in enumerate(picks):
-            planes = [mosaic[1 + i0 + dy + oy:1 + i0 + b + oy:2, 1 + dx + ox:1 + w + ox:2]
+            planes = [mosaic[1 + dy + oy:1 + b + oy:2, 1 + dx + ox:1 + w + ox:2]
                       for oy, ox in _NEIGHBOURS[pick]]
             if len(planes) == 1:
                 out[dy::2, dx::2, c] = planes[0]
@@ -319,19 +324,33 @@ def render(frame, isp: IspConfig = IspConfig()) -> RGBImage:
     """The configured pipeline over a RawFrame or HDRFrame, a band of rows
     at a time. The color stage applies `isp.matrix`, or one fitted to the
     frame's sensor."""
+    pattern = frame.sensor.cfa.pattern
+    if isp.stages[0] != "raw" and pattern not in DEMOSAIC_PATTERNS:
+        raise ValueError("no demosaic defined for this CFA (export raw instead)")
+    fill = _row_filler(frame)
+    h, w = _plane(frame).shape
     if isp.stages[0] == "raw":
-        out = _mosaic(frame, 0)[:, :, None]
+        out = np.empty((h, w, 1))
+        for i0, band in _bands(out):
+            fill(i0, i0 + len(band), band[..., 0])
     else:
-        mosaic, mono = _cfa_mosaic(frame)
+        mono = pattern == MONO.pattern
         matrix = None
         if "color" in isp.stages:
             matrix = _correction_matrix(
                 fit_color_matrix(frame.sensor) if isp.matrix is None else isp.matrix)
-        out = np.empty(_plane(frame).shape + (3,))
-        linear = None if matrix is None else np.empty_like(out[:_band_rows(out)])
+        out = np.empty((h, w, 3))
+        step = _band_rows(out)
+        mosaic = np.empty((min(step, h), w) if mono else (min(step, h) + 2, w + 2))
+        linear = None if matrix is None else np.empty_like(out[:step])
         for i0, band in _bands(out):
-            lin = band if matrix is None else linear[:len(band)]
-            _demosaic_band(mosaic, mono, i0, lin)
+            b = len(band)
+            if mono:
+                fill(i0, i0 + b, mosaic[:b])
+            else:
+                _fill_padded_band(fill, h, i0, b, step, mosaic)
+            lin = band if matrix is None else linear[:b]
+            _demosaic_band(mosaic, mono, lin)
             if matrix is not None:
                 _color_band(lin, matrix, band)
     exponent = None

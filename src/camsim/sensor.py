@@ -249,21 +249,36 @@ def apply_noise(expected_e: np.ndarray, sensor: SensorSpec, exposure_s: float,
 
 def adc(electrons: np.ndarray, sensor: SensorSpec, exposure_s: float = 0.0) -> RawFrame:
     """Quantize electrons to digital numbers; default conversion gain maps
-    the well exactly onto the voltage swing."""
+    the well exactly onto the voltage swing. One float64 raster is
+    allocated and every step runs in place on it, in the order of the
+    expression floor(((e·cg)·1e-6)·gain / swing · max_code) clipped to
+    [0, max_code]; `electrons` is not written to."""
     well = sensor.effective_well_e()
-    volts = electrons * sensor.conversion_gain_uV() * 1e-6 * sensor.analog_gain
     max_code = sensor.max_code()
-    dn = np.floor(volts / sensor.pixel.voltage_swing_V * max_code)
-    dn = np.clip(dn, 0, max_code).astype(np.uint16)
-    saturated = (electrons >= well) | (dn == max_code)
+    v = np.multiply(electrons, sensor.conversion_gain_uV(), dtype=np.float64)
+    v *= 1e-6
+    v *= sensor.analog_gain
+    v /= sensor.pixel.voltage_swing_V
+    v *= max_code
+    np.floor(v, out=v)
+    np.clip(v, 0, max_code, out=v)
+    dn = v.astype(np.uint16)
+    del v  # the doubles are freed before the masks are built
+    saturated = electrons >= well
+    saturated |= dn == max_code
     return RawFrame(dn, saturated, exposure_s, sensor)
 
 
 def dn_to_electrons(frame: RawFrame) -> np.ndarray:
-    """Invert the ADC mapping (to the lower edge of each code's electron bin)."""
+    """Invert the ADC mapping (to the lower edge of each code's electron
+    bin): DN / max_code · swing / (cg·1e-6·gain), in place on one float64
+    copy of the codes."""
     s = frame.sensor
-    volts = frame.dn.astype(np.float64) / s.max_code() * s.pixel.voltage_swing_V
-    return volts / (s.conversion_gain_uV() * 1e-6 * s.analog_gain)
+    e = frame.dn.astype(np.float64)
+    e /= s.max_code()
+    e *= s.pixel.voltage_swing_V
+    e /= s.conversion_gain_uV() * 1e-6 * s.analog_gain
+    return e
 
 
 def dynamic_range_db(sensor: SensorSpec) -> float:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,9 +7,9 @@ from camsim import kernels
 from camsim.exposure import (DEFAULT_BRACKET_S, DEFAULT_CAP_S, ExposurePlan, _bracket_seed,
                              acquire, effective_dynamic_range, hdr_combine, metered_duration,
                              metering_window)
-from camsim.optics import LensSpec, optical_image
+from camsim.optics import LensSpec, OpticalImage, optical_image
 from camsim.scene import Region, SceneSpec, synthesize
-from camsim.sensor import SensorSpec, expected_rate
+from camsim.sensor import PixelSpec, SensorSpec, expected_rate
 from camsim.spectral import WavelengthGrid
 from frames import brackets, noise_free
 
@@ -182,6 +184,35 @@ def test_lazy_brackets_equal_full_brackets_fused(monkeypatch):
     # bracket 0 everywhere, bracket 1 where 0 saturated, bracket 2 where both did
     assert lazy_sampled == hdr.chosen.size + np.count_nonzero(hdr.chosen >= 1) \
         + np.count_nonzero(hdr.chosen == 2)
+
+
+def test_bracketed_acquire_on_a_full_dye_raster_peaks_below_five_frames():
+    """`acquire` of the three default brackets on 1440x2560 1.5 µm pixels
+    peaks below five float64 frames, all it allocates included: the rate
+    raster, the noise kernel's input and output, the ADC and the fusion.
+    The raster is lit as the full-dye benchmark scene is: a shadowed block
+    on the Knuth noise path, a patch that saturates the longest bracket and
+    a specular one that saturates the two longer brackets."""
+    sensor = SensorSpec(pixel=PixelSpec(size_um=1.5))
+    area = (1.5e-6) ** 2
+    labels = np.zeros((1440, 2560), dtype=np.uint32)
+    labels[400:1200, 1600:2400] = 1
+    labels[640:800, 1200:1360] = 2
+    labels[100:200, 100:300] = 3
+    # background, shadow, specular and bright: 1e5, 300, 5e7 and 1e6 e-/s per pixel
+    palette = np.repeat(np.array([[1e5], [300.0], [5e7], [1e6]]) / area, 3, axis=1)
+    image = OpticalImage(labels.shape, sensor.cfa.channels, 1.5, palette=palette,
+                         labels=labels)
+    frame_bytes = labels.size * 8
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        hdr = acquire(image, sensor, ExposurePlan("bracketed"), seed=5).source
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert hdr.rate_e_per_s.shape == (1440, 2560) and set(np.unique(hdr.chosen)) == {0, 1, 2}
+    assert peak < 5 * frame_bytes, (peak / frame_bytes)
 
 
 def test_effective_dynamic_range_extension():

@@ -1,6 +1,7 @@
 import math
 import sys
 import threading
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 from camsim import isp as isp_module
 from camsim.exposure import HDRFrame
 from camsim.isp import (_NEIGHBOURS, _RGGB_PICKS, GammaSpec, IspConfig, RGBImage, _gamma_band,
-                        _gamma_exponent, _mosaic, fit_color_matrix, reflectance_patches, render,
+                        _gamma_exponent, fit_color_matrix, reflectance_patches, render,
                         top_percentile, write_ppm)
 from camsim.sensor import MONO, RCCC, RGGB, RawFrame, SensorSpec, adc
 
@@ -241,7 +242,7 @@ def hdr_frame(rate, sensor=None):
     np.full((4, 4), 7.5),
 ], ids=["lognormal", "negative-and-bright", "all-zero", "flat"])
 def test_hdr_tone_map_matches_the_frozen_expression(rate):
-    mosaic = _mosaic(hdr_frame(rate), 0)
+    mosaic = render(hdr_frame(rate), IspConfig(stages=("raw",))).values[..., 0]
     norm = float(np.percentile(rate, 99.9))
     norm = norm if norm > 0 else 1.0
     max_code = SensorSpec().max_code()
@@ -439,7 +440,7 @@ def test_render_matches_the_frozen_whole_frame_chain(isp, kind, cfa, monkeypatch
 def test_hdr_tone_map_keeps_no_negative_zero():
     # the frozen chain's uint16 codes have no sign; neither may the doubles
     rate = np.array([[-0.0, 5e-324], [-5e-324, 1e3]])
-    assert not np.signbit(_mosaic(hdr_frame(rate), 0)).any()
+    assert not np.signbit(render(hdr_frame(rate), IspConfig(stages=("raw",))).values[..., 0]).any()
 
 
 def test_two_threads_render_the_serial_bytes():
@@ -475,3 +476,20 @@ def test_render_warns_once_when_adaptive_gamma_is_undefined():
     assert [w.category for w in caught] == [UserWarning]
     assert "adaptive gamma" in str(caught[0].message)
     assert out.gamma_used == 1.0
+
+
+def test_render_of_a_full_dye_hdr_frame_adds_little_to_its_output():
+    """The default render of a 1440x2560 HDR frame peaks below its 84 MiB
+    RGB output plus 8 MiB: no whole-frame mosaic or other frame-sized
+    float64 temporary is built beside the output."""
+    rate = np.random.default_rng(3).lognormal(12.5, 1.0, (1440, 2560))
+    rate[360:1080, 1280:2000] /= 100.0
+    frame = hdr_frame(rate)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = render(frame)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < out.values.nbytes + 8 * 2**20, (peak, out.values.nbytes)

@@ -1,5 +1,5 @@
 """Smoke test: the noise micro-benchmark script runs and prints all four
-raster rows."""
+raster rows and the exposure row."""
 
 import os
 import subprocess
@@ -19,5 +19,5 @@ def test_noise_bench_runs():
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     for row in ("U(0,2000) 16x16", "flat 45 16x16", "short 1440x2560",
-                "hdr 12ms 1440x2560"):
+                "hdr 12ms 1440x2560", "expose hdr 12ms 1440x2560"):
         assert any(line.startswith(row) for line in proc.stdout.splitlines()), proc.stdout

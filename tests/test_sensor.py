@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from camsim.optics import LensSpec, optical_image
 from camsim.scene import SceneSpec, synthesize
-from camsim.sensor import (MONO, RCCC, RGGB, PixelSpec, SensorSpec, adc,
+from camsim.sensor import (MONO, RCCC, RGGB, PixelSpec, RawFrame, SensorSpec, adc,
                            apply_noise, channel_index_map, derive_geometry,
                            dn_to_electrons, dynamic_range_db, expected_rate,
                            sensor_geometry)
@@ -101,6 +102,80 @@ def test_adc_monotone(e1, e2):
         assert f.dn[0, 0] <= f.dn[0, 1]
     else:
         assert f.dn[0, 0] >= f.dn[0, 1]
+
+
+# The ADC and its inverse as one-line whole-array expressions, frozen as the
+# byte oracle for the in-place versions.
+
+def frozen_adc(electrons, sensor):
+    well = sensor.effective_well_e()
+    volts = electrons * sensor.conversion_gain_uV() * 1e-6 * sensor.analog_gain
+    max_code = sensor.max_code()
+    dn = np.floor(volts / sensor.pixel.voltage_swing_V * max_code)
+    dn = np.clip(dn, 0, max_code).astype(np.uint16)
+    return dn, (electrons >= well) | (dn == max_code)
+
+
+def frozen_dn_to_electrons(frame):
+    s = frame.sensor
+    volts = frame.dn.astype(np.float64) / s.max_code() * s.pixel.voltage_swing_V
+    return volts / (s.conversion_gain_uV() * 1e-6 * s.analog_gain)
+
+
+# sensors with a gain other than 1, an explicit conversion gain (which may map
+# the well past the swing or short of it), a swing other than 1 V and every
+# ADC width from 8 to 16 bits
+_ADC_SENSORS = st.builds(
+    lambda gain, cg, swing, bits: SensorSpec(
+        pixel=PixelSpec(conversion_gain_uV_per_e=cg, voltage_swing_V=swing),
+        analog_gain=gain, adc_bits=bits),
+    st.sampled_from([1.0, 0.5, 3.7]) | st.floats(0.1, 16.0),
+    st.none() | st.sampled_from([10.0, 74.07]) | st.floats(1.0, 500.0),
+    st.sampled_from([1.0, 0.7, 2.5]),
+    st.integers(8, 16))
+# electrons below zero, zero of either sign, on, below and beyond the
+# 13500 e- well, and fractional
+_ELECTRONS = (st.sampled_from([0.0, -0.0, 13500.0, 13499.999, 13500.5, 1e9, -1e9])
+              | st.floats(-2e4, 1e5, allow_nan=False)
+              | st.integers(-20000, 100000).map(float))
+
+
+def _code_edges(sensor):
+    """Electrons on the lower edge of a code's bin, or one double either
+    side of it, where the order of the ADC's products decides the code."""
+    def edge(code, step):
+        e = code / sensor.max_code() * sensor.pixel.voltage_swing_V \
+            / (sensor.conversion_gain_uV() * 1e-6 * sensor.analog_gain)
+        return float(np.nextafter(e, step * np.inf)) if step else e
+    return st.builds(edge, st.integers(0, sensor.max_code() + 2), st.sampled_from([-1, 0, 1]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(sensor=_ADC_SENSORS, data=st.data())
+def test_adc_is_the_frozen_expression_bit_for_bit(sensor, data):
+    electrons = data.draw(arrays(np.float64, st.tuples(st.integers(1, 9), st.integers(1, 9)),
+                                 elements=_ELECTRONS | _code_edges(sensor)))
+    before = electrons.copy()
+    electrons.flags.writeable = False
+    frame = adc(electrons, sensor, 2e-3)
+    dn, saturated = frozen_adc(electrons, sensor)
+    assert frame.dn.dtype == np.uint16 and frame.dn.tobytes() == dn.tobytes()
+    assert frame.saturated.dtype == bool and frame.saturated.tobytes() == saturated.tobytes()
+    assert electrons.tobytes() == before.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(sensor=_ADC_SENSORS, data=st.data())
+def test_dn_to_electrons_is_the_frozen_expression_bit_for_bit(sensor, data):
+    dn = data.draw(arrays(np.uint16, st.tuples(st.integers(1, 9), st.integers(1, 9)),
+                          elements=st.integers(0, sensor.max_code())))
+    before = dn.copy()
+    dn.flags.writeable = False
+    frame = RawFrame(dn, dn == sensor.max_code(), 1e-3, sensor)
+    got = dn_to_electrons(frame)
+    assert got.dtype == np.float64
+    assert got.tobytes() == frozen_dn_to_electrons(frame).tobytes()
+    assert dn.tobytes() == before.tobytes()
 
 
 def test_noise_statistics_poisson_regime():
