@@ -11,7 +11,12 @@ the workload's run config into a temporary directory and runs
 BLAS thread as perfbench does. It prints one JSON object that maps
 ``workload/seed/threads/file`` to the sha256 of every file the command
 wrote, and ``workload/seed/threads/exit`` to its exit code, so the outputs
-of two trees compare with ``diff``.
+of two trees compare with ``diff``. The commands inherit the caller's
+environment, so ``OPENBLAS_CORETYPE`` (an OpenBLAS kernel, on a build with
+DYNAMIC_ARCH) and ``NPY_DISABLE_CPU_FEATURES`` (numpy's SIMD level) set
+there reach them, and the outputs of two kernels compare the same way:
+
+    OPENBLAS_CORETYPE=Nehalem PYTHONPATH=src python3 benchmarks/output_hashes.py
 
 ``--command`` replaces the workload's arguments. In it, ``{config}`` is the
 run config, ``{out}`` an empty output directory and ``{spec}`` the spec of

@@ -135,7 +135,7 @@ def mean_illuminance_lux(scene: Scene, lens: LensSpec) -> float:
     for r0 in range(0, labels.shape[0], band):
         weights = None if falloff is None else falloff[r0:r0 + band].reshape(-1)
         area += np.bincount(labels[r0:r0 + band].reshape(-1), weights, minlength=lux.size)
-    return float(area @ lux) / labels.size
+    return float(project_bands(area[None, :], lux[None, :])[0, 0]) / labels.size
 
 
 def psf_sigma(pitch_um: float, lens: LensSpec) -> float | None:

@@ -29,6 +29,7 @@ from .spectral import (
     Spectrum,
     WavelengthGrid,
     d65_spectrum,
+    luminance_cd_m2,
     luminance_weights,
     project_bands,
     resample,
@@ -206,8 +207,7 @@ def _default_illuminant(spec: SceneSpec) -> Spectrum:
         ill = resample(ill, spec.grid)
     if spec.background_luminance_cd_m2 is not None:
         bg = _reflectance_values(spec.background_reflectance, spec.grid)
-        rad = Spectrum(spec.grid, ill.values * bg / np.pi, RADIANCE)
-        lum = float(rad.values @ luminance_weights(spec.grid))
+        lum = luminance_cd_m2(Spectrum(spec.grid, ill.values * bg / np.pi, RADIANCE))
         if lum > 0:
             ill = ill.scaled(spec.background_luminance_cd_m2 / lum)
     return ill

@@ -121,48 +121,45 @@ def luminance_weights(grid: WavelengthGrid) -> np.ndarray:
     return cie_data.LUMENS_PER_WATT_555 * v * (cie_data.HC / lam_m) * grid.step_nm
 
 
-_STRIP_ROWS = 2048  # spectra per strip in project_bands; a multiple of _BLOCK_ROWS
-_BLOCK_ROWS = 8  # project_bands sums every spectrum in a product of whole blocks this long
+_STRIP_ROWS = 8192  # spectra per band-loop strip: 2 MiB of float64 at 31 bands
 
 
 def project_bands(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Weighted band sums of spectra: (K, Nλ) values and (C, Nλ) weights
-    give (K, C) float64 sums Σλ values·weights. Works a strip of rows at a
-    time, so no float64 copy of a long palette is made.
-
-    Every row is summed as one row of a full block of _BLOCK_ROWS, the last
-    block padded with zero rows. OpenBLAS sums the rows of a short product,
-    or of a long one's partial last block, in another order than the rest,
-    so without the padding a spectrum's bits would depend on K and on where
-    it sits. Checked on OpenBLAS 0.3.31's SkylakeX kernel (the one numpy
-    picked on the AVX-512 machine measured) and, set with
-    OPENBLAS_CORETYPE, its Haswell, Sandybridge, Nehalem and Prescott
-    kernels: Nehalem still differed on rows padded to four, and none
-    differed on rows padded to eight. Other BLAS builds may sum otherwise."""
-    wt = np.ascontiguousarray(np.asarray(weights, dtype=np.float64).T)
-    k = values.shape[0]
-    full = k - k % _BLOCK_ROWS
-    out = np.empty((k, wt.shape[1]))
-    for r0 in range(0, full, _STRIP_ROWS):
-        r1 = min(r0 + _STRIP_ROWS, full)
-        np.matmul(values[r0:r1], wt, out=out[r0:r1])
-    if full < k:
-        block = np.zeros((_BLOCK_ROWS, values.shape[1]), values.dtype)
-        block[:k - full] = values[full:]
-        out[full:] = (block @ wt)[:k - full]
+    give (K, C) float64 sums Σλ values·weights. Each starts at zero and adds
+    its float64 products band after band in wavelength order, so its bits
+    depend on neither K, the row, the BLAS build nor the CPU. A palette's
+    many short sums loop over the bands a strip of rows at a time. Fewer
+    sums than bands take numpy's running sum, in the same order; + 0.0 turns
+    the −0.0 that a run of −0.0 terms ends on into a zero start's +0.0."""
+    w = np.asarray(weights, dtype=np.float64)
+    (k, n), c = values.shape, w.shape[0]
+    if k * c < n:
+        return np.add.accumulate(values[:, None, :] * w, axis=2)[:, :, -1] + 0.0
+    out = np.empty((k, c))
+    for r0 in range(0, k, _STRIP_ROWS):
+        bands = np.ascontiguousarray(values[r0:r0 + _STRIP_ROWS].T, dtype=np.float64)
+        acc = np.zeros((c, bands.shape[1]))
+        prod = np.empty_like(acc)
+        for band, wb in zip(bands, w.T[:, :, None]):
+            np.multiply(wb, band, out=prod)
+            acc += prod
+        out[r0:r0 + _STRIP_ROWS] = acc.T
     return out
 
 
 def luminance_cd_m2(radiance: Spectrum) -> float:
     if radiance.unit != RADIANCE:
         raise ValueError(f"expected radiance spectrum, got unit {radiance.unit!r}")
-    return float(radiance.values @ luminance_weights(radiance.grid))
+    weights = luminance_weights(radiance.grid)[None, :]
+    return float(project_bands(radiance.values[None, :], weights)[0, 0])
 
 
 def illuminance_lux(irradiance: Spectrum) -> float:
     if irradiance.unit != IRRADIANCE:
         raise ValueError(f"expected irradiance spectrum, got unit {irradiance.unit!r}")
-    return float(irradiance.values @ luminance_weights(irradiance.grid))
+    weights = luminance_weights(irradiance.grid)[None, :]
+    return float(project_bands(irradiance.values[None, :], weights)[0, 0])
 
 
 def d65_spectrum(grid: WavelengthGrid = DEFAULT_GRID, unit: str = IRRADIANCE) -> Spectrum:

@@ -455,11 +455,7 @@ def test_synth_and_dir_run(tmp_path):
 def test_dir_run_matches_the_synth_run(tmp_path):
     """Saved scenes, loaded with a palette row per run of equal pixels, give
     the same outputs as the synthesized scenes, whose palettes hold one row
-    per distinct spectrum: both project each row to the same bits. That
-    rests on OpenBLAS summing a row alike in palettes of any length, which
-    `spectral.project_bands` pads for and which was checked on OpenBLAS
-    0.3.31's x86-64 kernels; a BLAS that sums otherwise can fail this test
-    with no fault in camsim."""
+    per distinct spectrum: both project each row to the same bits."""
     spec = {**SCENE_SPEC, "shadows": [{"rect": [0, 0, 64, 128], "attenuation": 0.2}],
             "speculars": [{"rect": [40, 0, 100, 30], "gain": 20.0}]}
     synth_run = run_config(tmp_path, scenes={"source": "synth", "spec": spec, "count": 2},

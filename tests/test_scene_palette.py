@@ -1,6 +1,6 @@
 """Scenes as a palette of spectra over a label raster, checked against the
-dense radiance cube and the row-strip projection that they replaced, frozen
-below as they were."""
+dense radiance cube that they replaced, frozen below as it was, and against
+that cube's band sums taken band after band."""
 
 import random
 from unittest import mock
@@ -67,12 +67,11 @@ def frozen_cube(spec: SceneSpec) -> np.ndarray:
 
 
 def frozen_project_bands(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """The (H, W, Nλ) cube's band sums, taken 64 rows at a time."""
-    wt = np.ascontiguousarray(np.asarray(weights, dtype=np.float64).T)
-    h, w = values.shape[:2]
-    out = np.empty((h, w, wt.shape[1]))
-    for r0 in range(0, h, 64):
-        np.matmul(values[r0:r0 + 64], wt, out=out[r0:r0 + 64])
+    """The (H, W, Nλ) cube's band sums: from zero, one band after another
+    in wavelength order, as `spectral.project_bands` adds."""
+    out = np.zeros((*values.shape[:2], len(weights)))
+    for band in range(values.shape[2]):
+        out += values[:, :, band, None] * weights[:, band]
     return out
 
 
@@ -90,26 +89,6 @@ def frozen_project(cube, grid, pitch_um, lens, weights):
         cos2 = lens.focal_length_mm ** 2 / (lens.focal_length_mm ** 2 + r2)
         planes *= (cos2 ** 2)[:, :, None]
     return planes
-
-
-def assert_same_sums(got, want):
-    """OpenBLAS sums the last W mod 4 pixels of each row of the frozen
-    projection (one product per row of the raster) in another order than
-    the rest; the palette projection sums every spectrum as the rest. So
-    the sums are byte-equal on a raster whose width is a multiple of 4, and
-    on the others they are byte-equal outside those columns and within
-    rounding inside them. That is the summation order of OpenBLAS 0.3.31's
-    SkylakeX, Haswell, Sandybridge and Prescott kernels. Its Nehalem kernel
-    sums the last W mod 8 pixels apart, so there the byte checks fail on
-    widths of 4 mod 8 (which no benchmark raster has) with no fault in
-    camsim; so may a BLAS that sums in yet another order."""
-    w = want.shape[1]
-    full = w - w % 4
-    if full == w:
-        assert got.tobytes() == want.tobytes()
-    else:
-        assert got[:, :full].tobytes() == want[:, :full].tobytes()
-        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
 
 
 def _rects(w, h):
@@ -167,16 +146,13 @@ def test_palette_scene_matches_the_frozen_cube(spec, lens, k):
 
     weights = channel_weights(SENSOR, spec.grid)
     planes = frozen_project(cube, spec.grid, spec.grid_pitch_um, lens, weights)
-    assert_same_sums(project(sc, lens, weights), planes)
+    assert project(sc, lens, weights).tobytes() == planes.tobytes()
     rates = dense_rates(optical_image(sc, lens, SENSOR))
     sigma = psf_sigma(spec.grid_pitch_um, lens)
     want = planes if sigma is None else dense_blur(planes, sigma)
-    if spec.width % 4 == 0:
-        assert rates.tobytes() == want.tobytes()
-    else:  # the blur spreads the last columns' rounding into their neighbours
-        np.testing.assert_allclose(rates, want, rtol=1e-12, atol=0)
+    assert rates.tobytes() == want.tobytes()
     lum = frozen_project_bands(cube, luminance_weights(spec.grid)[None, :])
-    assert_same_sums(luminance_map(sc)[:, :, None], lum)
+    assert luminance_map(sc)[:, :, None].tobytes() == lum.tobytes()
 
 
 def test_each_region_adds_one_row_per_spectrum_under_it():
@@ -222,22 +198,22 @@ def test_a_loaded_cube_shares_a_row_per_run_of_equal_pixels(grid, h, w, band_row
         sc = loaded(cube, grid)
         assert len(sc.palette) == 1 + sum(a != b for a, b in zip(pick, pick[1:]))
         assert sc.radiance.tobytes() == cube.tobytes()
-        assert_same_sums(project(sc, LENSES[2], weights),
-                         frozen_project(cube, grid, 1.5, LENSES[2], weights))
+        assert project(sc, LENSES[2], weights).tobytes() == \
+            frozen_project(cube, grid, 1.5, LENSES[2], weights).tobytes()
 
 
 def test_a_loaded_cube_without_runs_gives_every_pixel_its_own_row():
     """Every pixel distinct, so every band of _run_starts's comparisons is
-    dense: one palette row per pixel, in raster order, and the sums of the
-    frozen strip projection."""
+    dense: one palette row per pixel, in raster order, and the cube's band
+    sums."""
     grid = GRIDS[0]
     cube = np.random.default_rng(3).lognormal(size=(70, 48, grid.count)).astype(np.float32)
     sc = loaded(cube, grid)
     assert sc.palette.tobytes() == cube.tobytes()
     assert sc.labels.ravel().tolist() == list(range(70 * 48))
     weights = channel_weights(SENSOR, grid)
-    assert_same_sums(project(sc, LENSES[1], weights),
-                     frozen_project(cube, grid, 1.5, LENSES[1], weights))
+    assert project(sc, LENSES[1], weights).tobytes() == \
+        frozen_project(cube, grid, 1.5, LENSES[1], weights).tobytes()
 
 
 def test_a_saved_synthesized_cube_loads_as_a_short_palette():
@@ -251,4 +227,4 @@ def test_a_saved_synthesized_cube_loads_as_a_short_palette():
     assert len(sc.palette) < 6 * spec.height
     assert sc.radiance.tobytes() == cube.tobytes()
     lum = frozen_project_bands(cube, luminance_weights(spec.grid)[None, :])
-    assert_same_sums(luminance_map(sc)[:, :, None], lum)
+    assert luminance_map(sc)[:, :, None].tobytes() == lum.tobytes()

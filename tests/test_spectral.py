@@ -1,13 +1,18 @@
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from camsim import spectral
 from camsim.spectral import (DIMENSIONLESS, IRRADIANCE, RADIANCE, Spectrum,
                              WavelengthGrid, d65_spectrum, illuminance_lux,
                              luminance_cd_m2, luminance_weights, photopic_curve,
-                             resample)
+                             project_bands, resample)
 from camsim.cie_data import HC, LUMENS_PER_WATT_555
 
 
@@ -46,6 +51,42 @@ def test_illuminance_unit_check():
         illuminance_lux(rad)
     irr = Spectrum.from_energy(np.array([1.0]), g, unit=IRRADIANCE)
     assert illuminance_lux(irr) == pytest.approx(LUMENS_PER_WATT_555, rel=2e-3)
+
+
+@st.composite
+def band_products(draw):
+    """(K, Nλ) values, float32 or float64, and (C, Nλ) float64 weights,
+    signed zeros included."""
+    k, n, c = draw(st.integers(1, 40)), draw(st.integers(1, 31)), draw(st.integers(1, 4))
+    finite = st.floats(-2.0 ** 100, 2.0 ** 100, width=32)
+    values = draw(arrays(np.float64, (k, n), elements=finite))
+    return (values.astype(draw(st.sampled_from([np.float32, np.float64]))),
+            draw(arrays(np.float64, (c, n), elements=finite)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=band_products(), strip_rows=st.sampled_from([1, 3, None]))
+@example(case=(np.full((2, 5), -0.0), np.ones((3, 5))), strip_rows=None)
+@example(case=(np.linspace(-1.0, 1.0, 3000)[None, :] ** 3, np.full((1, 3000), 0.1)),
+         strip_rows=None)
+def test_project_bands_adds_band_after_band_from_zero(case, strip_rows):
+    """Each sum is a float64 Python loop from 0.0 over the bands in order,
+    and a row's bits are those of the row projected alone, in strips of
+    any length and whether there are more sums than bands or fewer."""
+    values, weights = case
+    strips = spectral._STRIP_ROWS if strip_rows is None else strip_rows
+    with mock.patch.object(spectral, "_STRIP_ROWS", strips):
+        got = project_bands(values, weights)
+        for r in range(len(values)):
+            assert project_bands(values[r:r + 1], weights).tobytes() == got[r].tobytes()
+    want = np.zeros(got.shape)
+    for r, row in enumerate(values.tolist()):
+        for c, weight in enumerate(weights.tolist()):
+            acc = 0.0
+            for v, w in zip(row, weight):
+                acc += v * w
+            want[r, c] = acc
+    assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
 
 
 def test_photopic_curve_peak():
