@@ -47,7 +47,13 @@ def _phi(x: float) -> float:
 
 
 def _luma(values: np.ndarray) -> np.ndarray:
-    return values.mean(axis=2) if values.ndim == 3 else values
+    """A new float64 luma raster of an (H, W, C) image or an (H, W) luma.
+    The statistics of a float32 image are taken in float64: float32 sums
+    leave a flat window a contrast of rounding error over a near-zero
+    std, which the 1e-6 floor does not hide."""
+    if values.ndim == 3:
+        return values.mean(axis=2, dtype=np.float64)
+    return values.astype(np.float64)
 
 
 def detectability(image_values: np.ndarray, box, min_pixels: int,
@@ -70,7 +76,7 @@ def detectability(image_values: np.ndarray, box, min_pixels: int,
     margin = max(2, (x1 - x0) // 2, (y1 - y0) // 2)
     sx0, sy0 = max(0, x0 - margin), max(0, y0 - margin)
     sx1, sy1 = min(w, x1 + margin), min(h, y1 + margin)
-    ring = np.array(_luma(image_values[sy0:sy1, sx0:sx1]))
+    ring = _luma(image_values[sy0:sy1, sx0:sx1])
     inside = ring[y0 - sy0:y1 - sy0, x0 - sx0:x1 - sx0]
     inside_mean = float(inside.mean())
     inside[...] = np.nan

@@ -2,18 +2,25 @@
 against built-in reflectance patches, gamma variants, raw passthrough, and
 8-bit PPM output.
 
-`render` writes one (H, W, C) image a band of rows at a time. A band is an
-even number of rows whose output fills about `_BAND_BYTES`, so the band, the
-mosaic rows it reads and its linear RGB stay in cache from one stage to the
-next. Each band runs the demosaic and the color correction, each clipped to
-[0, 1], in one pass. Gamma runs in a second banded pass, in place: adaptive
-gamma takes its exponent from the mean of the whole image, summed exactly as
-`ndarray.mean` sums it (pairwise, which has no band-wise equivalent with the
-same bits), and fixed and sRGB gamma share that pass. No whole-frame mosaic
-is built: each band's frame rows, normalized to [0, 1] (an HDR frame's tone
-map included), are written into one reused buffer with the one-row halo and
-the reflected border that the demosaic reads. `render`, configured by
-`IspConfig.stages`, is the one entry point to these stages."""
+`render` writes one (H, W, C) float32 image a band of rows at a time. Every
+stage runs in float32, with the color matrix and the gamma exponent rounded
+to float32, so no loop upcasts: an 8-bit display value or a 10-bit code does
+not need a double. Only an HDR frame's tone map computes its codes in
+float64, so that each is the code the float64 expression gives. A band is an even number of rows whose output fills about
+`_BAND_BYTES`, so the band, the mosaic rows it reads and its linear planes
+stay in cache from one stage to the next. Each band runs the demosaic, into
+three planar (R, G, B) planes, and the color correction, each clipped to
+[0, 1], in one pass. The color correction forms output channel i as
+m_i0·r + m_i1·g + m_i2·b, in that order, with elementwise numpy operations,
+so its bits do not depend on the BLAS kernel. Gamma runs in a second banded
+pass, in place: adaptive gamma takes its exponent from the mean of the whole
+image, summed exactly as `ndarray.mean` sums it (pairwise in float32, which
+has no band-wise equivalent with the same bits), and fixed and sRGB gamma
+share that pass. No whole-frame mosaic is built: each band's frame rows,
+normalized to [0, 1] (an HDR frame's tone map included), are written into
+one reused buffer with the one-row halo and the reflected border that the
+demosaic reads. `render`, configured by `IspConfig.stages`, is the one entry
+point to these stages."""
 
 from __future__ import annotations
 
@@ -31,7 +38,7 @@ from .spectral import DEFAULT_GRID, IRRADIANCE, WavelengthGrid, d65_spectrum, re
 
 @dataclass(frozen=True)
 class RGBImage:
-    values: np.ndarray  # (H, W, 3) or (H, W, 1), float64 in [0, 1]
+    values: np.ndarray  # (H, W, 3) or (H, W, 1), float32 in [0, 1]
     gamma_used: float | None = None
 
     def __post_init__(self):
@@ -106,8 +113,11 @@ _NEIGHBOURS = {"x": ((0, 0),), "h": ((0, 1), (0, -1)), "v": ((-1, 0), (1, 0)),
 # another must render raw
 DEMOSAIC_PATTERNS = (MONO.pattern, RGGB.pattern)
 
-# A band's output rows: 8 rows of 2560×3 float64, in L2 with the mosaic rows
-# and the linear band they are computed from
+# A band's output rows: 16 rows of 2560×3 float32, in L2 with the mosaic rows,
+# the linear planes and the color scratch they are computed from. Kept from
+# the float64 render: on a 1440×2560 HDR frame (benchmarks/isp_bench.py, one
+# thread, AVX-512 Xeon) 1 << 17, 18, 19 and 20 took 199–205, 179–186, 172–173
+# and 172–179 ms
 _BAND_BYTES = 1 << 19
 
 
@@ -163,29 +173,32 @@ def _plane(frame) -> np.ndarray:
     return frame.rate_e_per_s if isinstance(frame, HDRFrame) else frame.dn
 
 
-def _row_filler(frame):
-    """fill(r0, r1, out): rows r0:r1 of the frame as doubles in [0, 1],
-    written into `out`. A RawFrame reads DN / max_code. An HDRFrame's rate
-    is tone-mapped by its 99.9th percentile, computed here once, and
-    requantized: round(clip(rate / norm, 0, 1)·max_code) / max_code, the
-    value a RawFrame holding those codes reads, since every code is an
-    integer that a double holds exactly. Every step is elementwise, so a
+def _row_filler(frame, rows: int):
+    """fill(r0, r1, out): rows r0:r1 (at most `rows` of them) of the frame in
+    [0, 1], written into the float32 `out`. A RawFrame reads DN / max_code,
+    rounded once to float32. An HDRFrame's rate is tone-mapped by its 99.9th
+    percentile, computed here once, and requantized in float64, in a scratch
+    buffer of `rows` rows: round(clip(rate / norm, 0, 1)·max_code) is the
+    code, and code / max_code, rounded once to float32, is the value a
+    RawFrame holding those codes reads. Every step is elementwise, so a
     row's bits do not depend on the rows filled with it."""
     max_code = frame.sensor.max_code()
     if not isinstance(frame, HDRFrame):
-        dn = frame.dn
-        return lambda r0, r1, out: np.divide(dn[r0:r1], max_code, out=out)
+        dn, scale = frame.dn, np.float32(max_code)
+        return lambda r0, r1, out: np.divide(dn[r0:r1], scale, out=out)
     rate = frame.rate_e_per_s
     norm = top_percentile(rate, 99.9)
     norm = norm if norm > 0 else 1.0
+    scratch = np.empty((min(rows, rate.shape[0]), rate.shape[1]))
 
     def fill(r0, r1, out):
-        np.divide(rate[r0:r1], norm, out=out)
-        np.clip(out, 0.0, 1.0, out=out)
-        np.multiply(out, max_code, out=out)
-        np.round(out, out=out)
-        np.add(out, 0.0, out=out)  # a code is never -0.0
-        np.divide(out, max_code, out=out)
+        code = scratch[:r1 - r0]
+        np.divide(rate[r0:r1], norm, out=code)
+        np.clip(code, 0.0, 1.0, out=code)
+        np.multiply(code, max_code, out=code)
+        np.round(code, out=code)
+        np.add(code, 0.0, out=code)  # a code is never -0.0
+        np.divide(code, max_code, out=out)
     return fill
 
 
@@ -212,28 +225,29 @@ def _fill_padded_band(fill, h: int, i0: int, b: int, step: int, p: np.ndarray) -
 
 
 def _demosaic_band(mosaic: np.ndarray, mono: bool, out: np.ndarray) -> None:
-    """The demosaic of a band, into `out`: bilinear RGGB over a
-    `_fill_padded_band` buffer (its first row is the halo above the band),
-    clipped to [0, 1], each neighbour average computed only on the CFA
-    phase that reads it, or a MONO band's rows on all three channels."""
-    b, w = out.shape[:2]
+    """The demosaic of a band, into the (3, b, W) planes `out`: bilinear
+    RGGB over a `_fill_padded_band` buffer (its first row is the halo above
+    the band), clipped to [0, 1], each neighbour average computed only on
+    the CFA phase that reads it, or a MONO band's rows in all three
+    planes."""
+    b, w = out.shape[1:]
     if mono:
-        out[...] = mosaic[:b, :, None]
+        out[...] = mosaic[:b]
         return
-    total = np.empty(((b + 1) // 2, (w + 1) // 2))  # one phase's neighbour sum
+    total = np.empty(((b + 1) // 2, (w + 1) // 2), out.dtype)  # one phase's neighbour sum
     for (dy, dx), picks in _RGGB_PICKS.items():
         phase = total[:(b - dy + 1) // 2, :(w - dx + 1) // 2]
         for c, pick in enumerate(picks):
             planes = [mosaic[1 + dy + oy:1 + b + oy:2, 1 + dx + ox:1 + w + ox:2]
                       for oy, ox in _NEIGHBOURS[pick]]
             if len(planes) == 1:
-                out[dy::2, dx::2, c] = planes[0]
+                out[c, dy::2, dx::2] = planes[0]
                 continue
             np.add(planes[0], planes[1], out=phase)
             for plane in planes[2:]:
                 np.add(phase, plane, out=phase)
             np.divide(phase, len(planes), out=phase)
-            out[dy::2, dx::2, c] = phase
+            out[c, dy::2, dx::2] = phase
     np.clip(out, 0.0, 1.0, out=out)
 
 
@@ -287,9 +301,18 @@ def _correction_matrix(matrix) -> np.ndarray:
     return matrix
 
 
-def _color_band(v: np.ndarray, matrix: np.ndarray, out: np.ndarray) -> None:
-    np.matmul(v, matrix.T, out=out)
-    np.clip(out, 0.0, 1.0, out=out)
+def _color_band(v: np.ndarray, matrix: np.ndarray, out: np.ndarray,
+                scratch: np.ndarray) -> None:
+    """Channel i of `out` (b, W, 3) = m_i0·r + m_i1·g + m_i2·b of the
+    (3, b, W) planes `v`, summed in that order and clipped to [0, 1];
+    `scratch` holds two (b, W) planes."""
+    acc, term = scratch
+    for i, row in enumerate(matrix):
+        np.multiply(v[0], row[0], out=acc)
+        for j in (1, 2):
+            np.multiply(v[j], row[j], out=term)
+            np.add(acc, term, out=acc)
+        np.clip(acc, 0.0, 1.0, out=out[..., i])
 
 
 def _gamma_exponent(spec: GammaSpec, v: np.ndarray) -> float | None:
@@ -307,8 +330,8 @@ def _gamma_exponent(spec: GammaSpec, v: np.ndarray) -> float | None:
 
 
 def _gamma_band(v: np.ndarray, exponent: float | None, out: np.ndarray) -> None:
-    """`v` raised to `exponent` (None: the sRGB curve), clipped to [0, 1],
-    into `out`, which may be `v`."""
+    """`v` raised to `exponent` rounded to float32 (None: the sRGB curve),
+    clipped to [0, 1], into `out`, which may be `v`."""
     if exponent is None:
         enc = np.power(v, 1 / 2.4)
         enc *= 1.055
@@ -316,7 +339,7 @@ def _gamma_band(v: np.ndarray, exponent: float | None, out: np.ndarray) -> None:
         np.multiply(v, 12.92, out=enc, where=v <= 0.0031308)
         np.clip(enc, 0.0, 1.0, out=out)
     else:
-        np.power(v, exponent, out=out)
+        np.power(v, np.float32(exponent), out=out)
         np.clip(out, 0.0, 1.0, out=out)
 
 
@@ -327,10 +350,10 @@ def render(frame, isp: IspConfig = IspConfig()) -> RGBImage:
     pattern = frame.sensor.cfa.pattern
     if isp.stages[0] != "raw" and pattern not in DEMOSAIC_PATTERNS:
         raise ValueError("no demosaic defined for this CFA (export raw instead)")
-    fill = _row_filler(frame)
     h, w = _plane(frame).shape
     if isp.stages[0] == "raw":
-        out = np.empty((h, w, 1))
+        out = np.empty((h, w, 1), np.float32)
+        fill = _row_filler(frame, _band_rows(out))
         for i0, band in _bands(out):
             fill(i0, i0 + len(band), band[..., 0])
     else:
@@ -338,21 +361,27 @@ def render(frame, isp: IspConfig = IspConfig()) -> RGBImage:
         matrix = None
         if "color" in isp.stages:
             matrix = _correction_matrix(
-                fit_color_matrix(frame.sensor) if isp.matrix is None else isp.matrix)
-        out = np.empty((h, w, 3))
+                fit_color_matrix(frame.sensor) if isp.matrix is None else isp.matrix
+            ).astype(np.float32)
+        out = np.empty((h, w, 3), np.float32)
         step = _band_rows(out)
-        mosaic = np.empty((min(step, h), w) if mono else (min(step, h) + 2, w + 2))
-        linear = None if matrix is None else np.empty_like(out[:step])
+        fill = _row_filler(frame, step)
+        rows = min(step, h)
+        mosaic = np.empty((rows, w) if mono else (rows + 2, w + 2), np.float32)
+        linear = np.empty((3, rows, w), np.float32)
+        scratch = None if matrix is None else np.empty((2, rows, w), np.float32)
         for i0, band in _bands(out):
             b = len(band)
             if mono:
                 fill(i0, i0 + b, mosaic[:b])
             else:
                 _fill_padded_band(fill, h, i0, b, step, mosaic)
-            lin = band if matrix is None else linear[:b]
+            lin = linear[:, :b]
             _demosaic_band(mosaic, mono, lin)
-            if matrix is not None:
-                _color_band(lin, matrix, band)
+            if matrix is None:
+                band[...] = lin.transpose(1, 2, 0)
+            else:
+                _color_band(lin, matrix, band, scratch[:, :b])
     exponent = None
     if "gamma" in isp.stages:
         exponent = _gamma_exponent(isp.gamma, out)

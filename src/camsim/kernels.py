@@ -8,7 +8,11 @@ Each pixel draws from two lanes, keyed by its flat index. Its "normal"
 stream gives one Box–Muller pair (Box & Muller, Ann. Math. Stat. 1958):
 r = sqrt(-2·log(1 − u₁)) from counter 1, and an angle from counter 2's
 64-bit word. The word's top 50 bits give φ in [0, π/4), one octant, whose
-cosine and sine are cheaper than those of a full turn. Its low 3 bits pick
+cosine and sine are cheaper than those of a full turn. φ, cos φ and sin φ
+are float32: φ is the double angle rounded once to 24 bits, and each normal
+lies within 2⁻²² relative of the one a double angle gives, far inside the
+Poisson-to-normal approximation above NORMAL_CUTOFF. r, the log and all
+that follows are float64. The word's low 3 bits pick
 one of the 8 symmetries of the square: bit 0 swaps (cos φ, sin φ), then
 bits 1 and 2 negate the first and the second, which spreads the angle
 uniformly over the circle. The swap and the signs are XORs on the doubles'
@@ -19,9 +23,9 @@ pixel's Poisson count and its read noise.
 
 The sampler walks the flattened raster in chunks of _CHUNK pixels. Each call
 allocates one block of chunk-sized buffers and reuses it for every chunk: the
-index ramp, its golden-ratio hash, the stream keys, the splitmix64 bits and
-the Box–Muller terms are all computed in place, so no temporary spans the
-whole raster. The Knuth loop runs over the chunk's pixels below
+index ramp, its golden-ratio hash, the stream keys, the splitmix64 bits, the
+float32 angle and the Box–Muller terms are all computed in place, so no
+temporary spans the whole raster. The Knuth loop runs over the chunk's pixels below
 NORMAL_CUTOFF only, keyed on their own, carrying only the pixels still
 multiplying, and overwrites their counts. Every pixel's streams are keyed by
 its flat index, so the output does not depend on the chunk size, and a
@@ -85,6 +89,7 @@ class _Buffers:
         rows = np.empty((7, n))
         self.hashed, self.key, self.bits, self.shift = (r.view(np.uint64) for r in rows[:4])
         self.r, self.counts, self.read = rows[4:]
+        self.phi = np.empty(n, dtype=np.float32)
 
 
 def _uniform_into(key, counter, out, bits, shift):
@@ -95,10 +100,10 @@ def _uniform_into(key, counter, out, bits, shift):
     np.multiply(bits, _INV53, out=out)
 
 
-def _normal_pair_into(key, r, x, y, bits, shift):
+def _normal_pair_into(key, r, x, y, bits, shift, phi):
     """x, y = r·(the octant symmetry of (cos φ, sin φ)): the Box–Muller pair
-    of each stream in key, as the module docstring defines it; key, bits
-    and shift are scratch."""
+    of each stream in key, as the module docstring defines it; key, bits,
+    shift and the float32 phi are scratch."""
     _uniform_into(key, 1, r, bits, shift)
     np.subtract(1.0, r, out=r)
     np.log(r, out=r)
@@ -107,9 +112,9 @@ def _normal_pair_into(key, r, x, y, bits, shift):
     np.add(key, golden(2), out=bits)
     mix64_into(bits, shift)
     np.right_shift(bits, np.uint64(14), out=shift)
-    np.multiply(shift, _PHI_STEP, out=y)
-    np.cos(y, out=x)
-    np.sin(y, out=y)
+    np.multiply(shift, _PHI_STEP, out=phi)  # the double product, rounded to float32
+    np.cos(phi, out=x)  # float32 cos, stored as a double
+    np.sin(phi, out=y)
     xb, yb = x.view(np.uint64), y.view(np.uint64)
     np.bitwise_and(bits, np.uint64(1), out=key)
     np.negative(key, out=key)  # all ones where bit 0 asks for the swap
@@ -133,7 +138,7 @@ def _noise_chunk(lam, hashed, bases, read_sigma, well_e, out, bufs):
     r, counts, read = bufs.r[:n], bufs.counts[:n], bufs.read[:n]
     np.add(hashed, bases[0], out=key)
     mix64_into(key, shift)
-    _normal_pair_into(key, r, counts, read, bits, shift)
+    _normal_pair_into(key, r, counts, read, bits, shift, bufs.phi[:n])
 
     # counts holds the shot normal x: the normal approximation is
     # max(rint(λ + sqrt(max(λ, 0))·x), 0)

@@ -290,6 +290,11 @@ def expose(rate: np.ndarray, sensor: SensorSpec, exposure_s: float, seed: int,
     """One frame from an expected-rate raster: electrons for the duration,
     then noise and the ADC. With `at`, `rate` holds the pixels at those flat
     raster indices only, and the frame holds exactly the values the whole
-    raster's frame has there."""
-    e = apply_noise(rate * exposure_s, sensor, exposure_s, seed, at)
+    raster's frame has there. λ = rate·t + dark current·t is built in one
+    array, in the two elementwise steps `apply_noise` takes on rate·t."""
+    lam = np.multiply(rate, exposure_s)
+    lam += sensor.pixel.dark_current_e_per_s * exposure_s
+    e = kernels.sample_sensor_noise(lam, sensor.pixel.read_noise_e, sensor.effective_well_e(),
+                                    seed, at=at)
+    del lam  # freed before the ADC's raster is allocated
     return adc(e, sensor, exposure_s)

@@ -1,7 +1,9 @@
-"""Everything up to the raw frame is the same on every OpenBLAS kernel: a
-child process per kernel, forced with OPENBLAS_CORETYPE, hashes a small
-scene's palette, optical-image rates, mean illuminance and DN raster."""
+"""Everything up to the raw frame, and a render with a given color matrix,
+is the same on every OpenBLAS kernel: a child process per kernel, forced
+with OPENBLAS_CORETYPE, hashes a small scene's palette, optical-image rates,
+mean illuminance, DN raster and rendered image."""
 
+import functools
 import json
 import os
 import platform
@@ -18,6 +20,7 @@ CHILD = """
 import hashlib, json
 import numpy as np
 from camsim.exposure import ExposurePlan, acquire
+from camsim.isp import IspConfig, render
 from camsim.optics import LensSpec, mean_illuminance_lux, optical_image
 from camsim.scene import Region, SceneSpec, TargetSpec, synthesize
 from camsim.sensor import SensorSpec
@@ -38,7 +41,9 @@ image = optical_image(sc, blurred, sensor)
 frame = acquire(image, sensor, ExposurePlan("center_weighted"), seed=0).source
 parts = {"palette": sc.palette, "rates": optical_image(sc, plain, sensor).palette,
          "blurred rates": image.planes,
-         "mean lux": np.float64(mean_illuminance_lux(sc, blurred)), "dn": frame.dn}
+         "mean lux": np.float64(mean_illuminance_lux(sc, blurred)), "dn": frame.dn,
+         "rgb": render(frame, IspConfig(matrix=((1.6, -0.4, -0.2), (-0.3, 1.5, -0.2),
+                                                (0.05, -0.5, 1.45)))).values}
 print(json.dumps({k: hashlib.sha256(np.ascontiguousarray(v).tobytes()).hexdigest()
                   for k, v in parts.items()}))
 """
@@ -53,6 +58,7 @@ def _dynamic_openblas() -> bool:
             and "DYNAMIC_ARCH" in blas.get("openblas configuration", ""))
 
 
+@functools.lru_cache(maxsize=None)
 def _hashes(coretype):
     env = {**os.environ, "PYTHONPATH": str(SRC), "OPENBLAS_NUM_THREADS": "1"}
     env.pop("OPENBLAS_CORETYPE", None)
@@ -64,12 +70,24 @@ def _hashes(coretype):
     return json.loads(proc.stdout)
 
 
-@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64")
-                    or not _dynamic_openblas(),
-                    reason="needs numpy on an x86-64 OpenBLAS built with DYNAMIC_ARCH")
+needs_dynamic_openblas = pytest.mark.skipif(
+    platform.machine().lower() not in ("x86_64", "amd64") or not _dynamic_openblas(),
+    reason="needs numpy on an x86-64 OpenBLAS built with DYNAMIC_ARCH")
+# Prescott and Nehalem run on any x86-64-v2 CPU, and each sums a matrix
+# product in another order than the newer kernels
+CORETYPES = ("Prescott", "Nehalem")
+RAW_FRAME_PARTS = ("palette", "rates", "blurred rates", "mean lux", "dn")
+
+
+@needs_dynamic_openblas
 def test_everything_to_the_raw_frame_is_the_same_on_every_openblas_kernel():
-    """Prescott and Nehalem run on any x86-64-v2 CPU, and each sums a
-    matrix product in another order than the newer kernels."""
-    want = _hashes(None)
-    for coretype in ("Prescott", "Nehalem"):
-        assert _hashes(coretype) == want, coretype
+    want = {k: _hashes(None)[k] for k in RAW_FRAME_PARTS}
+    for coretype in CORETYPES:
+        assert {k: _hashes(coretype)[k] for k in RAW_FRAME_PARTS} == want, coretype
+
+
+@needs_dynamic_openblas
+def test_a_render_with_a_given_matrix_is_the_same_on_every_openblas_kernel():
+    """The color stage sums each channel in a fixed order, without BLAS."""
+    for coretype in CORETYPES:
+        assert _hashes(coretype)["rgb"] == _hashes(None)["rgb"], coretype

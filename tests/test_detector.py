@@ -129,6 +129,19 @@ def whole_frame_dprime(luma, box, min_pixels, snr_scale):
     return snr_scale * math.sqrt(box.pixel_count) * contrast
 
 
+@pytest.mark.parametrize("flat", [False, True], ids=["textured", "flat"])
+def test_a_float32_image_reads_as_its_float64_copy(flat):
+    # a flat image is a saturated frame's render, every pixel one RGB value:
+    # float32 sums of its luma would read rounding error as contrast
+    img = textured_image().astype(np.float32)
+    if flat:
+        img[...] = (1.0, 0.00422897, 1.0)
+    for b in WINDOW_BOXES:
+        box = gt_for(b, pixel_count=200)
+        want = detectability(img.astype(np.float64), box, min_pixels=150, snr_scale=1.0)
+        assert detectability(img, box, min_pixels=150, snr_scale=1.0) == want
+
+
 @pytest.mark.parametrize("channels", [3, 1])
 def test_windowed_luma_matches_the_whole_frame_luma(channels):
     img = textured_image(channels=channels)

@@ -74,7 +74,7 @@ def test_demosaic_interior_bilinear_values():
 
 def bilinear_reference(x: np.ndarray) -> np.ndarray:
     """Per-pixel bilinear RGGB interpolation with reflected borders, summed
-    in the order the demosaic uses."""
+    in the order the demosaic uses, in the dtype of `x`."""
     h, w = x.shape
 
     def px(i, j):
@@ -82,7 +82,7 @@ def bilinear_reference(x: np.ndarray) -> np.ndarray:
         j = -j if j < 0 else 2 * (w - 1) - j if j >= w else j
         return x[i, j]
 
-    out = np.empty((h, w, 3))
+    out = np.empty((h, w, 3), x.dtype)
     for i in range(h):
         for j in range(w):
             n, s, e, wst = px(i - 1, j), px(i + 1, j), px(i, j + 1), px(i, j - 1)
@@ -100,7 +100,7 @@ def bilinear_reference(x: np.ndarray) -> np.ndarray:
 def test_demosaic_matches_per_pixel_reference(shape):
     dn = np.random.default_rng(shape[0] * 31 + shape[1]).integers(0, 1024, shape)
     frame = mosaic_frame(dn)
-    want = bilinear_reference(dn / 1023.0)
+    want = bilinear_reference((dn / 1023.0).astype(np.float32))
     got = demosaic(frame)
     assert got.shape == want.shape
     assert got.tobytes() == want.tobytes()
@@ -201,7 +201,7 @@ def test_render_fits_the_matrix_unless_one_is_given():
     assert fitted.tobytes() == want.tobytes()
     matrix = ((0.5, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 0.25))
     given = render(frame, IspConfig(stages=stages, matrix=matrix)).values
-    assert given.tobytes() == (linear * (0.5, 1.0, 0.25)).tobytes()
+    assert given.tobytes() == (linear * np.float32((0.5, 1.0, 0.25))).tobytes()
 
 
 def test_render_raw_stage():
@@ -247,7 +247,7 @@ def test_hdr_tone_map_matches_the_frozen_expression(rate):
     norm = norm if norm > 0 else 1.0
     max_code = SensorSpec().max_code()
     want = np.round(np.clip(rate / norm, 0, 1) * max_code).astype(np.uint16)
-    assert mosaic.tobytes() == (want / max_code).tobytes()
+    assert mosaic.tobytes() == (want / max_code).astype(np.float32).tobytes()
 
 
 # rasters of tied codes over bracket durations, as HDR fusion makes them, or
@@ -295,9 +295,9 @@ def test_demosaic_matches_the_padded_expression(shape):
     # the pre-padded mosaic the demosaic used to build with np.pad, whose
     # 'reflect' repeats the edge of a side one pixel long
     dn = np.random.default_rng(shape[0] * 13 + shape[1]).integers(0, 1024, shape)
-    p = np.pad(dn.astype(np.float64) / 1023, 1, mode="reflect")
+    p = np.pad((dn / 1023).astype(np.float32), 1, mode="reflect")
     h, w = shape
-    want = np.empty((h, w, 3))
+    want = np.empty((h, w, 3), np.float32)
     for (dy, dx), picks in _RGGB_PICKS.items():
         for c, pick in enumerate(picks):
             offsets = _NEIGHBOURS[pick]
@@ -309,7 +309,10 @@ def test_demosaic_matches_the_padded_expression(shape):
 
 
 # The whole-frame ISP chain as it stood before render worked in bands, frozen
-# as the byte oracle for render.
+# as the byte oracle for render, on float32 buffers; its color stage sums
+# each channel in a fixed order. With float64 buffers, matmul for the color
+# stage and the float64 mean for adaptive gamma, it is the float64 chain the
+# float32 render is bounded against.
 
 def frozen_hdr_to_mosaic_frame(hdr):
     norm = float(np.percentile(hdr.rate_e_per_s, 99.9))
@@ -322,18 +325,18 @@ def frozen_hdr_to_mosaic_frame(hdr):
     return RawFrame(dn, dn == max_code, 0.0, hdr.sensor)
 
 
-def frozen_demosaic_bilinear(frame):
+def frozen_demosaic_bilinear(frame, dtype=np.float32):
     if frame.sensor.cfa.pattern == MONO.pattern:
-        x = frame.dn / frame.sensor.max_code()
+        x = (frame.dn / frame.sensor.max_code()).astype(dtype)
         return np.repeat(x[:, :, None], 3, axis=2)
     h, w = frame.dn.shape
-    p = np.empty((h + 2, w + 2))
+    p = np.empty((h + 2, w + 2), dtype)
     np.divide(frame.dn, frame.sensor.max_code(), out=p[1:-1, 1:-1])
     ry, rx = min(1, h - 1), min(1, w - 1)
     p[0, 1:-1], p[-1, 1:-1] = p[1 + ry, 1:-1], p[h - ry, 1:-1]
     p[:, 0], p[:, -1] = p[:, 1 + rx], p[:, w - rx]
-    out = np.empty((h, w, 3))
-    total = np.empty(((h + 1) // 2, (w + 1) // 2))
+    out = np.empty((h, w, 3), dtype)
+    total = np.empty(((h + 1) // 2, (w + 1) // 2), dtype)
     for (dy, dx), picks in _RGGB_PICKS.items():
         phase = total[:(h - dy + 1) // 2, :(w - dx + 1) // 2]
         for c, pick in enumerate(picks):
@@ -351,7 +354,12 @@ def frozen_demosaic_bilinear(frame):
 
 
 def frozen_color_correct(v, matrix):
-    out = v @ np.asarray(matrix, dtype=np.float64).T
+    if v.dtype == np.float64:
+        out = v @ np.asarray(matrix, dtype=np.float64).T
+    else:
+        m = np.asarray(matrix, dtype=np.float64).astype(v.dtype)
+        out = np.stack([m[i, 0] * v[..., 0] + m[i, 1] * v[..., 1] + m[i, 2] * v[..., 2]
+                        for i in range(3)], axis=2)
     return np.clip(out, 0.0, 1.0, out=out)
 
 
@@ -373,20 +381,20 @@ def frozen_apply_gamma(v, spec):
     return np.clip(out, 0.0, 1.0, out=out), gamma_used
 
 
-def frozen_render(frame, isp):
+def frozen_render(frame, isp, dtype=np.float32):
     if isinstance(frame, HDRFrame):
         frame = frozen_hdr_to_mosaic_frame(frame)
     v, gamma_used = None, None
     for stage in isp.stages:
         if stage == "demosaic":
-            v = frozen_demosaic_bilinear(frame)
+            v = frozen_demosaic_bilinear(frame, dtype)
         elif stage == "color":
             matrix = fit_color_matrix(frame.sensor) if isp.matrix is None else isp.matrix
             v = frozen_color_correct(v, matrix)
         elif stage == "gamma":
             v, gamma_used = frozen_apply_gamma(v, isp.gamma)
         else:
-            v = (frame.dn / frame.sensor.max_code())[:, :, None]
+            v = (frame.dn / frame.sensor.max_code()).astype(dtype)[:, :, None]
     return v, gamma_used
 
 
@@ -427,7 +435,7 @@ def test_render_matches_the_frozen_whole_frame_chain(isp, kind, cfa, monkeypatch
              ((17, 10), None)]
     for i, (shape, rows) in enumerate(cases):
         if rows is not None:
-            monkeypatch.setattr(isp_module, "_BAND_BYTES", rows * 8 * shape[1] * 3)
+            monkeypatch.setattr(isp_module, "_BAND_BYTES", rows * 4 * shape[1] * 3)
         frame = oracle_frame(kind, cfa, shape, seed=i)
         want, want_gamma = frozen_render(frame, isp)
         got = render(frame, isp)
@@ -435,6 +443,37 @@ def test_render_matches_the_frozen_whole_frame_chain(isp, kind, cfa, monkeypatch
         assert got.values.tobytes() == want.tobytes(), (shape, rows)
         assert got.gamma_used == want_gamma
         monkeypatch.undo()
+
+
+EPS32 = float(np.finfo(np.float32).eps)  # one float32 ulp of 1.0
+
+
+@pytest.mark.parametrize("cfa", [RGGB, MONO], ids=["RGGB", "MONO"])
+@pytest.mark.parametrize("kind", ["raw", "hdr"])
+@pytest.mark.parametrize("isp", ISP_CONFIGS, ids=isp_id)
+def test_render_is_within_a_few_float32_ulps_of_the_float64_chain(isp, kind, cfa):
+    """The stages before gamma stay within 4 ulps of 1.0 of the float64
+    chain's values (absolute: the color stage's cancellation leaves no
+    relative bound), and gamma within 4 float32 ulps, relative, of the
+    float64 gamma of the same linear values with the same float32-rounded
+    exponent. Gamma's slope near 0 magnifies any difference in its input
+    without bound, so it is bounded on its own; the float32 exponent is
+    checked by criterion 8."""
+    frame = oracle_frame(kind, cfa, (37, 53), seed=5)
+    linear_isp = IspConfig(stages=tuple(s for s in isp.stages if s != "gamma"),
+                           matrix=isp.matrix)
+    linear = render(frame, linear_isp).values
+    want, _ = frozen_render(frame, linear_isp, np.float64)
+    assert linear.dtype == np.float32
+    assert np.abs(linear - want).max() <= 4 * EPS32
+    if "gamma" in isp.stages:
+        got = render(frame, isp)
+        v = linear.astype(np.float64)
+        if isp.gamma.mode == "srgb":
+            want, _ = frozen_apply_gamma(v, isp.gamma)
+        else:
+            want = np.clip(np.power(v, float(np.float32(got.gamma_used))), 0.0, 1.0)
+        assert np.all(np.abs(got.values - want) <= 4 * EPS32 * want)
 
 
 def test_hdr_tone_map_keeps_no_negative_zero():
@@ -479,9 +518,9 @@ def test_render_warns_once_when_adaptive_gamma_is_undefined():
 
 
 def test_render_of_a_full_dye_hdr_frame_adds_little_to_its_output():
-    """The default render of a 1440x2560 HDR frame peaks below its 84 MiB
-    RGB output plus 8 MiB: no whole-frame mosaic or other frame-sized
-    float64 temporary is built beside the output."""
+    """The default render of a 1440x2560 HDR frame peaks below its 42 MiB
+    float32 RGB output plus 8 MiB: no whole-frame mosaic or other
+    frame-sized temporary is built beside the output."""
     rate = np.random.default_rng(3).lognormal(12.5, 1.0, (1440, 2560))
     rate[360:1080, 1280:2000] /= 100.0
     frame = hdr_frame(rate)

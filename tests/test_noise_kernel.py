@@ -3,7 +3,8 @@ oracle written from the stream definition, and against the statistics of
 Poisson plus Gaussian noise.
 
 The oracle draws each pixel's Box–Muller pair from `rng.uniforms` and
-numpy's cos and sin, with an explicit table for the octant symmetries, and
+numpy's float32 cos and sin of the double angle rounded to float32, with an
+explicit table for the octant symmetries, and
 runs the Knuth loop over every pixel until the slowest finishes. The kernel
 must match it byte for byte: for λ edge values, for rasters that end
 exactly on, just before and just after a chunk boundary, for a short-bracket
@@ -44,13 +45,15 @@ OCTANT_PAIRS = {
 }
 
 
-def normal_pairs(key):
-    """(shot, read) standard normals of the normal streams under `key`."""
+def normal_pairs(key, angle=np.float32):
+    """(shot, read) standard normals of the normal streams under `key`, from
+    cos and sin of the angle in the `angle` dtype."""
     u1 = uniforms(key, 1)[..., 0]
     word = mix64(key + golden(2))  # uniforms(key, 2)[..., 1] is its top 53 bits
     r = np.sqrt(-2.0 * np.log(1.0 - u1))
     phi = (word >> np.uint64(14)).astype(np.float64) * (np.pi / 4 / 2**50)  # [0, π/4)
-    c, s = np.cos(phi), np.sin(phi)
+    phi = phi.astype(angle)
+    c, s = np.cos(phi).astype(np.float64), np.sin(phi).astype(np.float64)
     octant = word & np.uint64(7)
     x, y = np.empty_like(c), np.empty_like(s)
     for b, pair in OCTANT_PAIRS.items():
@@ -269,6 +272,21 @@ def test_concurrent_calls_give_the_serial_bytes():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert got == [[w] * 4 for w in want]
+
+
+def test_each_normal_is_within_2_to_the_minus_22_of_the_double_angle_normal():
+    # φ rounded to float32 is within 2⁻²⁴ relative of the double angle, and
+    # numpy's float32 cos and sin are within about an ulp; the pair takes
+    # both, so each normal keeps 22 bits of the double-angle normal
+    n = 5 * CHUNK // 2
+    key = stream_key(11, kernels._LANE_NORMAL, np.arange(n, dtype=np.uint64))
+    bufs = kernels._Buffers(n)
+    x, y = np.empty(n), np.empty(n)
+    kernels._normal_pair_into(key.copy(), bufs.r, x, y, bufs.bits, bufs.shift, bufs.phi)
+    assert x.tobytes() + y.tobytes() == b"".join(v.tobytes() for v in normal_pairs(key))
+    for got, want in zip((x, y), normal_pairs(key, angle=np.float64)):
+        assert np.all(np.sign(got) == np.sign(want))
+        assert np.all(np.abs(got - want) <= 2.0**-22 * np.abs(want))
 
 
 # ------------------------------------------------- statistical oracles ----

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,7 +10,7 @@ from camsim.optics import LensSpec, optical_image
 from camsim.scene import SceneSpec, synthesize
 from camsim.sensor import (MONO, RCCC, RGGB, PixelSpec, RawFrame, SensorSpec, adc,
                            apply_noise, channel_index_map, derive_geometry,
-                           dn_to_electrons, dynamic_range_db, expected_rate,
+                           dn_to_electrons, dynamic_range_db, expected_rate, expose,
                            sensor_geometry)
 from camsim.spectral import WavelengthGrid
 from frames import noise_free
@@ -210,6 +212,42 @@ def test_dark_current_adds_to_signal():
     lam = np.full((128, 128), 100.0)
     e = apply_noise(lam, s, 1.0, seed=5)
     assert e.mean() == pytest.approx(1100.0, rel=0.05)
+
+
+def hdr_12ms_rate():
+    """The rate whose 12 ms exposure noise_bench.py's hdr 12ms raster holds:
+    λ ≈ 3-4 under the shadowed block and 100-3000 elsewhere."""
+    rng = np.random.default_rng(0)
+    lam = rng.uniform(100.0, 3000.0, (1440, 2560))
+    lam[400:1200, 1600:2400] = rng.uniform(2.8, 4.0, (800, 800))
+    return lam / 12e-3
+
+
+@pytest.mark.parametrize("at", [None, np.arange(0, 37 * 53, 5)], ids=["whole", "at"])
+def test_expose_is_apply_noise_of_rate_times_duration(at):
+    s = SensorSpec(pixel=PixelSpec(dark_current_e_per_s=1000.0))
+    rate = np.random.default_rng(6).uniform(0.0, 4e4, (37, 53))
+    rate = rate if at is None else rate.reshape(-1)[at]
+    before = rate.copy()
+    got = expose(rate, s, 3e-3, seed=8, at=at)
+    want = adc(apply_noise(rate * 3e-3, s, 3e-3, seed=8, at=at), s, 3e-3)
+    assert got.dn.tobytes() == want.dn.tobytes()
+    assert got.saturated.tobytes() == want.saturated.tobytes()
+    assert rate.tobytes() == before.tobytes()
+
+
+def test_expose_of_a_full_dye_frame_peaks_below_three_frames():
+    """One λ frame and the noise kernel's output are alive at once; the
+    ADC's raster is allocated after λ is freed."""
+    rate = hdr_12ms_rate()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        expose(rate, SensorSpec(), 12e-3, seed=7)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * rate.nbytes, peak / rate.nbytes
 
 
 def test_capture_shapes_and_noise_free_path():
