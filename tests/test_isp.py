@@ -310,9 +310,8 @@ def test_demosaic_matches_the_padded_expression(shape):
 
 # The whole-frame ISP chain as it stood before render worked in bands, frozen
 # as the byte oracle for render, on float32 buffers; its color stage sums
-# each channel in a fixed order. With float64 buffers, matmul for the color
-# stage and the float64 mean for adaptive gamma, it is the float64 chain the
-# float32 render is bounded against.
+# each channel in a fixed order. On float64 buffers, with matmul for the
+# color stage, it is the float64 chain the float32 render is bounded against.
 
 def frozen_hdr_to_mosaic_frame(hdr):
     norm = float(np.percentile(hdr.rate_e_per_s, 99.9))
