@@ -19,7 +19,7 @@ from .scene import (  # noqa: F401
 from .optics import LensSpec, OpticalImage, optical_image  # noqa: F401
 from .sensor import (  # noqa: F401
     PixelSpec, SensorSpec, CFA, RGGB, MONO, RCCC, RawFrame, derive_geometry,
-    expected_rate, expose, apply_noise, adc, dynamic_range_db, dn_to_electrons,
+    expected_rate, expose, adc, dynamic_range_db, dn_to_electrons,
 )
 from .exposure import (  # noqa: F401
     ExposurePlan, HDRFrame, Acquisition, acquire, hdr_combine, effective_dynamic_range,

@@ -189,6 +189,12 @@ def _bare(e: Exception) -> Exception:
     return e
 
 
+def _scene_seed(run_seed: int, index: int) -> int:
+    """The seed of the capture and the detection of the run's scene at
+    `index` (its position in `_load_scenes`)."""
+    return int(stream_key(run_seed, 3, index) & np.uint64(0x7FFFFFFF))
+
+
 def _process_scene(args):
     """One scene, opened once and projected once per target_lux, through every
     variant; only its ground truth and optical images are kept past the
@@ -208,7 +214,7 @@ def _process_scene(args):
     except Exception as e:  # skip the broken scene, keep the rest
         return scene_id, [_bare(e)] * len(variants)
     del sc
-    seed = int(stream_key(cfg.seed, 3, index) & np.uint64(0x7FFFFFFF))
+    seed = _scene_seed(cfg.seed, index)
     out = []
     for v in variants:
         try:

@@ -60,7 +60,8 @@ def detectability(image_values: np.ndarray, box, min_pixels: int,
                   snr_scale: float) -> float:
     """d' = snr_scale · sqrt(pixels on target) · local contrast, where local
     contrast is |mean inside − mean surround| over the surround std (a noise
-    estimate). Zero when the box covers fewer than min_pixels pixels.
+    estimate). Zero when the box covers fewer than min_pixels pixels, and
+    when the window's luma holds one value (a flat or saturated window).
     image_values is an (H, W, 3) image or its (H, W) luma. Only the
     surround window (the clipped box widened by a margin of half its larger
     side, at least 2 px) is read, and its luma is taken per pixel, so the
@@ -77,6 +78,8 @@ def detectability(image_values: np.ndarray, box, min_pixels: int,
     sx0, sy0 = max(0, x0 - margin), max(0, y0 - margin)
     sx1, sy1 = min(w, x1 + margin), min(h, y1 + margin)
     ring = _luma(image_values[sy0:sy1, sx0:sx1])
+    if ring.min() == ring.max():  # no contrast: the means differ by rounding error only
+        return 0.0
     inside = ring[y0 - sy0:y1 - sy0, x0 - sx0:x1 - sx0]
     inside_mean = float(inside.mean())
     inside[...] = np.nan

@@ -6,9 +6,10 @@ against built-in reflectance patches, gamma variants, raw passthrough, and
 stage runs in float32, with the color matrix and the gamma exponent rounded
 to float32, so no loop upcasts: an 8-bit display value or a 10-bit code does
 not need a double. Only an HDR frame's tone map computes its codes in
-float64, so that each is the code the float64 expression gives. A band is an even number of rows whose output fills about
-`_BAND_BYTES`, so the band, the mosaic rows it reads and its linear planes
-stay in cache from one stage to the next. Each band runs the demosaic, into
+float64, so that each is the code the float64 expression gives. A band is
+an even number of rows whose output fills about `_BAND_BYTES`, so the band,
+the mosaic rows it reads and its linear planes stay in cache from one stage
+to the next. Each band runs the demosaic, into
 three planar (R, G, B) planes, and the color correction, each clipped to
 [0, 1], in one pass. The color correction forms output channel i as
 m_i0·r + m_i1·g + m_i2·b, in that order, with elementwise numpy operations,
@@ -115,9 +116,8 @@ DEMOSAIC_PATTERNS = (MONO.pattern, RGGB.pattern)
 
 # A band's output rows: 16 rows of 2560×3 float32, in L2 with the mosaic rows,
 # the linear planes and the color scratch they are computed from. Kept from
-# the float64 render: on a 1440×2560 HDR frame (benchmarks/isp_bench.py, one
-# thread, AVX-512 Xeon) 1 << 17, 18, 19 and 20 took 199–205, 179–186, 172–173
-# and 172–179 ms
+# the float64 render: on a 1440×2560 HDR frame (one thread, AVX-512 Xeon)
+# 1 << 17, 18, 19 and 20 took 199–205, 179–186, 172–173 and 172–179 ms
 _BAND_BYTES = 1 << 19
 
 

@@ -236,17 +236,6 @@ def _cell_row_sum(sample, rows: slice, x: int, m: int, step: int, f: int) -> np.
     return acc
 
 
-def apply_noise(expected_e: np.ndarray, sensor: SensorSpec, exposure_s: float,
-                seed: int, at=None) -> np.ndarray:
-    """Poisson shot + dark-current noise and Gaussian read noise, clamped to
-    the (possibly area-scaled) well. Counter-based per-pixel streams; `at`
-    gives the flat raster index of each pixel when `expected_e` holds only
-    some of the raster's pixels."""
-    lam = expected_e + sensor.pixel.dark_current_e_per_s * exposure_s
-    return kernels.sample_sensor_noise(
-        lam, sensor.pixel.read_noise_e, sensor.effective_well_e(), seed, at=at)
-
-
 def adc(electrons: np.ndarray, sensor: SensorSpec, exposure_s: float = 0.0) -> RawFrame:
     """Quantize electrons to digital numbers; default conversion gain maps
     the well exactly onto the voltage swing. One float64 raster is
@@ -287,11 +276,13 @@ def dynamic_range_db(sensor: SensorSpec) -> float:
 
 def expose(rate: np.ndarray, sensor: SensorSpec, exposure_s: float, seed: int,
            at=None) -> RawFrame:
-    """One frame from an expected-rate raster: electrons for the duration,
-    then noise and the ADC. With `at`, `rate` holds the pixels at those flat
-    raster indices only, and the frame holds exactly the values the whole
-    raster's frame has there. λ = rate·t + dark current·t is built in one
-    array, in the two elementwise steps `apply_noise` takes on rate·t."""
+    """One frame from an expected-rate raster: the expected electrons
+    λ = rate·t + dark current·t, built in one array in two elementwise
+    steps; Poisson shot noise on λ and Gaussian read noise, clamped to the
+    (possibly area-scaled) well, from `kernels.sample_sensor_noise`'s
+    counter-based per-pixel streams; then the ADC. With `at`, `rate` holds
+    the pixels at those flat raster indices only, and the frame holds
+    exactly the values the whole raster's frame has there."""
     lam = np.multiply(rate, exposure_s)
     lam += sensor.pixel.dark_current_e_per_s * exposure_s
     e = kernels.sample_sensor_noise(lam, sensor.pixel.read_noise_e, sensor.effective_well_e(),

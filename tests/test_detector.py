@@ -156,3 +156,22 @@ def test_windowed_luma_matches_the_whole_frame_luma(channels):
     from_image = proxy_detect(img, boxes, cfg, image_id="i")
     assert len(from_luma) > 1
     assert [(d.bbox, d.score) for d in from_image] == [(d.bbox, d.score) for d in from_luma]
+
+
+# boxes on a 240x320 frame: centred, on corners and edges, clipped by the
+# frame, wide and small; at the float64 means' last bits most read d' ≈ 1e-8
+FLAT_BOXES = [(150, 110, 170, 140), (0, 0, 30, 20), (290, 220, 320, 240), (40, 60, 100, 100),
+              (100, 10, 123, 27), (-5, 200, 25, 250), (200, 100, 260, 180), (7, 33, 31, 61)]
+
+
+def test_a_flat_window_has_no_detectability_and_is_not_detected():
+    """A saturated frame renders every pixel one RGB value: its windows hold
+    no contrast, so every box reads d' = 0 and none is detected."""
+    img = np.empty((240, 320, 3), np.float32)
+    img[...] = (1.0, 0.9137, 1.0)
+    boxes = [gt_for(b, pixel_count=400, inst=k + 1) for k, b in enumerate(FLAT_BOXES)]
+    for box in boxes:
+        assert detectability(img, box, min_pixels=150, snr_scale=1.0) == 0.0
+        assert detectability(img[..., 1], box, min_pixels=150, snr_scale=1.0) == 0.0
+    for seed in range(20):
+        assert proxy_detect(img, boxes, ProxyDetectorConfig(seed=seed), image_id="i") == []

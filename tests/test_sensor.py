@@ -6,12 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from camsim import kernels
 from camsim.optics import LensSpec, optical_image
 from camsim.scene import SceneSpec, synthesize
 from camsim.sensor import (MONO, RCCC, RGGB, PixelSpec, RawFrame, SensorSpec, adc,
-                           apply_noise, channel_index_map, derive_geometry,
-                           dn_to_electrons, dynamic_range_db, expected_rate, expose,
-                           sensor_geometry)
+                           channel_index_map, derive_geometry, dn_to_electrons,
+                           dynamic_range_db, expected_rate, expose, sensor_geometry)
 from camsim.spectral import WavelengthGrid
 from frames import noise_free
 
@@ -180,10 +180,16 @@ def test_dn_to_electrons_is_the_frozen_expression_bit_for_bit(sensor, data):
     assert dn.tobytes() == before.tobytes()
 
 
+def _noise(lam, sensor, seed):
+    """The noise kernel's electrons for λ = `lam` on `sensor`."""
+    return kernels.sample_sensor_noise(lam, sensor.pixel.read_noise_e, sensor.effective_well_e(),
+                                       seed)
+
+
 def test_noise_statistics_poisson_regime():
     s = SensorSpec(pixel=PixelSpec(read_noise_e=24.0))
     lam = np.full((256, 256), 1000.0)
-    e = apply_noise(lam, s, 0.0, seed=7)
+    e = _noise(lam, s, seed=7)
     shot_plus_read = lam.mean() + 24.0 ** 2
     assert e.mean() == pytest.approx(1000.0, rel=0.01)
     assert e.var() == pytest.approx(shot_plus_read, rel=0.05)
@@ -191,32 +197,31 @@ def test_noise_statistics_poisson_regime():
 
 def test_noise_clamped_to_well():
     s = SensorSpec()
-    e = apply_noise(np.full((64, 64), 1e6), s, 0.0, seed=1)
+    e = _noise(np.full((64, 64), 1e6), s, seed=1)
     assert e.max() <= s.effective_well_e()
-    e0 = apply_noise(np.zeros((64, 64)), s, 0.0, seed=1)
+    e0 = _noise(np.zeros((64, 64)), s, seed=1)
     assert e0.min() >= 0.0
 
 
 def test_noise_deterministic_per_seed():
     s = SensorSpec()
     lam = np.full((32, 32), 100.0)
-    a = apply_noise(lam, s, 0.0, seed=3)
-    b = apply_noise(lam, s, 0.0, seed=3)
-    c = apply_noise(lam, s, 0.0, seed=4)
+    a = _noise(lam, s, seed=3)
+    b = _noise(lam, s, seed=3)
+    c = _noise(lam, s, seed=4)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
 
 
 def test_dark_current_adds_to_signal():
     s = SensorSpec(pixel=PixelSpec(dark_current_e_per_s=1000.0, read_noise_e=24.0))
-    lam = np.full((128, 128), 100.0)
-    e = apply_noise(lam, s, 1.0, seed=5)
-    assert e.mean() == pytest.approx(1100.0, rel=0.05)
+    frame = expose(np.full((128, 128), 100.0), s, 1.0, seed=5)
+    assert dn_to_electrons(frame).mean() == pytest.approx(1100.0, rel=0.05)
 
 
 def hdr_12ms_rate():
-    """The rate whose 12 ms exposure noise_bench.py's hdr 12ms raster holds:
-    λ ≈ 3-4 under the shadowed block and 100-3000 elsewhere."""
+    """A full-dye rate whose 12 ms exposure puts λ ≈ 3-4 on an 800 x 800
+    block, as under hdr_fulldye's shadow, and 100-3000 elsewhere."""
     rng = np.random.default_rng(0)
     lam = rng.uniform(100.0, 3000.0, (1440, 2560))
     lam[400:1200, 1600:2400] = rng.uniform(2.8, 4.0, (800, 800))
@@ -224,13 +229,15 @@ def hdr_12ms_rate():
 
 
 @pytest.mark.parametrize("at", [None, np.arange(0, 37 * 53, 5)], ids=["whole", "at"])
-def test_expose_is_apply_noise_of_rate_times_duration(at):
+def test_expose_is_the_noise_kernel_of_rate_times_duration_plus_dark(at):
     s = SensorSpec(pixel=PixelSpec(dark_current_e_per_s=1000.0))
     rate = np.random.default_rng(6).uniform(0.0, 4e4, (37, 53))
     rate = rate if at is None else rate.reshape(-1)[at]
     before = rate.copy()
     got = expose(rate, s, 3e-3, seed=8, at=at)
-    want = adc(apply_noise(rate * 3e-3, s, 3e-3, seed=8, at=at), s, 3e-3)
+    lam = rate * 3e-3 + 1000.0 * 3e-3
+    want = adc(kernels.sample_sensor_noise(lam, s.pixel.read_noise_e, s.effective_well_e(),
+                                           8, at=at), s, 3e-3)
     assert got.dn.tobytes() == want.dn.tobytes()
     assert got.saturated.tobytes() == want.saturated.tobytes()
     assert rate.tobytes() == before.tobytes()
