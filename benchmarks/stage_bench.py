@@ -30,8 +30,11 @@ raster of many short runs. The ``noise:`` rows stress the noise kernel,
 
 A row's inputs are built once and not counted. Each row prints the shape
 of what its call reads (the scene grid, the frames, or the λ raster), the
-median time of ``--repeats`` calls after one warm-up call, and the
-tracemalloc peak of one more call above what was allocated before it.
+median time of ``--repeats`` calls after one warm-up call, the median wall
+time of ``--repeats`` pairs of calls, each pair two copies of the call
+started together on two threads (as perfbench's two scene workers run
+them), and the tracemalloc peak of one more call above what was allocated
+before it.
 Each row runs in a fresh Python process (the script run again with
 ``--row``), so that no row's figure depends on the heap that the rows
 before it left behind. Warnings (the PSF skip) are silenced.
@@ -42,6 +45,7 @@ import statistics
 import subprocess
 import sys
 import tempfile
+import threading
 import time
 import tracemalloc
 import warnings
@@ -141,24 +145,45 @@ def _peak_mib(fn) -> float:
         tracemalloc.stop()
 
 
+def _seconds(fn) -> float:
+    t0 = time.perf_counter()
+    fn()
+    return time.perf_counter() - t0
+
+
+def _pair_seconds(fn) -> float:
+    """Wall time of two copies of fn started together on two threads."""
+    start = threading.Barrier(3)
+
+    def run():
+        start.wait()
+        fn()
+
+    threads = [threading.Thread(target=run) for _ in range(2)]
+    for t in threads:
+        t.start()
+    start.wait()
+    t0 = time.perf_counter()
+    for t in threads:
+        t.join()
+    return time.perf_counter() - t0
+
+
 def bench_row(row, repeats):
     """Print the row's line, timed in this process."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         shape, fn = _case(row)
         fn()  # warm up
-        times = []
-        for _ in range(repeats):
-            t0 = time.perf_counter()
-            fn()
-            times.append(time.perf_counter() - t0)
+        one = statistics.median(_seconds(fn) for _ in range(repeats))
+        two = statistics.median(_pair_seconds(fn) for _ in range(repeats))
         peak = _peak_mib(fn)
-    print(f"{row:<26} {shape:>22} {statistics.median(times) * 1e3:>10.2f} {peak:>11.1f}")
+    print(f"{row:<26} {shape:>22} {one * 1e3:>10.2f} {two * 1e3:>10.2f} {peak:>11.1f}")
 
 
 def bench(rows, repeats):
     print(f"\nper-stage calls, median of {repeats}:")
-    print(f"{'row':<26} {'shape':>22} {'time [ms]':>10} {'peak [MiB]':>11}")
+    print(f"{'row':<26} {'shape':>22} {'time [ms]':>10} {'2 thr [ms]':>10} {'peak [MiB]':>11}")
     for row in rows:
         proc = subprocess.run([sys.executable, __file__, "--row", row, "--repeats", str(repeats)],
                               capture_output=True, text=True)

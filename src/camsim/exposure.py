@@ -8,6 +8,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import kernels
 from .optics import OpticalImage
 from .optics import radiance_to_irradiance  # noqa: F401  (perfbench/selftest.py wraps this binding)
 from .rng import stream_key
@@ -147,8 +148,8 @@ def _fuse(shape: tuple, durations: tuple, sensor: SensorSpec, bracket) -> HDRFra
     (longest) unsaturated bracket divided by its duration; a pixel saturated
     in every bracket reads the last one and is flagged invalid."""
     f = bracket(0, None)
-    rate = dn_to_electrons(f).reshape(-1)
-    rate /= f.exposure_s
+    rate = np.empty(f.dn.size)
+    _apply_table(_code_rates(sensor, f.exposure_s), f.dn.reshape(-1), rate)
     chosen = np.zeros(rate.size, dtype=np.min_scalar_type(len(durations) - 1))
     undecided = np.flatnonzero(f.saturated)
     for i in range(1, len(durations)):
@@ -157,15 +158,34 @@ def _fuse(shape: tuple, durations: tuple, sensor: SensorSpec, bracket) -> HDRFra
         f = bracket(i, undecided)
         take = ~f.saturated | (i == len(durations) - 1)
         at = undecided[take]
-        e = dn_to_electrons(f)
-        e /= f.exposure_s
-        rate[at] = e[take]
+        rate[at] = _apply_table(_code_rates(sensor, f.exposure_s), f.dn[take],
+                                np.empty(at.size))
         chosen[at] = i
         undecided = undecided[f.saturated]
     valid = np.ones(rate.size, dtype=bool)
     valid[undecided] = False
     return HDRFrame(rate.reshape(shape), valid.reshape(shape), chosen.reshape(shape),
                     durations, sensor)
+
+
+def _code_rates(sensor: SensorSpec, exposure_s: float) -> np.ndarray:
+    """The rate each code of a frame exposed for `exposure_s` reads, one
+    entry per code from 0 to max_code: `dn_to_electrons` of the code divided
+    by the duration, in those steps, so that the table read at a frame's
+    codes is that expression of the frame byte for byte."""
+    codes = np.arange(sensor.max_code() + 1)
+    table = dn_to_electrons(RawFrame(codes, codes == sensor.max_code(), exposure_s, sensor))
+    table /= exposure_s
+    return table
+
+
+def _apply_table(table: np.ndarray, codes: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out = table[codes], a chunk of codes at a time: `take` copies its
+    indices to intp, and a chunk's copy is all it makes."""
+    for start in range(0, codes.size, kernels._CHUNK):
+        where = slice(start, start + kernels._CHUNK)
+        np.take(table, codes[where], out=out[where])
+    return out
 
 
 def effective_dynamic_range(sensor_dr_db: float, durations_s) -> float:

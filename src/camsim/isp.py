@@ -114,11 +114,13 @@ _NEIGHBOURS = {"x": ((0, 0),), "h": ((0, 1), (0, -1)), "v": ((-1, 0), (1, 0)),
 # another must render raw
 DEMOSAIC_PATTERNS = (MONO.pattern, RGGB.pattern)
 
-# A band's output rows: 16 rows of 2560×3 float32, in L2 with the mosaic rows,
-# the linear planes and the color scratch they are computed from. Kept from
-# the float64 render: on a 1440×2560 HDR frame (one thread, AVX-512 Xeon)
-# 1 << 17, 18, 19 and 20 took 199–205, 179–186, 172–173 and 172–179 ms
-_BAND_BYTES = 1 << 19
+# A band's output rows: 68 rows of 2560×3 float32, with the mosaic rows, the
+# linear planes and the color scratch they are computed from. Sized for two
+# scene workers rendering at once, as the CLI runs them: on hdr_fulldye's
+# fused 1440×2560 frame (2-CPU AVX-512 Xeon, median of 5 rounds of 3),
+# 1 << 19, 20, 21 and 22 took 230, 177, 153 and 168 ms for two renders on
+# two threads, and 161, 148, 142 and 142 ms for one render alone
+_BAND_BYTES = 1 << 21
 
 
 def _band_rows(a: np.ndarray) -> int:
@@ -227,9 +229,11 @@ def _fill_padded_band(fill, h: int, i0: int, b: int, step: int, p: np.ndarray) -
 def _demosaic_band(mosaic: np.ndarray, mono: bool, out: np.ndarray) -> None:
     """The demosaic of a band, into the (3, b, W) planes `out`: bilinear
     RGGB over a `_fill_padded_band` buffer (its first row is the halo above
-    the band), clipped to [0, 1], each neighbour average computed only on
-    the CFA phase that reads it, or a MONO band's rows in all three
-    planes."""
+    the band), each neighbour average computed only on the CFA phase that
+    reads it, or a MONO band's rows in all three planes. Every plane value
+    is a buffer value or the float32 mean of 2 or 4 of them, and
+    `_row_filler` writes only values in [0, 1], never -0.0, so the planes
+    lie in [0, 1] with no clip."""
     b, w = out.shape[1:]
     if mono:
         out[...] = mosaic[:b]
@@ -248,7 +252,6 @@ def _demosaic_band(mosaic: np.ndarray, mono: bool, out: np.ndarray) -> None:
                 np.add(phase, plane, out=phase)
             np.divide(phase, len(planes), out=phase)
             out[c, dy::2, dx::2] = phase
-    np.clip(out, 0.0, 1.0, out=out)
 
 
 def reflectance_patches() -> np.ndarray:
@@ -331,15 +334,22 @@ def _gamma_exponent(spec: GammaSpec, v: np.ndarray) -> float | None:
 
 def _gamma_band(v: np.ndarray, exponent: float | None, out: np.ndarray) -> None:
     """`v` raised to `exponent` rounded to float32 (None: the sRGB curve),
-    clipped to [0, 1], into `out`, which may be `v`."""
+    clipped to [0, 1], into `out`, which may be `v`. np.power takes a slow
+    path on exact zeros, so it raises only the values it has to: each
+    exponent is positive, and +0.0 (bit pattern 0) raised to it is +0.0;
+    the sRGB curve's power branch reads only the values above its linear
+    segment."""
     if exponent is None:
-        enc = np.power(v, 1 / 2.4)
-        enc *= 1.055
-        enc -= 0.055
-        np.multiply(v, 12.92, out=enc, where=v <= 0.0031308)
+        curve = v > 0.0031308
+        enc = np.multiply(v, 12.92)
+        np.power(v, 1 / 2.4, out=enc, where=curve)
+        np.multiply(enc, 1.055, out=enc, where=curve)
+        np.subtract(enc, 0.055, out=enc, where=curve)
         np.clip(enc, 0.0, 1.0, out=out)
     else:
-        np.power(v, np.float32(exponent), out=out)
+        if out is not v:
+            out[...] = v
+        np.power(v, np.float32(exponent), out=out, where=v.view(f"u{v.itemsize}") != 0)
         np.clip(out, 0.0, 1.0, out=out)
 
 

@@ -21,17 +21,24 @@ second. Pixels below NORMAL_CUTOFF replace the shot normal by Knuth's
 product of uniforms from the "knuth" lane, so no uniform feeds both a
 pixel's Poisson count and its read noise.
 
-The sampler walks the flattened raster in chunks of _CHUNK pixels. Each call
-allocates one block of chunk-sized buffers and reuses it for every chunk: the
-index ramp, its golden-ratio hash, the stream keys, the splitmix64 bits, the
-float32 angle and the Box–Muller terms are all computed in place, so no
-temporary spans the whole raster. The Knuth loop runs over the chunk's pixels below
-NORMAL_CUTOFF only, keyed on their own, carrying only the pixels still
-multiplying, and overwrites their counts. Every pixel's streams are keyed by
-its flat index, so the output does not depend on the chunk size, and a
-subset of pixels can be sampled alone (`at=`) with exactly the bytes the
-whole raster would give them: exposure control samples each HDR bracket
-only on the pixels the fusion still reads.
+The sampler, `stream_noise`, walks the flattened raster in chunks of
+_CHUNK pixels. Each call allocates one block of chunk-sized buffers and
+reuses it for every chunk: the index ramp, its golden-ratio hash, the
+stream keys, the splitmix64 bits, the float32 angle, the Box–Muller terms
+and the chunk's λ are all computed in place, so no temporary spans the
+whole raster. The caller builds each chunk's λ and takes each chunk's
+electrons, so `sensor.expose` streams a frame from rate to codes one chunk
+at a time, and `sample_sensor_noise` keeps the electrons. The pixels below
+NORMAL_CUTOFF of consecutive chunks are queued in one batch of at most
+_CHUNK pixels, in buffers allocated once per call; each full batch, and the
+last, runs one Knuth loop, keyed on its pixels alone and dropping the
+pixels that stopped multiplying once they are half of those it carries,
+and their electrons are emitted again over the chunk's
+normal-approximation values. Every pixel's streams are keyed by its
+flat index, so the output depends on neither the chunk size nor the
+batches, and a subset of pixels can be sampled alone (`at=`) with exactly
+the bytes the whole raster would give them: exposure control samples each
+HDR bracket only on the pixels the fusion still reads.
 """
 
 import numpy as np
@@ -56,39 +63,69 @@ def sample_sensor_noise(expected_e, read_sigma, well_e, seed, at=None):
     is independent of evaluation order and thread count. `at`, when given,
     holds the flat raster index of each element of `expected_e`, so
     ``sample_sensor_noise(lam.flat[at], ..., at=at)`` equals
-    ``sample_sensor_noise(lam, ...).flat[at]`` byte for byte.
+    ``sample_sensor_noise(lam, ...).flat[at]`` byte for byte. This is
+    `stream_noise` with λ read from `expected_e` and the electrons kept.
     """
     lam = np.ascontiguousarray(expected_e, dtype=np.float64)
-    read_sigma, well_e = float(read_sigma), float(well_e)
     flat = lam.reshape(-1)
+    out = np.empty_like(flat)
+
+    def keep(where, electrons):
+        out[where] = electrons
+
+    stream_noise(flat.size, lambda start, stop, buf: flat[start:stop], read_sigma, well_e,
+                 seed, keep, at=at)
+    return out.reshape(lam.shape)
+
+
+def stream_noise(size, lam_chunk, read_sigma, well_e, seed, emit, at=None):
+    """The noise of `size` pixels, a chunk of at most _CHUNK at a time.
+
+    `lam_chunk(start, stop, buf)` returns the expected electrons of pixels
+    start:stop, written into the float64 scratch `buf` or read from
+    elsewhere. `emit(where, electrons)` receives the noisy electrons of the
+    pixels `where` (a slice, or an array of positions), at most _CHUNK of
+    them, in a buffer that the next call may overwrite. Each chunk is
+    emitted whole with the normal-approximation count; its pixels below
+    NORMAL_CUTOFF are then queued, and each full queue (and the last) runs
+    one Knuth loop and emits them again, with their Poisson counts. `at`
+    holds the flat raster index of each pixel, as in `sample_sensor_noise`.
+    """
+    read_sigma, well_e = float(read_sigma), float(well_e)
     if at is not None:
         at = np.asarray(at, dtype=np.uint64).reshape(-1)
-        if at.size != flat.size:
-            raise ValueError(f"{at.size} pixel indices for {flat.size} expected values")
-    out = np.empty_like(flat)
-    bufs = _Buffers(min(_CHUNK, flat.size))
+        if at.size != size:
+            raise ValueError(f"{at.size} pixel indices for {size} expected values")
+    bufs = _Buffers(min(_CHUNK, size))
     if at is None:
         ramp = np.arange(bufs.hashed.size, dtype=np.uint64)
         np.multiply(ramp, _GOLDEN, out=ramp)  # _GOLDEN·(0, 1, ...)
-    bases = stream_base(int(seed), _LANE_NORMAL), stream_base(int(seed), _LANE_KNUTH)
-    for start in range(0, flat.size, _CHUNK):
-        stop = min(start + _CHUNK, flat.size)
-        hashed = bufs.hashed[:stop - start]
+    batch = _KnuthBatch(bufs.hashed.size, stream_base(int(seed), _LANE_KNUTH), well_e, at)
+    base = stream_base(int(seed), _LANE_NORMAL)
+    for start in range(0, size, _CHUNK):
+        stop = min(start + _CHUNK, size)
+        n = stop - start
+        hashed = bufs.hashed[:n]
         if at is None:
-            np.add(ramp[:stop - start], golden(start), out=hashed)
+            np.add(ramp[:n], golden(start), out=hashed)
         else:
             np.multiply(at[start:stop], _GOLDEN, out=hashed)
-        _noise_chunk(flat[start:stop], hashed, bases, read_sigma, well_e, out[start:stop], bufs)
-    return out.reshape(lam.shape)
+        lam = lam_chunk(start, stop, bufs.lam[:n])
+        emit(slice(start, stop), _noise_chunk(lam, hashed, base, read_sigma, well_e, bufs))
+        small = np.flatnonzero(lam < NORMAL_CUTOFF)
+        if batch.full(small.size):
+            batch.flush(emit)
+        batch.add(small, start, lam, bufs.read[:n])
+    batch.flush(emit)
 
 
 class _Buffers:
     """One call's chunk-sized work arrays, rows of one allocation."""
 
     def __init__(self, n):
-        rows = np.empty((7, n))
+        rows = np.empty((8, n))
         self.hashed, self.key, self.bits, self.shift = (r.view(np.uint64) for r in rows[:4])
-        self.r, self.counts, self.read = rows[4:]
+        self.r, self.counts, self.read, self.lam = rows[4:]
         self.phi = np.empty(n, dtype=np.float32)
 
 
@@ -130,13 +167,15 @@ def _normal_pair_into(key, r, x, y, bits, shift, phi):
     np.multiply(y, r, out=y)
 
 
-def _noise_chunk(lam, hashed, bases, read_sigma, well_e, out, bufs):
-    """Noisy electrons into out for the pixels whose flat raster indices
-    hash to `hashed` (index·_GOLDEN)."""
+def _noise_chunk(lam, hashed, base, read_sigma, well_e, bufs):
+    """Noisy electrons, with the normal approximation's count, of the
+    pixels whose flat raster indices hash to `hashed` (index·_GOLDEN); the
+    result is a view of bufs.counts, and bufs.read keeps the scaled read
+    noise."""
     n = lam.size
     key, bits, shift = bufs.key[:n], bufs.bits[:n], bufs.shift[:n]
     r, counts, read = bufs.r[:n], bufs.counts[:n], bufs.read[:n]
-    np.add(hashed, bases[0], out=key)
+    np.add(hashed, base, out=key)
     mix64_into(key, shift)
     _normal_pair_into(key, r, counts, read, bits, shift, bufs.phi[:n])
 
@@ -148,25 +187,93 @@ def _noise_chunk(lam, hashed, bases, read_sigma, well_e, out, bufs):
     np.add(lam, r, out=r)
     np.rint(r, out=r)
     np.maximum(r, 0.0, out=counts)
-    # Knuth below the cutoff: multiply uniforms until the product drops below
-    # exp(-lam); the count is the number of factors that kept it at or above.
-    # Only the pixels still multiplying are carried in pos/key_s/p/thresh.
-    # Before they are compacted, every carried pixel gets count i: a pixel
-    # that stops now keeps it, one that goes on overwrites it later.
-    pos = np.flatnonzero(lam < NORMAL_CUTOFF)
-    key_s = mix64(hashed[pos] + bases[1])
-    thresh = np.exp(-lam[pos])
-    p = np.ones(pos.size)
-    i = 0
-    while pos.size:
-        bits_s = mix64(key_s + golden(i + 1))
-        p = p * ((bits_s >> np.uint64(11)).astype(np.float64) * (1.0 / (1 << 53)))
-        keep = np.flatnonzero(p >= thresh)
-        if keep.size < pos.size:
-            counts[pos] = i
-            pos, key_s, p, thresh = pos[keep], key_s[keep], p[keep], thresh[keep]
-        i += 1
-
     np.multiply(read, read_sigma, out=read)
-    np.add(counts, read, out=read)
-    np.clip(read, 0.0, well_e, out=out)
+    np.add(counts, read, out=counts)
+    np.clip(counts, 0.0, well_e, out=counts)
+    return counts
+
+
+class _KnuthBatch:
+    """The pixels below NORMAL_CUTOFF of consecutive chunks, at most `n`,
+    in buffers allocated once, when the first is queued: each pixel's
+    position, λ and scaled read noise. A pixel's flat raster index is its
+    position, or at[position]."""
+
+    def __init__(self, n, base, well_e, at):
+        self.n, self.base, self.well_e, self.at, self.size = n, base, well_e, at, 0
+        self.pos = None
+
+    def full(self, m):
+        """Whether `m` more pixels overflow the batch."""
+        return self.size + m > self.n
+
+    def add(self, small, start, lam, read):
+        """Queue the chunk pixels `small` of the chunk that starts at `start`."""
+        k, m = self.size, small.size
+        if not m:
+            return
+        if self.pos is None:
+            rows = np.empty((8, self.n))
+            self.pos = rows[0].view(np.intp)
+            self.key, self.bits, self.shift = (r.view(np.uint64) for r in rows[1:4])
+            self.lam, self.read, self.counts, self.u = rows[4:]
+        np.add(small, start, out=self.pos[k:k + m])
+        np.take(lam, small, out=self.lam[k:k + m])
+        np.take(read, small, out=self.read[k:k + m])
+        self.size = k + m
+
+    def flush(self, emit):
+        """Count the queued pixels by Knuth's loop and emit their electrons."""
+        k, self.size = self.size, 0
+        if not k:
+            return
+        pos, key = self.pos[:k], self.key[:k]
+        thresh, counts = self.lam[:k], self.counts[:k]
+        if self.at is None:
+            np.copyto(key, pos, casting="unsafe")
+        else:
+            np.take(self.at, pos, out=key)
+        np.multiply(key, _GOLDEN, out=key)
+        np.add(key, self.base, out=key)
+        mix64_into(key, self.shift[:k])
+        np.negative(thresh, out=thresh)
+        np.exp(thresh, out=thresh)
+        _knuth_counts(key, thresh, counts, self.bits, self.shift, self.u)
+        np.add(counts, self.read[:k], out=counts)
+        np.clip(counts, 0.0, self.well_e, out=counts)
+        emit(pos, counts)
+
+
+def _knuth_counts(key, thresh, counts, bits, shift, u):
+    """Knuth's Poisson count of each stream in `key` with exp(-λ) = thresh,
+    into counts (bits, shift and u, at least as long, are scratch): multiply
+    uniforms until the product drops below thresh; the count is the number
+    of factors that kept it at or above. A product
+    never rises (each factor is below 1), so a pixel that has stopped adds
+    0 at every later factor: each factor adds 1 to the count of every
+    carried pixel still at or above, and the carried pixels (pos/key/p/
+    thresh, their counts in acc) are compacted only once fewer than half of
+    them still multiply."""
+    pos = np.arange(key.size)
+    p = np.ones(key.size)
+    counts.fill(0.0)
+    acc = counts
+    i = 0
+    while True:
+        n = pos.size
+        _uniform_into(key, i + 1, u[:n], bits[:n], shift[:n])
+        np.multiply(p, u[:n], out=p)
+        go = p >= thresh
+        live = np.count_nonzero(go)
+        if not live:
+            break
+        np.add(acc, go, out=acc)
+        if live < pos.size // 2:
+            if acc is not counts:
+                counts[pos] = acc
+            keep = np.flatnonzero(go)
+            pos, key, p, thresh = pos[keep], key[keep], p[keep], thresh[keep]
+            acc = counts[pos]
+        i += 1
+    if acc is not counts:
+        counts[pos] = acc

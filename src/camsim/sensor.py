@@ -13,7 +13,11 @@ from .optics import radiance_to_irradiance  # noqa: F401  (perfbench/selftest.py
 from .spectral import DIMENSIONLESS, DEFAULT_GRID, Spectrum, WavelengthGrid
 
 REFERENCE_PIXEL_UM = 3.0  # well capacity is quoted at this pitch
-_BAND_PIXELS = 1 << 16  # sensor pixels in one band of expected_rate's rows
+# Sensor pixels in one band of expected_rate's rows, sized for two scene
+# workers at once: on hdr_fulldye's 1440×2560 image (2-CPU AVX-512 Xeon),
+# 1 << 16, 17, 18 and 19 took 32, 33, 27 and 28 ms for two calls on two
+# threads, and 24, 19, 21 and 24 ms for one call alone
+_BAND_PIXELS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -92,6 +96,8 @@ class SensorSpec:
     scale_well_with_area: bool = True  # well ∝ pixel area from 3 µm baseline
 
     def __post_init__(self):
+        if not 1 <= self.adc_bits <= 16:
+            raise ValueError(f"adc_bits must be in [1, 16] (codes are uint16), got {self.adc_bits}")
         if self.qe is None:
             object.__setattr__(self, "qe", default_qe())
         for row in self.cfa.pattern:
@@ -238,24 +244,50 @@ def _cell_row_sum(sample, rows: slice, x: int, m: int, step: int, f: int) -> np.
 
 def adc(electrons: np.ndarray, sensor: SensorSpec, exposure_s: float = 0.0) -> RawFrame:
     """Quantize electrons to digital numbers; default conversion gain maps
-    the well exactly onto the voltage swing. One float64 raster is
-    allocated and every step runs in place on it, in the order of the
-    expression floor(((e·cg)·1e-6)·gain / swing · max_code) clipped to
-    [0, max_code]; `electrons` is not written to."""
+    the well exactly onto the voltage swing. The steps run a chunk at a time,
+    as `_converter` runs them; `electrons` is not written to."""
+    e = np.asarray(electrons)
+    flat = e.reshape(-1)
+    dn, saturated, convert = _converter(sensor, flat.size)
+    for start in range(0, flat.size, kernels._CHUNK):
+        where = slice(start, start + kernels._CHUNK)
+        convert(where, flat[where])
+    return RawFrame(dn.reshape(e.shape), saturated.reshape(e.shape), exposure_s, sensor)
+
+
+def _converter(sensor: SensorSpec, size: int):
+    """(dn, saturated, convert) for `size` pixels: the uint16 codes and the
+    saturation flags, and convert(where, electrons), the ADC of at most
+    kernels._CHUNK electrons into dn[where] and saturated[where]. It runs
+    in place on one float64 chunk, in the order of the expression
+    floor(((e·cg)·1e-6)·gain / swing · max_code) clipped to [0, max_code];
+    a pixel is saturated when its electrons reach the well or its code is
+    max_code."""
     well = sensor.effective_well_e()
     max_code = sensor.max_code()
-    v = np.multiply(electrons, sensor.conversion_gain_uV(), dtype=np.float64)
-    v *= 1e-6
-    v *= sensor.analog_gain
-    v /= sensor.pixel.voltage_swing_V
-    v *= max_code
-    np.floor(v, out=v)
-    np.clip(v, 0, max_code, out=v)
-    dn = v.astype(np.uint16)
-    del v  # the doubles are freed before the masks are built
-    saturated = electrons >= well
-    saturated |= dn == max_code
-    return RawFrame(dn, saturated, exposure_s, sensor)
+    cg = sensor.conversion_gain_uV()
+    dn = np.empty(size, np.uint16)
+    saturated = np.empty(size, bool)
+    n = min(kernels._CHUNK, size)
+    scratch, flags, top = np.empty(n), np.empty(n, bool), np.empty(n, bool)
+
+    def convert(where, electrons):
+        k = electrons.size
+        v, flag = scratch[:k], flags[:k]
+        np.multiply(electrons, cg, out=v, dtype=np.float64)
+        v *= 1e-6
+        v *= sensor.analog_gain
+        v /= sensor.pixel.voltage_swing_V
+        v *= max_code
+        np.floor(v, out=v)
+        np.clip(v, 0, max_code, out=v)
+        dn[where] = v
+        np.greater_equal(electrons, well, out=flag)
+        np.equal(v, max_code, out=top[:k])  # v holds whole codes: dn == max_code
+        flag |= top[:k]
+        saturated[where] = flag
+
+    return dn, saturated, convert
 
 
 def dn_to_electrons(frame: RawFrame) -> np.ndarray:
@@ -276,16 +308,25 @@ def dynamic_range_db(sensor: SensorSpec) -> float:
 
 def expose(rate: np.ndarray, sensor: SensorSpec, exposure_s: float, seed: int,
            at=None) -> RawFrame:
-    """One frame from an expected-rate raster: the expected electrons
-    λ = rate·t + dark current·t, built in one array in two elementwise
-    steps; Poisson shot noise on λ and Gaussian read noise, clamped to the
-    (possibly area-scaled) well, from `kernels.sample_sensor_noise`'s
-    counter-based per-pixel streams; then the ADC. With `at`, `rate` holds
-    the pixels at those flat raster indices only, and the frame holds
-    exactly the values the whole raster's frame has there."""
-    lam = np.multiply(rate, exposure_s)
-    lam += sensor.pixel.dark_current_e_per_s * exposure_s
-    e = kernels.sample_sensor_noise(lam, sensor.pixel.read_noise_e, sensor.effective_well_e(),
-                                    seed, at=at)
-    del lam  # freed before the ADC's raster is allocated
-    return adc(e, sensor, exposure_s)
+    """One frame from an expected-rate raster, streamed a chunk at a time
+    through `kernels.stream_noise`: the chunk's expected electrons
+    λ = rate·t + dark current·t, in two elementwise steps; Poisson shot
+    noise on λ and Gaussian read noise, clamped to the (possibly
+    area-scaled) well, from the noise kernel's counter-based per-pixel
+    streams; then the ADC steps of `adc` into the chunk's codes. No
+    whole-frame λ, electron or float64 ADC raster is built. With `at`,
+    `rate` holds the pixels at those flat raster indices only, and the frame
+    holds exactly the values the whole raster's frame has there."""
+    rate = np.asarray(rate, dtype=np.float64)
+    flat = rate.reshape(-1)
+    dark = sensor.pixel.dark_current_e_per_s * exposure_s
+
+    def lam_chunk(start, stop, buf):
+        np.multiply(flat[start:stop], exposure_s, out=buf)
+        buf += dark
+        return buf
+
+    dn, saturated, convert = _converter(sensor, flat.size)
+    kernels.stream_noise(flat.size, lam_chunk, sensor.pixel.read_noise_e,
+                         sensor.effective_well_e(), seed, convert, at=at)
+    return RawFrame(dn.reshape(rate.shape), saturated.reshape(rate.shape), exposure_s, sensor)

@@ -9,7 +9,7 @@ from camsim.exposure import (DEFAULT_BRACKET_S, DEFAULT_CAP_S, ExposurePlan, _br
                              metering_window)
 from camsim.optics import LensSpec, OpticalImage, optical_image
 from camsim.scene import Region, SceneSpec, synthesize
-from camsim.sensor import PixelSpec, SensorSpec, expected_rate
+from camsim.sensor import PixelSpec, SensorSpec, dn_to_electrons, expected_rate
 from camsim.spectral import WavelengthGrid
 from frames import brackets, noise_free
 
@@ -141,6 +141,23 @@ def test_hdr_combine_flags_fully_saturated_pixels():
     assert hdr.valid[40, 40]
 
 
+@pytest.mark.parametrize("chunk", [7, None], ids=["chunk-7", "chunk-default"])
+def test_fused_rate_is_dn_to_electrons_over_the_chosen_duration(monkeypatch, chunk):
+    """The fusion reads each code's rate from a table, a chunk of codes at a
+    time; the rate it keeps is dn_to_electrons of the chosen bracket's
+    frame divided by its duration, byte for byte."""
+    if chunk is not None:
+        monkeypatch.setattr(kernels, "_CHUNK", chunk)
+    rng = np.random.default_rng(4)
+    raster = rng.uniform(1e3, 3e6, (96, 700 if chunk is None else 9))  # > one chunk
+    raster[rng.random(raster.shape) < 0.1] = 5e8  # saturates the two longer brackets
+    frames = brackets(raster, SENSOR, DEFAULT_BRACKET_S, seed=2)
+    hdr = hdr_combine(frames)
+    want = np.choose(hdr.chosen, [dn_to_electrons(f) / f.exposure_s for f in frames])
+    assert set(np.unique(hdr.chosen)) == {0, 1, 2}
+    assert hdr.rate_e_per_s.tobytes() == want.tobytes()
+
+
 def test_hdr_combine_validates_input():
     sc = scene()
     frames = brackets(rate(sc), SENSOR, (1e-3, 1e-4), seed=0)
@@ -160,13 +177,13 @@ def test_lazy_brackets_equal_full_brackets_fused(monkeypatch):
         Region((200, 200, 220, 230), 1e9))))     # saturated in every bracket
     assert 320 * 320 > kernels._CHUNK
     sampled = []
-    sample = kernels.sample_sensor_noise
+    stream = kernels.stream_noise
 
-    def counting(expected_e, *args, **kwargs):
-        sampled.append(np.size(expected_e))
-        return sample(expected_e, *args, **kwargs)
+    def counting(size, *args, **kwargs):
+        sampled.append(size)
+        return stream(size, *args, **kwargs)
 
-    monkeypatch.setattr(kernels, "sample_sensor_noise", counting)
+    monkeypatch.setattr(kernels, "stream_noise", counting)
     image = optical_image(sc, LENS, sensor)
     hdr = acquire(image, sensor, ExposurePlan("bracketed"), seed=11).source
     lazy_sampled = sum(sampled)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from camsim import isp as isp_module
 from camsim.exposure import HDRFrame
@@ -170,6 +171,31 @@ def test_adaptive_gamma_degenerate_mean_warns():
     assert gamma_used == 1.0
 
 
+@pytest.mark.parametrize("exponent", [0.5, 1.0, 3.0, 7.0, 2.2, 0.437, 1 / 2.4, None],
+                         ids=lambda e: "srgb" if e is None else f"{e:.3g}")
+@pytest.mark.parametrize("in_place", [True, False], ids=["in-place", "into-out"])
+def test_gamma_band_has_the_bytes_of_power_over_every_value(exponent, in_place):
+    """_gamma_band skips +0.0 (and the sRGB curve's linear segment) in
+    np.power; on float32 bands that hold +0.0 and -0.0 among other values
+    its bytes are those of np.power over every value. np.power keeps the
+    sign of -0.0 for some exponents (0.5, odd integers) and not others."""
+    rng = np.random.default_rng(7)
+    v = rng.random((6, 37, 3), dtype=np.float32)
+    flat = v.reshape(-1)
+    flat[::5], flat[2::7], flat[3::11] = 0.0, -0.0, 1.0
+    flat[:40] = -0.0  # a run of signed zeros, as a dark band has
+    if exponent is None:
+        want, _ = frozen_apply_gamma(v.copy(), GammaSpec("srgb"))
+    else:
+        want = np.clip(np.power(v, np.float32(exponent)), 0.0, 1.0)
+    before = v.copy()
+    out = v if in_place else np.empty_like(v)
+    _gamma_band(v, exponent, out)
+    assert out.tobytes() == want.tobytes()
+    if not in_place:
+        assert v.tobytes() == before.tobytes()
+
+
 def test_srgb_encode_breakpoints():
     v = np.array([[[0.0, 0.0031308, 1.0]]])
     out, _ = gamma(v, GammaSpec(mode="srgb"))
@@ -306,6 +332,27 @@ def test_demosaic_matches_the_padded_expression(shape):
             want[dy::2, dx::2, c] = total / len(offsets)
     got = demosaic(mosaic_frame(dn))
     assert got.tobytes() == np.clip(want, 0.0, 1.0).tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), cfa=st.sampled_from([RGGB, MONO]))
+def test_demosaic_planes_lie_in_the_unit_interval(data, cfa):
+    """The demosaic has no clip: on mosaics of code 0, max_code and random
+    codes, every plane value lies in [0, 1] and none is -0.0."""
+    sensor = SensorSpec(cfa=cfa)
+    top = sensor.max_code()
+    shape = data.draw(st.tuples(st.integers(1, 12), st.integers(1, 12)))
+    codes = st.sampled_from([0, top]) | st.integers(0, top)
+    dn = data.draw(hnp.arrays(np.uint16, shape, elements=codes))
+    h, w = shape
+    mosaic = np.pad((dn / top).astype(np.float32), 1, mode="reflect")
+    planes = np.empty((3, h, w), np.float32)
+    isp_module._demosaic_band(mosaic if cfa is RGGB else mosaic[1:-1, 1:-1], cfa is MONO,
+                              planes)
+    assert planes.min() >= 0.0 and planes.max() <= 1.0
+    assert not np.signbit(planes).any()
+    assert demosaic(RawFrame(dn, dn == top, 1e-3, sensor)).transpose(2, 0, 1).tobytes() \
+        == planes.tobytes()
 
 
 # The whole-frame ISP chain as it stood before render worked in bands, frozen

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from camsim import kernels
+from camsim.exposure import _code_rates
+from camsim.kernels import NORMAL_CUTOFF
 from camsim.optics import LensSpec, optical_image
 from camsim.scene import SceneSpec, synthesize
 from camsim.sensor import (MONO, RCCC, RGGB, PixelSpec, RawFrame, SensorSpec, adc,
@@ -14,6 +16,7 @@ from camsim.sensor import (MONO, RCCC, RGGB, PixelSpec, RawFrame, SensorSpec, ad
                            dynamic_range_db, expected_rate, expose, sensor_geometry)
 from camsim.spectral import WavelengthGrid
 from frames import noise_free
+from test_noise_kernel import whole_raster_noise
 
 GRID = WavelengthGrid(400.0, 30.0, 11)
 
@@ -57,6 +60,9 @@ def test_spec_validation():
         SensorSpec(dye_width_mm=0.01, dye_height_mm=0.01)
     with pytest.raises(ValueError, match="dynamic range"):
         SensorSpec(pixel=PixelSpec(read_noise_e=2000.0))
+    for bits in (0, 17, 30):  # uint16 codes hold at most 16 bits
+        with pytest.raises(ValueError, match="adc_bits"):
+            SensorSpec(adc_bits=bits)
 
 
 def test_channel_index_map_rggb():
@@ -180,6 +186,15 @@ def test_dn_to_electrons_is_the_frozen_expression_bit_for_bit(sensor, data):
     assert dn.tobytes() == before.tobytes()
 
 
+@settings(max_examples=100, deadline=None)
+@given(sensor=_ADC_SENSORS, exposure_s=st.sampled_from([12e-3, 0.12e-3, 12e-6, 3e-3, 1.0]))
+def test_code_rates_are_dn_to_electrons_over_the_duration_for_every_code(sensor, exposure_s):
+    codes = np.arange(sensor.max_code() + 1, dtype=np.uint16)
+    frame = RawFrame(codes, codes == sensor.max_code(), exposure_s, sensor)
+    want = frozen_dn_to_electrons(frame) / exposure_s
+    assert _code_rates(sensor, exposure_s).tobytes() == want.tobytes()
+
+
 def _noise(lam, sensor, seed):
     """The noise kernel's electrons for λ = `lam` on `sensor`."""
     return kernels.sample_sensor_noise(lam, sensor.pixel.read_noise_e, sensor.effective_well_e(),
@@ -243,9 +258,53 @@ def test_expose_is_the_noise_kernel_of_rate_times_duration_plus_dark(at):
     assert rate.tobytes() == before.tobytes()
 
 
-def test_expose_of_a_full_dye_frame_peaks_below_three_frames():
-    """One λ frame and the noise kernel's output are alive at once; the
-    ADC's raster is allocated after λ is freed."""
+def _streamed_rate(shape, seed, t, dark):
+    """Rates whose λ = rate·t + dark·t lies below NORMAL_CUTOFF on about 40%
+    of the pixels, in a run across every default chunk boundary, and at or
+    far above it elsewhere."""
+    rng = np.random.default_rng(seed)
+    n = int(np.prod(shape))
+    lam = rng.uniform(NORMAL_CUTOFF, 3000.0, n)
+    small = rng.random(n) < 0.4
+    for edge in range(kernels._CHUNK, n, kernels._CHUNK):
+        small[edge - 5:edge + 5] = True
+    lam[small] = rng.uniform(0.0, 8.0, np.count_nonzero(small))
+    lam[::97] = NORMAL_CUTOFF
+    return ((lam - dark * t) / t).reshape(shape)
+
+
+@pytest.mark.parametrize("at", [False, True], ids=["whole", "at"])
+@pytest.mark.parametrize("chunk, shape", [(1, (5, 9)), (7, (19, 23)),
+                                          (None, (3, kernels._CHUNK + 77))],
+                         ids=["chunk-1", "chunk-7", "chunk-default"])
+def test_streamed_expose_is_the_whole_frame_chain(monkeypatch, chunk, shape, at):
+    """expose streams λ, the noise and the ADC a chunk at a time and counts
+    the pixels below the cutoff in Knuth batches that span chunks; its frame
+    is, byte for byte, the whole-frame chain: λ = rate·t + dark·t, the noise
+    oracle's electrons, the frozen ADC."""
+    if chunk is not None:
+        monkeypatch.setattr(kernels, "_CHUNK", chunk)
+    # 16-bit codes, 0.2 e each, so a count off by one electron shows in them
+    s = SensorSpec(pixel=PixelSpec(dark_current_e_per_s=1000.0), adc_bits=16)
+    t = 1e-3
+    rate = _streamed_rate(shape, seed=len(shape) * 31 + shape[1], t=t, dark=1000.0)
+    lam = rate * t + 1000.0 * t
+    assert np.count_nonzero(lam < NORMAL_CUTOFF) > kernels._CHUNK  # more than one batch
+    e = whole_raster_noise(lam, s.pixel.read_noise_e, s.effective_well_e(), np.uint64(8))
+    dn, saturated = frozen_adc(e, s)
+    if at:
+        idx = np.flatnonzero(np.random.default_rng(2).random(rate.size) < 0.5)
+        got = expose(rate.reshape(-1)[idx], s, t, seed=8, at=idx)
+        dn, saturated = dn.reshape(-1)[idx], saturated.reshape(-1)[idx]
+    else:
+        got = expose(rate, s, t, seed=8)
+    assert got.dn.shape == dn.shape and got.dn.tobytes() == dn.tobytes()
+    assert got.saturated.tobytes() == saturated.tobytes()
+
+
+def test_expose_of_a_full_dye_frame_peaks_below_one_frame():
+    """No whole-frame λ, electron or float64 ADC raster is built: the frame's
+    codes and flags and chunk-sized buffers are all expose allocates."""
     rate = hdr_12ms_rate()
     tracemalloc.start()
     try:
@@ -254,7 +313,7 @@ def test_expose_of_a_full_dye_frame_peaks_below_three_frames():
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert peak < 3 * rate.nbytes, peak / rate.nbytes
+    assert peak < rate.nbytes, peak / rate.nbytes
 
 
 def test_capture_shapes_and_noise_free_path():
