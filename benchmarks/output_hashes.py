@@ -2,7 +2,7 @@
 
 Usage:
     PYTHONPATH=src python3 benchmarks/output_hashes.py [--workloads NAME ...]
-        [--seeds 0 1 ...] [--threads 1 2] [--command ARG ...]
+        [--seeds 0 1 ...] [--threads 1 2] [--set KEY=JSON ...] [--command ARG ...]
 
 Runs the camsim tree on PYTHONPATH. For each workload of
 perfbench/workloads.py, benchmark seed and CAMSIM_THREADS value, it writes
@@ -17,6 +17,14 @@ DYNAMIC_ARCH) and ``NPY_DISABLE_CPU_FEATURES`` (numpy's SIMD level) set
 there reach them, and the outputs of two kernels compare the same way:
 
     OPENBLAS_CORETYPE=Nehalem PYTHONPATH=src python3 benchmarks/output_hashes.py
+
+``--set KEY=JSON`` sets a key of every run config to a JSON value before
+the config is written; a dotted key names a nested one, and the option
+repeats. With ``save_images`` set, a run writes the PPM of every rendered
+frame, and those files are hashed with the rest:
+
+    --set save_images=true
+    --set save_images=true --set isp.gamma='{"mode": "srgb"}'
 
 ``--command`` replaces the workload's arguments. In it, ``{config}`` is the
 run config, ``{out}`` an empty output directory and ``{spec}`` the spec of
@@ -63,13 +71,30 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def hash_outputs(workload, seed: int, threads: int, command=None) -> dict:
+def _override(text: str) -> tuple:
+    """(key path, value) of a ``KEY=JSON`` argument."""
+    key, sep, value = text.partition("=")
+    if not sep or not key:
+        raise argparse.ArgumentTypeError(f"expected KEY=JSON, got {text!r}")
+    try:
+        return tuple(key.split(".")), json.loads(value)
+    except json.JSONDecodeError as e:
+        raise argparse.ArgumentTypeError(f"{key}: value is not JSON: {e}") from e
+
+
+def hash_outputs(workload, seed: int, threads: int, command=None, overrides=()) -> dict:
     """{file path under the output directory: sha256} of one command run
-    on `workload`'s config at benchmark `seed`, plus {"exit": its exit code}."""
+    on `workload`'s config at benchmark `seed`, with each (key path, value)
+    of `overrides` set in it, plus {"exit": its exit code}."""
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         out = tmp / "out"
         cfg = workload.config(seed, str(out))
+        for (*parents, key), value in overrides:
+            section = cfg
+            for name in parents:
+                section = section.setdefault(name, {})
+            section[key] = value
         paths = {"config": tmp / "config.json", "spec": tmp / "spec.json", "out": out}
         paths["config"].write_text(json.dumps(cfg))
         paths["spec"].write_text(json.dumps(_scene_spec(cfg)))
@@ -93,6 +118,8 @@ def main():
     p.add_argument("--workloads", nargs="+", choices=sorted(workloads), default=list(workloads))
     p.add_argument("--seeds", type=int, nargs="+", default=[0])
     p.add_argument("--threads", type=int, nargs="+", default=[2])
+    p.add_argument("--set", type=_override, action="append", default=[], metavar="KEY=JSON",
+                   help="set a run-config key (dotted: a nested one) to a JSON value; repeats")
     p.add_argument("--command", nargs=argparse.REMAINDER,
                    help="camsim arguments in place of the workload's own (last option)")
     args = p.parse_args()
@@ -108,7 +135,7 @@ def main():
         for seed in args.seeds:
             for threads in args.threads:
                 for file, digest in hash_outputs(workloads[name], seed, threads,
-                                                 args.command).items():
+                                                 args.command, args.set).items():
                     result[f"{name}/{seed}/{threads}/{file}"] = digest
     print(json.dumps(result, indent=1))
 

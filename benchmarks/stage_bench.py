@@ -12,7 +12,9 @@ scene (``cli._process_scene`` and ``cli._capture_and_detect``):
   exposure plan and the scene's seed, at each of the workload's pixel sizes
   (one for a ``run`` workload, each ``--sizes`` value for ``sweep-pixel``);
 * ``NAME:render``: ``render`` of each of those frames through the
-  workload's ISP, its colour matrix fitted once, as the CLI fits it.
+  workload's ISP, its colour matrix fitted once, as the CLI fits it, for
+  the rows that the workload's proxy detector reads on that frame (the
+  surround windows of the frame's labelled boxes), as the CLI renders it.
 
 ``pixel_sweep:loaded:optics`` is pixel_sweep's optics row on its scene
 saved with ``save_scene`` and loaded back with ``load_scene``, whose
@@ -54,7 +56,9 @@ from dataclasses import replace
 from output_hashes import _workloads
 
 try:
+    from camsim.annotation import apply_policy, project_truth, scene_truth
     from camsim.cli import RunConfig, _load_scenes, _scene_seed, _with_color_matrix
+    from camsim.detector import proxy_rows
     from camsim.exposure import acquire
     from camsim.isp import render
     from camsim.kernels import sample_sensor_noise
@@ -126,11 +130,16 @@ def _case(row) -> tuple:
 
     if stage == "acquire":
         return frames, acquire_all
-    sources = [acq.source for acq in acquire_all()]
+    truth = scene_truth(scene)
+    reads = []  # (frame, the rows its detector reads, variant)
+    for acq, v in zip(acquire_all(), variants):
+        boxes = apply_policy(project_truth(truth, acq.geometry), v.policy)
+        g = acq.geometry
+        reads.append((acq.source, proxy_rows(boxes, (g.rows, g.cols), v.detector.proxy), v))
 
     def render_all():
-        for source, v in zip(sources, variants):
-            render(source, v.isp)
+        for source, rows, v in reads:
+            render(source, v.isp, rows=rows)
 
     return frames, render_all
 

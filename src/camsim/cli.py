@@ -25,7 +25,7 @@ from . import evalmetrics as ev
 from .annotation import (LabelPolicy, SceneTruth, apply_policy, export_dataset, project_truth,
                          scene_truth)
 from .config import ConfigError, from_config
-from .detector import DetectorConfig, detectability, proxy_detect
+from .detector import DetectorConfig, detectability, proxy_detect, proxy_rows
 from .exposure import ExposurePlan, acquire
 from .isp import DEMOSAIC_PATTERNS, IspConfig, fit_color_matrix, render, write_ppm
 from .optics import LensSpec, OpticalImage, mean_illuminance_lux, optical_image
@@ -169,12 +169,15 @@ def _with_color_matrix(v: RunConfig) -> RunConfig:
 
 def _capture_and_detect(v: RunConfig, truth: SceneTruth, image: OpticalImage, seed: int,
                         image_id) -> dict:
-    """One variant of a scene: acquire -> ISP -> annotate -> proxy-detect.
+    """One variant of a scene: acquire -> annotate -> ISP -> proxy-detect.
     Returns its result dict: detections, duration, frame size, rendered
-    image and labeled boxes."""
+    image and labeled boxes. The image is rendered whole when it is saved,
+    and otherwise holds only the rows the detector reads."""
     acq = acquire(image, v.sensor, v.exposure, seed)
-    rendered = render(acq.source, v.isp)
     boxes = apply_policy(project_truth(truth, acq.geometry), v.policy)
+    rows = None if v.save_images else proxy_rows(
+        boxes, (acq.geometry.rows, acq.geometry.cols), v.detector.proxy)
+    rendered = render(acq.source, v.isp, rows=rows)
     dets = proxy_detect(rendered, boxes, replace(v.detector.proxy, seed=seed),
                         image_id=image_id)
     return {"dets": dets, "duration_s": acq.duration_s, "rows": acq.geometry.rows,
@@ -429,7 +432,7 @@ def edge_case_report(cfg: RunConfig) -> dict:
             entry = {"class": class_name, "distance_m": depth, "labeled": b is not None,
                      "dprime": None, "detected": False}
             if b is not None:
-                entry["dprime"] = detectability(r["image"].values, b, proxy.min_pixels,
+                entry["dprime"] = detectability(r["image"], b, proxy.min_pixels,
                                                 proxy.snr_scale)
                 entry["detected"] = any(ev.iou(det, b) >= ev.IOU_THRESHOLD
                                         for det in r["dets"])

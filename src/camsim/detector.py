@@ -56,28 +56,37 @@ def _luma(values: np.ndarray) -> np.ndarray:
     return values.astype(np.float64)
 
 
-def detectability(image_values: np.ndarray, box, min_pixels: int,
-                  snr_scale: float) -> float:
+def _windows(box, h: int, w: int, min_pixels: int):
+    """(the box clipped to an h×w image, its surround window), each as
+    (x0, y0, x1, y1): the clipped box widened by a margin of half its
+    larger side, at least 2 px, and clipped again. None when d' is zero
+    without a read: the clipped box is empty or covers fewer than
+    min_pixels pixels."""
+    x0, y0, x1, y1 = (int(v) for v in box.bbox)
+    x0, y0 = max(0, x0), max(0, y0)
+    x1, y1 = min(w, x1), min(h, y1)
+    if x1 <= x0 or y1 <= y0 or box.pixel_count < min_pixels:
+        return None
+    margin = max(2, (x1 - x0) // 2, (y1 - y0) // 2)
+    return (x0, y0, x1, y1), (max(0, x0 - margin), max(0, y0 - margin),
+                              min(w, x1 + margin), min(h, y1 + margin))
+
+
+def detectability(image, box, min_pixels: int, snr_scale: float) -> float:
     """d' = snr_scale · sqrt(pixels on target) · local contrast, where local
     contrast is |mean inside − mean surround| over the surround std (a noise
     estimate). Zero when the box covers fewer than min_pixels pixels, and
     when the window's luma holds one value (a flat or saturated window).
-    image_values is an (H, W, 3) image or its (H, W) luma. Only the
-    surround window (the clipped box widened by a margin of half its larger
-    side, at least 2 px) is read, and its luma is taken per pixel, so the
-    result equals that of the whole frame's luma."""
-    h, w = image_values.shape[:2]
-    x0, y0, x1, y1 = (int(v) for v in box.bbox)
-    x0, y0 = max(0, x0), max(0, y0)
-    x1, y1 = min(w, x1), min(h, y1)
-    if x1 <= x0 or y1 <= y0:
+    `image` is an RGBImage, an (H, W, 3) image or its (H, W) luma. Only the
+    surround window's rows are read (an RGBImage's through `read_rows`),
+    and its luma is taken per pixel, so the result equals that of the whole
+    frame's luma."""
+    windows = _windows(box, *image.shape[:2], min_pixels)
+    if windows is None:
         return 0.0
-    if box.pixel_count < min_pixels:
-        return 0.0
-    margin = max(2, (x1 - x0) // 2, (y1 - y0) // 2)
-    sx0, sy0 = max(0, x0 - margin), max(0, y0 - margin)
-    sx1, sy1 = min(w, x1 + margin), min(h, y1 + margin)
-    ring = _luma(image_values[sy0:sy1, sx0:sx1])
+    (x0, y0, x1, y1), (sx0, sy0, sx1, sy1) = windows
+    rows = image[sy0:sy1] if isinstance(image, np.ndarray) else image.read_rows(sy0, sy1)
+    ring = _luma(rows[:, sx0:sx1])
     if ring.min() == ring.max():  # no contrast: the means differ by rounding error only
         return 0.0
     inside = ring[y0 - sy0:y1 - sy0, x0 - sx0:x1 - sx0]
@@ -90,16 +99,29 @@ def detectability(image_values: np.ndarray, box, min_pixels: int,
     return snr_scale * math.sqrt(box.pixel_count) * contrast
 
 
+def proxy_rows(truths: list, shape: tuple, config: ProxyDetectorConfig) -> set:
+    """The rows of an image of `shape` that `proxy_detect` reads for
+    `truths`: those of each box's surround window."""
+    rows = set()
+    for box in truths:
+        windows = _windows(box, *shape[:2], config.min_pixels)
+        if windows is not None:
+            rows.update(range(windows[1][1], windows[1][3]))
+    return rows
+
+
 def proxy_detect(image, truths: list, config: ProxyDetectorConfig,
                  image_id=0) -> list:
     """Deterministic detections for the ground-truth boxes in `image`
     (an RGBImage or a plain 2-D/3-D array), plus Poisson false positives.
-    Randomness is counter-based, keyed by (seed, instance id)."""
-    values = image.values if hasattr(image, "values") else np.asarray(image)
-    h, w = values.shape[:2]
+    Only the rows `proxy_rows` names are read. Randomness is
+    counter-based, keyed by (seed, instance id)."""
+    if not hasattr(image, "read_rows"):
+        image = np.asarray(image)
+    h, w = image.shape[:2]
     dets = []
     for box in truths:
-        dprime = detectability(values, box, config.min_pixels, config.snr_scale)
+        dprime = detectability(image, box, config.min_pixels, config.snr_scale)
         if dprime <= 0.0:
             continue
         prob = _phi(dprime - 1.0)

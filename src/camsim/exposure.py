@@ -83,20 +83,32 @@ def acquire(image: OpticalImage, sensor: SensorSpec, plan: ExposurePlan,
     expose from that one expected-rate raster. A bracketed plan exposes each
     bracket only on the pixels that every longer bracket saturated, the only
     pixels where the fusion reads it, so the HDR frame equals
-    `hdr_combine` of the full brackets at a fraction of the noise work."""
-    rate = expected_rate(image, sensor)
+    `hdr_combine` of the full brackets at a fraction of the noise work. It
+    exposes every bracket before it allocates the HDR rate raster, and
+    releases the expected-rate raster first, so it holds one float64 frame
+    at a time."""
     geometry = sensor_geometry(image.shape, image.pitch_um, sensor)
     if plan.mode == "bracketed":
-        flat = rate.reshape(-1)
-
-        def bracket(i, at):
-            return expose(rate if at is None else flat[at], sensor, plan.durations_s[i],
-                          _bracket_seed(seed, i), at=at)
-
-        hdr = _fuse(rate.shape, tuple(plan.durations_s), sensor, bracket)
-        return Acquisition(hdr, plan.durations_s[0], geometry)
+        return Acquisition(_bracketed(image, sensor, plan, seed), plan.durations_s[0], geometry)
+    rate = expected_rate(image, sensor)
     t = plan.t_s if plan.mode == "fixed" else metered_duration(rate, sensor, plan)
     return Acquisition(expose(rate, sensor, t, seed), t, geometry)
+
+
+def _bracketed(image: OpticalImage, sensor: SensorSpec, plan: ExposurePlan,
+               seed: int) -> HDRFrame:
+    """The HDR frame of `plan`'s brackets, each exposed on the pixels where
+    the fusion reads it."""
+    rate = expected_rate(image, sensor)
+    shape, durations = rate.shape, tuple(plan.durations_s)
+
+    def bracket(i, at):
+        return expose(rate if at is None else rate.reshape(-1)[at], sensor, durations[i],
+                      _bracket_seed(seed, i), at=at)
+
+    picks, invalid = _pick(durations, bracket)
+    del rate  # every bracket is exposed: free the raster before the fused one is allocated
+    return _fused(shape, durations, sensor, picks, invalid)
 
 
 def metered_duration(rate: np.ndarray, sensor: SensorSpec, plan: ExposurePlan) -> float:
@@ -137,33 +149,47 @@ def hdr_combine(frames: list) -> HDRFrame:
             return f
         return replace(f, dn=f.dn.reshape(-1)[at], saturated=f.saturated.reshape(-1)[at])
 
-    return _fuse(shape, durations, frames[0].sensor, bracket)
+    return _fused(shape, durations, frames[0].sensor, *_pick(durations, bracket))
 
 
-def _fuse(shape: tuple, durations: tuple, sensor: SensorSpec, bracket) -> HDRFrame:
-    """Select-before-saturation fusion. `bracket(0, None)` is the whole
-    RawFrame of the longest bracket; `bracket(i, at)` for a later bracket is
-    its RawFrame at the flat pixel indices `at`, asked only for the pixels
-    that every longer bracket saturated. Each pixel keeps the first
-    (longest) unsaturated bracket divided by its duration; a pixel saturated
-    in every bracket reads the last one and is flagged invalid."""
+def _pick(durations: tuple, bracket) -> tuple:
+    """Select before saturation: ([(at, codes)], invalid). `bracket(0, None)`
+    is the whole RawFrame of the longest bracket; `bracket(i, at)` for a
+    later bracket is its RawFrame at the flat pixel indices `at`, asked
+    only for the pixels that every longer bracket saturated. Pick 0 is
+    (None, every code of bracket 0); pick i holds the pixels `at` that read
+    bracket i, those it did not saturate (all of them in the last
+    bracket), and their codes. `invalid` holds the pixels saturated in
+    every bracket."""
     f = bracket(0, None)
-    rate = np.empty(f.dn.size)
-    _apply_table(_code_rates(sensor, f.exposure_s), f.dn.reshape(-1), rate)
-    chosen = np.zeros(rate.size, dtype=np.min_scalar_type(len(durations) - 1))
+    picks = [(None, f.dn.reshape(-1))]
     undecided = np.flatnonzero(f.saturated)
     for i in range(1, len(durations)):
         if not undecided.size:
             break
         f = bracket(i, undecided)
         take = ~f.saturated | (i == len(durations) - 1)
-        at = undecided[take]
-        rate[at] = _apply_table(_code_rates(sensor, f.exposure_s), f.dn[take],
-                                np.empty(at.size))
-        chosen[at] = i
+        picks.append((undecided[take], f.dn[take]))
         undecided = undecided[f.saturated]
+    return picks, undecided
+
+
+def _fused(shape: tuple, durations: tuple, sensor: SensorSpec, picks: list,
+           invalid: np.ndarray) -> HDRFrame:
+    """The HDR frame of `_pick`'s picks: each pixel reads its bracket's code
+    divided by that bracket's duration; an invalid pixel reads the last
+    bracket."""
+    rate = np.empty(int(np.prod(shape)))
+    chosen = np.zeros(rate.size, dtype=np.min_scalar_type(len(durations) - 1))
+    for i, (at, codes) in enumerate(picks):
+        table = _code_rates(sensor, durations[i])
+        if at is None:
+            _apply_table(table, codes, rate)
+            continue
+        rate[at] = _apply_table(table, codes, np.empty(at.size))
+        chosen[at] = i
     valid = np.ones(rate.size, dtype=bool)
-    valid[undecided] = False
+    valid[invalid] = False
     return HDRFrame(rate.reshape(shape), valid.reshape(shape), chosen.reshape(shape),
                     durations, sensor)
 

@@ -2,30 +2,34 @@
 against built-in reflectance patches, gamma variants, raw passthrough, and
 8-bit PPM output.
 
-`render` writes one (H, W, C) float32 image a band of rows at a time. Every
-stage runs in float32, with the color matrix and the gamma exponent rounded
-to float32, so no loop upcasts: an 8-bit display value or a 10-bit code does
-not need a double. Only an HDR frame's tone map computes its codes in
-float64, so that each is the code the float64 expression gives. A band is
-an even number of rows whose output fills about `_BAND_BYTES`, so the band,
-the mosaic rows it reads and its linear planes stay in cache from one stage
-to the next. Each band runs the demosaic, into
-three planar (R, G, B) planes, and the color correction, each clipped to
-[0, 1], in one pass. The color correction forms output channel i as
-m_i0·r + m_i1·g + m_i2·b, in that order, with elementwise numpy operations,
-so its bits do not depend on the BLAS kernel. Gamma runs in a second banded
-pass, in place: adaptive gamma takes its exponent from the mean of the whole
-image, summed exactly as `ndarray.mean` sums it (pairwise in float32, which
-has no band-wise equivalent with the same bits), and fixed and sRGB gamma
-share that pass. No whole-frame mosaic is built: each band's frame rows,
-normalized to [0, 1] (an HDR frame's tone map included), are written into
-one reused buffer with the one-row halo and the reflected border that the
-demosaic reads. `render`, configured by `IspConfig.stages`, is the one entry
-point to these stages."""
+`render` runs the configured stages over one (H, W, C) float32 image a
+band of rows at a time. Every stage runs in float32, with the color
+matrix and the gamma exponent rounded to float32, so no loop upcasts: an
+8-bit display value or a 10-bit code does not need a double. Only an HDR
+frame's tone map computes its codes in float64, so that each is the code
+the float64 expression gives. A band is an even number of rows whose
+output fills about `_BAND_BYTES`, so the band, the mosaic rows it reads and
+its linear planes stay in cache from one stage to the next. Each band runs
+the demosaic, into three planar (R, G, B) planes, and the color
+correction, each clipped to [0, 1], in one pass. The color correction
+forms output channel i as m_i0·r + m_i1·g + m_i2·b, in that order, with
+elementwise numpy operations, so its bits do not depend on the BLAS
+kernel. Gamma then runs on the band in place. Adaptive gamma takes its
+exponent from the mean of the whole image before gamma, summed exactly as
+`ndarray.mean` sums it: numpy's pairwise float32 sum splits the flat
+values at fixed points, so one pass over the bands in order adds the same
+runs in the same tree (`_flat_mean`). No whole-frame mosaic is built:
+each band's frame rows, normalized to [0, 1] (an HDR frame's tone map
+included), are written into one reused buffer with the one-row halo and
+the reflected border that the demosaic reads. Every step reads only its
+band and the halo, so a band rendered on its own has the bytes it has in
+the whole image. `render`, configured by `IspConfig.stages`, is the one
+entry point to these stages."""
 
 from __future__ import annotations
 
 import math
+import threading
 import warnings
 from dataclasses import dataclass, field
 
@@ -37,18 +41,78 @@ from .sensor import MONO, RGGB, SensorSpec
 from .spectral import DEFAULT_GRID, IRRADIANCE, WavelengthGrid, d65_spectrum, resample
 
 
-@dataclass(frozen=True)
 class RGBImage:
-    values: np.ndarray  # (H, W, 3) or (H, W, 1), float32 in [0, 1]
-    gamma_used: float | None = None
+    """An (H, W, 3) or (H, W, 1) float32 image in [0, 1], and the exponent
+    its gamma used (None: no gamma, or the sRGB curve).
 
-    def __post_init__(self):
-        v = self.values
+    An image that `render` returns for some rows holds only the bands of
+    rows that meet them, with its frame and the pipeline that renders any
+    other band. `read_rows` reads rows from the bands held, and renders
+    each band it needs but does not hold again on every read; `values`
+    renders every band not held into one whole array, which the image then
+    holds in place of its frame and bands. Either reads the bytes a render
+    of every row holds."""
+
+    def __init__(self, values: np.ndarray, gamma_used: float | None = None):
+        v = values
         if v.ndim != 3 or v.shape[2] not in (1, 3):
             raise ValueError("image must be (H, W, 1|3)")
         # NaN fails both comparisons; an empty image has no min and raises too
         if not (v.min() >= 0 and v.max() <= 1):
             raise ValueError("image values must be finite and in [0, 1]")
+        self._hold(v.shape, gamma_used, v, {}, None)
+
+    @classmethod
+    def _rendered(cls, pipeline, bands: dict, values, gamma_used) -> "RGBImage":
+        """The image of `pipeline`'s frame, holding `values` (every row) or
+        the read-only {band index: rows} `bands`."""
+        img = cls.__new__(cls)
+        img._hold(pipeline.shape, gamma_used, values, bands,
+                  pipeline if values is None else None)
+        return img
+
+    def _hold(self, shape, gamma_used, values, bands, pipeline) -> None:
+        self.shape = tuple(shape)
+        self.gamma_used = gamma_used
+        self._values, self._bands, self._pipeline = values, bands, pipeline
+        self._lock = threading.Lock()  # a pipeline's buffers serve one band at a time
+
+    def _band(self, k: int) -> np.ndarray:
+        band = self._bands.get(k)
+        if band is None:
+            p = self._pipeline
+            i0 = k * p.step
+            band = np.empty((min(p.step, self.shape[0] - i0), *self.shape[1:]), np.float32)
+            p.render(i0, band)
+        return band
+
+    def read_rows(self, r0: int, r1: int) -> np.ndarray:
+        """values[r0:r1], rendering only the bands those rows meet."""
+        with self._lock:
+            if self._values is not None:
+                return self._values[r0:r1]
+            r0, r1, _ = slice(r0, r1).indices(self.shape[0])
+            if r1 <= r0:
+                return np.empty((0, *self.shape[1:]), np.float32)
+            step = self._pipeline.step
+            pieces = [self._band(k)[max(0, r0 - k * step):r1 - k * step]
+                      for k in range(r0 // step, (r1 - 1) // step + 1)]
+            return pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
+
+    @property
+    def values(self) -> np.ndarray:
+        with self._lock:
+            if self._values is None:
+                out = np.empty(self.shape, np.float32)
+                step = self._pipeline.step
+                for k, i0 in enumerate(range(0, self.shape[0], step)):
+                    band = self._bands.get(k)
+                    if band is None:
+                        self._pipeline.render(i0, out[i0:i0 + step])
+                    else:
+                        out[i0:i0 + step] = band
+                self._values, self._bands, self._pipeline = out, {}, None
+            return self._values
 
 
 @dataclass(frozen=True)
@@ -123,18 +187,64 @@ DEMOSAIC_PATTERNS = (MONO.pattern, RGGB.pattern)
 _BAND_BYTES = 1 << 21
 
 
-def _band_rows(a: np.ndarray) -> int:
-    """Rows per band of `a`: an even count, at least 2, so that every band
-    starts on CFA row 0."""
-    row_bytes = a.itemsize * int(np.prod(a.shape[1:]))
+# Values in one leaf of the streamed image sum: each run of at most this
+# many values that numpy's pairwise split reaches is summed by
+# np.add.reduce itself; numpy never splits a run of 128 values or fewer
+_SUM_LEAF = 1 << 16
+_PAIRWISE_BLOCK = 128
+
+
+def _band_rows(shape: tuple) -> int:
+    """Rows per band of a float32 image of `shape`: an even count, at least
+    2, so that every band starts on CFA row 0."""
+    row_bytes = 4 * int(np.prod(shape[1:]))
     return max(2, _BAND_BYTES // max(1, row_bytes) // 2 * 2)
 
 
-def _bands(a: np.ndarray):
-    """(first row, view) of each band of `a`."""
-    step = _band_rows(a)
-    for i0 in range(0, a.shape[0], step):
-        yield i0, a[i0:i0 + step]
+def _flat_mean(chunks, n: int) -> np.float32:
+    """ndarray.mean of the n float32 values that the 1-D arrays of `chunks`
+    hold, in order, bit for bit: their sum as np.add.reduce sums them,
+    divided by n as ndarray.mean divides it (a float64 quotient rounded to
+    float32). numpy sums a contiguous run of values pairwise: it adds 0 to
+    the sum of the whole run, and splits a run of k > 128 values into its
+    first k//2 − (k//2)%8 values and the rest, each summed the same way,
+    the two sums added in float32. Each run of at most `_SUM_LEAF` values
+    that this split reaches is summed by np.add.reduce itself. A chunk is
+    read to its end before the next is drawn, so the chunks may share one
+    buffer; a run that spans chunks is copied into one scratch run."""
+    chunks = iter(chunks)
+    cur, pos, scratch = np.empty(0, np.float32), 0, None
+    leaf = max(_SUM_LEAF, _PAIRWISE_BLOCK)
+
+    def read(k):
+        nonlocal cur, pos, scratch
+        if pos == cur.size:
+            cur, pos = next(chunks), 0
+        if pos + k <= cur.size:
+            pos += k
+            return cur[pos - k:pos]
+        if scratch is None:
+            scratch = np.empty(min(n, leaf), np.float32)
+        run, done = scratch[:k], 0
+        while done < k:
+            if pos == cur.size:
+                cur, pos = next(chunks), 0
+            take = min(k - done, cur.size - pos)
+            run[done:done + take] = cur[pos:pos + take]
+            done, pos = done + take, pos + take
+        return run
+
+    total = np.float32(0) + _tree_sum(read, n, leaf)
+    return total.dtype.type(total / np.intp(n))
+
+
+def _tree_sum(read, k: int, leaf: int) -> np.float32:
+    """The pairwise sum of the next k values that read(k) gives, each run
+    of at most `leaf` values summed by np.add.reduce."""
+    if k <= leaf:
+        return np.add.reduce(read(k))
+    half = k // 2 - k // 2 % 8
+    return _tree_sum(read, half, leaf) + _tree_sum(read, k - half, leaf)
 
 
 # The strided sample whose percentile bounds the top_percentile tail
@@ -175,15 +285,21 @@ def _plane(frame) -> np.ndarray:
     return frame.rate_e_per_s if isinstance(frame, HDRFrame) else frame.dn
 
 
-def _row_filler(frame, rows: int):
-    """fill(r0, r1, out): rows r0:r1 (at most `rows` of them) of the frame in
-    [0, 1], written into the float32 `out`. A RawFrame reads DN / max_code,
-    rounded once to float32. An HDRFrame's rate is tone-mapped by its 99.9th
-    percentile, computed here once, and requantized in float64, in a scratch
-    buffer of `rows` rows: round(clip(rate / norm, 0, 1)·max_code) is the
-    code, and code / max_code, rounded once to float32, is the value a
-    RawFrame holding those codes reads. Every step is elementwise, so a
-    row's bits do not depend on the rows filled with it."""
+# Values of the float64 scratch in which an HDR frame's rows are tone-mapped,
+# a run of rows at a time
+_TONE_MAP_VALUES = 1 << 15
+
+
+def _row_filler(frame):
+    """fill(r0, r1, out): rows r0:r1 of the frame in [0, 1], written into
+    the float32 `out`. A RawFrame reads DN / max_code, rounded once to
+    float32. An HDRFrame's rate is tone-mapped by its 99.9th percentile,
+    computed here once, and requantized in float64, in a scratch buffer of
+    about `_TONE_MAP_VALUES` values that takes the rows a run at a time:
+    round(clip(rate / norm, 0, 1)·max_code) is the code, and
+    code / max_code, rounded once to float32, is the value a RawFrame
+    holding those codes reads. Every step is elementwise, so a row's bits
+    do not depend on the rows filled with it."""
     max_code = frame.sensor.max_code()
     if not isinstance(frame, HDRFrame):
         dn, scale = frame.dn, np.float32(max_code)
@@ -191,35 +307,42 @@ def _row_filler(frame, rows: int):
     rate = frame.rate_e_per_s
     norm = top_percentile(rate, 99.9)
     norm = norm if norm > 0 else 1.0
-    scratch = np.empty((min(rows, rate.shape[0]), rate.shape[1]))
+    h, w = rate.shape
+    run = max(1, min(h, _TONE_MAP_VALUES // max(1, w)))
+    scratch = np.empty((run, w))
 
     def fill(r0, r1, out):
-        code = scratch[:r1 - r0]
-        np.divide(rate[r0:r1], norm, out=code)
-        np.clip(code, 0.0, 1.0, out=code)
-        np.multiply(code, max_code, out=code)
-        np.round(code, out=code)
-        np.add(code, 0.0, out=code)  # a code is never -0.0
-        np.divide(code, max_code, out=out)
+        for i in range(r0, r1, run):
+            j = min(i + run, r1)
+            code = scratch[:j - i]
+            np.divide(rate[i:j], norm, out=code)
+            np.clip(code, 0.0, 1.0, out=code)
+            np.multiply(code, max_code, out=code)
+            np.round(code, out=code)
+            np.add(code, 0.0, out=code)  # a code is never -0.0
+            np.divide(code, max_code, out=out[i - r0:j - r0])
     return fill
 
 
-def _fill_padded_band(fill, h: int, i0: int, b: int, step: int, p: np.ndarray) -> None:
+def _fill_padded_band(fill, h: int, i0: int, b: int, step: int, p: np.ndarray,
+                      carried: bool) -> None:
     """Rows p[:b + 2] of a band buffer one pixel wider than the frame on
     each side: frame rows i0 - 1 … i0 + b, the band's rows with a one-row
     halo, padded in 'reflect' mode (no edge repeat), which keeps CFA parity
     at the borders; as in np.pad, a side one pixel long repeats its edge
-    instead. After the first band (i0 > 0), rows i0 - 1 and i0 are the
-    previous band's last two rows, p[step:step + 2], so each frame row is
-    filled once."""
+    instead. When `carried`, the buffer holds the band before this one, and
+    rows i0 - 1 and i0 are its last two rows, p[step:step + 2], so each
+    frame row of a pass over the bands in order is filled once."""
     w = p.shape[1] - 2
     x = p[:, 1:w + 1]
     ry, rx = min(1, h - 1), min(1, w - 1)
     if i0 == 0:
         fill(ry, ry + 1, x[:1])
         fill(0, 1, x[1:2])
-    else:
+    elif carried:
         x[:2] = x[step:step + 2]
+    else:
+        fill(i0 - 1, i0 + 1, x[:2])
     fill(i0 + 1, i0 + b, x[2:b + 1])
     last = i0 + b if i0 + b < h else h - 1 - ry
     fill(last, last + 1, x[b + 1:b + 2])
@@ -318,14 +441,15 @@ def _color_band(v: np.ndarray, matrix: np.ndarray, out: np.ndarray,
         np.clip(acc, 0.0, 1.0, out=out[..., i])
 
 
-def _gamma_exponent(spec: GammaSpec, v: np.ndarray) -> float | None:
-    """The power `spec` raises the image `v` to, or None for the sRGB curve.
-    Adaptive mode solves mean^γ = target over the whole image."""
+def _gamma_exponent(spec: GammaSpec, mean) -> float | None:
+    """The power `spec` raises an image to, or None for the sRGB curve.
+    Adaptive mode solves mean^γ = target, `mean` being the mean of the
+    whole image (read in that mode only)."""
     if spec.mode == "srgb":
         return None
     if spec.mode == "fixed":
         return spec.gamma
-    m = float(v.mean())
+    m = float(mean)
     if not 0.0 < m < 1.0:
         warnings.warn(f"adaptive gamma undefined for mean {m}; using gamma=1")
         return 1.0
@@ -353,51 +477,120 @@ def _gamma_band(v: np.ndarray, exponent: float | None, out: np.ndarray) -> None:
         np.clip(out, 0.0, 1.0, out=out)
 
 
-def render(frame, isp: IspConfig = IspConfig()) -> RGBImage:
-    """The configured pipeline over a RawFrame or HDRFrame, a band of rows
-    at a time. The color stage applies `isp.matrix`, or one fitted to the
-    frame's sensor."""
-    pattern = frame.sensor.cfa.pattern
-    if isp.stages[0] != "raw" and pattern not in DEMOSAIC_PATTERNS:
-        raise ValueError("no demosaic defined for this CFA (export raw instead)")
-    h, w = _plane(frame).shape
-    if isp.stages[0] == "raw":
-        out = np.empty((h, w, 1), np.float32)
-        fill = _row_filler(frame, _band_rows(out))
-        for i0, band in _bands(out):
-            fill(i0, i0 + len(band), band[..., 0])
-    else:
-        mono = pattern == MONO.pattern
-        matrix = None
+class _Pipeline:
+    """`isp`'s stages over any band of `frame`'s rows: the frame's
+    constants (its tone-map norm, the colour matrix), the buffers that one
+    band reuses, and, once `render` sets it, the gamma exponent."""
+
+    def __init__(self, frame, isp: IspConfig):
+        pattern = frame.sensor.cfa.pattern
+        if isp.stages[0] != "raw" and pattern not in DEMOSAIC_PATTERNS:
+            raise ValueError("no demosaic defined for this CFA (export raw instead)")
+        h, w = _plane(frame).shape
+        self.raw = isp.stages[0] == "raw"
+        self.shape = (h, w, 1 if self.raw else 3)
+        self.step = _band_rows(self.shape)
+        self.fill = _row_filler(frame)
+        self.gamma = "gamma" in isp.stages
+        self.exponent = None
+        self._next = None  # the first row after the last band filled
+        if self.raw:
+            return
+        self.mono = pattern == MONO.pattern
+        self.matrix = None
         if "color" in isp.stages:
-            matrix = _correction_matrix(
+            self.matrix = _correction_matrix(
                 fit_color_matrix(frame.sensor) if isp.matrix is None else isp.matrix
             ).astype(np.float32)
-        out = np.empty((h, w, 3), np.float32)
-        step = _band_rows(out)
-        fill = _row_filler(frame, step)
-        rows = min(step, h)
-        mosaic = np.empty((rows, w) if mono else (rows + 2, w + 2), np.float32)
-        linear = np.empty((3, rows, w), np.float32)
-        scratch = None if matrix is None else np.empty((2, rows, w), np.float32)
-        for i0, band in _bands(out):
-            b = len(band)
-            if mono:
-                fill(i0, i0 + b, mosaic[:b])
-            else:
-                _fill_padded_band(fill, h, i0, b, step, mosaic)
-            lin = linear[:, :b]
-            _demosaic_band(mosaic, mono, lin)
-            if matrix is None:
-                band[...] = lin.transpose(1, 2, 0)
-            else:
-                _color_band(lin, matrix, band, scratch[:, :b])
-    exponent = None
-    if "gamma" in isp.stages:
-        exponent = _gamma_exponent(isp.gamma, out)
-        for _, band in _bands(out):
-            _gamma_band(band, exponent, band)
-    return RGBImage(out, exponent)
+        rows = min(self.step, h)
+        self.mosaic = np.empty((rows, w) if self.mono else (rows + 2, w + 2), np.float32)
+        self.planes = np.empty((3, rows, w), np.float32)
+        self.scratch = None if self.matrix is None else np.empty((2, rows, w), np.float32)
+
+    def linear(self, i0: int, out: np.ndarray) -> None:
+        """The rows i0:i0 + len(out) of the image before gamma, into `out`;
+        i0 is the first row of a band."""
+        b = len(out)
+        if self.raw:
+            self.fill(i0, i0 + b, out[..., 0])
+            return
+        if self.mono:
+            self.fill(i0, i0 + b, self.mosaic[:b])
+        else:
+            _fill_padded_band(self.fill, self.shape[0], i0, b, self.step, self.mosaic,
+                              self._next == i0)
+        self._next = i0 + b
+        lin = self.planes[:, :b]
+        _demosaic_band(self.mosaic, self.mono, lin)
+        if self.matrix is None:
+            out[...] = lin.transpose(1, 2, 0)
+        else:
+            _color_band(lin, self.matrix, out, self.scratch[:, :b])
+
+    def render(self, i0: int, out: np.ndarray) -> None:
+        """The band's rows through every stage, gamma included, into `out`."""
+        self.linear(i0, out)
+        if self.gamma:
+            _gamma_band(out, self.exponent, out)
+
+
+def _image_mean(p: _Pipeline, bands: dict) -> np.float32:
+    """ndarray.mean of the image before gamma, bit for bit, from one pass
+    over its bands in order: each band of `bands` is rendered into its own
+    array there, every other band into one reused buffer."""
+    h, w, c = p.shape
+
+    def linear_bands():
+        work = None
+        for k, i0 in enumerate(range(0, h, p.step)):
+            band = bands.get(k)
+            if band is None:
+                b = min(p.step, h - i0)  # no band after it is longer
+                work = np.empty((b, w, c), np.float32) if work is None else work
+                band = work[:b]
+            p.linear(i0, band)
+            yield band.reshape(-1)
+
+    return _flat_mean(linear_bands(), h * w * c)
+
+
+def render(frame, isp: IspConfig = IspConfig(), rows=None) -> RGBImage:
+    """The configured pipeline over a RawFrame or HDRFrame, a band of rows
+    at a time. The color stage applies `isp.matrix`, or one fitted to the
+    frame's sensor.
+
+    `rows` names the row indices the caller reads (rows outside the frame
+    are ignored); None, the default, is every row. Only the frame's
+    constants are computed for every row: an HDR frame's tone-map norm and,
+    with adaptive gamma, the image mean, from one pass of every band up to
+    the color stage. The image holds, through every stage, only the bands
+    that meet `rows`; a band outside them is not gamma-corrected and,
+    without adaptive gamma, not rendered at all, until `RGBImage.read_rows`
+    or `values` reads it. Every read has the bytes of a render of every
+    row."""
+    p = _Pipeline(frame, isp)
+    h, step = p.shape[0], p.step
+    values = None
+    if rows is None:
+        values = np.empty(p.shape, np.float32)
+        bands = {k: values[i0:i0 + step] for k, i0 in enumerate(range(0, h, step))}
+    else:
+        bands = {k: np.empty((min(step, h - k * step), *p.shape[1:]), np.float32)
+                 for k in sorted({r // step for r in rows if 0 <= r < h})}
+    mean = None
+    if p.gamma and isp.gamma.mode == "adaptive":
+        mean = _image_mean(p, bands)
+    else:
+        for k, band in bands.items():
+            p.linear(k * step, band)
+    if p.gamma:
+        p.exponent = _gamma_exponent(isp.gamma, mean)
+        for band in bands.values():
+            _gamma_band(band, p.exponent, band)
+    if values is None:
+        for band in bands.values():
+            band.flags.writeable = False
+    return RGBImage._rendered(p, bands, values, p.exponent)
 
 
 def write_ppm(img: RGBImage, path) -> None:

@@ -977,7 +977,7 @@ def test_rate_and_earlier_images_freed_before_render(tmp_path, monkeypatch, argv
         gc.collect()
         checks.append((rates[-1]() is None, [ref() is None for ref in images]))
         img = render(*args, **kwargs)
-        images.append(weakref.ref(img.values))
+        images.append(weakref.ref(img))
         return img
     monkeypatch.setattr(exposure, "expected_rate", tracked_rate)
     monkeypatch.setattr(cli, "render", checked_render)
@@ -985,6 +985,42 @@ def test_rate_and_earlier_images_freed_before_render(tmp_path, monkeypatch, argv
     variants = len(cli.PLANS) * 2 if argv[0] == "sweep-exposure" else 1
     assert len(checks) == len(rates) == 2 * variants  # run_config has two scenes
     assert checks == [(True, [True] * i) for i in range(len(checks))]
+
+
+def test_a_saved_image_holds_its_values_not_its_frame(tmp_path, monkeypatch):
+    """With save_images, each variant's image is kept until the run is
+    written, whole: it holds its values, and the frame it was rendered from
+    is gone."""
+    import gc
+    import weakref
+
+    from camsim import cli
+
+    monkeypatch.setenv("CAMSIM_THREADS", "1")
+    frames, images, alive = [], [], []
+    acquire, render, write_run = cli.acquire, cli.render, cli._write_run
+
+    def tracked_acquire(*args, **kwargs):
+        acq = acquire(*args, **kwargs)
+        frames.append(weakref.ref(acq.source.rate_e_per_s))  # run_config brackets
+        return acq
+
+    def tracked_render(*args, **kwargs):
+        images.append(render(*args, **kwargs))
+        return images[-1]
+
+    def checked_write_run(*args, **kwargs):
+        gc.collect()
+        alive.append([ref() is not None for ref in frames])
+        return write_run(*args, **kwargs)
+    monkeypatch.setattr(cli, "acquire", tracked_acquire)
+    monkeypatch.setattr(cli, "render", tracked_render)
+    monkeypatch.setattr(cli, "_write_run", checked_write_run)
+    assert main(["run", str(run_config(tmp_path, save_images=True))]) == EXIT_OK
+    assert alive == [[False, False]]
+    for i, img in enumerate(images):
+        assert img._pipeline is None and img._values is img.values
+        assert (tmp_path / "out" / f"scene_{i:04d}.ppm").is_file()
 
 
 def test_failed_variants_free_their_frames(tmp_path, monkeypatch):
@@ -1002,7 +1038,7 @@ def test_failed_variants_free_their_frames(tmp_path, monkeypatch):
 
     def tracked_render(*args, **kwargs):
         img = render(*args, **kwargs)
-        images.append(weakref.ref(img.values))
+        images.append(weakref.ref(img))
         return img
 
     def failing_detect(*args, **kwargs):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from camsim.annotation import GroundTruthBox
-from camsim.detector import ProxyDetectorConfig, detectability, proxy_detect
+from camsim.detector import ProxyDetectorConfig, detectability, proxy_detect, proxy_rows
 
 
 def image_with_square(h=64, w=64, lo=0.2, hi=0.7, box=(20, 20, 44, 44)):
@@ -175,3 +175,36 @@ def test_a_flat_window_has_no_detectability_and_is_not_detected():
         assert detectability(img[..., 1], box, min_pixels=150, snr_scale=1.0) == 0.0
     for seed in range(20):
         assert proxy_detect(img, boxes, ProxyDetectorConfig(seed=seed), image_id="i") == []
+
+
+def test_proxy_detect_reads_only_the_rows_proxy_rows_names(monkeypatch):
+    """An image rendered for `proxy_rows` of its boxes is read only there
+    (each box's surround window, none for a box too small to score), and its
+    detections are those of the whole rendered frame."""
+    from camsim import isp
+    from camsim.isp import IspConfig, render
+    from camsim.sensor import RawFrame, SensorSpec
+
+    monkeypatch.setattr(isp, "_BAND_BYTES", 4 * 56 * 3 * 4)  # bands of 4 rows
+    sensor = SensorSpec()
+    dn = (textured_image(channels=1)[..., 0] * sensor.max_code()).astype(np.uint16)
+    frame = RawFrame(dn, dn == sensor.max_code(), 1e-3, sensor)
+    boxes = [gt_for(b, pixel_count=100 if k == 2 else 200, inst=k + 1)
+             for k, b in enumerate(WINDOW_BOXES)]
+    cfg = ProxyDetectorConfig(seed=4, jitter_px=1.5, fp_rate_per_image=1.0)
+    assert proxy_rows([boxes[2]], dn.shape, cfg) == set()  # 100 px < 150: never read
+    # (18, 0, 38, 14) and (18, 26, 38, 40), widened by 10 rows
+    picked = [boxes[2], boxes[3], boxes[4]]
+    rows = proxy_rows(picked, dn.shape, cfg)
+    assert rows == set(range(0, 24)) | set(range(16, 40))
+    img = render(frame, IspConfig(), rows=rows)
+    read, read_rows = [], img.read_rows
+    monkeypatch.setattr(img, "read_rows", lambda r0, r1: read.append((r0, r1))
+                        or read_rows(r0, r1))
+    dets = proxy_detect(img, picked, cfg, image_id="i")
+    assert read == [(0, 24), (16, 40)]
+    whole = render(frame, IspConfig()).values
+    assert [(d.bbox, d.score) for d in dets] == \
+        [(d.bbox, d.score) for d in proxy_detect(whole, picked, cfg, image_id="i")]
+    for box in picked:
+        assert detectability(img, box, 150, 1.0) == detectability(whole, box, 150, 1.0)

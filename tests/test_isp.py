@@ -33,7 +33,7 @@ def demosaic(frame: RawFrame) -> np.ndarray:
 def gamma(v: np.ndarray, spec: GammaSpec) -> tuple:
     """(`v` through the gamma kernels that `render` runs, the exponent used):
     exact values that 10-bit DN cannot reach."""
-    exponent = _gamma_exponent(spec, v)
+    exponent = _gamma_exponent(spec, v.mean())
     out = np.empty_like(v)
     _gamma_band(v, exponent, out)
     return out, exponent
@@ -563,18 +563,164 @@ def test_render_warns_once_when_adaptive_gamma_is_undefined():
     assert out.gamma_used == 1.0
 
 
-def test_render_of_a_full_dye_hdr_frame_adds_little_to_its_output():
-    """The default render of a 1440x2560 HDR frame peaks below its 42 MiB
-    float32 RGB output plus 8 MiB: no whole-frame mosaic or other
-    frame-sized temporary is built beside the output."""
+def full_dye_hdr_frame():
     rate = np.random.default_rng(3).lognormal(12.5, 1.0, (1440, 2560))
     rate[360:1080, 1280:2000] /= 100.0
-    frame = hdr_frame(rate)
+    return hdr_frame(rate)
+
+
+def traced_peak(fn) -> tuple:
+    """(fn's result, the tracemalloc peak of the call above what was
+    allocated before it)."""
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        out = render(frame)
-        peak = tracemalloc.get_traced_memory()[1] - base
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
+
+
+def test_render_of_a_full_dye_hdr_frame_adds_little_to_its_output():
+    """The default render of every row of a 1440x2560 HDR frame, and the
+    `values` of one rendered for a few rows, each peak below the 42 MiB
+    float32 RGB output plus 8 MiB: no whole-frame mosaic or other
+    frame-sized temporary is built beside the output."""
+    frame = full_dye_hdr_frame()
+    out, peak = traced_peak(lambda: render(frame))
     assert peak < out.values.nbytes + 8 * 2**20, (peak, out.values.nbytes)
+    img = render(frame, rows=range(700, 740))
+    values, peak = traced_peak(lambda: img.values)
+    assert values.tobytes() == out.values.tobytes()
+    assert peak < values.nbytes + 8 * 2**20, (peak, values.nbytes)
+
+
+def test_render_of_one_window_of_a_full_dye_hdr_frame_peaks_below_a_quarter_frame():
+    """The default render (adaptive gamma: one pass of every band up to the
+    color stage for the mean) for one detector window's rows peaks below a
+    quarter of the 42 MiB RGB frame it no longer builds."""
+    frame = full_dye_hdr_frame()
+    img, peak = traced_peak(lambda: render(frame, rows=range(700, 740)))
+    frame_bytes = 1440 * 2560 * 3 * 4
+    assert peak < frame_bytes / 4, (peak / frame_bytes)
+    # and the rows it was asked for read without another render
+    with mock.patch.object(isp_module._Pipeline, "render", side_effect=AssertionError):
+        img.read_rows(700, 740)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 40), st.integers(1, 12), st.sampled_from([1, 3]), st.integers(1, 9),
+       st.sampled_from([1, 128, 200, 1000]), st.integers(0, 2**32 - 1), st.floats(0, 1))
+@example(h=1, w=1, c=1, band=1, leaf=1, seed=0, clipped=0.0)
+def test_streamed_mean_is_the_ndarray_mean(h, w, c, band, leaf, seed, clipped):
+    """`_flat_mean` over an (H, W, C) float32 image's bands, each copied in
+    turn into one reused buffer as `render` streams them, has the bits of
+    `ndarray.mean`; band sizes (rounded to an even count of rows) need not
+    divide the rows, and leaves below numpy's pairwise block of 128 are
+    not split. A `clipped` share of the values is 0 or 1."""
+    rng = np.random.default_rng(seed)
+    v = rng.random((h, w, c), dtype=np.float32)
+    v[rng.random(v.shape) < clipped] = rng.integers(0, 2)
+    with mock.patch.object(isp_module, "_BAND_BYTES", band * 4 * w * c), \
+            mock.patch.object(isp_module, "_SUM_LEAF", leaf):
+        step = isp_module._band_rows(v.shape)
+        buffer = np.empty((step, w, c), np.float32)
+
+        def bands():
+            for i0 in range(0, h, step):
+                b = v[i0:i0 + step]
+                buffer[:len(b)] = b
+                yield buffer[:len(b)].reshape(-1)
+
+        got = isp_module._flat_mean(bands(), v.size)
+    want = v.mean()
+    assert type(got) is type(want) and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("shape", [(1440, 2560, 3), (360, 640, 3), (17, 10, 1)])
+def test_streamed_mean_of_workload_sized_images(shape):
+    v = np.random.default_rng(4).random(shape, dtype=np.float32)
+    step = isp_module._band_rows(shape)
+    got = isp_module._flat_mean((v[i:i + step].reshape(-1) for i in range(0, shape[0], step)),
+                                v.size)
+    assert got.tobytes() == v.mean().tobytes()
+
+
+# reads of (first row, end row), in the order made: inside the declared
+# rows, across bands, outside them, reversed and clipped
+READS = [(5, 7), (0, 29), (20, 27), (3, 4), (27, 29), (9, 19), (11, 13), (28, 40), (-5, 29),
+         (6, 5), (0, 1), (5, 7)]
+
+
+@pytest.mark.parametrize("cfa", [RGGB, MONO], ids=["RGGB", "MONO"])
+@pytest.mark.parametrize("kind", ["raw", "hdr"])
+@pytest.mark.parametrize("isp", ISP_CONFIGS, ids=isp_id)
+def test_row_reads_equal_the_rows_of_the_whole_render(isp, kind, cfa, monkeypatch):
+    """An image rendered for some rows reads any rows, in any order, inside
+    or outside them, with the bytes of a render of every row, and its
+    `values` are that render's; bands of 4 rows do not divide 29."""
+    monkeypatch.setattr(isp_module, "_BAND_BYTES", 4 * 4 * 11 * 3)
+    frame = oracle_frame(kind, cfa, (29, 11), seed=7)
+    whole = render(frame, isp)
+    img = render(frame, isp, rows=[5, 6, 21, -3, 99])
+    assert img.gamma_used == whole.gamma_used and img.shape == whole.values.shape
+    for r0, r1 in READS:
+        got = img.read_rows(r0, r1)
+        want = whole.values[r0:r1]
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), (r0, r1)
+    assert img.values.tobytes() == whole.values.tobytes()
+    for r0, r1 in READS:  # now read from the whole array
+        assert img.read_rows(r0, r1).tobytes() == whole.values[r0:r1].tobytes()
+
+
+@pytest.mark.parametrize("mode", ["adaptive", "fixed"])
+def test_render_renders_no_band_outside_the_rows_until_read(mode, monkeypatch):
+    """Without adaptive gamma, the bands that meet no declared row are not
+    rendered at all; with it, each is rendered once up to the color stage
+    for the mean, and neither is gamma-corrected until it is read."""
+    monkeypatch.setattr(isp_module, "_BAND_BYTES", 4 * 4 * 11 * 3)
+    frame = oracle_frame("hdr", RGGB, (29, 11), seed=8)
+    linear, gamma = [], []
+    pipeline_linear, gamma_band = isp_module._Pipeline.linear, isp_module._gamma_band
+    monkeypatch.setattr(isp_module._Pipeline, "linear",
+                        lambda self, i0, out: linear.append(i0) or pipeline_linear(self, i0, out))
+    monkeypatch.setattr(isp_module, "_gamma_band",
+                        lambda v, e, out: gamma.append(len(v)) or gamma_band(v, e, out))
+    spec = GammaSpec("adaptive") if mode == "adaptive" else GammaSpec("fixed", gamma=0.45)
+    img = render(frame, IspConfig(gamma=spec, matrix=MATRIX), rows=range(9, 12))
+    assert linear == (list(range(0, 29, 4)) if mode == "adaptive" else [8])
+    assert gamma == [4]  # band 2, rows 8:12
+    img.read_rows(13, 19)
+    assert linear[-2:] == [12, 16] and gamma == [4, 4, 4]
+
+
+def test_two_threads_reading_windows_get_the_serial_bytes(monkeypatch):
+    """Two threads reading windows of one image rendered for a few rows,
+    most of them rendered on demand in the pipeline's shared buffers, read
+    the bytes one thread reads."""
+    monkeypatch.setattr(isp_module, "_BAND_BYTES", 6 * 4 * 48 * 3)
+    frame = oracle_frame("hdr", RGGB, (64, 48), seed=9)
+    isp = IspConfig(stages=("demosaic", "color", "gamma"), matrix=MATRIX)
+    windows = [(0, 9), (10, 40), (33, 35), (50, 64), (5, 60)]
+    serial = [render(frame, isp).values[r0:r1].tobytes() for r0, r1 in windows]
+    img = render(frame, isp, rows=range(30, 36))
+    seen = [set() for _ in windows]
+
+    def work(order):
+        for _ in range(10):
+            for i in order:
+                seen[i].add(img.read_rows(*windows[i]).tobytes())
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=work, args=(order,))
+                   for order in (range(len(windows)), reversed(range(len(windows))))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert seen == [{b} for b in serial]

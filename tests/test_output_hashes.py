@@ -1,23 +1,27 @@
 """Smoke test: the output-hash tool runs one workload call and prints the
-same hashes twice."""
+same hashes twice, and its --set overrides reach the run config."""
 
+import argparse
+import importlib
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import camsim
 
 SCRIPT = Path(__file__).resolve().parents[1] / "benchmarks" / "output_hashes.py"
 
 
-def _hashes() -> dict:
+def _hashes(*args) -> dict:
     src = str(Path(camsim.__file__).resolve().parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, str(SCRIPT), "--workloads", "readme_run",
-                           "--seeds", "0", "--threads", "1"],
+                           "--seeds", "0", "--threads", "1", *args],
                           capture_output=True, text=True, env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
@@ -30,6 +34,26 @@ def test_output_hashes_are_stable():
                  "dataset.json"):
         assert len(first[f"readme_run/0/1/{name}"]) == 64, name
     assert _hashes() == first
+
+
+def test_set_overrides_a_run_config_key():
+    """--set save_images=true makes the run write, and the tool hash, the
+    PPM of every scene; the other files keep their hashes."""
+    plain = _hashes()
+    saved = _hashes("--set", "save_images=true")
+    ppms = {k for k in saved if k.endswith(".ppm")}
+    assert len(ppms) == 48 and set(saved) - ppms == set(plain)
+    assert saved["readme_run/0/1/exposures.json"] == plain["readme_run/0/1/exposures.json"]
+
+
+def test_set_parses_a_dotted_key_and_a_json_value(monkeypatch):
+    monkeypatch.syspath_prepend(str(SCRIPT.parent))
+    tool = importlib.import_module("output_hashes")
+    assert tool._override("save_images=true") == (("save_images",), True)
+    assert tool._override('isp.gamma={"mode": "srgb"}') == (("isp", "gamma"), {"mode": "srgb"})
+    for bad in ("save_images", "=1", "seed=one"):
+        with pytest.raises(argparse.ArgumentTypeError):
+            tool._override(bad)
 
 
 def test_output_hashes_without_camsim_says_so():

@@ -97,3 +97,33 @@ def test_the_acquire_row_times_the_frames_the_workload_acquires(name, bench, mon
     assert len(acquired) == len(want) == max(1, len(workload.pixel_sizes))
     for got, ref in zip(acquired, want):
         assert _frame_bytes(got.source) == _frame_bytes(ref.source)
+
+
+@pytest.mark.parametrize("name", ["readme_run", "pixel_sweep", "hdr_fulldye"])
+def test_the_render_row_renders_the_rows_the_workload_detector_reads(name, bench, monkeypatch,
+                                                                     tmp_path):
+    """The workload's own command, on a config of one scene, renders each
+    frame for the rows its proxy detector reads; the row's call renders
+    the same frames for the same rows, through the same ISP."""
+    workload = bench._workloads()[name]
+    cfg = workload.config(0, str(tmp_path / "out"))
+    cfg["scenes"]["count"] = 1
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(cfg))
+    calls = {"cli": [], "bench": []}
+
+    def recording(side, render):
+        def record(frame, isp, rows=None):
+            calls[side].append((_frame_bytes(frame), isp, rows))
+            return render(frame, isp, rows=rows)
+        return record
+
+    monkeypatch.setattr(cli, "render", recording("cli", cli.render))
+    monkeypatch.setenv("CAMSIM_THREADS", "1")
+    assert cli.main(workload.argv(str(config))) == 0
+    monkeypatch.setattr(bench, "render", recording("bench", bench.render))
+    _, row = bench._case(f"{name}:render")
+    row()
+    assert len(calls["cli"]) == max(1, len(workload.pixel_sizes))
+    assert calls["bench"] == calls["cli"]
+    assert all(rows for _, _, rows in calls["cli"])  # every frame has a box to read
