@@ -23,13 +23,14 @@ each band's frame rows, normalized to [0, 1] (an HDR frame's tone map
 included), are written into one reused buffer with the one-row halo and
 the reflected border that the demosaic reads. Every step reads only its
 band and the halo, so a band rendered on its own has the bytes it has in
-the whole image. `render`, configured by `IspConfig.stages`, is the one
-entry point to these stages."""
+the whole image. An image rendered for some rows holds only the bands that
+meet them, and a read of any other row raises; the CLI renders every row
+only with `save_images`. `render`, configured by `IspConfig.stages`, is
+the one entry point to these stages."""
 
 from __future__ import annotations
 
 import math
-import threading
 import warnings
 from dataclasses import dataclass, field
 
@@ -45,13 +46,10 @@ class RGBImage:
     """An (H, W, 3) or (H, W, 1) float32 image in [0, 1], and the exponent
     its gamma used (None: no gamma, or the sRGB curve).
 
-    An image that `render` returns for some rows holds only the bands of
-    rows that meet them, with its frame and the pipeline that renders any
-    other band. `read_rows` reads rows from the bands held, and renders
-    each band it needs but does not hold again on every read; `values`
-    renders every band not held into one whole array, which the image then
-    holds in place of its frame and bands. Either reads the bytes a render
-    of every row holds."""
+    An image that `render` returns for some rows holds only the read-only
+    bands of rows that meet them. `read_rows` reads rows of those bands and
+    raises ValueError for a read that meets any other band; `values`
+    raises on such an image."""
 
     def __init__(self, values: np.ndarray, gamma_used: float | None = None):
         v = values
@@ -60,59 +58,41 @@ class RGBImage:
         # NaN fails both comparisons; an empty image has no min and raises too
         if not (v.min() >= 0 and v.max() <= 1):
             raise ValueError("image values must be finite and in [0, 1]")
-        self._hold(v.shape, gamma_used, v, {}, None)
+        self.shape, self.gamma_used = v.shape, gamma_used
+        self._values, self._bands, self._step = v, None, None
 
     @classmethod
-    def _rendered(cls, pipeline, bands: dict, values, gamma_used) -> "RGBImage":
-        """The image of `pipeline`'s frame, holding `values` (every row) or
-        the read-only {band index: rows} `bands`."""
+    def _rendered(cls, shape, gamma_used, values, bands, step) -> "RGBImage":
+        """The image `render` returns: every row's `values`, or None and the
+        read-only {band index: rows} `bands` of `step` rows each."""
         img = cls.__new__(cls)
-        img._hold(pipeline.shape, gamma_used, values, bands,
-                  pipeline if values is None else None)
+        img.shape, img.gamma_used = tuple(shape), gamma_used
+        img._values, img._bands, img._step = values, bands, step
         return img
 
-    def _hold(self, shape, gamma_used, values, bands, pipeline) -> None:
-        self.shape = tuple(shape)
-        self.gamma_used = gamma_used
-        self._values, self._bands, self._pipeline = values, bands, pipeline
-        self._lock = threading.Lock()  # a pipeline's buffers serve one band at a time
-
-    def _band(self, k: int) -> np.ndarray:
-        band = self._bands.get(k)
-        if band is None:
-            p = self._pipeline
-            i0 = k * p.step
-            band = np.empty((min(p.step, self.shape[0] - i0), *self.shape[1:]), np.float32)
-            p.render(i0, band)
-        return band
-
     def read_rows(self, r0: int, r1: int) -> np.ndarray:
-        """values[r0:r1], rendering only the bands those rows meet."""
-        with self._lock:
-            if self._values is not None:
-                return self._values[r0:r1]
-            r0, r1, _ = slice(r0, r1).indices(self.shape[0])
-            if r1 <= r0:
-                return np.empty((0, *self.shape[1:]), np.float32)
-            step = self._pipeline.step
-            pieces = [self._band(k)[max(0, r0 - k * step):r1 - k * step]
-                      for k in range(r0 // step, (r1 - 1) // step + 1)]
-            return pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
+        """values[r0:r1], read from the bands held."""
+        if self._values is not None:
+            return self._values[r0:r1]
+        r0, r1, _ = slice(r0, r1).indices(self.shape[0])
+        if r1 <= r0:
+            return np.empty((0, *self.shape[1:]), np.float32)
+        step = self._step
+        ks = range(r0 // step, (r1 - 1) // step + 1)
+        missing = [k for k in ks if k not in self._bands]
+        if missing:
+            raise ValueError(f"rows {r0}:{r1} meet rows {missing[0] * step}:"
+                             f"{min((missing[0] + 1) * step, self.shape[0])}, which this image "
+                             "was not rendered for")
+        pieces = [self._bands[k][max(0, r0 - k * step):r1 - k * step] for k in ks]
+        return pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
 
     @property
     def values(self) -> np.ndarray:
-        with self._lock:
-            if self._values is None:
-                out = np.empty(self.shape, np.float32)
-                step = self._pipeline.step
-                for k, i0 in enumerate(range(0, self.shape[0], step)):
-                    band = self._bands.get(k)
-                    if band is None:
-                        self._pipeline.render(i0, out[i0:i0 + step])
-                    else:
-                        out[i0:i0 + step] = band
-                self._values, self._bands, self._pipeline = out, {}, None
-            return self._values
+        if self._values is None:
+            raise ValueError("an image rendered for some rows has no whole values; "
+                             "render it with rows=None")
+        return self._values
 
 
 @dataclass(frozen=True)
@@ -478,9 +458,9 @@ def _gamma_band(v: np.ndarray, exponent: float | None, out: np.ndarray) -> None:
 
 
 class _Pipeline:
-    """`isp`'s stages over any band of `frame`'s rows: the frame's
-    constants (its tone-map norm, the colour matrix), the buffers that one
-    band reuses, and, once `render` sets it, the gamma exponent."""
+    """`isp`'s stages before gamma over any band of `frame`'s rows: the
+    frame's constants (its tone-map norm, the colour matrix) and the
+    buffers that one band reuses."""
 
     def __init__(self, frame, isp: IspConfig):
         pattern = frame.sensor.cfa.pattern
@@ -491,8 +471,6 @@ class _Pipeline:
         self.shape = (h, w, 1 if self.raw else 3)
         self.step = _band_rows(self.shape)
         self.fill = _row_filler(frame)
-        self.gamma = "gamma" in isp.stages
-        self.exponent = None
         self._next = None  # the first row after the last band filled
         if self.raw:
             return
@@ -527,12 +505,6 @@ class _Pipeline:
         else:
             _color_band(lin, self.matrix, out, self.scratch[:, :b])
 
-    def render(self, i0: int, out: np.ndarray) -> None:
-        """The band's rows through every stage, gamma included, into `out`."""
-        self.linear(i0, out)
-        if self.gamma:
-            _gamma_band(out, self.exponent, out)
-
 
 def _image_mean(p: _Pipeline, bands: dict) -> np.float32:
     """ndarray.mean of the image before gamma, bit for bit, from one pass
@@ -564,10 +536,9 @@ def render(frame, isp: IspConfig = IspConfig(), rows=None) -> RGBImage:
     constants are computed for every row: an HDR frame's tone-map norm and,
     with adaptive gamma, the image mean, from one pass of every band up to
     the color stage. The image holds, through every stage, only the bands
-    that meet `rows`; a band outside them is not gamma-corrected and,
-    without adaptive gamma, not rendered at all, until `RGBImage.read_rows`
-    or `values` reads it. Every read has the bytes of a render of every
-    row."""
+    that meet `rows`, with the bytes a render of every row has there; a
+    read of any other row raises (`RGBImage.read_rows`), and so does
+    `values`. The CLI renders every row only with `save_images`."""
     p = _Pipeline(frame, isp)
     h, step = p.shape[0], p.step
     values = None
@@ -577,20 +548,21 @@ def render(frame, isp: IspConfig = IspConfig(), rows=None) -> RGBImage:
     else:
         bands = {k: np.empty((min(step, h - k * step), *p.shape[1:]), np.float32)
                  for k in sorted({r // step for r in rows if 0 <= r < h})}
-    mean = None
-    if p.gamma and isp.gamma.mode == "adaptive":
+    gamma, mean, exponent = "gamma" in isp.stages, None, None
+    if gamma and isp.gamma.mode == "adaptive":
         mean = _image_mean(p, bands)
     else:
         for k, band in bands.items():
             p.linear(k * step, band)
-    if p.gamma:
-        p.exponent = _gamma_exponent(isp.gamma, mean)
+    if gamma:
+        exponent = _gamma_exponent(isp.gamma, mean)
         for band in bands.values():
-            _gamma_band(band, p.exponent, band)
-    if values is None:
-        for band in bands.values():
-            band.flags.writeable = False
-    return RGBImage._rendered(p, bands, values, p.exponent)
+            _gamma_band(band, exponent, band)
+    if values is not None:
+        return RGBImage._rendered(p.shape, exponent, values, None, None)
+    for band in bands.values():
+        band.flags.writeable = False
+    return RGBImage._rendered(p.shape, exponent, None, bands, step)
 
 
 def write_ppm(img: RGBImage, path) -> None:

@@ -1,8 +1,10 @@
+import gc
 import math
 import sys
 import threading
 import tracemalloc
 import warnings
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -582,17 +584,12 @@ def traced_peak(fn) -> tuple:
 
 
 def test_render_of_a_full_dye_hdr_frame_adds_little_to_its_output():
-    """The default render of every row of a 1440x2560 HDR frame, and the
-    `values` of one rendered for a few rows, each peak below the 42 MiB
-    float32 RGB output plus 8 MiB: no whole-frame mosaic or other
-    frame-sized temporary is built beside the output."""
+    """The default render of every row of a 1440x2560 HDR frame peaks below
+    the 42 MiB float32 RGB output plus 8 MiB: no whole-frame mosaic or
+    other frame-sized temporary is built beside the output."""
     frame = full_dye_hdr_frame()
     out, peak = traced_peak(lambda: render(frame))
     assert peak < out.values.nbytes + 8 * 2**20, (peak, out.values.nbytes)
-    img = render(frame, rows=range(700, 740))
-    values, peak = traced_peak(lambda: img.values)
-    assert values.tobytes() == out.values.tobytes()
-    assert peak < values.nbytes + 8 * 2**20, (peak, values.nbytes)
 
 
 def test_render_of_one_window_of_a_full_dye_hdr_frame_peaks_below_a_quarter_frame():
@@ -603,9 +600,7 @@ def test_render_of_one_window_of_a_full_dye_hdr_frame_peaks_below_a_quarter_fram
     img, peak = traced_peak(lambda: render(frame, rows=range(700, 740)))
     frame_bytes = 1440 * 2560 * 3 * 4
     assert peak < frame_bytes / 4, (peak / frame_bytes)
-    # and the rows it was asked for read without another render
-    with mock.patch.object(isp_module._Pipeline, "render", side_effect=AssertionError):
-        img.read_rows(700, 740)
+    assert img.read_rows(700, 740).shape == (40, 2560, 3)
 
 
 @settings(max_examples=60, deadline=None)
@@ -646,38 +641,45 @@ def test_streamed_mean_of_workload_sized_images(shape):
     assert got.tobytes() == v.mean().tobytes()
 
 
-# reads of (first row, end row), in the order made: inside the declared
-# rows, across bands, outside them, reversed and clipped
-READS = [(5, 7), (0, 29), (20, 27), (3, 4), (27, 29), (9, 19), (11, 13), (28, 40), (-5, 29),
-         (6, 5), (0, 1), (5, 7)]
+# reads of (first row, end row) of a 29-row image rendered for `DECLARED`
+# in bands of 4 rows: bands 1, 2 and 5 (rows 4:12 and 20:24) are held
+DECLARED = [5, 6, 9, 21, -3, 99]
+HELD_READS = [(5, 7), (4, 12), (9, 11), (7, 9), (20, 24), (21, 22), (-9, -6), (6, 5),
+              (11, 12), (5, 7)]
+OTHER_READS = [(0, 29), (3, 4), (12, 13), (9, 19), (23, 25), (28, 40), (-5, 29)]
 
 
 @pytest.mark.parametrize("cfa", [RGGB, MONO], ids=["RGGB", "MONO"])
 @pytest.mark.parametrize("kind", ["raw", "hdr"])
 @pytest.mark.parametrize("isp", ISP_CONFIGS, ids=isp_id)
 def test_row_reads_equal_the_rows_of_the_whole_render(isp, kind, cfa, monkeypatch):
-    """An image rendered for some rows reads any rows, in any order, inside
-    or outside them, with the bytes of a render of every row, and its
-    `values` are that render's; bands of 4 rows do not divide 29."""
-    monkeypatch.setattr(isp_module, "_BAND_BYTES", 4 * 4 * 11 * 3)
+    """An image rendered for some rows reads, in any order, the rows of the
+    bands that meet them, within a band or across two, with the bytes of a
+    render of every row; a read that meets any other band raises, and so
+    does `values`. Bands of 4 rows do not divide 29."""
+    channels = 1 if isp.stages[0] == "raw" else 3
+    monkeypatch.setattr(isp_module, "_BAND_BYTES", 4 * 4 * 11 * channels)
     frame = oracle_frame(kind, cfa, (29, 11), seed=7)
     whole = render(frame, isp)
-    img = render(frame, isp, rows=[5, 6, 21, -3, 99])
+    img = render(frame, isp, rows=DECLARED)
     assert img.gamma_used == whole.gamma_used and img.shape == whole.values.shape
-    for r0, r1 in READS:
+    for r0, r1 in HELD_READS:
         got = img.read_rows(r0, r1)
         want = whole.values[r0:r1]
         assert got.shape == want.shape and got.tobytes() == want.tobytes(), (r0, r1)
-    assert img.values.tobytes() == whole.values.tobytes()
-    for r0, r1 in READS:  # now read from the whole array
-        assert img.read_rows(r0, r1).tobytes() == whole.values[r0:r1].tobytes()
+    for r0, r1 in OTHER_READS:
+        with pytest.raises(ValueError, match="not rendered for"):
+            img.read_rows(r0, r1)
+    with pytest.raises(ValueError, match="rows=None"):
+        img.values
 
 
 @pytest.mark.parametrize("mode", ["adaptive", "fixed"])
 def test_render_renders_no_band_outside_the_rows_until_read(mode, monkeypatch):
     """Without adaptive gamma, the bands that meet no declared row are not
     rendered at all; with it, each is rendered once up to the color stage
-    for the mean, and neither is gamma-corrected until it is read."""
+    for the mean. Neither is gamma-corrected, and a read of one raises
+    without rendering it."""
     monkeypatch.setattr(isp_module, "_BAND_BYTES", 4 * 4 * 11 * 3)
     frame = oracle_frame("hdr", RGGB, (29, 11), seed=8)
     linear, gamma = [], []
@@ -690,37 +692,21 @@ def test_render_renders_no_band_outside_the_rows_until_read(mode, monkeypatch):
     img = render(frame, IspConfig(gamma=spec, matrix=MATRIX), rows=range(9, 12))
     assert linear == (list(range(0, 29, 4)) if mode == "adaptive" else [8])
     assert gamma == [4]  # band 2, rows 8:12
-    img.read_rows(13, 19)
-    assert linear[-2:] == [12, 16] and gamma == [4, 4, 4]
+    rendered = list(linear)
+    with pytest.raises(ValueError, match="rows 13:19 meet rows 12:16"):
+        img.read_rows(13, 19)
+    assert linear == rendered and gamma == [4]
 
 
-def test_two_threads_reading_windows_get_the_serial_bytes(monkeypatch):
-    """Two threads reading windows of one image rendered for a few rows,
-    most of them rendered on demand in the pipeline's shared buffers, read
-    the bytes one thread reads."""
-    monkeypatch.setattr(isp_module, "_BAND_BYTES", 6 * 4 * 48 * 3)
-    frame = oracle_frame("hdr", RGGB, (64, 48), seed=9)
-    isp = IspConfig(stages=("demosaic", "color", "gamma"), matrix=MATRIX)
-    windows = [(0, 9), (10, 40), (33, 35), (50, 64), (5, 60)]
-    serial = [render(frame, isp).values[r0:r1].tobytes() for r0, r1 in windows]
-    img = render(frame, isp, rows=range(30, 36))
-    seen = [set() for _ in windows]
-
-    def work(order):
-        for _ in range(10):
-            for i in order:
-                seen[i].add(img.read_rows(*windows[i]).tobytes())
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        threads = [threading.Thread(target=work, args=(order,))
-                   for order in (range(len(windows)), reversed(range(len(windows))))]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
-    assert seen == [{b} for b in serial]
+@pytest.mark.parametrize("kind", ["raw", "hdr"])
+def test_a_row_limited_image_does_not_keep_its_frame_alive(kind):
+    """An image rendered for some rows holds its bands and nothing of its
+    frame: once the caller drops the frame, the frame's raster (a
+    RawFrame's dn, an HDRFrame's rate) is freed while the image lives."""
+    frame = oracle_frame(kind, RGGB, (29, 11), seed=10)
+    raster = weakref.ref(frame.dn if kind == "raw" else frame.rate_e_per_s)
+    img = render(frame, IspConfig(), rows=range(9, 12))
+    del frame
+    gc.collect()
+    assert raster() is None
+    assert img.read_rows(9, 12).shape == (3, 11, 3)
